@@ -16,7 +16,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import kernels
 from .cbf import ABC, HOCBF, CbfInstance
 from .core import ControlAffineSystem
 
@@ -129,48 +128,21 @@ def grid_scan(
     resolution,
     state_from_axes=None,
     alpha_outer=None,
-    use_kernel: bool = True,
 ) -> GridScan:
     """Scan a CBF construction over a rectangular window.
 
-    ``state_from_axes`` lifts a grid node to a full state (identity for the
-    pendulum; fills the fixed slice coordinates for the bicycle); it is
-    required for the generic path when the grid does not span the full
-    state.  ``alpha_outer`` defaults to the construction's own class-K
-    gain.
+    ``state_from_axes`` lifts a grid node to a full state (identity by
+    default; the bicycle fills its fixed slice coordinates); every node is
+    evaluated at the lifted state.  ``alpha_outer`` defaults to the
+    construction's own class-K gain.  Every argument is honoured on the AD
+    reference path; :meth:`cbftk.systems.Scenario.scan` gives the same scan
+    of a built-in scenario on the compiled kernels.
     """
     axes = _grid_axes(window, resolution)
     if state_from_axes is None:
         state_from_axes = lambda vals: np.asarray(vals, dtype=float)
     nodes = _node_array(axes, state_from_axes)
     alpha = alpha_outer if alpha_outer is not None else instance.alpha
-
-    if use_kernel and instance.kernel is not None and len(axes) == 2:
-        tag, kind_code, params = instance.kernel
-        if tag == "pendulum":
-            h, psi, lgh, margin, s = kernels.pend_scan(kind_code, axes[0], axes[1], params)
-            excluded = np.zeros(h.size, dtype=bool)
-        elif tag == "bicycle":
-            theta = float(nodes[0][2])
-            v = float(nodes[0][3])
-            h, psi, lgh, margin, s, excluded = kernels.bike_scan(
-                kind_code, axes[0], axes[1], theta, v, params
-            )
-            excluded = np.asarray(excluded, dtype=bool)
-        else:
-            raise ValueError(f"unknown kernel tag {tag!r}")
-        return GridScan(
-            kind=instance.kind,
-            axes=axes,
-            x=nodes,
-            h=h,
-            psi=psi,
-            lgh_norm=lgh,
-            margin=margin,
-            s=s if instance.kind == ABC else None,
-            excluded=excluded,
-        )
-
     n = nodes.shape[0]
     h = np.empty(n)
     psi = np.empty(n)

@@ -50,8 +50,6 @@ BACKSTEPPING = "backstepping"
 ABC = "abc"
 CBF_KINDS = (HOCBF, RECBF, BACKSTEPPING, ABC)
 
-KIND_CODES = {HOCBF: 0, RECBF: 1, BACKSTEPPING: 2, ABC: 3}
-
 
 @dataclass(frozen=True)
 class CbfInstance:
@@ -64,7 +62,6 @@ class CbfInstance:
     mu: Optional[float] = None
     epsilon: Optional[float] = None
     kappa: Optional[VirtualController] = None
-    kernel: Optional[tuple] = None  # (scenario tag, kind code, params vector)
 
     def __post_init__(self):
         if self.kind not in CBF_KINDS:
@@ -130,20 +127,20 @@ class CbfInstance:
         return self.value_and_gradient(x)[1]
 
 
-def hocbf(output, alpha, kernel=None) -> CbfInstance:
-    return CbfInstance(HOCBF, output, alpha, kernel=kernel)
+def hocbf(output, alpha) -> CbfInstance:
+    return CbfInstance(HOCBF, output, alpha)
 
 
-def recbf(output, alpha, theta, epsilon, kernel=None) -> CbfInstance:
-    return CbfInstance(RECBF, output, alpha, theta=theta, epsilon=epsilon, kernel=kernel)
+def recbf(output, alpha, theta, epsilon) -> CbfInstance:
+    return CbfInstance(RECBF, output, alpha, theta=theta, epsilon=epsilon)
 
 
-def backstepping(output, alpha, kappa, mu, kernel=None) -> CbfInstance:
-    return CbfInstance(BACKSTEPPING, output, alpha, mu=mu, kappa=kappa, kernel=kernel)
+def backstepping(output, alpha, kappa, mu) -> CbfInstance:
+    return CbfInstance(BACKSTEPPING, output, alpha, mu=mu, kappa=kappa)
 
 
-def abc(output, alpha, kappa, theta, kernel=None) -> CbfInstance:
-    return CbfInstance(ABC, output, alpha, theta=theta, kappa=kappa, kernel=kernel)
+def abc(output, alpha, kappa, theta) -> CbfInstance:
+    return CbfInstance(ABC, output, alpha, theta=theta, kappa=kappa)
 
 
 # -- rectified-CBF validity condition ----------------------------------------

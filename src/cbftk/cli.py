@@ -21,11 +21,11 @@ import sys
 import numpy as np
 
 from . import svg as svg_mod
-from .analysis import grid_scan, validity_report
+from .analysis import validity_report
 from .cbf import RECBF, recbf_validity_condition
 from .config import ConfigError, ScenarioConfig, parse_assignments
 from .core import check_constraint_regularity, check_relative_degree
-from .sim import compute_metrics, simulate
+from .sim import compute_metrics
 
 __all__ = ["main"]
 
@@ -100,16 +100,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     scenario = config.build_scenario()
     kind = config.cbfs[0]
-    instance = scenario.make_cbf(kind)
-    traj = simulate(
-        scenario.system,
-        instance,
-        scenario.filter_spec(),
-        scenario.x0,
-        scenario.horizon,
-        scenario.dt,
-        blow_up_threshold=config.blow_up_threshold,
-    )
+    traj = scenario.simulate(kind, blow_up_threshold=config.blow_up_threshold)
     _write_lines(args.out, _trajectory_csv(scenario, traj))
     if args.svg:
         svg_path = (args.out or f"{scenario.name}_{kind}") + ".svg"
@@ -161,23 +152,11 @@ def _scan_csv(scenario, scan):
     return lines
 
 
-def _run_scan(scenario, kind):
-    instance = scenario.make_cbf(kind)
-    return grid_scan(
-        instance,
-        scenario.system,
-        scenario.window,
-        scenario.resolution,
-        state_from_axes=scenario.state_from_axes,
-        alpha_outer=scenario.alpha_outer,
-    )
-
-
 def cmd_scan(args) -> int:
     config = _load_config(args)
     scenario = config.build_scenario()
     kind = config.cbfs[0]
-    scan = _run_scan(scenario, kind)
+    scan = scenario.scan(kind)
     _write_lines(args.out, _scan_csv(scenario, scan))
     if args.svg:
         svg_path = (args.out or f"{scenario.name}_{kind}_scan") + ".svg"
@@ -224,7 +203,7 @@ def cmd_validate(args) -> int:
         lines.append(str(condition))
         ok &= condition.ok
 
-    scan = _run_scan(scenario, kind)
+    scan = scenario.scan(kind)
     report = validity_report(scan)
     lines.append(str(report))
     ok &= report.ok
@@ -262,16 +241,7 @@ def cmd_compare(args) -> int:
     lines = [header]
     truncated = False
     for kind in config.cbfs:
-        instance = scenario.make_cbf(kind)
-        traj = simulate(
-            scenario.system,
-            instance,
-            scenario.filter_spec(),
-            scenario.x0,
-            scenario.horizon,
-            scenario.dt,
-            blow_up_threshold=config.blow_up_threshold,
-        )
+        traj = scenario.simulate(kind, blow_up_threshold=config.blow_up_threshold)
         metrics = compute_metrics(traj)
         truncated |= traj.exit_reason != "completed"
         cells = [kind, _fmt(metrics.min_h), _fmt(metrics.min_psi)]

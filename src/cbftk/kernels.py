@@ -7,9 +7,10 @@ as scalar kernels compiled with numba.  Derivatives are carried inline
 :mod:`cbftk.autodiff`; the test suite pins these kernels against the AD
 reference path at random states.
 
-Set ``CBFTK_DISABLE_NUMBA=1`` (or run without numba installed) to execute
-the same code as plain Python -- identical results, minus the speed.  See
-``benchmarks/bench_kernels.py`` for a comparison of the two modes.
+Without numba installed the same code runs as plain Python -- identical
+results, minus the speed.  Within the library only
+:meth:`cbftk.systems.Scenario.simulate` and :meth:`cbftk.systems.Scenario.scan`
+call them.
 
 Parameter vectors
 -----------------
@@ -19,22 +20,16 @@ bicycle ``P`` (17):  L, v_d, v_hat, xi_o, eta_o, r_o, k_eta, k_theta, k_v,
                      gamma1, gamma2, alpha_hat, sigma_hat, mu, alpha_in,
                      alpha_out, epsilon
 
-CBF kind codes: 0 high-order, 1 rectified, 2 backstepping, 3 activated
-backstepping (see :data:`cbftk.cbf.KIND_CODES`).
+CBF kind codes: see :data:`KIND_CODES`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("CBFTK_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
 try:
-    if _DISABLED:
-        raise ImportError("numba disabled via CBFTK_DISABLE_NUMBA")
     from numba import njit
 
     NUMBA_ENABLED = True
@@ -53,11 +48,19 @@ except ImportError:
 
 HALF_PI_SQ = math.pi * math.pi / 4.0
 
-# exit codes shared with cbftk.sim
+KIND_CODES = {"hocbf": 0, "recbf": 1, "backstepping": 2, "abc": 3}
+
+# exit codes, named as in cbftk.sim.Trajectory.exit_reason
 EXIT_COMPLETED = 0
 EXIT_BLOW_UP = 2
 EXIT_NON_FINITE = 3
 EXIT_LEFT_DOMAIN = 4
+EXIT_REASONS = {
+    EXIT_COMPLETED: "completed",
+    EXIT_BLOW_UP: "blow_up",
+    EXIT_NON_FINITE: "non_finite",
+    EXIT_LEFT_DOMAIN: "left_domain",
+}
 
 
 @njit(cache=True)

@@ -74,7 +74,6 @@ class SafetyFilterSpec:
     alpha: LinearClassK
     lambda_kind: str = LAMBDA_EXACT
     sigma: Optional[float] = None
-    kernel_tag: Optional[str] = None
 
     def __post_init__(self):
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))

@@ -19,11 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .autodiff import EvaluationError
 from .cbf import ABC, CbfInstance
 from .core import ControlAffineSystem, DomainError
-from .safety_filter import LAMBDA_EXACT, SafetyFilterSpec, safety_filter
+from .safety_filter import SafetyFilterSpec, safety_filter
 
 __all__ = [
     "Trajectory",
@@ -32,15 +31,7 @@ __all__ = [
     "rk4_step",
     "simulate",
     "compute_metrics",
-    "EXIT_REASONS",
 ]
-
-EXIT_REASONS = {
-    kernels.EXIT_COMPLETED: "completed",
-    kernels.EXIT_BLOW_UP: "blow_up",
-    kernels.EXIT_NON_FINITE: "non_finite",
-    kernels.EXIT_LEFT_DOMAIN: "left_domain",
-}
 
 DEFAULT_BLOW_UP_THRESHOLD = 1e3
 
@@ -121,53 +112,17 @@ def simulate(
     horizon: float,
     dt: float,
     blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD,
-    use_kernel: bool = True,
 ) -> Trajectory:
     """Closed-loop run of the safety-filtered system from ``x0``.
 
-    Dispatches to the compiled scenario kernels when the instance and
-    filter spec were built by the same scenario factory (and the filter is
-    the exact variant); any other composition runs through the generic
-    AD-backed path.
+    Every argument is honoured: the controller is ``safety_filter(spec,
+    instance, system, x)`` on the AD reference path.  For the published
+    constructions of a built-in scenario,
+    :meth:`cbftk.systems.Scenario.simulate` gives the same run on the
+    compiled kernels.
     """
     x0 = np.asarray(x0, dtype=float)
     n_steps = _n_steps(horizon, dt)
-    if (
-        use_kernel
-        and instance.kernel is not None
-        and spec.kernel_tag == instance.kernel[0]
-        and spec.lambda_kind == LAMBDA_EXACT
-    ):
-        return _simulate_kernel(instance, x0, n_steps, dt, blow_up_threshold)
-    return _simulate_generic(system, instance, spec, x0, n_steps, dt, blow_up_threshold)
-
-
-def _simulate_kernel(instance, x0, n_steps, dt, blow) -> Trajectory:
-    tag, kind_code, params = instance.kernel
-    if tag == "pendulum":
-        xs, us, hs, psis, ss, rows, code = kernels.pend_simulate(
-            kind_code, x0[0], x0[1], n_steps, dt, params, blow
-        )
-    elif tag == "bicycle":
-        xs, us, hs, psis, ss, rows, code = kernels.bike_simulate(
-            kind_code, x0[0], x0[1], x0[2], x0[3], n_steps, dt, params, blow
-        )
-    else:
-        raise ValueError(f"unknown kernel tag {tag!r}")
-    t = dt * np.arange(rows)
-    return Trajectory(
-        dt=dt,
-        t=t,
-        x=xs[:rows].copy(),
-        u=us[:rows].copy(),
-        h=hs[:rows].copy(),
-        psi=psis[:rows].copy(),
-        s=ss[:rows].copy() if instance.kind == ABC else None,
-        exit_reason=EXIT_REASONS[code],
-    )
-
-
-def _simulate_generic(system, instance, spec, x0, n_steps, dt, blow) -> Trajectory:
     n = system.n
     m = system.m
     want_s = instance.kind == ABC
@@ -202,7 +157,7 @@ def _simulate_generic(system, instance, spec, x0, n_steps, dt, blow) -> Trajecto
         if not np.all(np.isfinite(u)):
             exit_reason = "non_finite"
             break
-        if np.max(np.abs(u)) > blow:
+        if np.max(np.abs(u)) > blow_up_threshold:
             exit_reason = "blow_up"
             break
         if k == n_steps:

@@ -1,8 +1,10 @@
 """The two concrete plants: inverted pendulum and kinematic bicycle.
 
 Each scenario bundles dynamics, the relative-degree-two output with its
-constraint, the desired controller, default parameters, CBF factories and
-the bindings to the compiled kernels.
+constraint, the desired controller, default parameters and CBF factories.
+Its ``simulate`` and ``scan`` methods run the published constructions on
+the compiled kernels, and are the only callers of :mod:`cbftk.kernels` in
+the library.
 
 Pendulum: state (phi [rad], omega [rad/s]), torque input; the constraint
 keeps the pendulum above the horizontal, psi(phi) = pi^2/4 - phi^2.
@@ -22,9 +24,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import cbf as cbf_mod
-from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, KIND_CODES, RECBF, CbfInstance
+from . import kernels
+from .analysis import GridScan, _grid_axes, _node_array
+from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, CbfInstance
 from .core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from .safety_filter import LAMBDA_EXACT, LinearGain, SafetyFilterSpec, SmoothFilter
+from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _n_steps
 
 __all__ = [
     "PendulumParams",
@@ -156,7 +161,7 @@ def lane_keeping_desired(x, params: BicycleParams = BicycleParams()) -> np.ndarr
 
 @dataclass(frozen=True)
 class Scenario:
-    """A plant with its output, desired controller, defaults and kernels."""
+    """A plant with its output, desired controller and defaults."""
 
     name: str
     system: ControlAffineSystem
@@ -186,8 +191,70 @@ class Scenario:
             gamma=self.gamma,
             alpha=self.alpha_outer,
             lambda_kind=LAMBDA_EXACT,
-            kernel_tag=self.name,
         )
+
+    def simulate(
+        self,
+        kind: str,
+        x0=None,
+        horizon: Optional[float] = None,
+        dt: Optional[float] = None,
+        blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD,
+    ) -> Trajectory:
+        """Closed-loop run of ``make_cbf(kind)`` under ``filter_spec()``, compiled.
+
+        The same run as :func:`cbftk.sim.simulate` with those arguments, on
+        the scenario kernel, which reads the construction, the filter and
+        the plant from ``self.params`` alone.  ``x0``, ``horizon`` and
+        ``dt`` default to the scenario's own.
+        """
+        code, params = self._kernel_args(kind)
+        x0 = np.asarray(self.x0 if x0 is None else x0, dtype=float)
+        if x0.shape != (self.system.n,):
+            raise ValueError(f"x0 must have {self.system.n} components, got shape {x0.shape}")
+        dt = self.dt if dt is None else dt
+        n_steps = _n_steps(self.horizon if horizon is None else horizon, dt)
+        xs, us, hs, psis, ss, rows, exit_code = self._kernel_simulate(
+            code, x0, n_steps, dt, params, blow_up_threshold
+        )
+        return Trajectory(
+            dt=dt,
+            t=dt * np.arange(rows),
+            x=xs[:rows].copy(),
+            u=us[:rows].copy(),
+            h=hs[:rows].copy(),
+            psi=psis[:rows].copy(),
+            s=ss[:rows].copy() if kind == ABC else None,
+            exit_reason=kernels.EXIT_REASONS[exit_code],
+        )
+
+    def scan(self, kind: str) -> GridScan:
+        """Grid scan of ``make_cbf(kind)`` over the scenario's window, compiled.
+
+        The same scan as :func:`cbftk.analysis.grid_scan` at the scenario's
+        window, resolution, ``state_from_axes`` and ``alpha_outer``, on the
+        scenario kernel.
+        """
+        code, params = self._kernel_args(kind)
+        axes = _grid_axes(self.window, self.resolution)
+        # the nodes first: their temporaries are freed before the kernel allocates
+        nodes = _node_array(axes, self.state_from_axes)
+        h, psi, lgh_norm, margin, s, excluded = self._kernel_scan(code, axes, params)
+        return GridScan(
+            kind=kind,
+            axes=axes,
+            x=nodes,
+            h=h,
+            psi=psi,
+            lgh_norm=lgh_norm,
+            margin=margin,
+            s=s if kind == ABC else None,
+            excluded=excluded,
+        )
+
+    def _kernel_args(self, kind: str):
+        self.make_cbf(kind)  # refuses the kinds and parameters the reference refuses
+        return kernels.KIND_CODES[kind], self.kernel_params_for(kind)
 
     def state_from_axes(self, axis_values) -> np.ndarray:
         """Full state for a scan node (fills fixed slice coordinates)."""
@@ -211,20 +278,24 @@ class PendulumScenario(Scenario):
             raise ValueError(f"unknown CBF kind {kind!r}")
         p: PendulumParams = self.params
         alpha = LinearClassK(p.alpha_c)
-        kernel = (self.name, KIND_CODES[kind], self.kernel_params_for(kind))
         if kind == HOCBF:
-            return cbf_mod.hocbf(self.output, alpha, kernel=kernel)
+            return cbf_mod.hocbf(self.output, alpha)
         if kind == RECBF:
-            return cbf_mod.recbf(
-                self.output, alpha, ReQUActivation(p.mu_recbf), p.epsilon, kernel=kernel
-            )
+            return cbf_mod.recbf(self.output, alpha, ReQUActivation(p.mu_recbf), p.epsilon)
         kappa = LinearGain(p.K, p=1)
         if kind == BACKSTEPPING:
-            return cbf_mod.backstepping(self.output, alpha, kappa, p.mu_backstepping, kernel=kernel)
-        return cbf_mod.abc(self.output, alpha, kappa, ReQUActivation(p.mu_abc), kernel=kernel)
+            return cbf_mod.backstepping(self.output, alpha, kappa, p.mu_backstepping)
+        return cbf_mod.abc(self.output, alpha, kappa, ReQUActivation(p.mu_abc))
 
     def state_from_axes(self, axis_values) -> np.ndarray:
         return np.asarray(axis_values, dtype=float)
+
+    def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
+        return kernels.pend_simulate(code, x0[0], x0[1], n_steps, dt, params, blow_up_threshold)
+
+    def _kernel_scan(self, code, axes, params):
+        h, psi, lgh_norm, margin, s = kernels.pend_scan(code, axes[0], axes[1], params)
+        return h, psi, lgh_norm, margin, s, np.zeros(h.size, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -259,13 +330,10 @@ class BicycleScenario(Scenario):
             raise ValueError(f"unknown CBF kind {kind!r}")
         p: BicycleParams = self.params
         alpha = LinearClassK(p.alpha_c)
-        kernel = (self.name, KIND_CODES[kind], self.kernel_params_for(kind))
         if kind == HOCBF:
-            return cbf_mod.hocbf(self.output, alpha, kernel=kernel)
+            return cbf_mod.hocbf(self.output, alpha)
         if kind == RECBF:
-            return cbf_mod.recbf(
-                self.output, alpha, ReQUActivation(p.mu), p.epsilon, kernel=kernel
-            )
+            return cbf_mod.recbf(self.output, alpha, ReQUActivation(p.mu), p.epsilon)
         kappa = SmoothFilter(
             kappa_d=lambda y, vh=p.v_hat: [vh, 0.0 * y[1]],
             psi=self.output.psi,
@@ -275,14 +343,27 @@ class BicycleScenario(Scenario):
             p=2,
         )
         if kind == BACKSTEPPING:
-            return cbf_mod.backstepping(self.output, alpha, kappa, p.mu, kernel=kernel)
-        return cbf_mod.abc(self.output, alpha, kappa, ReQUActivation(p.mu), kernel=kernel)
+            return cbf_mod.backstepping(self.output, alpha, kappa, p.mu)
+        return cbf_mod.abc(self.output, alpha, kappa, ReQUActivation(p.mu))
 
     def state_from_axes(self, axis_values) -> np.ndarray:
         return np.asarray(
             [axis_values[0], axis_values[1], self.scan_slice["theta"], self.scan_slice["v"]],
             dtype=float,
         )
+
+    def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
+        return kernels.bike_simulate(
+            code, x0[0], x0[1], x0[2], x0[3], n_steps, dt, params, blow_up_threshold
+        )
+
+    def _kernel_scan(self, code, axes, params):
+        theta = float(self.scan_slice["theta"])
+        v = float(self.scan_slice["v"])
+        h, psi, lgh_norm, margin, s, excluded = kernels.bike_scan(
+            code, axes[0], axes[1], theta, v, params
+        )
+        return h, psi, lgh_norm, margin, s, np.asarray(excluded, dtype=bool)
 
 
 def pendulum_scenario(

@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from cbftk.analysis import abc_equivalence_check, grid_scan, validity_report
+from cbftk.analysis import abc_equivalence_check, validity_report
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, recbf_validity_condition
 from cbftk.cli import main
-from cbftk.sim import compute_metrics, rk4_step, simulate
+from cbftk.sim import compute_metrics, rk4_step
 from cbftk.systems import PendulumParams, pendulum_dynamics, pendulum_scenario
 from conftest import central_difference
 from test_safety_filter import brute_force_qp, qp_cost
@@ -35,25 +35,11 @@ def report(criterion, ok, detail=""):
 
 
 def run(scenario, kind, x0=None, horizon=None, dt=None):
-    return simulate(
-        scenario.system,
-        scenario.make_cbf(kind),
-        scenario.filter_spec(),
-        scenario.x0 if x0 is None else x0,
-        scenario.horizon if horizon is None else horizon,
-        scenario.dt if dt is None else dt,
-    )
+    return scenario.simulate(kind, x0=x0, horizon=horizon, dt=dt)
 
 
 def scan(scenario, kind, resolution=(401, 401)):
-    return grid_scan(
-        scenario.make_cbf(kind),
-        scenario.system,
-        scenario.window,
-        resolution,
-        state_from_axes=scenario.state_from_axes,
-        alpha_outer=scenario.alpha_outer,
-    )
+    return dataclasses.replace(scenario, resolution=resolution).scan(kind)
 
 
 # -- 1: forward invariance -----------------------------------------------------
@@ -65,14 +51,13 @@ def test_criterion_1_forward_invariance(pendulum):
     worst_psi = np.inf
     for kind in (ABC, BACKSTEPPING, RECBF):
         inst = pendulum.make_cbf(kind)
-        spec = pendulum.filter_spec()
         count = 0
         while count < 100:
             x0 = pendulum.sample_state(rng)
             if inst.value(x0) < 0.05:
                 continue
             count += 1
-            traj = simulate(pendulum.system, inst, spec, x0, 10.0, 1e-3)
+            traj = run(pendulum, kind, x0=x0, horizon=10.0, dt=1e-3)
             worst_h = min(worst_h, traj.h.min())
             worst_psi = min(worst_psi, traj.psi.min())
             if traj.h.min() < -1e-6 or traj.psi.min() < -1e-6 or traj.exit_reason != "completed":

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,18 +6,12 @@ import pytest
 
 from cbftk.analysis import SINGULAR_TOL, abc_equivalence_check, grid_scan, validity_report
 from cbftk.cbf import ABC, BACKSTEPPING, HOCBF, RECBF
+from cbftk.core import LinearClassK, ReQUActivation
 from cbftk.systems import PendulumParams, pendulum_scenario
 
 
 def scan_pendulum(scenario, kind, resolution=(101, 101)):
-    return grid_scan(
-        scenario.make_cbf(kind),
-        scenario.system,
-        scenario.window,
-        resolution,
-        state_from_axes=scenario.state_from_axes,
-        alpha_outer=scenario.alpha_outer,
-    )
+    return dataclasses.replace(scenario, resolution=resolution).scan(kind)
 
 
 def test_scan_is_row_major_and_deterministic(pendulum):
@@ -113,23 +108,14 @@ def test_abc_equivalence_full_grid(pendulum):
 
 
 def test_abc_equivalence_hand_nodes(pendulum):
-    inst = pendulum.make_cbf(ABC)
-    scan = grid_scan(
-        inst,
-        pendulum.system,
-        ((0.3, 0.3001), (1.0, 1.0001)),
-        (2, 2),
-        alpha_outer=pendulum.alpha_outer,
-    )
+    scan = dataclasses.replace(
+        pendulum, window=((0.3, 0.3001), (1.0, 1.0001)), resolution=(2, 2)
+    ).scan(ABC)
     # s(0.3, 1) < 0: the input direction is live
     assert scan.s[0] < 0.0 and scan.lgh_norm[0] > SINGULAR_TOL
-    scan_neg = grid_scan(
-        inst,
-        pendulum.system,
-        ((-0.3, -0.2999), (1.0, 1.0001)),
-        (2, 2),
-        alpha_outer=pendulum.alpha_outer,
-    )
+    scan_neg = dataclasses.replace(
+        pendulum, window=((-0.3, -0.2999), (1.0, 1.0001)), resolution=(2, 2)
+    ).scan(ABC)
     # s(-0.3, 1) > 0: exactly singular
     assert scan_neg.s[0] > 0.0 and scan_neg.lgh_norm[0] < SINGULAR_TOL
 
@@ -146,16 +132,12 @@ def test_resolution_must_be_at_least_two(pendulum):
 
 
 def test_bicycle_scan_excludes_obstacle_center(bicycle):
-    inst = bicycle.make_cbf(ABC)
     p = bicycle.params
-    scan = grid_scan(
-        inst,
-        bicycle.system,
-        ((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0)),
-        (3, 3),
-        state_from_axes=bicycle.state_from_axes,
-        alpha_outer=bicycle.alpha_outer,
-    )
+    scan = dataclasses.replace(
+        bicycle,
+        window=((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0)),
+        resolution=(3, 3),
+    ).scan(ABC)
     assert int(np.count_nonzero(scan.excluded)) == 1
     center_index = int(np.flatnonzero(scan.excluded)[0])
     assert scan.x[center_index][0] == pytest.approx(p.obstacle_xi)
@@ -170,15 +152,41 @@ def test_bicycle_abc_scan_clean_on_constraint_set(bicycle):
     # strictly positive margin; inside the obstacle the published gain
     # pair (alpha_hat < alpha) does not certify the margin, so those nodes
     # are not asserted
-    inst = bicycle.make_cbf(ABC)
-    scan = grid_scan(
-        inst,
-        bicycle.system,
-        bicycle.window,
-        (101, 101),
-        state_from_axes=bicycle.state_from_axes,
-        alpha_outer=bicycle.alpha_outer,
-    )
+    scan = dataclasses.replace(bicycle, resolution=(101, 101)).scan(ABC)
     keep = scan.in_constraint_set
     assert not np.any(scan.validity_violation & keep)
     assert not np.any(scan.in_safe_set & ~scan.in_constraint_set)
+
+
+# -- the library scan honours every argument ------------------------------------
+
+
+def test_grid_scan_honours_alpha_outer(pendulum):
+    inst = pendulum.make_cbf(ABC)
+    scan = grid_scan(inst, pendulum.system, pendulum.window, (5, 5), alpha_outer=LinearClassK(7.0))
+    for i in range(len(scan)):
+        h, grad = inst.value_and_gradient(scan.x[i])
+        assert scan.margin[i] == float(grad @ pendulum.system.f_vec(scan.x[i])) + 7.0 * h
+    # the published gain gives -214.69 at the first node
+    assert scan.margin[0] == pytest.approx(-373.47, abs=0.01)
+
+
+def test_grid_scan_evaluates_the_lifted_nodes(pendulum):
+    inst = pendulum.make_cbf(ABC)
+    scan = grid_scan(
+        inst,
+        pendulum.system,
+        pendulum.window,
+        (5, 5),
+        state_from_axes=lambda v: [v[0], -v[1]],
+        alpha_outer=pendulum.alpha_outer,
+    )
+    omegas = np.linspace(*pendulum.window[1], 5)
+    assert np.array_equal(scan.x[:5, 1], -omegas)
+    assert np.array_equal(scan.h, [inst.value(x) for x in scan.x])
+
+
+def test_grid_scan_honours_a_modified_instance(pendulum):
+    inst = dataclasses.replace(pendulum.make_cbf(RECBF), epsilon=0.5, theta=ReQUActivation(1.0))
+    scan = grid_scan(inst, pendulum.system, pendulum.window, (5, 5), alpha_outer=pendulum.alpha_outer)
+    assert np.array_equal(scan.h, [inst.value(x) for x in scan.x])

@@ -201,23 +201,14 @@ def test_compare_bicycle_all_kinds_runs(tmp_path):
 
 
 def test_compare_single_kind_matches_simulate_metrics(tmp_path):
-    from cbftk.sim import compute_metrics, simulate
+    from cbftk.sim import compute_metrics
     from cbftk.systems import pendulum_scenario
 
     out = tmp_path / "compare.csv"
     assert main(["compare", "--scenario", "pendulum", "--cbf", "abc", "--out", str(out)]) == 0
     header, rows = read_csv(out)
     assert len(rows) == 1
-    scenario = pendulum_scenario()
-    traj = simulate(
-        scenario.system,
-        scenario.make_cbf("abc"),
-        scenario.filter_spec(),
-        scenario.x0,
-        scenario.horizon,
-        scenario.dt,
-    )
-    metrics = compute_metrics(traj)
+    metrics = compute_metrics(pendulum_scenario().simulate("abc"))
     row = rows[0]
     assert float(row[header.index("min_h")]) == pytest.approx(metrics.min_h, rel=1e-8)
     assert float(row[header.index("min_psi")]) == pytest.approx(metrics.min_psi, rel=1e-8)

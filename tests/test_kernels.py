@@ -1,17 +1,25 @@
 """The compiled kernels must agree with the AD reference path."""
 
+import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cbftk
 from cbftk import kernels
-from cbftk.cbf import CBF_KINDS, KIND_CODES, ABC
+from cbftk.analysis import grid_scan
+from cbftk.cbf import ABC, CBF_KINDS, CbfInstance
+from cbftk.kernels import KIND_CODES
+from cbftk.safety_filter import SafetyFilterSpec
 from cbftk.sim import simulate
+from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
@@ -59,42 +67,141 @@ def test_bicycle_switching_matches(bicycle, rng):
         )
 
 
-@pytest.mark.parametrize("scenario_name", ["pendulum", "bicycle"])
-@pytest.mark.parametrize("kind", CBF_KINDS)
-def test_kernel_trajectories_match_generic_path(scenario_name, kind, pendulum, bicycle):
-    scenario = pendulum if scenario_name == "pendulum" else bicycle
-    inst = scenario.make_cbf(kind)
-    spec = scenario.filter_spec()
-    fast = simulate(scenario.system, inst, spec, scenario.x0, 0.5, 1e-3)
-    slow = simulate(scenario.system, inst, spec, scenario.x0, 0.5, 1e-3, use_kernel=False)
+def _assert_runs_match(scenario, kind, horizon):
+    """Scenario.simulate equals the library simulate on the same inputs."""
+    fast = scenario.simulate(kind, horizon=horizon)
+    slow = simulate(
+        scenario.system, scenario.make_cbf(kind), scenario.filter_spec(), scenario.x0, horizon, 1e-3
+    )
     assert fast.exit_reason == slow.exit_reason
     assert len(fast) == len(slow)
     assert np.allclose(fast.x, slow.x, rtol=0.0, atol=1e-11)
     assert np.allclose(fast.u, slow.u, rtol=1e-9, atol=1e-10)
-    assert np.allclose(fast.h, slow.h, rtol=0.0, atol=1e-11)
+    # |h| reaches 1e4 at drawn bicycle parameters, hence also the relative
+    # bound of test_bicycle_kernel_matches_ad
+    assert np.allclose(fast.h, slow.h, rtol=1e-12, atol=1e-11)
+    assert (fast.s is None) == (kind != ABC) and (slow.s is None) == (kind != ABC)
+    if kind == ABC:
+        assert np.allclose(fast.s, slow.s, rtol=0.0, atol=1e-11)
+    return fast
+
+
+def _assert_scans_match(scenario, kind, resolution):
+    """Scenario.scan equals the library grid_scan on the same inputs."""
+    scenario = replace(scenario, resolution=resolution)
+    fast = scenario.scan(kind)
+    slow = grid_scan(
+        scenario.make_cbf(kind),
+        scenario.system,
+        scenario.window,
+        scenario.resolution,
+        state_from_axes=scenario.state_from_axes,
+        alpha_outer=scenario.alpha_outer,
+    )
+    assert np.array_equal(fast.x, slow.x)
+    assert np.array_equal(fast.excluded, slow.excluded)
+    # the kernel reports psi at excluded nodes, the reference NaN
+    keep = ~slow.excluded
+    assert np.allclose(fast.h[keep], slow.h[keep], atol=1e-12)
+    assert np.allclose(fast.psi[keep], slow.psi[keep], atol=1e-12)
+    assert np.allclose(fast.lgh_norm[keep], slow.lgh_norm[keep], atol=1e-12)
+    assert np.allclose(fast.margin[keep], slow.margin[keep], atol=1e-11)
+    assert (fast.s is None) == (kind != ABC) and (slow.s is None) == (kind != ABC)
+    if kind == ABC:
+        assert np.allclose(fast.s[keep], slow.s[keep], atol=1e-12)
+
+
+@pytest.mark.parametrize("scenario_name", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", CBF_KINDS)
+def test_kernel_trajectories_match_generic_path(scenario_name, kind, pendulum, bicycle):
+    """The random-parameter property below, at the published parameters."""
+    scenario = pendulum if scenario_name == "pendulum" else bicycle
+    fast = _assert_runs_match(scenario, kind, 0.5)
     if kind == ABC:
         assert len(fast) == 501
-        assert np.allclose(fast.s, slow.s, rtol=0.0, atol=1e-11)
 
 
-def test_kernel_scan_matches_generic_path(pendulum):
-    from cbftk.analysis import grid_scan
+def test_kernel_scan_matches_generic_path(pendulum, bicycle):
+    for scenario in (pendulum, bicycle):
+        for kind in CBF_KINDS:
+            _assert_scans_match(scenario, kind, (21, 21))
 
-    inst = pendulum.make_cbf(ABC)
-    window = pendulum.window
-    fast = grid_scan(inst, pendulum.system, window, (21, 21), alpha_outer=pendulum.alpha_outer)
-    slow = grid_scan(
-        inst,
-        pendulum.system,
-        window,
-        (21, 21),
-        alpha_outer=pendulum.alpha_outer,
-        use_kernel=False,
+
+gains = st.floats(0.2, 3.0)
+
+pendulum_params = st.builds(
+    PendulumParams,
+    alpha_c=gains,
+    gamma=gains,
+    K=st.floats(0.1, 2.0),
+    mu_backstepping=st.floats(0.5, 10.0),
+    mu_abc=st.floats(0.5, 10.0),
+    mu_recbf=st.floats(0.5, 10.0),
+    epsilon=st.floats(0.0, 4.0),
+    alpha_outer_c=st.none() | gains,
+)
+
+bicycle_params = st.builds(
+    BicycleParams,
+    wheelbase=st.floats(1.5, 4.0),
+    v_desired=st.floats(5.0, 15.0),
+    v_hat=st.floats(1.0, 8.0),
+    obstacle_xi=st.floats(10.0, 30.0),
+    obstacle_eta=st.floats(-2.0, 2.0),
+    obstacle_radius=st.floats(1.0, 6.0),
+    k_eta=gains,
+    k_theta=gains,
+    k_v=gains,
+    gamma1=gains,
+    gamma2=st.floats(0.05, 2.0),
+    alpha_hat_c=gains,
+    sigma_hat=st.floats(1e-4, 0.1),
+    mu=st.floats(0.3, 5.0),
+    alpha_c=st.floats(1.0, 8.0),
+    epsilon=st.floats(0.0, 4.0),
+    alpha_outer_c=st.none() | st.floats(1.0, 8.0),
+)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=8, derandomize=True)
+@given(params=pendulum_params)
+def test_pendulum_kernels_match_reference_at_random_parameters(kind, params):
+    scenario = pendulum_scenario(params=params)
+    _assert_runs_match(scenario, kind, 0.2)
+    _assert_scans_match(scenario, kind, (11, 11))
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=8, derandomize=True)
+@given(params=bicycle_params)
+def test_bicycle_kernels_match_reference_at_random_parameters(kind, params):
+    scenario = bicycle_scenario(params=params)
+    _assert_runs_match(scenario, kind, 0.2)
+    _assert_scans_match(scenario, kind, (11, 11))
+
+
+def _imports_kernels(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "kernels" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[-1] == "kernels" or (
+            module in ([""], ["cbftk"]) and any(alias.name == "kernels" for alias in node.names)
+        )
+    return False
+
+
+def test_only_the_scenarios_reach_the_kernels():
+    package = Path(cbftk.__file__).parent
+    importers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(_imports_kernels(node) for node in ast.walk(ast.parse(path.read_text())))
     )
-    assert np.allclose(fast.h, slow.h, atol=1e-12)
-    assert np.allclose(fast.lgh_norm, slow.lgh_norm, atol=1e-12)
-    assert np.allclose(fast.margin, slow.margin, atol=1e-11)
-    assert np.allclose(fast.s, slow.s, atol=1e-12)
+    assert importers == ["systems.py"]
+    for cls in (CbfInstance, SafetyFilterSpec):
+        assert not [f.name for f in fields(cls) if "kernel" in f.name.lower()]
 
 
 def test_blow_up_exit_code(pendulum):
@@ -106,29 +213,28 @@ def test_blow_up_exit_code(pendulum):
 
 
 def test_fallback_mode_matches_jitted_results(tmp_path):
-    """``CBFTK_DISABLE_NUMBA`` selects the mode; both modes give one answer.
+    """The jitted kernels and their plain-Python fallback give one answer.
 
-    The flag is parsed everywhere.  The jitted path runs only where numba
-    is installed, so the jitted-against-fallback comparison is skipped
-    elsewhere.
+    The fallback runs in a probe that hides numba before importing cbftk.
     """
-    script = tmp_path / "fallback_probe.py"
-    script.write_text(
+    pytest.importorskip("numba")
+    probe = (
         "import numpy as np\n"
         "from cbftk import kernels\n"
         "from cbftk.systems import pendulum_scenario\n"
         "sc = pendulum_scenario()\n"
         "P = sc.kernel_params_for('abc')\n"
         "xs, us, hs, psis, ss, rows, code = kernels.pend_simulate(3, -1.2, 2.6, 200, 1e-3, P, 1e3)\n"
-        "print(repr(kernels._DISABLED), repr(kernels.NUMBA_ENABLED))\n"
         "np.save('STATE', xs[:rows])\n"
     )
     # The probe runs in tmp_path, where a relative PYTHONPATH resolves to nothing.
     package_root = str(Path(cbftk.__file__).resolve().parents[1])
     python_path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    flags, states = {}, {}
-    for disable in ("0", "1"):
-        env = dict(os.environ, CBFTK_DISABLE_NUMBA=disable, PYTHONPATH=python_path)
+    env = dict(os.environ, PYTHONPATH=python_path)
+    states = {}
+    for mode, prelude in (("jitted", ""), ("fallback", "import sys\nsys.modules['numba'] = None\n")):
+        script = tmp_path / f"{mode}_probe.py"
+        script.write_text(prelude + probe)
         proc = subprocess.run(
             [sys.executable, script.name],
             cwd=tmp_path,
@@ -137,10 +243,5 @@ def test_fallback_mode_matches_jitted_results(tmp_path):
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        flags[disable] = proc.stdout.split()  # _DISABLED, NUMBA_ENABLED
-        states[disable] = np.load(tmp_path / "STATE.npy")
-    assert flags["0"][0] == "False"
-    assert flags["1"] == ["True", "False"]
-    pytest.importorskip("numba")
-    assert flags["0"][1] == "True"
-    assert np.allclose(states["0"], states["1"], rtol=0.0, atol=1e-13)
+        states[mode] = np.load(tmp_path / "STATE.npy")
+    assert np.allclose(states["jitted"], states["fallback"], rtol=0.0, atol=1e-13)

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cbftk import autodiff as ad
 from cbftk.cbf import ABC, RECBF, hocbf
-from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output
-from cbftk.safety_filter import SafetyFilterSpec
+from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
+from cbftk.safety_filter import SafetyFilterSpec, safety_filter
 from cbftk.sim import SimulationError, compute_metrics, rk4_step, simulate
 from cbftk.systems import PendulumParams, pendulum_dynamics, pendulum_scenario
 
@@ -43,8 +45,7 @@ def test_undriven_pendulum_conserves_energy():
 
 
 def test_simulated_row_count_and_spacing(pendulum):
-    inst = pendulum.make_cbf(ABC)
-    traj = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 1.0, 1e-3)
+    traj = pendulum.simulate(ABC, horizon=1.0)
     assert len(traj) == 1001
     assert traj.exit_reason == "completed"
     steps = np.diff(traj.t)
@@ -52,8 +53,7 @@ def test_simulated_row_count_and_spacing(pendulum):
 
 
 def test_abc_run_is_safe(pendulum):
-    inst = pendulum.make_cbf(ABC)
-    traj = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 10.0, 1e-3)
+    traj = pendulum.simulate(ABC, horizon=10.0)
     assert traj.exit_reason == "completed"
     assert traj.psi.min() >= 0.0
     assert traj.h.min() >= -1e-6
@@ -61,22 +61,11 @@ def test_abc_run_is_safe(pendulum):
 
 
 def test_s_column_absent_for_other_kinds(pendulum):
-    traj = simulate(
-        pendulum.system,
-        pendulum.make_cbf("backstepping"),
-        pendulum.filter_spec(),
-        pendulum.x0,
-        0.2,
-        1e-3,
-    )
-    assert traj.s is None
+    assert pendulum.simulate("backstepping", horizon=0.2).s is None
 
 
 def test_high_order_run_blows_up_crossing_the_upright(pendulum):
-    inst = pendulum.make_cbf("hocbf")
-    traj = simulate(
-        pendulum.system, inst, pendulum.filter_spec(), [0.1, -2.0], 5.0, 1e-3
-    )
+    traj = pendulum.simulate("hocbf", x0=[0.1, -2.0], horizon=5.0)
     assert traj.blew_up
     assert traj.exit_reason == "blow_up"
     assert traj.t[-1] < 5.0
@@ -86,8 +75,7 @@ def test_high_order_run_blows_up_crossing_the_upright(pendulum):
 def test_desired_zero_input_while_inactive(pendulum):
     # start deep inside the safe set moving toward upright: s >= 0 there,
     # the filter cannot and need not act
-    inst = pendulum.make_cbf(ABC)
-    traj = simulate(pendulum.system, inst, pendulum.filter_spec(), [-0.3, 0.3], 0.5, 1e-3)
+    traj = pendulum.simulate(ABC, x0=[-0.3, 0.3], horizon=0.5)
     assert np.array_equal(traj.u[:200], np.zeros((200, 1)))
 
 
@@ -137,9 +125,8 @@ def test_metrics_require_rows():
 
 def test_rectified_small_epsilon_chatters_harder_than_activated(pendulum):
     sharp = pendulum_scenario(params=PendulumParams(epsilon=0.01))
-    spec = sharp.filter_spec()
-    recbf_traj = simulate(sharp.system, sharp.make_cbf(RECBF), spec, sharp.x0, 10.0, 1e-3)
-    abc_traj = simulate(sharp.system, sharp.make_cbf(ABC), spec, sharp.x0, 10.0, 1e-3)
+    recbf_traj = sharp.simulate(RECBF)
+    abc_traj = sharp.simulate(ABC)
     assert recbf_traj.exit_reason == "completed"
     m_recbf = compute_metrics(recbf_traj)
     m_abc = compute_metrics(abc_traj)
@@ -161,7 +148,7 @@ def test_closed_loop_matches_independent_adaptive_integrator(pendulum):
         return pendulum.system.f_vec(x) + pendulum.system.g_mat(x) @ u
 
     sol = solve_ivp(rhs, (0.0, 3.0), pendulum.x0, rtol=1e-10, atol=1e-12)
-    traj = simulate(pendulum.system, inst, spec, pendulum.x0, 3.0, 1e-3)
+    traj = pendulum.simulate(ABC, horizon=3.0)
     assert np.allclose(traj.x[-1], sol.y[:, -1], atol=5e-7)
 
 
@@ -189,3 +176,49 @@ def test_left_domain_truncation_via_generic_path():
     metrics = compute_metrics(traj)
     assert metrics.exit_reason == "left_domain"
     assert not metrics.blew_up
+
+
+# -- the library loop honours every argument ------------------------------------
+# Each run below changes one input of the published pendulum run; the
+# logged rows must follow that input, not the published one.
+
+
+def _assert_rows_follow(traj, system, inst, spec):
+    for k in (0, len(traj) // 2, len(traj) - 1):
+        x = traj.x[k]
+        assert np.array_equal(traj.u[k], safety_filter(spec, inst, system, x))
+        assert traj.h[k] == inst.value(x)
+
+
+def test_simulate_honours_a_modified_filter_spec(pendulum):
+    inst = pendulum.make_cbf(ABC)
+    spec = dataclasses.replace(
+        pendulum.filter_spec(), desired=lambda x: np.array([0.5]), alpha=LinearClassK(3.0)
+    )
+    traj = simulate(pendulum.system, inst, spec, pendulum.x0, 1.0, 1e-3)
+    _assert_rows_follow(traj, pendulum.system, inst, spec)
+    # the published spec ends at (0.7368, 0.7854)
+    assert np.allclose(traj.x[-1], [0.9572, 0.8940], atol=1e-4)
+
+
+def test_simulate_honours_a_different_plant(pendulum):
+    damped = ControlAffineSystem(
+        n=2,
+        m=1,
+        f=lambda x: [x[1], ad.sin(x[0]) - 2.0 * x[1]],
+        g=lambda x: [[0.0], [1.0]],
+    )
+    inst = pendulum.make_cbf(ABC)
+    spec = pendulum.filter_spec()
+    traj = simulate(damped, inst, spec, pendulum.x0, 1.0, 1e-3)
+    _assert_rows_follow(traj, damped, inst, spec)
+    assert np.allclose(traj.x[-1], [-0.2369, 0.1858], atol=1e-4)
+
+
+def test_simulate_honours_a_modified_instance(pendulum):
+    inst = dataclasses.replace(pendulum.make_cbf(RECBF), epsilon=0.5, theta=ReQUActivation(1.0))
+    spec = pendulum.filter_spec()
+    traj = simulate(pendulum.system, inst, spec, pendulum.x0, 1.0, 1e-3)
+    _assert_rows_follow(traj, pendulum.system, inst, spec)
+    # the published instance ends at (0.8012, 0.8766)
+    assert np.allclose(traj.x[-1], [0.8704, 0.8998], atol=1e-4)
