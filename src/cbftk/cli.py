@@ -16,12 +16,13 @@ populated for the activated backstepping construction and empty otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
 
 from . import svg as svg_mod
-from .analysis import validity_report
+from .analysis import _grid_axes, _node_array, validity_report
 from .cbf import RECBF, recbf_validity_condition
 from .config import ConfigError, ScenarioConfig, parse_assignments
 from .core import check_constraint_regularity, check_relative_degree
@@ -35,18 +36,46 @@ EXIT_TRUNCATED = 2
 EXIT_VALIDATION = 3
 
 
+# rows formatted and written at a time: bounds the text held in memory
+_BLOCK_ROWS = 4096
+
+
 def _fmt(value: float) -> str:
     """Nine significant digits, plain decimal or exponent as needed."""
     return f"{value:.9g}"
 
 
-def _write_lines(path, lines):
-    text = "\n".join(lines) + "\n"
+@contextlib.contextmanager
+def _output(path):
+    """The ``--out`` file, or stdout when no path is given."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", newline="\n") as handle:
-            handle.write(text)
+            yield handle
+
+
+def _write_csv(handle, header, columns):
+    """Write ``header`` and the rows of ``columns``, one block of rows at a time.
+
+    A column is a float array (nine significant digits), a bool array (0/1)
+    or None (empty cells); the first column is an array.  Each block of
+    ``_BLOCK_ROWS`` rows is written as soon as it is formatted, so the whole
+    text is never held in memory.
+    """
+    rows = len(columns[0])
+    handle.write(header + "\n")
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        cells = []
+        for column in columns:
+            if column is None:
+                cells.append([""] * (stop - start))
+            elif column.dtype == bool:
+                cells.append(["1" if v else "0" for v in column[start:stop].tolist()])
+            else:
+                cells.append(["%.9g" % v for v in column[start:stop].tolist()])
+        handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _load_config(args, single_cbf: bool = True) -> ScenarioConfig:
@@ -74,7 +103,7 @@ def _load_config(args, single_cbf: bool = True) -> ScenarioConfig:
 # -- simulate ----------------------------------------------------------------
 
 
-def _trajectory_csv(scenario, traj):
+def _write_trajectory(handle, scenario, traj):
     n = scenario.system.n
     m = scenario.system.m
     header = (
@@ -84,16 +113,7 @@ def _trajectory_csv(scenario, traj):
         + ",".join(f"u{i + 1}" for i in range(m))
         + ",h,psi,s"
     )
-    lines = [header]
-    has_s = traj.s is not None
-    for k in range(len(traj)):
-        cells = [_fmt(traj.t[k])]
-        cells += [_fmt(v) for v in traj.x[k]]
-        cells += [_fmt(v) for v in traj.u[k]]
-        cells += [_fmt(traj.h[k]), _fmt(traj.psi[k])]
-        cells.append(_fmt(traj.s[k]) if has_s else "")
-        lines.append(",".join(cells))
-    return lines
+    _write_csv(handle, header, [traj.t, *traj.x.T, *traj.u.T, traj.h, traj.psi, traj.s])
 
 
 def cmd_simulate(args) -> int:
@@ -101,7 +121,8 @@ def cmd_simulate(args) -> int:
     scenario = config.build_scenario()
     kind = config.cbfs[0]
     traj = scenario.simulate(kind, blow_up_threshold=config.blow_up_threshold)
-    _write_lines(args.out, _trajectory_csv(scenario, traj))
+    with _output(args.out) as handle:
+        _write_trajectory(handle, scenario, traj)
     if args.svg:
         svg_path = (args.out or f"{scenario.name}_{kind}") + ".svg"
         series = {"h": traj.h, "psi": traj.psi}
@@ -123,33 +144,15 @@ def cmd_simulate(args) -> int:
 # -- scan --------------------------------------------------------------------
 
 
-def _scan_csv(scenario, scan):
+def _write_scan(handle, scenario, scan):
     n = scenario.system.n
     header = (
         ",".join(f"x{i + 1}" for i in range(n))
         + ",h,psi,lgh_norm,margin,s,in_S,in_C,singular,violation"
     )
-    lines = [header]
-    in_s = scan.in_safe_set
-    in_c = scan.in_constraint_set
-    sing = scan.singular
-    viol = scan.validity_violation
-    has_s = scan.s is not None
-    for i in range(len(scan)):
-        cells = [_fmt(v) for v in scan.x[i]]
-        cells += [
-            _fmt(scan.h[i]),
-            _fmt(scan.psi[i]),
-            _fmt(scan.lgh_norm[i]),
-            _fmt(scan.margin[i]),
-            _fmt(scan.s[i]) if has_s else "",
-            str(int(in_s[i])),
-            str(int(in_c[i])),
-            str(int(sing[i])),
-            str(int(viol[i])),
-        ]
-        lines.append(",".join(cells))
-    return lines
+    columns = [*scan.x.T, scan.h, scan.psi, scan.lgh_norm, scan.margin, scan.s]
+    columns += [scan.in_safe_set, scan.in_constraint_set, scan.singular, scan.validity_violation]
+    _write_csv(handle, header, columns)
 
 
 def cmd_scan(args) -> int:
@@ -157,7 +160,8 @@ def cmd_scan(args) -> int:
     scenario = config.build_scenario()
     kind = config.cbfs[0]
     scan = scenario.scan(kind)
-    _write_lines(args.out, _scan_csv(scenario, scan))
+    with _output(args.out) as handle:
+        _write_scan(handle, scenario, scan)
     if args.svg:
         svg_path = (args.out or f"{scenario.name}_{kind}_scan") + ".svg"
         # categories: 0 unsafe, 1 constraint only, 2 safe set, 3 singular, 4 violation
@@ -198,7 +202,7 @@ def cmd_validate(args) -> int:
         condition = recbf_validity_condition(
             instance,
             scenario.system,
-            _validity_states(scenario),
+            _node_array(_grid_axes(scenario.window, (101, 101)), scenario.state_from_axes),
         )
         lines.append(str(condition))
         ok &= condition.ok
@@ -209,17 +213,9 @@ def cmd_validate(args) -> int:
     ok &= report.ok
 
     lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _write_lines(args.out, lines)
+    with _output(args.out) as handle:
+        handle.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_VALIDATION
-
-
-def _validity_states(scenario):
-    axes = [np.linspace(lo, hi, 101) for lo, hi in scenario.window]
-    states = []
-    for a in axes[0]:
-        for b in axes[1]:
-            states.append(scenario.state_from_axes((a, b)))
-    return np.asarray(states)
 
 
 # -- compare -----------------------------------------------------------------
@@ -251,7 +247,8 @@ def cmd_compare(args) -> int:
         cells.append(metrics.exit_reason)
         cells += [_fmt(v) for v in metrics.final_state]
         lines.append(",".join(cells))
-    _write_lines(args.out, lines)
+    with _output(args.out) as handle:
+        handle.write("\n".join(lines) + "\n")
     return EXIT_TRUNCATED if truncated else EXIT_OK
 
 

@@ -74,10 +74,9 @@ def line_chart(path, x, series, title="", x_label="", y_label=""):
     for i, (name, values) in enumerate(series.items()):
         values = np.asarray(values, dtype=float)
         color = _PALETTE[i % len(_PALETTE)]
+        keep = np.isfinite(values)
         points = " ".join(
-            f"{sx(a):.2f},{sy(b):.2f}"
-            for a, b in zip(x, values)
-            if np.isfinite(b)
+            ["%.2f,%.2f" % p for p in zip(sx(x[keep]).tolist(), sy(values[keep]).tolist())]
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
@@ -122,15 +121,15 @@ def cell_map(path, axes, categories, colors, title=""):
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.0f}" y="18" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    for i in range(ax0.size):
-        for j in range(ax1.size):
-            color = colors.get(int(cats[i, j]))
+    xs = ["%.2f" % v for v in (sx(ax0) - cw / 2).tolist()]
+    ys = ["%.2f" % v for v in (sy(ax1) - ch / 2).tolist()]
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    for i, row in enumerate(cats.tolist()):
+        for j, cat in enumerate(row):
+            color = colors.get(cat)
             if color is None:
                 continue
-            parts.append(
-                f'<rect x="{sx(ax0[i]) - cw / 2:.2f}" y="{sy(ax1[j]) - ch / 2:.2f}" '
-                f'width="{cw:.2f}" height="{ch:.2f}" fill="{color}"/>'
-            )
+            parts.append(f'<rect x="{xs[i]}" y="{ys[j]}" {size} fill="{color}"/>')
     parts.append("</svg>")
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(parts) + "\n")

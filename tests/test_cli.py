@@ -1,10 +1,17 @@
+import io
+import tracemalloc
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbftk.cli import main
+from cbftk import svg as svg_mod
+from cbftk.cli import _BLOCK_ROWS, _output, _write_csv, _write_scan, main
 from cbftk.config import ConfigError, ScenarioConfig
+
+KINDS = ("hocbf", "recbf", "backstepping", "abc")
 
 
 def read_csv(path):
@@ -323,6 +330,47 @@ def test_svg_output_is_wellformed(tmp_path):
     ElementTree.parse(tmp_path / "scan.csv.svg")
 
 
+def test_svg_coordinates_match_per_point_formatting(tmp_path):
+    # the per-point loop the array code replaced, with the module's own scale
+    width, height = svg_mod._W - svg_mod._ML - svg_mod._MR, svg_mod._H - svg_mod._MT - svg_mod._MB
+    x = np.linspace(0.0, 3.0, 41)
+    values = np.sin(7.0 * x) * 1e3
+    values[[3, 17]] = [np.nan, np.inf]
+    svg_mod.line_chart(tmp_path / "chart.svg", x, {"v": values, "w": 0.5 * values})
+    x_lo, x_hi = svg_mod._span(0.0, 3.0)
+    finite = values[np.isfinite(values)]  # the range of the second series lies inside
+    y_lo, y_hi = svg_mod._span(float(finite.min()), float(finite.max()))
+    polylines = ElementTree.parse(tmp_path / "chart.svg").getroot().iter(
+        "{http://www.w3.org/2000/svg}polyline"
+    )
+    for line, series in zip(polylines, (values, 0.5 * values)):
+        expected = " ".join(
+            f"{svg_mod._ML + (a - x_lo) / (x_hi - x_lo) * width:.2f},"
+            f"{svg_mod._H - svg_mod._MB - (b - y_lo) / (y_hi - y_lo) * height:.2f}"
+            for a, b in zip(x, series)
+            if np.isfinite(b)
+        )
+        assert line.get("points") == expected
+
+    ax0, ax1 = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 7)
+    cats = np.arange(35) % 3
+    colors = {1: "#111111", 2: "#222222"}
+    svg_mod.cell_map(tmp_path / "map.svg", (ax0, ax1), cats, colors)
+    cw, ch = width / 4, height / 6
+    expected = [
+        (
+            f"{svg_mod._ML + (ax0[i] + 1.0) / 2.0 * width - cw / 2:.2f}",
+            f"{svg_mod._H - svg_mod._MB - ax1[j] / 2.0 * height - ch / 2:.2f}",
+            colors[cats[7 * i + j]],
+        )
+        for i in range(5)
+        for j in range(7)
+        if cats[7 * i + j]
+    ]
+    rects = ElementTree.parse(tmp_path / "map.svg").getroot().iter("{http://www.w3.org/2000/svg}rect")
+    assert [(r.get("x"), r.get("y"), r.get("fill")) for r in list(rects)[1:]] == expected
+
+
 def test_lf_line_endings(tmp_path):
     out = tmp_path / "traj.csv"
     main(["simulate", "--scenario", "pendulum", "--cbf", "abc", "--set", "sim.horizon=0.01", "--out", str(out)])
@@ -338,3 +386,124 @@ def test_config_error_messages_name_keys():
         ScenarioConfig.from_text("scenario = hovercraft\n")
     with pytest.raises(ConfigError, match="init.x0"):
         ScenarioConfig.from_text("scenario = pendulum\ninit.x0 = 1,2,3\n")
+
+
+# -- the column writer against the per-cell layout ----------------------------
+
+# values whose nine-digit text is easy to get wrong: signed zero, the
+# non-finite values, subnormals, the extremes of the exponent range and the
+# points where %g switches between plain and exponent notation
+_AWKWARD = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1e300, 1e-300, 1e-5, 1e-4, 0.0001234567891,
+    999999999.0, 999999999.5, 1e9, -123456789.123, 1.0 / 3.0,
+]
+
+
+def _per_cell_lines(header, columns):
+    """The CLI's CSV layout built one cell at a time, the reference for the writer."""
+    lines = [header]
+    for k in range(len(columns[0])):
+        cells = []
+        for column in columns:
+            if column is None:
+                cells.append("")
+            elif column.dtype == bool:
+                cells.append(str(int(column[k])))
+            else:
+                cells.append(f"{column[k]:.9g}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=30)
+@given(
+    pool=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=12),
+    rows=st.sampled_from(
+        [0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    ),
+    kinds=st.lists(st.sampled_from(["float", "bool", "empty"]), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_writer_matches_per_cell_formatting(pool, rows, kinds, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(pool + _AWKWARD)
+    # the leading columns are strided views, as the state columns x.T are
+    columns = [*rng.choice(values, (rows, 2)).T]
+    for kind in kinds:
+        if kind == "float":
+            columns.append(rng.choice(values, rows))
+        elif kind == "bool":
+            columns.append(rng.random(rows) < 0.5)
+        else:
+            columns.append(None)
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    out = io.StringIO()
+    _write_csv(out, header, columns)
+    assert out.getvalue() == _per_cell_lines(header, columns)
+
+
+def _scenario(plant, kind):
+    config = ScenarioConfig.from_assignments(
+        {"scenario": plant, "cbf": kind, "scan.resolution": "21,21", "sim.horizon": "1.0"}
+    )
+    return config, config.build_scenario()
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_scan_csv_keeps_the_per_cell_layout(tmp_path, plant, kind):
+    _, scenario = _scenario(plant, kind)
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--scenario", plant, "--cbf", kind, "--set", "scan.resolution=21,21"]
+    assert main(argv + ["--out", str(out)]) == 0
+    scan = scenario.scan(kind)
+    header = (
+        ",".join(f"x{i + 1}" for i in range(scenario.system.n))
+        + ",h,psi,lgh_norm,margin,s,in_S,in_C,singular,violation"
+    )
+    columns = [*scan.x.T, scan.h, scan.psi, scan.lgh_norm, scan.margin, scan.s]
+    columns += [scan.in_safe_set, scan.in_constraint_set, scan.singular, scan.validity_violation]
+    assert len(scan) == 21 * 21
+    assert out.read_bytes() == _per_cell_lines(header, columns).encode()
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_simulate_csv_keeps_the_per_cell_layout(tmp_path, plant, kind):
+    config, scenario = _scenario(plant, kind)
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", "--scenario", plant, "--cbf", kind, "--set", "sim.horizon=1.0"]
+    main(argv + ["--out", str(out)])
+    traj = scenario.simulate(kind, blow_up_threshold=config.blow_up_threshold)
+    n, m = scenario.system.n, scenario.system.m
+    header = (
+        "t,"
+        + ",".join(f"x{i + 1}" for i in range(n))
+        + ","
+        + ",".join(f"u{i + 1}" for i in range(m))
+        + ",h,psi,s"
+    )
+    columns = [traj.t, *traj.x.T, *traj.u.T, traj.h, traj.psi, traj.s]
+    text = out.read_bytes().decode()
+    assert text == _per_cell_lines(header, columns)
+    # the kernel runs' signed zeros in u survive as "-0" cells
+    negative_zeros = int(np.count_nonzero(np.signbit(traj.u[:, 0]) & (traj.u[:, 0] == 0.0)))
+    u1 = [line.split(",")[1 + n] for line in text.splitlines()[1:]]
+    assert u1.count("-0") == negative_zeros
+    if plant == "pendulum" and kind != "hocbf":
+        assert negative_zeros > 0
+
+
+def test_scan_writer_holds_less_than_half_the_file(tmp_path, pendulum):
+    scan = pendulum.scan("abc")
+    out = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        with _output(str(out)) as handle:
+            _write_scan(handle, pendulum, scan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scan) == 401 * 401
+    assert peak < out.stat().st_size / 2
