@@ -16,8 +16,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .cbf import ABC, HOCBF, CbfInstance
-from .core import ControlAffineSystem
+from .core import ControlAffineSystem, directional, naming_states, per_node
 
 __all__ = [
     "SINGULAR_TOL",
@@ -134,38 +135,46 @@ def grid_scan(
     ``state_from_axes`` lifts a grid node to a full state (identity by
     default; the bicycle fills its fixed slice coordinates); every node is
     evaluated at the lifted state.  ``alpha_outer`` defaults to the
-    construction's own class-K gain.  Every argument is honoured on the AD
-    reference path; :meth:`cbftk.systems.Scenario.scan` gives the same scan
-    of a built-in scenario on the compiled kernels.
+    construction's own class-K gain.
+
+    The nodes outside the extended set are excluded (NaN in every value
+    column), from one call of ``in_extended_set`` on the node array.  The
+    others are evaluated in blocks of :data:`cbftk.autodiff.BLOCK_NODES`
+    nodes: one batched call of ``instance.value`` gives h and its gradient,
+    and L_f h, L_g h, ``||L_g h||``, the margin, psi and s follow on whole
+    arrays.  The system's ``f``/``g`` and the output's callables must
+    therefore act elementwise on per-component arrays (see
+    :class:`cbftk.core.ControlAffineSystem`); one that does not is refused
+    with a ValueError.  An error at a node names its state.
     """
     axes = _grid_axes(window, resolution)
     if state_from_axes is None:
         state_from_axes = lambda vals: np.asarray(vals, dtype=float)
     nodes = _node_array(axes, state_from_axes)
     alpha = alpha_outer if alpha_outer is not None else instance.alpha
-    n = nodes.shape[0]
-    h = np.empty(n)
-    psi = np.empty(n)
-    lgh_norm = np.empty(n)
-    margin = np.empty(n)
-    s = np.empty(n) if instance.kind == ABC else None
-    excluded = np.zeros(n, dtype=bool)
-    for i, x in enumerate(nodes):
-        if not instance.output.in_extended_set(x):
-            excluded[i] = True
-            h[i] = psi[i] = lgh_norm[i] = margin[i] = np.nan
-            if s is not None:
-                s[i] = np.nan
+    # the mask first: the predicate's temporaries are freed before the columns exist
+    excluded = ~instance.output.in_extended_set_batch(nodes.T)
+    count = nodes.shape[0]
+    h = np.full(count, np.nan)
+    psi = np.full(count, np.nan)
+    lgh_norm = np.full(count, np.nan)
+    margin = np.full(count, np.nan)
+    s = np.full(count, np.nan) if instance.kind == ABC else None
+    for block in ad.blocks(count):
+        kept = block.start + np.flatnonzero(~excluded[block])
+        if kept.size == 0:
             continue
-        value, hgrad = instance.value_and_gradient(x)
-        lfh = float(hgrad @ system.f_vec(x))
-        lgh = hgrad @ system.g_mat(x)
-        h[i] = value
-        psi[i] = instance.output.psi_of_state(x)
-        lgh_norm[i] = float(np.linalg.norm(lgh))
-        margin[i] = lfh + alpha(value)
-        if s is not None:
-            s[i] = instance.switching(x)
+        xs = nodes[kept].T
+        with naming_states(xs):
+            value, hgrad = ad.value_and_grad(instance.value, xs)
+            lfh = directional(hgrad, system.f_batch(xs))
+            lgh = directional(hgrad, system.g_batch(xs))
+            h[kept] = value
+            psi[kept] = per_node(instance.output.psi_of_state, xs, "psi")
+            if s is not None:
+                s[kept] = per_node(instance.switching, xs, "switching")
+        lgh_norm[kept] = np.sqrt(directional(lgh, lgh))
+        margin[kept] = lfh + alpha(value)
     return GridScan(
         kind=instance.kind,
         axes=axes,

@@ -1,14 +1,25 @@
-"""Forward-mode automatic differentiation on scalars.
+"""Forward-mode automatic differentiation, on one state or on a batch.
 
-A :class:`Dual` carries a value together with a vector of partial
-derivatives with respect to the seed variables.  Scalar fields built from
-the primitives below (arithmetic, ``sin``/``cos``/``sqrt``, the rectifiers
-and ``minimum``/``maximum``) can be differentiated exactly with
-:func:`grad`; there is no tape and no higher-order machinery.
+A :class:`Dual` carries a value together with the partial derivatives with
+respect to the seed variables.  Scalar fields built from the primitives
+below (arithmetic, ``sin``/``cos``/``sqrt``, the rectifiers and
+``minimum``/``maximum``) can be differentiated exactly with :func:`grad`;
+there is no tape and no higher-order machinery.
+
+The value is a float, or a 1-D array of shape (N,) when N states are
+evaluated in one call (vector-mode forward AD in the sense of Griewank &
+Walther, *Evaluating Derivatives*); the partials then have shape (n,) or
+(n, N).  Arithmetic is the same for both.  Only the branching primitives
+differ: on a float they branch, on a batch they select elementwise through
+:func:`where`.  A branch that could raise is evaluated on a safe substitute
+where it is masked out, so only an element that would raise on its own
+raises, with the same :class:`EvaluationError`; ``index`` names the first
+such element.
 
 State dimensions here are tiny (n <= 4), so every dual number carries the
-full partials vector.  All helpers accept plain floats as well, which lets
-the same field definitions be evaluated with or without derivatives.
+full partials vector.  All helpers accept plain floats and arrays as well,
+which lets the same field definitions be evaluated with or without
+derivatives.
 """
 
 from __future__ import annotations
@@ -19,11 +30,16 @@ import numbers
 import numpy as np
 
 __all__ = [
+    "BLOCK_NODES",
     "Dual",
     "EvaluationError",
+    "blocks",
+    "failed",
+    "first",
     "grad",
     "value_and_grad",
     "scalar",
+    "where",
     "sin",
     "cos",
     "sqrt",
@@ -34,22 +50,58 @@ __all__ = [
     "maximum",
 ]
 
+# states per batched evaluation in the scans: bounds the partials held at
+# once (n x BLOCK_NODES floats per Dual)
+BLOCK_NODES = 2048
+
 
 class EvaluationError(ArithmeticError):
     """A primitive could not be evaluated (e.g. 1/0 or sqrt of a negative).
 
-    ``primitive`` names the offending operation.
+    ``primitive`` names the offending operation; ``index`` is the first
+    offending element of a batch, and None for a single state.
     """
 
-    def __init__(self, primitive: str, message: str):
+    def __init__(self, primitive: str, message: str, index=None):
+        if index is not None:
+            message = f"{message} (batch element {index})"
         super().__init__(f"{primitive}: {message}")
         self.primitive = primitive
+        self.index = index
 
 
 def _as_float(x):
     if isinstance(x, numbers.Real):
         return float(x)
+    if isinstance(x, np.ndarray):
+        return x.astype(float, copy=False)
     return None
+
+
+def failed(bad) -> bool:
+    """Whether a check fails: ``bad`` is a bool, or a mask over a batch."""
+    if isinstance(bad, np.ndarray):
+        return bool(bad.any())
+    return bool(bad)
+
+
+def first(bad):
+    """Index of the first failing element of a batch mask; None for a bool."""
+    return int(np.argmax(bad)) if isinstance(bad, np.ndarray) else None
+
+
+def _refuse(bad, primitive, message, values=None):
+    """Raise EvaluationError where the check ``bad`` fails.
+
+    ``message`` is a string, or a callable of the offending element of
+    ``values``; a batch error names that element's index.
+    """
+    if not failed(bad):
+        return
+    index = first(bad)
+    if callable(message):
+        message = message(values if index is None else values[index])
+    raise EvaluationError(primitive, message, index)
 
 
 class Dual:
@@ -57,8 +109,13 @@ class Dual:
 
     __slots__ = ("value", "partials")
 
-    def __init__(self, value: float, partials):
-        self.value = float(value)
+    # numpy defers to the reflected operators below instead of building
+    # object arrays of Duals
+    __array_ufunc__ = None
+
+    def __init__(self, value, partials):
+        # the class tests keep the float path as cheap as a bare float()
+        self.value = value if value.__class__ is float or value.__class__ is np.ndarray else float(value)
         self.partials = np.asarray(partials, dtype=float)
 
     # -- arithmetic ----------------------------------------------------
@@ -102,8 +159,9 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            if other.value == 0.0:
-                raise EvaluationError("divide", "division by a zero-valued operand")
+            zero = other.value == 0.0
+            if zero is not False:
+                _refuse(zero, "divide", "division by a zero-valued operand")
             inv = 1.0 / other.value
             return Dual(
                 self.value * inv,
@@ -112,27 +170,28 @@ class Dual:
         c = _as_float(other)
         if c is None:
             return NotImplemented
-        if c == 0.0:
-            raise EvaluationError("divide", "division by zero")
+        zero = c == 0.0
+        if zero is not False:
+            _refuse(zero, "divide", "division by zero")
         return Dual(self.value / c, self.partials / c)
 
     def __rtruediv__(self, other):
         c = _as_float(other)
         if c is None:
             return NotImplemented
-        if self.value == 0.0:
-            raise EvaluationError("divide", "division by a zero-valued operand")
+        zero = self.value == 0.0
+        if zero is not False:
+            _refuse(zero, "divide", "division by a zero-valued operand")
         inv = 1.0 / self.value
         return Dual(c * inv, -c * inv * inv * self.partials)
 
     def __pow__(self, exponent):
-        c = _as_float(exponent)
-        if c is None:
+        if not isinstance(exponent, numbers.Real):
             return NotImplemented
-        if self.value == 0.0 and c < 1.0:
-            raise EvaluationError("pow", "non-differentiable power of zero")
-        if self.value < 0.0 and c != round(c):
-            raise EvaluationError("pow", "non-integer power of a negative base")
+        c = float(exponent)
+        # a zero base needs c >= 1, a negative one an integer c
+        bad = (self.value == 0.0) & (c < 1.0) | (self.value < 0.0) & (not c.is_integer())
+        _refuse(bad, "pow", _pow_failure, self.value)
         return Dual(
             self.value**c, c * self.value ** (c - 1.0) * self.partials
         )
@@ -143,7 +202,7 @@ class Dual:
     def __pos__(self):
         return self
 
-    # -- comparisons branch on the value -------------------------------
+    # -- comparisons compare values (elementwise on a batch) -----------
 
     def _cmp_value(self, other):
         if isinstance(other, Dual):
@@ -173,7 +232,9 @@ class Dual:
 
     def __ne__(self, other):
         eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        if eq is NotImplemented:
+            return NotImplemented
+        return ~eq if isinstance(eq, np.ndarray) else not eq
 
     __hash__ = None
 
@@ -181,9 +242,35 @@ class Dual:
         return f"Dual({self.value!r}, {self.partials!r})"
 
 
-def scalar(x) -> float:
-    """Value of ``x``, whether it is a Dual or a plain number."""
-    return x.value if isinstance(x, Dual) else float(x)
+def _pow_failure(value) -> str:
+    if value == 0.0:
+        return "non-differentiable power of zero"
+    return "non-integer power of a negative base"
+
+
+def scalar(x):
+    """Value of ``x``, whether it is a Dual, an array of values or a plain number."""
+    if isinstance(x, Dual):
+        return x.value
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+def where(mask, a, b):
+    """``a`` where ``mask`` holds, else ``b``.
+
+    A bool mask branches.  A batch mask selects values, and partials where
+    either operand is a Dual, elementwise; a float or array operand counts
+    as a constant.  Both operands of a batch select are already evaluated,
+    so a branch that could raise must be built on a safe substitute first.
+    """
+    if not isinstance(mask, np.ndarray):
+        return a if mask else b
+    value = np.where(mask, scalar(a), scalar(b))
+    if not (isinstance(a, Dual) or isinstance(b, Dual)):
+        return value
+    partials_a = a.partials if isinstance(a, Dual) else 0.0
+    partials_b = b.partials if isinstance(b, Dual) else 0.0
+    return Dual(value, np.where(mask, partials_a, partials_b))
 
 
 # -- smooth primitives ----------------------------------------------------
@@ -191,27 +278,38 @@ def scalar(x) -> float:
 
 def sin(x):
     if isinstance(x, Dual):
-        return Dual(math.sin(x.value), math.cos(x.value) * x.partials)
-    return math.sin(x)
+        v = x.value
+        if isinstance(v, np.ndarray):
+            return Dual(np.sin(v), np.cos(v) * x.partials)
+        return Dual(math.sin(v), math.cos(v) * x.partials)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        return Dual(math.cos(x.value), -math.sin(x.value) * x.partials)
-    return math.cos(x)
+        v = x.value
+        if isinstance(v, np.ndarray):
+            return Dual(np.cos(v), -np.sin(v) * x.partials)
+        return Dual(math.cos(v), -math.sin(v) * x.partials)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+def _sqrt_failure(value) -> str:
+    if value < 0.0:
+        return f"sqrt of negative value {value}"
+    return "sqrt is not differentiable at 0"
 
 
 def sqrt(x):
     if isinstance(x, Dual):
-        if x.value < 0.0:
-            raise EvaluationError("sqrt", f"sqrt of negative value {x.value}")
-        if x.value == 0.0:
-            raise EvaluationError("sqrt", "sqrt is not differentiable at 0")
-        root = math.sqrt(x.value)
+        v = x.value
+        bad = v <= 0.0
+        if bad is not False:
+            _refuse(bad, "sqrt", _sqrt_failure, v)
+        root = np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
         return Dual(root, x.partials / (2.0 * root))
-    if x < 0.0:
-        raise EvaluationError("sqrt", f"sqrt of negative value {x}")
-    return math.sqrt(x)
+    _refuse(x < 0.0, "sqrt", _sqrt_failure, x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 # -- rectifiers ------------------------------------------------------------
@@ -224,58 +322,78 @@ def sqrt(x):
 
 def requ(x):
     """Rectified quadratic unit: x^2 for x > 0, else 0."""
-    if isinstance(x, Dual):
-        if x.value > 0.0:
-            return Dual(x.value * x.value, 2.0 * x.value * x.partials)
-        return Dual(0.0, 0.0 * x.partials)
-    return x * x if x > 0.0 else 0.0
+    if not isinstance(x, Dual):
+        return where(x > 0.0, x * x, 0.0)
+    positive = x.value > 0.0
+    if positive is True:
+        return Dual(x.value * x.value, 2.0 * x.value * x.partials)
+    zero = Dual(0.0, 0.0 * x.partials)
+    if positive is False:
+        return zero
+    return where(positive, Dual(x.value * x.value, 2.0 * x.value * x.partials), zero)
 
 
 def requ_prime(x):
     """Derivative of requ: 2x for x > 0, else 0 (continuous at 0)."""
     x = scalar(x)
-    return 2.0 * x if x > 0.0 else 0.0
+    return where(x > 0.0, 2.0 * x, 0.0)
 
 
 def relu(x):
     """Rectified linear unit: max(x, 0), subderivative 0 at the kink."""
     if isinstance(x, Dual):
-        if x.value > 0.0:
-            return x
-        return Dual(0.0, 0.0 * x.partials)
-    return x if x > 0.0 else 0.0
+        return where(x.value > 0.0, x, Dual(0.0, 0.0 * x.partials))
+    return where(x > 0.0, x, 0.0)
 
 
 def minimum(a, b):
     """Smaller of two operands by value; ties resolve to the first."""
-    return a if scalar(a) <= scalar(b) else b
+    return where(scalar(a) <= scalar(b), a, b)
 
 
 def maximum(a, b):
     """Larger of two operands by value; ties resolve to the first."""
-    return a if scalar(a) >= scalar(b) else b
+    return where(scalar(a) >= scalar(b), a, b)
 
 
 # -- seeding and evaluation -------------------------------------------------
 
 
 def seed(x) -> list:
-    """Dual variables for the components of ``x``, seeded with unit vectors."""
+    """Dual variables for the components of ``x``, seeded with unit vectors.
+
+    ``x`` is one state of shape (n,), or a batch of shape (n, N) holding
+    one state per column; a batch seeds partials of shape (n, N).
+    """
     x = np.asarray(x, dtype=float)
-    eye = np.eye(x.size)
-    return [Dual(x[i], eye[i]) for i in range(x.size)]
+    eye = np.eye(x.shape[0])
+    if x.ndim == 1:
+        return [Dual(x[i], eye[i]) for i in range(x.size)]
+    return [Dual(x[i], np.repeat(eye[i][:, None], x.shape[1], axis=1)) for i in range(x.shape[0])]
 
 
 def value_and_grad(field, x):
-    """Evaluate a scalar field and its exact gradient at ``x``."""
+    """Evaluate a scalar field and its exact gradient at ``x``.
+
+    For a batch ``x`` of shape (n, N) the value has shape (N,) and the
+    gradient (n, N), one column per state.
+    """
     x = np.asarray(x, dtype=float)
     out = field(seed(x))
     if isinstance(out, Dual):
         return out.value, out.partials.copy()
     # field did not depend on x at all
-    return float(out), np.zeros(x.size)
+    if x.ndim == 1:
+        return float(out), np.zeros(x.size)
+    return np.broadcast_to(np.asarray(out, dtype=float), x.shape[1:]).copy(), np.zeros(x.shape)
 
 
 def grad(field, x) -> np.ndarray:
     """Exact gradient of a scalar field at ``x`` (forward mode)."""
     return value_and_grad(field, x)[1]
+
+
+def blocks(count: int):
+    """Slices of ``range(count)`` of at most :data:`BLOCK_NODES` elements, in order."""
+    for start in range(0, count, BLOCK_NODES):
+        yield slice(start, min(start + BLOCK_NODES, count))

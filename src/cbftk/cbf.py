@@ -26,7 +26,15 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .core import DomainError, LinearClassK, RelDeg2Output, ReQUActivation
+from .core import (
+    DomainError,
+    LinearClassK,
+    RelDeg2Output,
+    ReQUActivation,
+    directional,
+    naming_states,
+    per_node,
+)
 from .safety_filter import VirtualController
 
 __all__ = [
@@ -78,8 +86,13 @@ class CbfInstance:
 
     def _check_domain(self, x):
         xv = np.asarray([ad.scalar(v) for v in x], dtype=float)
-        if not self.output.in_extended_set(xv):
-            raise DomainError(f"state {xv} is outside the extended set")
+        if xv.ndim == 1:
+            if not self.output.in_extended_set(xv):
+                raise DomainError(f"state {xv} is outside the extended set")
+            return
+        outside = ~self.output.in_extended_set_batch(xv)
+        if outside.any():
+            raise DomainError(f"state {xv[:, np.argmax(outside)]} is outside the extended set")
 
     def residual(self, x):
         """r = psi_dot + alpha(psi); the high-order construction's value."""
@@ -101,7 +114,7 @@ class CbfInstance:
         return s
 
     def value(self, x):
-        """h(x); accepts floats or Duals componentwise."""
+        """h(x); accepts floats or Duals componentwise, each for one state or a batch."""
         self._check_domain(x)
         out = self.output
         if self.kind == HOCBF:
@@ -183,16 +196,22 @@ def recbf_validity_condition(
     states,
     coupling_tol: float = 1e-8,
 ) -> ValidityConditionReport:
-    """Check L_g L_f psi = 0  =>  psi_dot + alpha(psi) >= epsilon over a grid."""
+    """Check L_g L_f psi = 0  =>  psi_dot + alpha(psi) >= epsilon over a grid.
+
+    The states are evaluated in batches of :data:`cbftk.autodiff.BLOCK_NODES`;
+    witnesses keep the order of ``states``.
+    """
     if instance.kind != RECBF:
         raise ValueError("validity condition applies to rectified CBFs")
     out = instance.output
     witnesses = []
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    for x in states:
-        coupling = ad.grad(out.psi_dot, x) @ system.g_mat(x)
-        if np.max(np.abs(coupling)) < coupling_tol:
-            r = float(instance.residual(x))
-            if r < instance.epsilon:
-                witnesses.append((x.copy(), r))
+    for block in ad.blocks(len(states)):
+        xs = states[block].T
+        with naming_states(xs):
+            coupling = directional(ad.grad(out.psi_dot, xs), system.g_batch(xs))
+            r = per_node(instance.residual, xs, "residual")
+        uncoupled = np.max(np.abs(coupling), axis=0) < coupling_tol
+        for i in np.flatnonzero(uncoupled & (r < instance.epsilon)):
+            witnesses.append((states[block.start + i].copy(), float(r[i])))
     return ValidityConditionReport(instance.epsilon, len(states), witnesses)

@@ -9,6 +9,7 @@ scenario-declared state sets.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,6 +23,9 @@ __all__ = [
     "ControlAffineSystem",
     "RelDeg2Output",
     "DomainError",
+    "naming_states",
+    "per_node",
+    "directional",
     "lie_f",
     "lie_g",
     "lie_derivatives",
@@ -33,7 +37,74 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """A state (or output point) lies outside the declared domain."""
+    """A state (or output point) lies outside the declared domain.
+
+    ``index`` is the first offending element of a batch, and None for a
+    single state.
+    """
+
+    def __init__(self, message: str, index=None):
+        if index is not None:
+            message = f"{message} (batch element {index})"
+        super().__init__(message)
+        self.index = index
+
+
+@contextlib.contextmanager
+def naming_states(states):
+    """Name the state a batched error points at, keeping the error's type.
+
+    ``states`` holds one state per column; a :class:`DomainError` or
+    :class:`cbftk.autodiff.EvaluationError` raised inside with an ``index``
+    gets that column appended to its message.
+    """
+    try:
+        yield
+    except (DomainError, ad.EvaluationError) as exc:
+        if exc.index is not None:
+            exc.args = (f"{exc.args[0]} at state {states[:, exc.index]}", *exc.args[1:])
+        raise
+
+
+def per_node(func, states, name, shape=(), dtype=float) -> np.ndarray:
+    """``func(states)`` as an array of shape ``shape + (N,)``.
+
+    ``states`` holds N states, one per column, so that ``states[i]`` is the
+    array of component i; ``name`` names ``func`` in errors.  ``func`` returns a nested sequence of ``shape``
+    whose entries are floats or arrays over the N states; a result that
+    cannot be broadcast to that shape is refused with a ValueError, as is a
+    ``func`` that cannot take component arrays at all.
+    """
+    count = states.shape[1]
+    out = np.empty((*shape, count), dtype=dtype)
+    try:
+        entries = [func(states)]
+        for _ in shape:
+            entries = [item for entry in entries for item in entry]
+        if len(entries) != out[..., 0].size:
+            raise ValueError(f"{len(entries)} entries where {out[..., 0].size} were expected")
+        for index, entry in zip(np.ndindex(*shape), entries):
+            out[index] = entry
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{name} must act elementwise on per-component arrays and give shape "
+            f"{shape} for a batch of {count} states: {exc}"
+        ) from exc
+    return out
+
+
+def directional(grad, field) -> np.ndarray:
+    """Per-state sum of grad[i] * field[i] over the leading axis, in index order.
+
+    ``grad`` has shape (n, N) and ``field`` (n, N) or (n, m, N); the result
+    has shape (N,) or (m, N).
+    """
+    total = grad[0] * field[0]
+    for i in range(1, len(grad)):
+        total = total + grad[i] * field[i]
+    return total
 
 
 @dataclass(frozen=True)
@@ -80,7 +151,10 @@ class ControlAffineSystem:
     """Dynamics xdot = f(x) + g(x) u with AD-traceable drift and input map.
 
     ``f`` maps a state (sequence of scalars or Duals) to a length-n
-    sequence; ``g`` maps a state to an n x m nested sequence.
+    sequence; ``g`` maps a state to an n x m nested sequence.  Both act
+    elementwise on per-component arrays: given the components of N states
+    as arrays of shape (N,), each entry is a float or an array over the N
+    states (see :meth:`f_batch` and :meth:`g_batch`).
     """
 
     n: int
@@ -93,6 +167,14 @@ class ControlAffineSystem:
 
     def g_mat(self, x) -> np.ndarray:
         return np.asarray(self.g(x), dtype=float).reshape(self.n, self.m)
+
+    def f_batch(self, states) -> np.ndarray:
+        """f at the N states of ``states`` (shape (n, N)), shape (n, N)."""
+        return per_node(self.f, states, "f", (self.n,))
+
+    def g_batch(self, states) -> np.ndarray:
+        """g at the N states of ``states`` (shape (n, N)), shape (n, m, N)."""
+        return per_node(self.g, states, "g", (self.n, self.m))
 
 
 @dataclass(frozen=True)
@@ -107,7 +189,11 @@ class RelDeg2Output:
     :func:`check_output_consistency` validates them against AD.
 
     ``in_extended_set`` is the predicate for the open set E on which the
-    relative-degree and regularity assumptions are declared.
+    relative-degree and regularity assumptions are declared.  It acts
+    elementwise on per-component arrays: given the components of N states
+    as arrays of shape (N,), it returns one flag per state (see
+    :meth:`in_extended_set_batch`).  The other callables take such arrays,
+    or batched Duals, as well.
     """
 
     p: int
@@ -116,6 +202,10 @@ class RelDeg2Output:
     psi: Callable[[Sequence], object]
     psi_grad: Callable[[Sequence], Sequence]
     in_extended_set: Callable[[np.ndarray], bool] = field(default=lambda x: True)
+
+    def in_extended_set_batch(self, states) -> np.ndarray:
+        """Membership flags of the N states of ``states`` (shape (n, N))."""
+        return per_node(self.in_extended_set, states, "in_extended_set", dtype=bool)
 
     def psi_of_state(self, x):
         return self.psi(self.y(x))

@@ -1,16 +1,22 @@
-"""Hot numeric kernels for the two built-in scenarios.
+"""Closed-loop simulation kernels for the two built-in scenarios.
 
-Closed-loop stepping and dense phase-plane scans dominate runtime, so the
-per-state math for the pendulum and bicycle scenarios is spelled out here
-as scalar kernels compiled with numba.  Derivatives are carried inline
-(value plus partials), mirroring the dual-number rules of
-:mod:`cbftk.autodiff`; the test suite pins these kernels against the AD
-reference path at random states.
+Closed-loop stepping evaluates the filter at every RK4 stage of every
+step, one state at a time, so the per-state math for the pendulum and
+bicycle scenarios is spelled out here as scalar kernels compiled with
+numba.  Derivatives are carried inline (value plus partials), mirroring
+the dual-number rules of :mod:`cbftk.autodiff`; the test suite pins these
+kernels against the AD reference path at random states and parameters.
+Phase-plane scans need no kernel: :func:`cbftk.analysis.grid_scan`
+evaluates whole blocks of nodes with batched dual numbers, and
+:meth:`cbftk.systems.Scenario.scan` calls it.  The scan kernels
+:func:`pend_scan` and :func:`bike_scan` are no longer called by the
+library; they stay only because the benchmark's span tracer
+(``perfbench/tracing.py``) still lists them as targets, and go with those
+targets at the next change to the benchmark.
 
 Without numba installed the same code runs as plain Python -- identical
 results, minus the speed.  Within the library only
-:meth:`cbftk.systems.Scenario.simulate` and :meth:`cbftk.systems.Scenario.scan`
-call them.
+:meth:`cbftk.systems.Scenario.simulate` calls them.
 
 Parameter vectors
 -----------------

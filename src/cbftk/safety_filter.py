@@ -52,13 +52,19 @@ def lambda_half_sontag(a, b, sigma: float):
 
     Smooth in (a, b) away from b = 0 and strictly feasible: a + lambda*b > 0
     whenever b > 0.  Recovers :func:`lambda_exact` as sigma -> 0.  Accepts
-    Dual operands so it can sit inside differentiated fields.
+    Dual operands so it can sit inside differentiated fields, and batches,
+    where b = 1 stands in for the elements with b = 0 before they are
+    replaced by 0.
     """
     if not sigma > 0.0:
         raise ValueError(f"half-Sontag smoothing sigma must be positive, got {sigma}")
-    if ad.scalar(b) == 0.0:
+    zero = ad.scalar(b) == 0.0
+    if zero is False:
+        return (-a + ad.sqrt(a * a + sigma * (b * b))) / (2.0 * b)
+    if zero is True:
         return 0.0 * b if isinstance(b, ad.Dual) else 0.0
-    return (-a + ad.sqrt(a * a + sigma * (b * b))) / (2.0 * b)
+    safe = ad.where(zero, 1.0, b)
+    return ad.where(zero, 0.0 * b, (-a + ad.sqrt(a * a + sigma * (safe * safe))) / (2.0 * safe))
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,8 @@ class SmoothFilter(VirtualController):
     kappa(y) = kappa_d(y) + lambda(a, ||b||^2) b  with  b = psi_grad(y) and
     a = psi_grad(y) . kappa_d(y) + alpha_hat(psi(y)); unit weights.
     Undefined at constrained singular points (psi_grad = 0 with a < 0),
-    e.g. the obstacle center.
+    e.g. the obstacle center, where it raises :class:`DomainError` (naming
+    the first such element of a batch).
     """
 
     kappa_d: Callable[[Sequence], Sequence]
@@ -163,10 +170,12 @@ class SmoothFilter(VirtualController):
             a = a + b[i] * kd[i]
             bb = bb + b[i] * b[i]
         a = a + self.alpha_hat(self.psi(y))
-        if ad.scalar(bb) < 1e-20 and ad.scalar(a) < 0.0:
+        singular = (ad.scalar(bb) < 1e-20) & (ad.scalar(a) < 0.0)
+        if singular is not False and ad.failed(singular):
             raise DomainError(
                 "virtual controller is undefined at a constrained singular point "
-                "(psi_grad = 0 with negative margin; e.g. the obstacle center)"
+                "(psi_grad = 0 with negative margin; e.g. the obstacle center)",
+                ad.first(singular),
             )
         lam = lambda_half_sontag(a, bb, self.sigma_hat)
         return [kd[i] + lam * b[i] for i in range(self.p)]

@@ -2,9 +2,12 @@
 
 Each scenario bundles dynamics, the relative-degree-two output with its
 constraint, the desired controller, default parameters and CBF factories.
-Its ``simulate`` and ``scan`` methods run the published constructions on
-the compiled kernels, and are the only callers of :mod:`cbftk.kernels` in
-the library.
+Its ``scan`` method is :func:`cbftk.analysis.grid_scan` of the scenario's
+own construction, system, window and gain.  Its ``simulate`` method runs
+the published constructions on the compiled simulation kernels, and is
+the only caller of :mod:`cbftk.kernels` in the library.  The dynamics and
+outputs act elementwise on per-component arrays, so the scans evaluate
+whole blocks of nodes at once.
 
 Pendulum: state (phi [rad], omega [rad/s]), torque input; the constraint
 keeps the pendulum above the horizontal, psi(phi) = pi^2/4 - phi^2.
@@ -22,10 +25,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import analysis
 from . import autodiff as ad
 from . import cbf as cbf_mod
 from . import kernels
-from .analysis import GridScan, _grid_axes, _node_array
 from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, CbfInstance
 from .core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from .safety_filter import LAMBDA_EXACT, LinearGain, SafetyFilterSpec, SmoothFilter
@@ -205,10 +208,14 @@ class Scenario:
 
         The same run as :func:`cbftk.sim.simulate` with those arguments, on
         the scenario kernel, which reads the construction, the filter and
-        the plant from ``self.params`` alone.  ``x0``, ``horizon`` and
-        ``dt`` default to the scenario's own.
+        the plant from ``self.params`` alone.  A scenario whose ``gamma`` or
+        ``alpha_outer`` differs from what ``params`` gives is refused with
+        a ValueError.  ``x0``, ``horizon`` and ``dt`` default to the
+        scenario's own.
         """
-        code, params = self._kernel_args(kind)
+        self.make_cbf(kind)  # refuses the kinds and parameters the reference refuses
+        self._check_filter_from_params()
+        code, params = kernels.KIND_CODES[kind], self.kernel_params_for(kind)
         x0 = np.asarray(self.x0 if x0 is None else x0, dtype=float)
         if x0.shape != (self.system.n,):
             raise ValueError(f"x0 must have {self.system.n} components, got shape {x0.shape}")
@@ -228,33 +235,40 @@ class Scenario:
             exit_reason=kernels.EXIT_REASONS[exit_code],
         )
 
-    def scan(self, kind: str) -> GridScan:
-        """Grid scan of ``make_cbf(kind)`` over the scenario's window, compiled.
-
-        The same scan as :func:`cbftk.analysis.grid_scan` at the scenario's
-        window, resolution, ``state_from_axes`` and ``alpha_outer``, on the
-        scenario kernel.
-        """
-        code, params = self._kernel_args(kind)
-        axes = _grid_axes(self.window, self.resolution)
-        # the nodes first: their temporaries are freed before the kernel allocates
-        nodes = _node_array(axes, self.state_from_axes)
-        h, psi, lgh_norm, margin, s, excluded = self._kernel_scan(code, axes, params)
-        return GridScan(
-            kind=kind,
-            axes=axes,
-            x=nodes,
-            h=h,
-            psi=psi,
-            lgh_norm=lgh_norm,
-            margin=margin,
-            s=s if kind == ABC else None,
-            excluded=excluded,
+    def _check_filter_from_params(self):
+        gamma, alpha_outer = self._filter_from_params(self.params)
+        given = np.asarray(self.gamma, dtype=float)
+        if not np.array_equal(given, gamma):
+            given, field = given.tolist(), "gamma"
+        elif self.alpha_outer != alpha_outer:
+            given, field = self.alpha_outer, "alpha_outer"
+        else:
+            return
+        raise ValueError(
+            f"Scenario.simulate reads the filter from params, but this scenario's "
+            f"{field} ({given}) differs from what params gives; change params, "
+            f"or run cbftk.sim.simulate with filter_spec()"
         )
 
-    def _kernel_args(self, kind: str):
-        self.make_cbf(kind)  # refuses the kinds and parameters the reference refuses
-        return kernels.KIND_CODES[kind], self.kernel_params_for(kind)
+    @staticmethod
+    def _filter_from_params(params):
+        """(gamma, alpha_outer) of the safety filter that ``params`` gives."""
+        raise NotImplementedError
+
+    def scan(self, kind: str) -> analysis.GridScan:
+        """Grid scan of ``make_cbf(kind)`` over the scenario's window.
+
+        :func:`cbftk.analysis.grid_scan` with the scenario's system, window,
+        resolution, ``state_from_axes`` and ``alpha_outer``.
+        """
+        return analysis.grid_scan(
+            self.make_cbf(kind),
+            self.system,
+            self.window,
+            self.resolution,
+            state_from_axes=self.state_from_axes,
+            alpha_outer=self.alpha_outer,
+        )
 
     def state_from_axes(self, axis_values) -> np.ndarray:
         """Full state for a scan node (fills fixed slice coordinates)."""
@@ -266,6 +280,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PendulumScenario(Scenario):
+    @staticmethod
+    def _filter_from_params(params: PendulumParams):
+        return np.asarray([params.gamma], dtype=float), LinearClassK(params.alpha_outer)
+
     def kernel_params_for(self, kind: str) -> np.ndarray:
         p: PendulumParams = self.params
         return np.asarray(
@@ -293,13 +311,13 @@ class PendulumScenario(Scenario):
     def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
         return kernels.pend_simulate(code, x0[0], x0[1], n_steps, dt, params, blow_up_threshold)
 
-    def _kernel_scan(self, code, axes, params):
-        h, psi, lgh_norm, margin, s = kernels.pend_scan(code, axes[0], axes[1], params)
-        return h, psi, lgh_norm, margin, s, np.zeros(h.size, dtype=bool)
-
 
 @dataclass(frozen=True)
 class BicycleScenario(Scenario):
+    @staticmethod
+    def _filter_from_params(params: BicycleParams):
+        return np.asarray([params.gamma1, params.gamma2], dtype=float), LinearClassK(params.alpha_outer)
+
     def kernel_params_for(self, kind: str) -> np.ndarray:
         p: BicycleParams = self.params
         return np.asarray(
@@ -357,14 +375,6 @@ class BicycleScenario(Scenario):
             code, x0[0], x0[1], x0[2], x0[3], n_steps, dt, params, blow_up_threshold
         )
 
-    def _kernel_scan(self, code, axes, params):
-        theta = float(self.scan_slice["theta"])
-        v = float(self.scan_slice["v"])
-        h, psi, lgh_norm, margin, s, excluded = kernels.bike_scan(
-            code, axes[0], axes[1], theta, v, params
-        )
-        return h, psi, lgh_norm, margin, s, np.asarray(excluded, dtype=bool)
-
 
 def pendulum_scenario(
     params: PendulumParams = PendulumParams(),
@@ -405,13 +415,14 @@ def pendulum_scenario(
             ]
         )
 
+    gamma, alpha_outer = PendulumScenario._filter_from_params(params)
     return PendulumScenario(
         name="pendulum",
         system=system,
         output=output,
         desired=lambda x: np.zeros(1),
-        gamma=np.asarray([params.gamma]),
-        alpha_outer=LinearClassK(params.alpha_outer),
+        gamma=gamma,
+        alpha_outer=alpha_outer,
         x0=np.asarray(x0, dtype=float),
         horizon=horizon,
         dt=dt,
@@ -450,14 +461,14 @@ def bicycle_scenario(
         g=lambda x: [
             [0.0, 0.0],
             [0.0, 0.0],
-            [float(ad.scalar(x[3])) / p.wheelbase, 0.0],
+            [ad.scalar(x[3]) / p.wheelbase, 0.0],
             [0.0, 1.0],
         ],
     )
 
-    def in_extended_set(x) -> bool:
-        dx = float(x[0]) - p.obstacle_xi
-        dy = float(x[1]) - p.obstacle_eta
+    def in_extended_set(x):
+        dx = x[0] - p.obstacle_xi
+        dy = x[1] - p.obstacle_eta
         return dx * dx + dy * dy >= 1e-18
 
     output = RelDeg2Output(
@@ -503,13 +514,14 @@ def bicycle_scenario(
             if dx * dx + dy * dy > 0.25:
                 return x
 
+    gamma, alpha_outer = BicycleScenario._filter_from_params(p)
     return BicycleScenario(
         name="bicycle",
         system=system,
         output=output,
         desired=lambda x: lane_keeping_desired(x, p),
-        gamma=np.asarray([p.gamma1, p.gamma2]),
-        alpha_outer=LinearClassK(p.alpha_outer),
+        gamma=gamma,
+        alpha_outer=alpha_outer,
         x0=np.asarray(x0, dtype=float),
         horizon=horizon,
         dt=dt,

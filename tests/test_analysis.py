@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from cbftk import analysis
+from cbftk import autodiff as ad
 from cbftk.analysis import SINGULAR_TOL, abc_equivalence_check, grid_scan, validity_report
-from cbftk.cbf import ABC, BACKSTEPPING, HOCBF, RECBF
-from cbftk.core import LinearClassK, ReQUActivation
-from cbftk.systems import PendulumParams, pendulum_scenario
+from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF
+from cbftk.core import ControlAffineSystem, DomainError, LinearClassK, ReQUActivation
+from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
 
 
 def scan_pendulum(scenario, kind, resolution=(101, 101)):
@@ -190,3 +192,99 @@ def test_grid_scan_honours_a_modified_instance(pendulum):
     inst = dataclasses.replace(pendulum.make_cbf(RECBF), epsilon=0.5, theta=ReQUActivation(1.0))
     scan = grid_scan(inst, pendulum.system, pendulum.window, (5, 5), alpha_outer=pendulum.alpha_outer)
     assert np.array_equal(scan.h, [inst.value(x) for x in scan.x])
+
+
+def test_bicycle_obstacle_centre_node_is_nan_in_every_column():
+    # with obstacle_eta = 0 the 11 x 11 grid has a node at the centre (20, 0)
+    scenario = bicycle_scenario(params=BicycleParams(obstacle_eta=0.0), resolution=(11, 11))
+    for kind in CBF_KINDS:
+        scan = scenario.scan(kind)
+        centre = np.flatnonzero(scan.excluded)
+        assert centre.size == 1
+        assert np.array_equal(scan.x[centre[0], :2], [20.0, 0.0])
+        columns = [scan.h, scan.psi, scan.lgh_norm, scan.margin] + ([scan.s] if kind == ABC else [])
+        for column in columns:
+            assert np.isnan(column[centre[0]])
+            assert not np.any(np.isnan(np.delete(column, centre[0])))
+
+
+def test_scenario_scan_honours_a_replaced_alpha_outer(pendulum):
+    scenario = dataclasses.replace(pendulum, alpha_outer=LinearClassK(3.0), resolution=(5, 5))
+    scan = scenario.scan(ABC)
+    expected = grid_scan(
+        scenario.make_cbf(ABC),
+        scenario.system,
+        scenario.window,
+        (5, 5),
+        state_from_axes=scenario.state_from_axes,
+        alpha_outer=LinearClassK(3.0),
+    )
+    assert np.array_equal(scan.margin, expected.margin)
+    assert not np.array_equal(scan.margin, dataclasses.replace(pendulum, resolution=(5, 5)).scan(ABC).margin)
+
+
+def test_scenario_scan_calls_the_module_grid_scan(pendulum, monkeypatch):
+    calls = []
+    original = analysis.grid_scan
+
+    def recording(*args, **kwargs):
+        calls.append(args[0].kind)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "grid_scan", recording)
+    dataclasses.replace(pendulum, resolution=(3, 3)).scan(ABC)
+    assert calls == [ABC]
+
+
+def _pendulum_system_with_g(g):
+    return ControlAffineSystem(n=2, m=1, f=lambda x: [x[1], ad.sin(x[0])], g=g)
+
+
+def test_grid_scan_refuses_a_g_that_does_not_act_elementwise(pendulum):
+    inst = pendulum.make_cbf(ABC)
+    scalar_only = _pendulum_system_with_g(lambda x: [[0.0], [float(x[0]) * 0.0 + 1.0]])
+    with pytest.raises(ValueError, match="g must act elementwise"):
+        grid_scan(inst, scalar_only, pendulum.window, (5, 5))
+    wrong_shape = _pendulum_system_with_g(lambda x: [[0.0], [np.ones(3)]])
+    with pytest.raises(ValueError, match="g must act elementwise"):
+        grid_scan(inst, wrong_shape, pendulum.window, (5, 5))
+    # constants broadcast to every node
+    assert np.array_equal(
+        grid_scan(inst, _pendulum_system_with_g(lambda x: [[0.0], [1.0]]), pendulum.window, (5, 5)).margin,
+        grid_scan(inst, pendulum.system, pendulum.window, (5, 5)).margin,
+    )
+
+
+def test_grid_scan_refuses_an_extended_set_that_does_not_act_elementwise(pendulum):
+    output = dataclasses.replace(pendulum.output, in_extended_set=lambda x: float(x[0]) < 10.0)
+    inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=output)
+    with pytest.raises(ValueError, match="in_extended_set must act elementwise"):
+        grid_scan(inst, pendulum.system, pendulum.window, (5, 5))
+
+
+def test_grid_scan_error_names_the_first_offending_state(pendulum):
+    # h = sqrt(phi) - 1 is undefined for phi < 0 and at phi = 0
+    output = dataclasses.replace(pendulum.output, psi=lambda y: ad.sqrt(y[0]) - 1.0)
+    inst = dataclasses.replace(pendulum.make_cbf(BACKSTEPPING), output=output)
+    window = ((-1.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ad.EvaluationError) as err:
+        grid_scan(inst, pendulum.system, window, (3, 2))
+    assert err.value.primitive == "sqrt"
+    assert err.value.index == 0
+    assert str(err.value).endswith(f"at state {np.array([-1.0, 0.0])}")
+    # the same node raises the same error type on the scalar path
+    with pytest.raises(ad.EvaluationError):
+        inst.value_and_gradient(np.array([-1.0, 0.0]))
+
+
+def test_grid_scan_names_a_kept_singular_state(bicycle):
+    # without its extended set the bicycle keeps the obstacle centre, where
+    # the virtual controller is undefined
+    output = dataclasses.replace(bicycle.output, in_extended_set=lambda x: True)
+    inst = dataclasses.replace(bicycle.make_cbf(ABC), output=output)
+    p = bicycle.params
+    window = ((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0))
+    with pytest.raises(DomainError) as err:
+        grid_scan(inst, bicycle.system, window, (3, 3), state_from_axes=bicycle.state_from_axes)
+    assert err.value.index == 4
+    assert str(err.value).endswith(f"at state {np.array([p.obstacle_xi, p.obstacle_eta, 0.0, p.v_desired])}")

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cbftk import autodiff as ad
+from cbftk.analysis import _grid_axes, _node_array
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, recbf_validity_condition
 from cbftk.core import DomainError
-from cbftk.systems import PendulumParams, pendulum_scenario
+from cbftk.systems import PendulumParams, bicycle_scenario, pendulum_scenario
 from conftest import central_difference
 
 HALF_PI_SQ = math.pi**2 / 4.0
@@ -258,3 +260,39 @@ def test_domain_error_outside_extended_set(bicycle):
     center = [bicycle.params.obstacle_xi, bicycle.params.obstacle_eta, 0.0, 1.0]
     with pytest.raises(DomainError):
         inst.value(center)
+
+
+def _validity_oracle(instance, system, states, coupling_tol=1e-8):
+    """The rectified validity condition evaluated one state at a time."""
+    witnesses = []
+    for x in states:
+        coupling = ad.grad(instance.output.psi_dot, x) @ system.g_mat(x)
+        if np.max(np.abs(coupling)) < coupling_tol:
+            r = float(instance.residual(x))
+            if r < instance.epsilon:
+                witnesses.append((x, r))
+    return witnesses
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+def test_recbf_validity_condition_matches_per_state_oracle(plant):
+    if plant == "pendulum":
+        scenario = pendulum_scenario(params=PendulumParams(epsilon=4.0))
+        extra = np.empty((0, 2))
+    else:
+        scenario = bicycle_scenario()
+        p = scenario.params
+        # on the line eta = eta_o only the steering coupling vanishes; at the
+        # obstacle centre both do, and r = alpha psi < 0
+        extra = [[xi, p.obstacle_eta, 0.0, 10.0] for xi in np.linspace(10.0, 30.0, 9)]
+    # 61 x 61 nodes: more than one block, split inside a row
+    states = np.vstack([_node_array(_grid_axes(scenario.window, (61, 61)), scenario.state_from_axes), extra])
+    assert ad.BLOCK_NODES < len(states) and ad.BLOCK_NODES % 61
+    inst = scenario.make_cbf(RECBF)
+    report = recbf_validity_condition(inst, scenario.system, states)
+    expected = _validity_oracle(inst, scenario.system, states)
+    assert expected and report.n_checked == len(states)
+    assert len(report.witnesses) == len(expected)
+    for (x, r), (x_want, r_want) in zip(report.witnesses, expected):
+        assert np.array_equal(x, x_want)
+        assert r == r_want

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 import xml.etree.ElementTree as ElementTree
@@ -507,3 +508,32 @@ def test_scan_writer_holds_less_than_half_the_file(tmp_path, pendulum):
         tracemalloc.stop()
     assert len(scan) == 401 * 401
     assert peak < out.stat().st_size / 2
+
+
+# exit code and sha256 of every published 401 x 401 scan CSV and validate
+# report, as the scan kernels wrote them before grid_scan evaluated batches
+PUBLISHED_OUTPUTS = {
+    ("scan", "pendulum", "hocbf"): (0, "129f70abe79ec7284d49a8d650a281cdc254150ad425e487c82165669994bde4"),
+    ("scan", "pendulum", "recbf"): (0, "65b1e784ae69657f57471b4abfc4171c690ae87ec27ba4743f27b932ff4582bc"),
+    ("scan", "pendulum", "backstepping"): (0, "006900385179c2b19009fb8e0811cdb2061059f1f12c08aa613a30516e6e535d"),
+    ("scan", "pendulum", "abc"): (0, "c1017ee0185e42c3f6c3094c23d8b222f97df73d751788be04664e277240c039"),
+    ("scan", "bicycle", "hocbf"): (0, "3527af637e78d253b31425c61ade1ad5c928aaa337cccf0a8638098fa653bdd6"),
+    ("scan", "bicycle", "recbf"): (0, "7490ba5d03684ab704e095b6b4d54e1a1a89d8dc66889a43638775a5c1c2600e"),
+    ("scan", "bicycle", "backstepping"): (0, "154065b8d853f3bb964e444c9ff222c31c5337cb4b93b20a06bf9c36d78429e8"),
+    ("scan", "bicycle", "abc"): (0, "0adc1858685dd5cd03760acef1cac7683782db783e8c53347ff65184d10414fe"),
+    ("validate", "pendulum", "hocbf"): (3, "17ae92044b4fc008afd795c92ddda243b0f640e1d4820322f66e6306b26f92c2"),
+    ("validate", "pendulum", "recbf"): (0, "d2824c13b6f9f6b3c69c8fe4976b07e980fa32a0f12b486023f71558d2e663fd"),
+    ("validate", "pendulum", "backstepping"): (0, "5f0c06909465bd5eeb98cc5f0d927a293444223b3eb67b7b339683507b8dc922"),
+    ("validate", "pendulum", "abc"): (0, "9437817999aea08d77b46ec607fa66454c837fbc8ce05f20fe8872021d31cdb8"),
+    ("validate", "bicycle", "hocbf"): (0, "ad4a9bc2d757265c730daf408c16861e6ad137d7524120b9b795261af890a009"),
+    ("validate", "bicycle", "recbf"): (0, "c6eb30c35edc2edfcb672af84e5e85c7a8fa08ccb0821c470617cc9b6eff2f01"),
+    ("validate", "bicycle", "backstepping"): (0, "d82b7803b1976d8ec2c4130816414e76fe5dfd287dd5ae95fd4540d4e8548bc2"),
+    ("validate", "bicycle", "abc"): (3, "bb255d82bd2066a2bf81c7a510726ec3062df86195a6d90e0fa143c8a3e7c694"),
+}
+
+
+@pytest.mark.parametrize("command,plant,kind", list(PUBLISHED_OUTPUTS))
+def test_published_outputs_keep_their_bytes(tmp_path, command, plant, kind):
+    out = tmp_path / "out"
+    code = main([command, "--scenario", plant, "--cbf", kind, "--out", str(out)])
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == PUBLISHED_OUTPUTS[command, plant, kind]

@@ -5,6 +5,7 @@ import pytest
 
 from cbftk.core import (
     ControlAffineSystem,
+    DomainError,
     LinearClassK,
     RelDeg2Output,
     ReQUActivation,
@@ -14,6 +15,7 @@ from cbftk.core import (
     lie_derivatives,
     lie_f,
     lie_g,
+    per_node,
 )
 
 HALF_PI_SQ = math.pi**2 / 4.0
@@ -156,3 +158,24 @@ def test_lie_derivatives_single_evaluation(pendulum):
     assert value == pytest.approx(HALF_PI_SQ - 0.64)
     assert lfh == pytest.approx(-2.0 * 0.8 * -1.3)
     assert np.array_equal(lgh, [0.0])
+
+
+def test_per_node_broadcasts_entries_and_refuses_other_shapes():
+    states = np.arange(6.0).reshape(2, 3)
+    out = per_node(lambda x: [[x[0], 1.0], [0.0, x[1] * 2.0]], states, "g", (2, 2))
+    assert out.shape == (2, 2, 3)
+    assert np.array_equal(out[0, 0], states[0]) and np.array_equal(out[0, 1], np.ones(3))
+    assert np.array_equal(out[1, 1], 2.0 * states[1])
+    for bad in (lambda x: [[x[0]], [1.0]], lambda x: [[np.ones(2), 1.0], [0.0, 0.0]], lambda x: [[float(x[0]), 1.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="g must act elementwise"):
+            per_node(bad, states, "g", (2, 2))
+
+
+def test_per_node_keeps_a_domain_error():
+    def undefined(x):
+        raise DomainError("outside", 1)
+
+    with pytest.raises(DomainError) as err:
+        per_node(undefined, np.zeros((2, 3)), "psi")
+    assert err.value.index == 1
+

@@ -1,4 +1,5 @@
-"""The compiled kernels must agree with the AD reference path."""
+"""The compiled kernels must agree with the AD reference path, and the
+batched grid scan with a per-node scalar evaluation."""
 
 import ast
 import os
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cbftk
+from cbftk import autodiff as ad
 from cbftk import kernels
 from cbftk.analysis import grid_scan
 from cbftk.cbf import ABC, CBF_KINDS, CbfInstance
@@ -86,29 +88,65 @@ def _assert_runs_match(scenario, kind, horizon):
     return fast
 
 
-def _assert_scans_match(scenario, kind, resolution):
-    """Scenario.scan equals the library grid_scan on the same inputs."""
-    scenario = replace(scenario, resolution=resolution)
-    fast = scenario.scan(kind)
-    slow = grid_scan(
-        scenario.make_cbf(kind),
-        scenario.system,
+def _kernel_scan(scenario, kind, axes):
+    """The scan kernel of a scenario: h, psi, lgh_norm, margin, s, excluded."""
+    code = KIND_CODES[kind]
+    P = scenario.kernel_params_for(kind)
+    if scenario.name == "pendulum":
+        h, psi, lgh_norm, margin, s = kernels.pend_scan(code, axes[0], axes[1], P)
+        return h, psi, lgh_norm, margin, s, np.zeros(h.size, dtype=bool)
+    theta, v = scenario.scan_slice["theta"], scenario.scan_slice["v"]
+    return kernels.bike_scan(code, axes[0], axes[1], theta, v, P)
+
+
+def _assert_kernel_scan_matches(scenario, kind, resolution):
+    """The scan kernel equals Scenario.scan, the library grid_scan, on kept nodes."""
+    scan = replace(scenario, resolution=resolution).scan(kind)
+    h, psi, lgh_norm, margin, s, excluded = _kernel_scan(scenario, kind, scan.axes)
+    assert np.array_equal(excluded, scan.excluded)
+    # the kernel reports psi at excluded nodes, the reference NaN
+    keep = ~scan.excluded
+    assert np.allclose(h[keep], scan.h[keep], atol=1e-12)
+    assert np.allclose(psi[keep], scan.psi[keep], atol=1e-12)
+    assert np.allclose(lgh_norm[keep], scan.lgh_norm[keep], atol=1e-12)
+    assert np.allclose(margin[keep], scan.margin[keep], atol=1e-11)
+    assert (scan.s is None) == (kind != ABC)
+    if kind == ABC:
+        assert np.allclose(s[keep], scan.s[keep], atol=1e-12)
+
+
+def _assert_scan_matches_per_node_oracle(scenario, kind, resolution):
+    """grid_scan equals the scalar AD evaluation of each node on its own."""
+    inst = scenario.make_cbf(kind)
+    system = scenario.system
+    scan = grid_scan(
+        inst,
+        system,
         scenario.window,
-        scenario.resolution,
+        resolution,
         state_from_axes=scenario.state_from_axes,
         alpha_outer=scenario.alpha_outer,
     )
-    assert np.array_equal(fast.x, slow.x)
-    assert np.array_equal(fast.excluded, slow.excluded)
-    # the kernel reports psi at excluded nodes, the reference NaN
-    keep = ~slow.excluded
-    assert np.allclose(fast.h[keep], slow.h[keep], atol=1e-12)
-    assert np.allclose(fast.psi[keep], slow.psi[keep], atol=1e-12)
-    assert np.allclose(fast.lgh_norm[keep], slow.lgh_norm[keep], atol=1e-12)
-    assert np.allclose(fast.margin[keep], slow.margin[keep], atol=1e-11)
-    assert (fast.s is None) == (kind != ABC) and (slow.s is None) == (kind != ABC)
-    if kind == ABC:
-        assert np.allclose(fast.s[keep], slow.s[keep], atol=1e-12)
+    assert len(scan) == resolution[0] * resolution[1]
+    assert (scan.s is None) == (kind != ABC)
+    columns = [scan.h, scan.psi, scan.lgh_norm, scan.margin] + ([scan.s] if kind == ABC else [])
+    expected = np.full((len(columns), len(scan)), np.nan)
+    for i, x in enumerate(scan.x):
+        assert scan.excluded[i] == (not scenario.output.in_extended_set(x))
+        if scan.excluded[i]:
+            continue
+        value, grad = inst.value_and_gradient(x)
+        expected[:4, i] = (
+            value,
+            inst.output.psi_of_state(x),
+            np.linalg.norm(grad @ system.g_mat(x)),
+            float(grad @ system.f_vec(x)) + scenario.alpha_outer(value),
+        )
+        if kind == ABC:
+            expected[4, i] = inst.switching(x)
+    for got, want in zip(columns, expected):
+        # the component sums run in index order, the oracle's in BLAS order
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("scenario_name", ["pendulum", "bicycle"])
@@ -124,7 +162,7 @@ def test_kernel_trajectories_match_generic_path(scenario_name, kind, pendulum, b
 def test_kernel_scan_matches_generic_path(pendulum, bicycle):
     for scenario in (pendulum, bicycle):
         for kind in CBF_KINDS:
-            _assert_scans_match(scenario, kind, (21, 21))
+            _assert_kernel_scan_matches(scenario, kind, (21, 21))
 
 
 gains = st.floats(0.2, 3.0)
@@ -167,18 +205,39 @@ bicycle_params = st.builds(
 @settings(max_examples=8, derandomize=True)
 @given(params=pendulum_params)
 def test_pendulum_kernels_match_reference_at_random_parameters(kind, params):
-    scenario = pendulum_scenario(params=params)
-    _assert_runs_match(scenario, kind, 0.2)
-    _assert_scans_match(scenario, kind, (11, 11))
+    _assert_runs_match(pendulum_scenario(params=params), kind, 0.2)
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
 @settings(max_examples=8, derandomize=True)
 @given(params=bicycle_params)
 def test_bicycle_kernels_match_reference_at_random_parameters(kind, params):
-    scenario = bicycle_scenario(params=params)
-    _assert_runs_match(scenario, kind, 0.2)
-    _assert_scans_match(scenario, kind, (11, 11))
+    _assert_runs_match(bicycle_scenario(params=params), kind, 0.2)
+
+
+# at most about three blocks; a block boundary falls inside a row unless the
+# row length divides the block size
+resolutions = st.tuples(st.integers(2, 80), st.integers(2, 80))
+# 2107 nodes: the first block ends 41 nodes into row 41
+ROW_SPLITTING = (43, 49)
+assert ad.BLOCK_NODES < ROW_SPLITTING[0] * ROW_SPLITTING[1]
+assert ad.BLOCK_NODES % ROW_SPLITTING[1]
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=6, derandomize=True)
+@given(params=pendulum_params, resolution=resolutions)
+@example(params=PendulumParams(), resolution=ROW_SPLITTING)
+def test_pendulum_grid_scan_matches_per_node_oracle(kind, params, resolution):
+    _assert_scan_matches_per_node_oracle(pendulum_scenario(params=params), kind, resolution)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=6, derandomize=True)
+@given(params=bicycle_params, resolution=resolutions)
+@example(params=BicycleParams(), resolution=ROW_SPLITTING)
+def test_bicycle_grid_scan_matches_per_node_oracle(kind, params, resolution):
+    _assert_scan_matches_per_node_oracle(bicycle_scenario(params=params), kind, resolution)
 
 
 def _imports_kernels(node) -> bool:

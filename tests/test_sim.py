@@ -222,3 +222,28 @@ def test_simulate_honours_a_modified_instance(pendulum):
     _assert_rows_follow(traj, pendulum.system, inst, spec)
     # the published instance ends at (0.8012, 0.8766)
     assert np.allclose(traj.x[-1], [0.8704, 0.8998], atol=1e-4)
+
+
+# -- the compiled scenario run refuses what it would not read --------------------
+
+
+def test_scenario_simulate_refuses_a_replaced_alpha_outer(pendulum):
+    scenario = dataclasses.replace(pendulum, alpha_outer=LinearClassK(3.0))
+    # the kernel would silently end at (0.7368, 0.7854), the reference at (0.9158, 0.9881)
+    with pytest.raises(ValueError, match="alpha_outer"):
+        scenario.simulate(ABC, horizon=1.0)
+    traj = simulate(scenario.system, scenario.make_cbf(ABC), scenario.filter_spec(), scenario.x0, 1.0, 1e-3)
+    assert np.allclose(traj.x[-1], [0.9158, 0.9881], atol=1e-4)
+
+
+def test_scenario_simulate_refuses_a_replaced_gamma(pendulum, bicycle):
+    with pytest.raises(ValueError, match="gamma"):
+        dataclasses.replace(pendulum, gamma=np.array([2.0])).simulate(ABC, horizon=0.01)
+    with pytest.raises(ValueError, match="gamma"):
+        dataclasses.replace(bicycle, gamma=np.array([1.0, 1.0])).simulate(ABC, horizon=0.01)
+
+
+def test_scenario_simulate_accepts_what_params_give():
+    scenario = pendulum_scenario(params=PendulumParams(gamma=2.0, alpha_outer_c=3.0))
+    replaced = dataclasses.replace(scenario, gamma=[2], alpha_outer=LinearClassK(3.0))
+    assert np.array_equal(replaced.simulate(ABC, horizon=0.1).x, scenario.simulate(ABC, horizon=0.1).x)
