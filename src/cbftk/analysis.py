@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .cbf import ABC, HOCBF, CbfInstance
-from .core import ControlAffineSystem, directional, naming_states, per_node
+from .core import ControlAffineSystem, directional, first_failure, per_node
 
 __all__ = [
     "SINGULAR_TOL",
@@ -145,7 +145,9 @@ def grid_scan(
     arrays.  The system's ``f``/``g`` and the output's callables must
     therefore act elementwise on per-component arrays (see
     :class:`cbftk.core.ControlAffineSystem`); one that does not is refused
-    with a ValueError.  An error at a node names its state.
+    with a ValueError where :func:`cbftk.core.per_node` can tell.  An error
+    at a node is the one the first failing node of its block raises alone,
+    naming its state (:func:`cbftk.core.first_failure`).
     """
     axes = _grid_axes(window, resolution)
     if state_from_axes is None:
@@ -160,19 +162,23 @@ def grid_scan(
     lgh_norm = np.full(count, np.nan)
     margin = np.full(count, np.nan)
     s = np.full(count, np.nan) if instance.kind == ABC else None
+
+    def evaluate(xs):
+        value, hgrad = ad.value_and_grad(instance.value, xs)
+        lfh = directional(hgrad, system.f_batch(xs))
+        lgh = directional(hgrad, system.g_batch(xs))
+        psi = per_node(instance.output.psi_of_state, xs, "psi")
+        switching = None if s is None else per_node(instance.switching, xs, "switching")
+        return value, lfh, lgh, psi, switching
+
     for block in ad.blocks(count):
         kept = block.start + np.flatnonzero(~excluded[block])
         if kept.size == 0:
             continue
-        xs = nodes[kept].T
-        with naming_states(xs):
-            value, hgrad = ad.value_and_grad(instance.value, xs)
-            lfh = directional(hgrad, system.f_batch(xs))
-            lgh = directional(hgrad, system.g_batch(xs))
-            h[kept] = value
-            psi[kept] = per_node(instance.output.psi_of_state, xs, "psi")
-            if s is not None:
-                s[kept] = per_node(instance.switching, xs, "switching")
+        value, lfh, lgh, psi[kept], switching = first_failure(evaluate, nodes[kept].T)
+        h[kept] = value
+        if s is not None:
+            s[kept] = switching
         lgh_norm[kept] = np.sqrt(directional(lgh, lgh))
         margin[kept] = lfh + alpha(value)
     return GridScan(

@@ -13,8 +13,10 @@ Walther, *Evaluating Derivatives*); the partials then have shape (n,) or
 differ: on a float they branch, on a batch they select elementwise through
 :func:`where`.  A branch that could raise is evaluated on a safe substitute
 where it is masked out, so only an element that would raise on its own
-raises, with the same :class:`EvaluationError`; ``index`` names the first
-such element.
+raises, with the same :class:`EvaluationError`.  A batch raises at the
+first primitive that fails for any element; ``index`` names the first
+element failing there, which need not be the first element that fails at
+all (see :func:`cbftk.core.first_failure`).
 
 State dimensions here are tiny (n <= 4), so every dual number carries the
 full partials vector.  All helpers accept plain floats and arrays as well,
@@ -59,15 +61,15 @@ class EvaluationError(ArithmeticError):
     """A primitive could not be evaluated (e.g. 1/0 or sqrt of a negative).
 
     ``primitive`` names the offending operation; ``index`` is the first
-    offending element of a batch, and None for a single state.
+    element of a batch that fails at it, and None for a single state.
+    ``reason`` is the message without the batch element.
     """
 
     def __init__(self, primitive: str, message: str, index=None):
-        if index is not None:
-            message = f"{message} (batch element {index})"
-        super().__init__(f"{primitive}: {message}")
         self.primitive = primitive
         self.index = index
+        self.reason = f"{primitive}: {message}"
+        super().__init__(self.reason if index is None else f"{self.reason} (batch element {index})")
 
 
 def _as_float(x):
@@ -159,9 +161,7 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            zero = other.value == 0.0
-            if zero is not False:
-                _refuse(zero, "divide", "division by a zero-valued operand")
+            _refuse(other.value == 0.0, "divide", "division by a zero-valued operand")
             inv = 1.0 / other.value
             return Dual(
                 self.value * inv,
@@ -170,18 +170,14 @@ class Dual:
         c = _as_float(other)
         if c is None:
             return NotImplemented
-        zero = c == 0.0
-        if zero is not False:
-            _refuse(zero, "divide", "division by zero")
+        _refuse(c == 0.0, "divide", "division by zero")
         return Dual(self.value / c, self.partials / c)
 
     def __rtruediv__(self, other):
         c = _as_float(other)
         if c is None:
             return NotImplemented
-        zero = self.value == 0.0
-        if zero is not False:
-            _refuse(zero, "divide", "division by a zero-valued operand")
+        _refuse(self.value == 0.0, "divide", "division by a zero-valued operand")
         inv = 1.0 / self.value
         return Dual(c * inv, -c * inv * inv * self.partials)
 
@@ -303,9 +299,7 @@ def _sqrt_failure(value) -> str:
 def sqrt(x):
     if isinstance(x, Dual):
         v = x.value
-        bad = v <= 0.0
-        if bad is not False:
-            _refuse(bad, "sqrt", _sqrt_failure, v)
+        _refuse(v <= 0.0, "sqrt", _sqrt_failure, v)
         root = np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
         return Dual(root, x.partials / (2.0 * root))
     _refuse(x < 0.0, "sqrt", _sqrt_failure, x)
@@ -324,13 +318,11 @@ def requ(x):
     """Rectified quadratic unit: x^2 for x > 0, else 0."""
     if not isinstance(x, Dual):
         return where(x > 0.0, x * x, 0.0)
-    positive = x.value > 0.0
-    if positive is True:
-        return Dual(x.value * x.value, 2.0 * x.value * x.partials)
-    zero = Dual(0.0, 0.0 * x.partials)
-    if positive is False:
-        return zero
-    return where(positive, Dual(x.value * x.value, 2.0 * x.value * x.partials), zero)
+    return where(
+        x.value > 0.0,
+        Dual(x.value * x.value, 2.0 * x.value * x.partials),
+        Dual(0.0, 0.0 * x.partials),
+    )
 
 
 def requ_prime(x):

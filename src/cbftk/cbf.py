@@ -32,7 +32,7 @@ from .core import (
     RelDeg2Output,
     ReQUActivation,
     directional,
-    naming_states,
+    first_failure,
     per_node,
 )
 from .safety_filter import VirtualController
@@ -92,7 +92,7 @@ class CbfInstance:
             return
         outside = ~self.output.in_extended_set_batch(xv)
         if outside.any():
-            raise DomainError(f"state {xv[:, np.argmax(outside)]} is outside the extended set")
+            raise DomainError("state is outside the extended set", int(np.argmax(outside)))
 
     def residual(self, x):
         """r = psi_dot + alpha(psi); the high-order construction's value."""
@@ -206,12 +206,16 @@ def recbf_validity_condition(
     out = instance.output
     witnesses = []
     states = np.atleast_2d(np.asarray(states, dtype=float))
+
+    def evaluate(xs):
+        # the residual only where the coupling vanishes
+        coupling = directional(ad.grad(out.psi_dot, xs), system.g_batch(xs))
+        uncoupled = np.flatnonzero(np.max(np.abs(coupling), axis=0) < coupling_tol)
+        return uncoupled, per_node(instance.residual, xs[:, uncoupled], "residual")
+
     for block in ad.blocks(len(states)):
-        xs = states[block].T
-        with naming_states(xs):
-            coupling = directional(ad.grad(out.psi_dot, xs), system.g_batch(xs))
-            r = per_node(instance.residual, xs, "residual")
-        uncoupled = np.max(np.abs(coupling), axis=0) < coupling_tol
-        for i in np.flatnonzero(uncoupled & (r < instance.epsilon)):
-            witnesses.append((states[block.start + i].copy(), float(r[i])))
+        uncoupled, r = first_failure(evaluate, states[block].T)
+        for i, ri in zip(uncoupled, r):
+            if ri < instance.epsilon:
+                witnesses.append((states[block.start + i].copy(), float(ri)))
     return ValidityConditionReport(instance.epsilon, len(states), witnesses)

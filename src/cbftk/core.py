@@ -9,7 +9,7 @@ scenario-declared state sets.
 
 from __future__ import annotations
 
-import contextlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,7 +23,7 @@ __all__ = [
     "ControlAffineSystem",
     "RelDeg2Output",
     "DomainError",
-    "naming_states",
+    "first_failure",
     "per_node",
     "directional",
     "lie_f",
@@ -40,59 +40,88 @@ class DomainError(ValueError):
     """A state (or output point) lies outside the declared domain.
 
     ``index`` is the first offending element of a batch, and None for a
-    single state.
+    single state; ``reason`` is the message without the batch element.
     """
 
     def __init__(self, message: str, index=None):
-        if index is not None:
-            message = f"{message} (batch element {index})"
-        super().__init__(message)
         self.index = index
+        self.reason = message
+        super().__init__(message if index is None else f"{message} (batch element {index})")
 
 
-@contextlib.contextmanager
-def naming_states(states):
-    """Name the state a batched error points at, keeping the error's type.
+def first_failure(evaluate, states):
+    """``evaluate(states)``; an error names the first state that fails alone.
 
-    ``states`` holds one state per column; a :class:`DomainError` or
-    :class:`cbftk.autodiff.EvaluationError` raised inside with an ``index``
-    gets that column appended to its message.
+    ``states`` holds one state per column.  A batch raises at the first
+    primitive that fails for any of its states, which need not be the first
+    state that fails, nor fail the same way.  So on a :class:`DomainError`
+    or :class:`cbftk.autodiff.EvaluationError` the states are evaluated
+    again one at a time, in order, and the first that fails raises the
+    error it raises alone, with ``index`` its column and its state named.
     """
     try:
-        yield
+        return evaluate(states)
     except (DomainError, ad.EvaluationError) as exc:
-        if exc.index is not None:
-            exc.args = (f"{exc.args[0]} at state {states[:, exc.index]}", *exc.args[1:])
-        raise
+        failure = exc
+    for i in range(states.shape[1]):
+        try:
+            evaluate(states[:, i : i + 1])
+        except (DomainError, ad.EvaluationError) as exc:
+            exc.index = i
+            exc.args = (f"{exc.reason} at state {states[:, i]}",)
+            raise
+    raise failure
 
 
 def per_node(func, states, name, shape=(), dtype=float) -> np.ndarray:
     """``func(states)`` as an array of shape ``shape + (N,)``.
 
     ``states`` holds N states, one per column, so that ``states[i]`` is the
-    array of component i; ``name`` names ``func`` in errors.  ``func`` returns a nested sequence of ``shape``
-    whose entries are floats or arrays over the N states; a result that
-    cannot be broadcast to that shape is refused with a ValueError, as is a
-    ``func`` that cannot take component arrays at all.
+    array of component i; ``name`` names ``func`` in errors.  ``func``
+    returns a nested sequence of ``shape`` whose entries are arrays over
+    the N states, or single values that count for every state.  A result
+    that cannot be broadcast to that shape is refused with a ValueError, as
+    is a ``func`` that cannot take component arrays at all.  A single numpy
+    value may come from a reduction over the batch (``np.all``, ``np.sum``,
+    a norm), so it is checked against ``func`` on the first, middle and
+    last state alone, and refused where they differ; a plain Python number
+    is taken as a constant.
     """
     count = states.shape[1]
     out = np.empty((*shape, count), dtype=dtype)
+    spread = []
     try:
         entries = [func(states)]
         for _ in shape:
             entries = [item for entry in entries for item in entry]
-        if len(entries) != out[..., 0].size:
-            raise ValueError(f"{len(entries)} entries where {out[..., 0].size} were expected")
+        if len(entries) != math.prod(shape):
+            raise ValueError(f"{len(entries)} entries where {math.prod(shape)} were expected")
         for index, entry in zip(np.ndindex(*shape), entries):
             out[index] = entry
+            if isinstance(entry, (np.generic, np.ndarray)) and np.ndim(entry) == 0:
+                spread.append(index)
     except DomainError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{name} must act elementwise on per-component arrays and give shape "
-            f"{shape} for a batch of {count} states: {exc}"
-        ) from exc
+        raise _not_elementwise(name, shape, count, exc) from exc
+    if spread and count > 1:
+        for i in (0, count // 2, count - 1):
+            alone = np.asarray(func(states[:, i]), dtype=dtype).reshape(shape)
+            for index in spread:
+                if not np.array_equal(alone[index], out[index][i], equal_nan=True):
+                    raise _not_elementwise(
+                        name, shape, count,
+                        f"one value {out[index][i]} for the batch, but {alone[index]} "
+                        f"for state {states[:, i]} alone",
+                    )
     return out
+
+
+def _not_elementwise(name, shape, count, reason) -> ValueError:
+    return ValueError(
+        f"{name} must act elementwise on per-component arrays and give shape "
+        f"{shape} for a batch of {count} states: {reason}"
+    )
 
 
 def directional(grad, field) -> np.ndarray:

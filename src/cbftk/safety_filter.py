@@ -59,10 +59,6 @@ def lambda_half_sontag(a, b, sigma: float):
     if not sigma > 0.0:
         raise ValueError(f"half-Sontag smoothing sigma must be positive, got {sigma}")
     zero = ad.scalar(b) == 0.0
-    if zero is False:
-        return (-a + ad.sqrt(a * a + sigma * (b * b))) / (2.0 * b)
-    if zero is True:
-        return 0.0 * b if isinstance(b, ad.Dual) else 0.0
     safe = ad.where(zero, 1.0, b)
     return ad.where(zero, 0.0 * b, (-a + ad.sqrt(a * a + sigma * (safe * safe))) / (2.0 * safe))
 
@@ -171,7 +167,7 @@ class SmoothFilter(VirtualController):
             bb = bb + b[i] * b[i]
         a = a + self.alpha_hat(self.psi(y))
         singular = (ad.scalar(bb) < 1e-20) & (ad.scalar(a) < 0.0)
-        if singular is not False and ad.failed(singular):
+        if ad.failed(singular):
             raise DomainError(
                 "virtual controller is undefined at a constrained singular point "
                 "(psi_grad = 0 with negative margin; e.g. the obstacle center)",

@@ -262,6 +262,31 @@ def test_grid_scan_refuses_an_extended_set_that_does_not_act_elementwise(pendulu
         grid_scan(inst, pendulum.system, pendulum.window, (5, 5))
 
 
+def test_grid_scan_refuses_reductions_over_the_batch(pendulum, bicycle):
+    # np.all and a norm over the batch give one value for every node
+    inst = pendulum.make_cbf(HOCBF)
+    for predicate in (lambda x: np.all(np.abs(x) < 1.0), lambda x: np.linalg.norm(x[:2]) > 1.0):
+        output = dataclasses.replace(pendulum.output, in_extended_set=predicate)
+        with pytest.raises(ValueError, match="in_extended_set must act elementwise"):
+            grid_scan(dataclasses.replace(inst, output=output), pendulum.system, pendulum.window, (5, 5))
+    summed = ControlAffineSystem(n=2, m=1, f=lambda x: [x[1], np.sum(ad.sin(x[0]))], g=lambda x: [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="f must act elementwise"):
+        grid_scan(inst, summed, pendulum.window, (5, 5))
+    p = bicycle.params
+    output = dataclasses.replace(
+        bicycle.output,
+        in_extended_set=lambda x: np.linalg.norm([x[0] - p.obstacle_xi, x[1] - p.obstacle_eta]) > 1e-9,
+    )
+    with pytest.raises(ValueError, match="in_extended_set must act elementwise"):
+        grid_scan(
+            dataclasses.replace(bicycle.make_cbf(ABC), output=output),
+            bicycle.system,
+            ((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0)),
+            (3, 3),
+            state_from_axes=bicycle.state_from_axes,
+        )
+
+
 def test_grid_scan_error_names_the_first_offending_state(pendulum):
     # h = sqrt(phi) - 1 is undefined for phi < 0 and at phi = 0
     output = dataclasses.replace(pendulum.output, psi=lambda y: ad.sqrt(y[0]) - 1.0)
@@ -275,6 +300,28 @@ def test_grid_scan_error_names_the_first_offending_state(pendulum):
     # the same node raises the same error type on the scalar path
     with pytest.raises(ad.EvaluationError):
         inst.value_and_gradient(np.array([-1.0, 0.0]))
+
+
+def test_grid_scan_raises_the_first_failing_node_not_the_first_failing_primitive(pendulum):
+    # phi = 0 fails at the divide in psi, phi = 1 at the sqrt in psi_grad,
+    # which the batch evaluates first; the scalar path met phi = 0 first
+    output = dataclasses.replace(
+        pendulum.output,
+        psi=lambda y: 1.0 / y[0],
+        psi_grad=lambda y: [ad.sqrt(0.5 - y[0])],
+    )
+    inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=output)
+    window = ((-1.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ad.EvaluationError) as batch:
+        inst.value_and_gradient(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert (batch.value.primitive, batch.value.index) == ("sqrt", 2)
+    with pytest.raises(ad.EvaluationError) as err:
+        grid_scan(inst, pendulum.system, window, (3, 2))
+    assert (err.value.primitive, err.value.index) == ("divide", 2)
+    assert str(err.value) == f"divide: division by a zero-valued operand at state {np.array([0.0, 0.0])}"
+    with pytest.raises(ad.EvaluationError) as alone:
+        inst.value_and_gradient(np.array([0.0, 0.0]))
+    assert alone.value.primitive == "divide"
 
 
 def test_grid_scan_names_a_kept_singular_state(bicycle):

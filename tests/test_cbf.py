@@ -260,6 +260,10 @@ def test_domain_error_outside_extended_set(bicycle):
     center = [bicycle.params.obstacle_xi, bicycle.params.obstacle_eta, 0.0, 1.0]
     with pytest.raises(DomainError):
         inst.value(center)
+    batch = np.array([[10.0, 0.0, 0.0, 1.0], center, center]).T
+    with pytest.raises(DomainError) as err:
+        inst.value(batch)
+    assert err.value.index == 1
 
 
 def _validity_oracle(instance, system, states, coupling_tol=1e-8):

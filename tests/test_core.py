@@ -171,6 +171,20 @@ def test_per_node_broadcasts_entries_and_refuses_other_shapes():
             per_node(bad, states, "g", (2, 2))
 
 
+def test_per_node_refuses_one_value_that_differs_from_single_states():
+    states = np.array([[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="in_extended_set must act elementwise.*for state"):
+        per_node(lambda x: np.all(np.abs(x) < 1.0), states, "in_extended_set", dtype=bool)
+    with pytest.raises(ValueError, match="f must act elementwise"):
+        per_node(lambda x: [x[1], np.sum(x[0])], states, "f", (2,))
+    # constants, NaN included, count for every state
+    for constant in (np.nan, np.float64(np.nan)):
+        out = per_node(lambda x: [x[1], constant], states, "f", (2,))
+        assert np.isnan(out[1]).all()
+    assert np.array_equal(per_node(lambda x: [x[1], np.float64(2.0)], states, "f", (2,))[1], [2.0] * 3)
+    assert per_node(lambda x: True, states, "in_extended_set", dtype=bool).all()
+
+
 def test_per_node_keeps_a_domain_error():
     def undefined(x):
         raise DomainError("outside", 1)
