@@ -22,12 +22,21 @@ State dimensions here are tiny (n <= 4), so every dual number carries the
 full partials vector.  All helpers accept plain floats and arrays as well,
 which lets the same field definitions be evaluated with or without
 derivatives.
+
+For one state, :class:`Generated` runs this Dual code once on symbolic
+floats (:class:`Sym`) and emits the float operations it records, in
+evaluation order, as one straight-line Python function: forward-mode AD by
+source transformation (Griewank & Walther; the trace-once approach of
+Tapenade and of JAX's jaxprs).  The generated code makes the same float
+operations as the Dual path, so it gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,6 +44,9 @@ __all__ = [
     "BLOCK_NODES",
     "Dual",
     "EvaluationError",
+    "Generated",
+    "Sym",
+    "Untraceable",
     "blocks",
     "failed",
     "first",
@@ -81,9 +93,15 @@ def _as_float(x):
 
 
 def failed(bad) -> bool:
-    """Whether a check fails: ``bad`` is a bool, or a mask over a batch."""
+    """Whether a check fails: ``bad`` is a bool, or a mask over a batch.
+
+    In a trace the check becomes a guard of the generated code and passes.
+    """
     if isinstance(bad, np.ndarray):
         return bool(bad.any())
+    if bad.__class__ is Sym:
+        bad.trace.guard(bad.name, "check")
+        return False
     return bool(bad)
 
 
@@ -96,8 +114,12 @@ def _refuse(bad, primitive, message, values=None):
     """Raise EvaluationError where the check ``bad`` fails.
 
     ``message`` is a string, or a callable of the offending element of
-    ``values``; a batch error names that element's index.
+    ``values``; a batch error names that element's index.  In a trace the
+    check becomes a guard named after ``primitive``.
     """
+    if bad.__class__ is Sym:
+        bad.trace.guard(bad.name, primitive)
+        return
     if not failed(bad):
         return
     index = first(bad)
@@ -116,9 +138,13 @@ class Dual:
     __array_ufunc__ = None
 
     def __init__(self, value, partials):
-        # the class tests keep the float path as cheap as a bare float()
-        self.value = value if value.__class__ is float or value.__class__ is np.ndarray else float(value)
-        self.partials = np.asarray(partials, dtype=float)
+        # the class tests keep the float path as cheap as a bare float();
+        # a traced Dual keeps its Sym value and object array of partials
+        cls = value.__class__
+        self.value = value if cls is float or cls is np.ndarray or cls is Sym else float(value)
+        if getattr(partials, "dtype", None) is not _OBJECT:
+            partials = np.asarray(partials, dtype=float)
+        self.partials = partials
 
     # -- arithmetic ----------------------------------------------------
 
@@ -258,7 +284,10 @@ def where(mask, a, b):
     either operand is a Dual, elementwise; a float or array operand counts
     as a constant.  Both operands of a batch select are already evaluated,
     so a branch that could raise must be built on a safe substitute first.
+    A traced mask selects in the generated code (:meth:`Sym.select`).
     """
+    if mask.__class__ is Sym:
+        return mask.select(a, b)
     if not isinstance(mask, np.ndarray):
         return a if mask else b
     value = np.where(mask, scalar(a), scalar(b))
@@ -272,22 +301,25 @@ def where(mask, a, b):
 # -- smooth primitives ----------------------------------------------------
 
 
+def _lib(v):
+    """The sin/cos/sqrt for a value: numpy on a batch, the trace on a Sym."""
+    if isinstance(v, np.ndarray):
+        return np
+    return _TRACED_MATH if v.__class__ is Sym else math
+
+
 def sin(x):
     if isinstance(x, Dual):
-        v = x.value
-        if isinstance(v, np.ndarray):
-            return Dual(np.sin(v), np.cos(v) * x.partials)
-        return Dual(math.sin(v), math.cos(v) * x.partials)
-    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+        lib = _lib(x.value)
+        return Dual(lib.sin(x.value), lib.cos(x.value) * x.partials)
+    return _lib(x).sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        v = x.value
-        if isinstance(v, np.ndarray):
-            return Dual(np.cos(v), -np.sin(v) * x.partials)
-        return Dual(math.cos(v), -math.sin(v) * x.partials)
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+        lib = _lib(x.value)
+        return Dual(lib.cos(x.value), -lib.sin(x.value) * x.partials)
+    return _lib(x).cos(x)
 
 
 def _sqrt_failure(value) -> str:
@@ -300,10 +332,10 @@ def sqrt(x):
     if isinstance(x, Dual):
         v = x.value
         _refuse(v <= 0.0, "sqrt", _sqrt_failure, v)
-        root = np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+        root = _lib(v).sqrt(v)
         return Dual(root, x.partials / (2.0 * root))
     _refuse(x < 0.0, "sqrt", _sqrt_failure, x)
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    return _lib(x).sqrt(x)
 
 
 # -- rectifiers ------------------------------------------------------------
@@ -389,3 +421,183 @@ def blocks(count: int):
     """Slices of ``range(count)`` of at most :data:`BLOCK_NODES` elements, in order."""
     for start in range(0, count, BLOCK_NODES):
         yield slice(start, min(start + BLOCK_NODES, count))
+
+
+# -- tracing one state into straight-line code --------------------------------
+
+_OBJECT = np.dtype(object)
+
+
+class Untraceable(TypeError):
+    """A traced field needed the number behind a traced value."""
+
+
+class Sym:
+    """A float of a traced field: a variable of the generated code.
+
+    Each operation with a float or another Sym appends one line to the
+    trace.  Only identities that hold bit for bit in IEEE 754 are folded
+    (``x * 1.0``, ``1.0 * x``, ``x - 0.0``); ``0.0 * x`` and ``x + 0.0`` are
+    not, since they change NaN, infinity or the sign of a zero.
+    """
+
+    __slots__ = ("trace", "name")
+
+    def __init__(self, trace, name):
+        self.trace = trace
+        self.name = name
+
+    def _op(self, other, op, reflected=False):
+        if other.__class__ is not Sym:
+            if not isinstance(other, numbers.Real):
+                return NotImplemented
+            other = float(other)
+            if op == "*" and other == 1.0:
+                return self
+            if op == "-" and not reflected and other == 0.0 and math.copysign(1.0, other) > 0.0:
+                return self
+        a, b = self.name, self.trace.text(other)
+        return self.trace.emit(f"{b} {op} {a}" if reflected else f"{a} {op} {b}")
+
+    def _logic(self, other, op):
+        if other.__class__ is Sym:
+            return self.trace.emit(f"{self.name} {op} {other.name}")
+        if not isinstance(other, (bool, np.bool_)):
+            return NotImplemented
+        # x & True and x | False are x; x & False and x | True are constant
+        return self if bool(other) == (op == "&") else bool(other)
+
+    def __neg__(self):
+        return self.trace.emit(f"-{self.name}")
+
+    def __bool__(self):
+        raise Untraceable("a Python if, and, or or not on a traced value")
+
+    def __float__(self):
+        raise Untraceable("float(), math.* or np.* on a traced value")
+
+    __hash__ = None
+
+    def select(self, a, b):
+        """``a`` where this traced mask holds, else ``b`` (see :func:`where`).
+
+        On one state the Dual path returns either operand as it is, so a Dual
+        and a plain value cannot share one variable of the generated code:
+        the Dual side is traced, and a guard leaves the states that take the
+        other side to the Dual path.
+        """
+        a_dual, b_dual = isinstance(a, Dual), isinstance(b, Dual)
+        if a_dual and b_dual:
+            pick = np.frompyfunc(self._pick, 2, 1)
+            return Dual(self._pick(a.value, b.value), pick(a.partials, b.partials))
+        if a_dual or b_dual:
+            self.trace.guard(self.name if b_dual else f"not {self.name}", "where")
+            return a if a_dual else b
+        return self._pick(a, b)
+
+    def _pick(self, a, b):
+        if a is b or a.__class__ is float and b.__class__ is float and a.hex() == b.hex() and a == b:
+            return a
+        text = self.trace.text
+        return self.trace.emit(f"{text(a)} if {self.name} else {text(b)}")
+
+
+for _name, _op in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("pow", "**")):
+    setattr(Sym, f"__{_name}__", lambda self, other, op=_op: self._op(other, op))
+    setattr(Sym, f"__r{_name}__", lambda self, other, op=_op: self._op(other, op, True))
+for _name, _op in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="), ("ne", "!=")):
+    setattr(Sym, f"__{_name}__", lambda self, other, op=_op: self._op(other, op))
+for _name, _op in (("and", "&"), ("or", "|")):
+    setattr(Sym, f"__{_name}__", lambda self, other, op=_op: self._logic(other, op))
+    setattr(Sym, f"__r{_name}__", lambda self, other, op=_op: self._logic(other, op))
+
+_TRACED_MATH = SimpleNamespace(
+    **{name: (lambda v, name=name: v.trace.emit(f"{name}({v.name})")) for name in ("sin", "cos", "sqrt")}
+)
+
+
+class _Trace:
+    """Lines of a generated function; a repeated operation is emitted once."""
+
+    def __init__(self):
+        self.lines = []
+        self.syms = {}
+        self.constants = {}
+
+    def emit(self, expression) -> Sym:
+        sym = self.syms.get(expression)
+        if sym is None:
+            sym = self.syms[expression] = Sym(self, f"t{len(self.syms)}")
+            self.lines.append(f"{sym.name} = {expression}")
+        return sym
+
+    def guard(self, condition, label):
+        self.lines.append(f"if {condition}: return {label!r}")
+
+    def text(self, value) -> str:
+        if value.__class__ is Sym:
+            return value.name
+        if isinstance(value, (bool, np.bool_)):
+            return repr(bool(value))
+        value = float(value)
+        if not math.isfinite(value):
+            name = f"k{len(self.constants)}"
+            self.constants[name] = value
+            return name
+        return f"({value!r})" if math.copysign(1.0, value) < 0.0 else repr(value)
+
+
+class Generated:
+    """``value_and_grad(field, x)`` at one state of ``n`` components, as
+    straight-line code traced once from the Dual path.
+
+    ``field`` runs on Duals whose values are :class:`Sym` and whose partials
+    are object arrays of Syms and floats, so the recorded operations are the
+    Dual path's by construction.  Each :func:`where` becomes a conditional
+    expression of two evaluated branches, and each refused or failed check a
+    guard.  Calling returns ``(value, gradient)``, or a string saying why
+    this state must be evaluated on the Dual path: a guard fired, the code
+    raised, or ``field`` could not be traced, which ``reason`` then says
+    (a ``float()``, ``math.*`` or ``np.*`` call or a Python ``if`` on a
+    traced value, for example).
+    """
+
+    def __init__(self, field, n: int):
+        self.reason = None
+        self.source = None
+        try:
+            self._run = self._compile(field, n)
+        except Exception as exc:  # anything the trace cannot follow stays on the Dual path
+            import traceback  # only here, to keep it out of the import time
+
+            self._run = None
+            self.reason = f"not traced, {type(exc).__name__}: {exc}"
+            frames = [f for f in traceback.extract_tb(exc.__traceback__) if f.filename != __file__]
+            if frames:
+                f = frames[-1]
+                self.reason += f" in {os.path.basename(f.filename)}:{f.lineno}: {f.line}"
+
+    def _compile(self, field, n):
+        trace = _Trace()
+        args = [f"x{i}" for i in range(n)]
+        unit = np.eye(n).astype(object)
+        out = field([Dual(Sym(trace, a), unit[i]) for i, a in enumerate(args)])
+        value, partials = (out.value, out.partials) if isinstance(out, Dual) else (out, np.zeros(n))
+        if np.shape(partials) != (n,):
+            raise Untraceable(f"gradient of shape {np.shape(partials)} for {n} components")
+        gradient = "".join(f"{trace.text(p)}, " for p in partials)
+        lines = [*trace.lines, f"return {trace.text(value)}, array(({gradient}))"]
+        self.source = f"def generated({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
+        namespace = {"array": np.array, **{f: getattr(math, f) for f in ("sin", "cos", "sqrt")}}
+        namespace.update(trace.constants)
+        exec(compile(self.source, "<generated value and gradient>", "exec"), namespace)
+        return namespace["generated"]
+
+    def __call__(self, x):
+        if self._run is None:
+            return self.reason
+        try:
+            out = self._run(*x.tolist())
+        except Exception as exc:  # the Dual path gives the reference answer or error
+            return f"generated code raised {type(exc).__name__}: {exc} at state {x}"
+        return f"{out} guard fired at state {x}" if out.__class__ is str else out

@@ -93,6 +93,11 @@ def safety_filter(spec: SafetyFilterSpec, instance, system, x) -> np.ndarray:
 
     Returns k_d(x) unchanged when L_g h(x) = 0 or (exact multiplier)
     when the desired controller already satisfies the barrier inequality.
+    h and its gradient come from ``instance.value_and_gradient``: the
+    instance's generated straight-line code, or the Dual path for a state
+    that code leaves to it, with the same bits.  The three ``@`` reductions
+    stay in numpy, which computes a length-2 or length-4 dot product with a
+    fused multiply-add that Python 3.11 floats cannot reproduce.
     """
     x = np.asarray(x, dtype=float)
     if not instance.output.in_extended_set(x):

@@ -50,7 +50,11 @@ class Trajectory:
 
     ``s`` is populated for the activated backstepping construction and
     ``None`` otherwise.  ``exit_reason`` is ``"completed"`` for a full run
-    and names the truncation cause otherwise.
+    and names the truncation cause otherwise.  ``evaluation`` says how h
+    and its gradient were evaluated: ``"generated"`` when every state ran
+    the instance's traced code, ``"dual: <reason>"`` with the reason of the
+    first state that fell back to the Dual path, and ``"kernel"`` for a
+    run of :meth:`cbftk.systems.Scenario.simulate`.
     """
 
     dt: float
@@ -61,6 +65,7 @@ class Trajectory:
     psi: np.ndarray
     s: Optional[np.ndarray]
     exit_reason: str = "completed"
+    evaluation: str = "generated"
 
     @property
     def blew_up(self) -> bool:
@@ -116,10 +121,13 @@ def simulate(
     """Closed-loop run of the safety-filtered system from ``x0``.
 
     Every argument is honoured: the controller is ``safety_filter(spec,
-    instance, system, x)`` on the AD reference path.  For the published
-    constructions of a built-in scenario,
-    :meth:`cbftk.systems.Scenario.simulate` gives the same run on the
-    compiled kernels.
+    instance, system, x)``.  Its h and gradient come from the instance's
+    generated straight-line code, or from the Dual path for a state the
+    code leaves to it (see :meth:`cbftk.cbf.CbfInstance.value_and_gradient`);
+    both give the same bits, and ``evaluation`` of the result says which
+    ran.  For the published constructions of a built-in scenario,
+    :meth:`cbftk.systems.Scenario.simulate` gives the run on the scalar
+    kernels.
     """
     x0 = np.asarray(x0, dtype=float)
     n_steps = _n_steps(horizon, dt)
@@ -139,43 +147,44 @@ def simulate(
     x = x0.copy()
     rows = 0
     exit_reason = "completed"
-    for k in range(n_steps + 1):
-        if not np.all(np.isfinite(x)):
-            exit_reason = "non_finite"
-            break
-        if not instance.output.in_extended_set(x):
-            exit_reason = "left_domain"
-            break
-        u = safety_filter(spec, instance, system, x)
-        xs[k] = x
-        us[k] = u
-        hs[k] = instance.value(x)
-        psis[k] = instance.output.psi_of_state(x)
-        if want_s:
-            ss[k] = instance.switching(x)
-        rows = k + 1
-        if not np.all(np.isfinite(u)):
-            exit_reason = "non_finite"
-            break
-        if np.max(np.abs(u)) > blow_up_threshold:
-            exit_reason = "blow_up"
-            break
-        if k == n_steps:
-            break
-        # stage 1 reuses the logged input; later stages re-evaluate the
-        # controller, mirroring the compiled kernels exactly
-        try:
-            k1 = system.f_vec(x) + system.g_mat(x) @ u
-            k2 = controlled_derivative(x + 0.5 * dt * k1)
-            k3 = controlled_derivative(x + 0.5 * dt * k2)
-            k4 = controlled_derivative(x + dt * k3)
-        except DomainError:
-            exit_reason = "left_domain"
-            break
-        except EvaluationError:
-            exit_reason = "non_finite"
-            break
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with instance.fallback_report() as fallback:
+        for k in range(n_steps + 1):
+            if not np.all(np.isfinite(x)):
+                exit_reason = "non_finite"
+                break
+            if not instance.output.in_extended_set(x):
+                exit_reason = "left_domain"
+                break
+            u = safety_filter(spec, instance, system, x)
+            xs[k] = x
+            us[k] = u
+            hs[k] = instance.value(x)
+            psis[k] = instance.output.psi_of_state(x)
+            if want_s:
+                ss[k] = instance.switching(x)
+            rows = k + 1
+            if not np.all(np.isfinite(u)):
+                exit_reason = "non_finite"
+                break
+            if np.max(np.abs(u)) > blow_up_threshold:
+                exit_reason = "blow_up"
+                break
+            if k == n_steps:
+                break
+            # stage 1 reuses the logged input; later stages re-evaluate the
+            # controller, mirroring the compiled kernels exactly
+            try:
+                k1 = system.f_vec(x) + system.g_mat(x) @ u
+                k2 = controlled_derivative(x + 0.5 * dt * k1)
+                k3 = controlled_derivative(x + 0.5 * dt * k2)
+                k4 = controlled_derivative(x + dt * k3)
+            except DomainError:
+                exit_reason = "left_domain"
+                break
+            except EvaluationError:
+                exit_reason = "non_finite"
+                break
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     t = dt * np.arange(rows)
     return Trajectory(
         dt=dt,
@@ -186,6 +195,7 @@ def simulate(
         psi=psis[:rows].copy(),
         s=ss[:rows].copy() if want_s else None,
         exit_reason=exit_reason,
+        evaluation=f"dual: {fallback[0]}" if fallback else "generated",
     )
 
 

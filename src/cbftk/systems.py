@@ -20,7 +20,7 @@ outside a circular obstacle, psi = (xi - xi_o)^2 + (eta - eta_o)^2 - r_o^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -164,7 +164,12 @@ def lane_keeping_desired(x, params: BicycleParams = BicycleParams()) -> np.ndarr
 
 @dataclass(frozen=True)
 class Scenario:
-    """A plant with its output, desired controller and defaults."""
+    """A plant with its output, desired controller and defaults.
+
+    ``_built`` holds the ``system``, ``output`` and ``desired`` objects the
+    factory built; ``dataclasses.replace`` carries it along, so that
+    :meth:`simulate` can tell a replaced one.
+    """
 
     name: str
     system: ControlAffineSystem
@@ -181,6 +186,7 @@ class Scenario:
     params: object
     assumption_states: np.ndarray
     sample_state: Callable
+    _built: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def make_cbf(self, kind: str) -> CbfInstance:
         raise NotImplementedError
@@ -209,11 +215,13 @@ class Scenario:
         The same run as :func:`cbftk.sim.simulate` with those arguments, on
         the scenario kernel, which reads the construction, the filter and
         the plant from ``self.params`` alone.  A scenario whose ``gamma`` or
-        ``alpha_outer`` differs from what ``params`` gives is refused with
-        a ValueError.  ``x0``, ``horizon`` and ``dt`` default to the
-        scenario's own.
+        ``alpha_outer`` differs from what ``params`` gives, or whose
+        ``system``, ``output`` or ``desired`` is not the object its factory
+        built, is refused with a ValueError naming the field.  ``x0``,
+        ``horizon`` and ``dt`` default to the scenario's own.
         """
         self.make_cbf(kind)  # refuses the kinds and parameters the reference refuses
+        self._check_built()
         self._check_filter_from_params()
         code, params = kernels.KIND_CODES[kind], self.kernel_params_for(kind)
         x0 = np.asarray(self.x0 if x0 is None else x0, dtype=float)
@@ -233,7 +241,18 @@ class Scenario:
             psi=psis[:rows].copy(),
             s=ss[:rows].copy() if kind == ABC else None,
             exit_reason=kernels.EXIT_REASONS[exit_code],
+            evaluation="kernel",
         )
+
+    def _check_built(self):
+        built = self._built or (None, None, None)
+        for name, original in zip(("system", "output", "desired"), built):
+            if getattr(self, name) is not original:
+                raise ValueError(
+                    f"Scenario.simulate runs the kernel of params, but this scenario's "
+                    f"{name} is not the one its factory built; run cbftk.sim.simulate "
+                    f"with make_cbf(kind) and filter_spec()"
+                )
 
     def _check_filter_from_params(self):
         gamma, alpha_outer = self._filter_from_params(self.params)
@@ -416,11 +435,15 @@ def pendulum_scenario(
         )
 
     gamma, alpha_outer = PendulumScenario._filter_from_params(params)
+
+    def desired(x):
+        return np.zeros(1)
+
     return PendulumScenario(
         name="pendulum",
         system=system,
         output=output,
-        desired=lambda x: np.zeros(1),
+        desired=desired,
         gamma=gamma,
         alpha_outer=alpha_outer,
         x0=np.asarray(x0, dtype=float),
@@ -432,6 +455,7 @@ def pendulum_scenario(
         params=params,
         assumption_states=assumption_states,
         sample_state=sample_state,
+        _built=(system, output, desired),
     )
 
 
@@ -515,11 +539,15 @@ def bicycle_scenario(
                 return x
 
     gamma, alpha_outer = BicycleScenario._filter_from_params(p)
+
+    def desired(x):
+        return lane_keeping_desired(x, p)
+
     return BicycleScenario(
         name="bicycle",
         system=system,
         output=output,
-        desired=lambda x: lane_keeping_desired(x, p),
+        desired=desired,
         gamma=gamma,
         alpha_outer=alpha_outer,
         x0=np.asarray(x0, dtype=float),
@@ -531,6 +559,7 @@ def bicycle_scenario(
         params=params,
         assumption_states=assumption_states,
         sample_state=sample_state,
+        _built=(system, output, desired),
     )
 
 

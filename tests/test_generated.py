@@ -1,0 +1,243 @@
+"""The generated straight-line code equals the Dual path bit for bit.
+
+``CbfInstance.value_and_gradient`` at one state runs code traced once from
+the Dual path; every comparison here is by ``tobytes()``, so NaN, infinities
+and the sign of a zero count, and an error must match in type and message.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbftk import autodiff as ad
+from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, hocbf
+from cbftk.core import LinearClassK, RelDeg2Output
+from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
+from strategies import bicycle_params, pendulum_params
+
+HALF_PI_SQ = math.pi**2 / 4.0
+
+
+def _outcome(call, x):
+    """Bytes of (value, gradient), or the type and message of the error."""
+    try:
+        value, grad = call(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return np.float64(value).tobytes(), grad.tobytes()
+
+
+def _assert_bit_identical(inst, x, generated=True):
+    """Generated and Dual outcomes agree; ``generated`` says whether the
+    state must run the generated code (else it must fall back)."""
+    x = np.asarray(x, dtype=float)
+    with inst.fallback_report() as fallback:
+        got = _outcome(inst.value_and_gradient, x)
+    assert got == _outcome(lambda s: ad.value_and_grad(inst.value, s), x), x
+    if generated:
+        assert not fallback, fallback
+    elif not isinstance(got[0], type):
+        # a state the code leaves to Dual, which must then answer
+        assert fallback
+    return fallback
+
+
+def _pendulum_special_states(params: PendulumParams):
+    K = params.K
+    return [
+        [0.0, 1.3],  # s = -0.0: the activated partials are signed zeros
+        [-0.0, -1.3],
+        [0.0, 0.0],
+        [-0.0, -0.0],
+        [0.7, -K * 0.7],  # the ReQU kink of the activated construction, s = 0
+        [-0.7, K * 0.7],
+        [math.pi / 2.0, 0.0],  # psi = 0
+        [1.2, 0.6],
+        [-1.5, 3.9],
+    ]
+
+
+def _bicycle_special_states(params: BicycleParams):
+    xi, eta, r = params.obstacle_xi, params.obstacle_eta, params.obstacle_radius
+    return [
+        [xi - 2.0 * r, eta, 0.0, 3.0],  # on the obstacle's axis: psi_grad[1] = 0
+        [xi + 2.0 * r, eta + 1.0, 0.0, 3.0],  # moving away: s >= 0
+        [xi - r - 1.0, eta + 0.5, 0.3, 0.0],  # at rest: zero output velocity
+        [xi - r - 1.0, eta - 0.5, -0.0, -0.0],
+        [xi, eta + r, 0.0, 10.0],  # on the boundary
+        [xi + 0.5, eta, 0.2, 4.0],  # inside the obstacle
+    ]
+
+
+pendulum_states = st.lists(
+    st.tuples(st.floats(-1.8, 1.8), st.floats(-5.0, 5.0)), min_size=1, max_size=6
+)
+bicycle_states = st.lists(
+    st.tuples(st.floats(0.0, 40.0), st.floats(-8.0, 8.0), st.floats(-1.0, 1.0), st.floats(0.0, 13.0)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=15, derandomize=True)
+@given(params=pendulum_params, states=pendulum_states)
+def test_pendulum_generated_equals_dual(kind, params, states):
+    inst = pendulum_scenario(params=params).make_cbf(kind)
+    for x in [*_pendulum_special_states(params), *states]:
+        _assert_bit_identical(inst, x)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=15, derandomize=True)
+@given(params=bicycle_params, states=bicycle_states)
+def test_bicycle_generated_equals_dual(kind, params, states):
+    inst = bicycle_scenario(params=params).make_cbf(kind)
+    for x in [*_bicycle_special_states(params), *states]:
+        _assert_bit_identical(inst, x)
+    # the obstacle centre is outside the extended set: the same DomainError
+    centre = [params.obstacle_xi, params.obstacle_eta, 0.0, 5.0]
+    _assert_bit_identical(inst, centre, generated=False)
+
+
+def test_activated_partials_are_signed_zeros_where_s_is_nonnegative(pendulum):
+    # both paths agree on the zeros' signs, which differ between these states
+    inst = pendulum.make_cbf(ABC)
+    grads = [inst.value_and_gradient(np.array(x))[1] for x in ([0.0, 1.3], [0.0, -1.3])]
+    assert [np.signbit(g).tolist() for g in grads] != [[False, False], [False, False]]
+    for x in ([0.0, 1.3], [0.0, -1.3]):
+        _assert_bit_identical(inst, x)
+
+
+@pytest.mark.parametrize("kind", [BACKSTEPPING, ABC])
+def test_singular_point_of_the_virtual_controller_raises_as_dual(kind, bicycle):
+    # admit the obstacle centre, so that the smooth virtual controller is
+    # asked for its singular point
+    output = dataclasses.replace(bicycle.output, in_extended_set=lambda x: True)
+    inst = dataclasses.replace(bicycle.make_cbf(kind), output=output)
+    p = bicycle.params
+    fallback = _assert_bit_identical(inst, [p.obstacle_xi, p.obstacle_eta, 0.0, 5.0], generated=False)
+    assert fallback == ["check guard fired at state [20.  -0.1  0.   5. ]"]
+    with pytest.raises(Exception, match="singular point"):
+        inst.value_and_gradient(np.array([p.obstacle_xi, p.obstacle_eta, 0.0, 5.0]))
+    _assert_bit_identical(inst, [p.obstacle_xi - 5.0, p.obstacle_eta, 0.0, 5.0])
+
+
+def _pendulum_output(psi):
+    return RelDeg2Output(p=1, y=lambda x: [x[0]], ydot=lambda x: [x[1]], psi=psi, psi_grad=lambda y: [0.0])
+
+
+@pytest.mark.parametrize(
+    "psi, failing, guard",
+    [
+        (lambda y: ad.sqrt(HALF_PI_SQ - y[0] * y[0]), [2.0, 0.5], "sqrt"),
+        (lambda y: 1.0 - 0.5 / (y[0] + 2.0), [-2.0, 0.5], "divide"),
+        (lambda y: (y[0] + 2.0) ** 0.5, [-2.0, 0.5], "pow"),
+    ],
+)
+def test_refused_primitives_raise_as_dual(psi, failing, guard):
+    inst = hocbf(_pendulum_output(psi), LinearClassK(1.0))
+    fallback = _assert_bit_identical(inst, failing, generated=False)
+    assert fallback[0].startswith(f"{guard} guard fired")
+    with pytest.raises(ad.EvaluationError, match=guard):
+        inst.value_and_gradient(np.array(failing))
+    _assert_bit_identical(inst, [0.3, -0.5])
+
+
+def test_a_replaced_instance_traces_its_own_fields(pendulum):
+    inst = pendulum.make_cbf(ABC)
+    x = np.array([0.9, 0.4])
+    before = inst.value_and_gradient(x)
+    replaced = dataclasses.replace(inst, alpha=LinearClassK(3.0), kappa=dataclasses.replace(inst.kappa, gain=2.0))
+    after = replaced.value_and_gradient(x)
+    assert after[0] != before[0]
+    _assert_bit_identical(replaced, x)
+    assert inst.value_and_gradient(x)[0] == before[0]
+
+
+# -- the tracer on fields of its own --------------------------------------------
+
+
+def _generated_equals_dual(field, states, n=2):
+    run = ad.Generated(field, n)
+    outcomes = []
+    for x in states:
+        x = np.asarray(x, dtype=float)
+        out = run(x)
+        expected = ad.value_and_grad(field, x)
+        if isinstance(out, tuple):
+            assert _outcome(lambda s: out, x) == _outcome(lambda s: expected, x), x
+        outcomes.append(out)
+    return run, outcomes
+
+
+EDGE_STATES = [
+    [1.5, -2.0],
+    [-0.0, 0.0],
+    [0.0, -0.0],
+    [-0.0, -0.0],
+    [math.inf, 1.0],
+    [-math.inf, -0.0],
+    [math.nan, 2.0],
+    [1e308, 1e-320],
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_only_identities_exact_in_ieee_754_are_folded():
+    # Dual computes 0.0 * x as x * 0.0
+    def field(x):
+        return (x[0] * 1.0 - 0.0) * (0.0 * x[1]) + (x[1] + 0.0) + ad.requ(x[0]) * (1.0 * x[1])
+
+    run, outcomes = _generated_equals_dual(field, EDGE_STATES)
+    assert all(isinstance(out, tuple) for out in outcomes)
+    assert "* 1.0" not in run.source and "1.0 *" not in run.source and "- 0.0" not in run.source
+    assert "x1 * 0.0" in run.source and "x1 + 0.0" in run.source
+
+
+def test_a_select_keeps_the_sign_of_constant_zero_partials():
+    # partials [0.0, 0.0] against [-0.0, -0.0]: not one constant
+    def field(x):
+        return ad.maximum(x[0] * 0.0 + 1.0, x[1] * -0.0 + 2.0)
+
+    _, (out,) = _generated_equals_dual(field, [[0.5, 0.5]])
+    assert np.signbit(out[1]).all()
+
+
+def test_smooth_primitives_and_branches_match():
+    def field(x):
+        a = ad.sin(x[0]) * ad.cos(x[1]) + ad.sqrt(x[0] * x[0] + 1.0)
+        return ad.maximum(ad.relu(x[1] - x[0]), a / (x[1] * x[1] + 2.0)) ** 2.0
+
+    _, outcomes = _generated_equals_dual(field, [*EDGE_STATES[:4], [0.3, -0.7], [-1.0, 2.0], [2.0, 2.0]])
+    assert all(isinstance(out, tuple) for out in outcomes)
+
+
+def test_a_where_between_a_dual_and_a_constant_is_guarded():
+    # one state gets the Dual or the constant; the latter is left to Dual
+    def field(x):
+        return ad.minimum(x[0], 0.5) * x[1]
+
+    _, (inside, outside) = _generated_equals_dual(field, [[0.2, 3.0], [0.9, 3.0]])
+    assert isinstance(inside, tuple)
+    assert outside == "where guard fired at state [0.9 3. ]"
+
+
+@pytest.mark.parametrize(
+    "field, operation",
+    [
+        (lambda x: math.sin(ad.scalar(x[0])) * x[1], "math.sin"),
+        (lambda x: float(ad.scalar(x[0])) * x[1], "float("),
+        (lambda x: x[1] * np.sin(ad.scalar(x[0])), "np.sin"),
+        (lambda x: x[0] if x[0] > 0.0 else x[1], "Python if"),
+    ],
+)
+def test_an_untraceable_field_names_the_operation(field, operation):
+    run = ad.Generated(field, 2)
+    assert run.source is None
+    assert run.reason.startswith("not traced") and operation in run.reason
+    assert run(np.array([0.4, 1.0])) == run.reason

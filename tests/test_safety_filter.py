@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
-from cbftk.cbf import ABC, BACKSTEPPING
+from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS
 from cbftk.core import DomainError, LinearClassK
 from cbftk.safety_filter import (
     LinearGain,
@@ -18,6 +18,8 @@ from cbftk.safety_filter import (
     virtual_kappa,
 )
 from cbftk.sim import rk4_step
+from cbftk.systems import bicycle_scenario, pendulum_scenario
+from strategies import bicycle_params, pendulum_params
 
 HALF_PI_SQ = math.pi**2 / 4.0
 
@@ -196,6 +198,49 @@ def test_filter_matches_qp_oracle_bicycle(bicycle, rng):
         best = brute_force_qp(system, inst, spec, x)
         assert qp_cost(u, kd, spec.gamma) <= qp_cost(best, kd, spec.gamma) + 1e-6
         checked += 1
+
+
+def _assert_filter_matches_qp_oracle(scenario, kind, seed, count):
+    """The exact-multiplier filter against the brute-force QP at ``count``
+    sampled states of the extended set whose filtered input stays inside
+    the oracle's box."""
+    inst = scenario.make_cbf(kind)
+    spec = scenario.filter_spec()
+    system = scenario.system
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x = scenario.sample_state(rng)
+        if not scenario.output.in_extended_set(x):
+            continue
+        u = safety_filter(spec, inst, system, x)
+        kd = np.asarray(spec.desired(x), dtype=float)
+        h, grad = inst.value_and_gradient(x)
+        lgh = grad @ system.g_mat(x)
+        if not np.any(lgh):
+            assert np.array_equal(u, kd)  # no input can act on h: k_d passes
+            continue
+        if np.max(np.abs(u - kd)) > 20.0:
+            continue  # keep the oracle box authoritative
+        lfh = float(grad @ system.f_vec(x))
+        scale = 1.0 + abs(lfh) + abs(spec.alpha(h)) + float(np.abs(lgh) @ np.abs(u))
+        assert lfh + float(lgh @ u) + spec.alpha(h) >= -1e-12 * scale
+        best = brute_force_qp(system, inst, spec, x)
+        assert best is not None  # the half-space meets the box where u lies
+        assert qp_cost(u, kd, spec.gamma) <= qp_cost(best, kd, spec.gamma) + 1e-6
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=6, derandomize=True)
+@given(params=pendulum_params, seed=st.integers(0, 2**16))
+def test_filter_matches_qp_oracle_pendulum_at_random_parameters(kind, params, seed):
+    _assert_filter_matches_qp_oracle(pendulum_scenario(params=params), kind, seed, 30)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=6, derandomize=True)
+@given(params=bicycle_params, seed=st.integers(0, 2**16))
+def test_filter_matches_qp_oracle_bicycle_at_random_parameters(kind, params, seed):
+    _assert_filter_matches_qp_oracle(bicycle_scenario(params=params), kind, seed, 40)
 
 
 def test_scaled_desired_passes_through_when_inactive(pendulum, rng):

@@ -1,15 +1,25 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cbftk import autodiff as ad
-from cbftk.cbf import ABC, RECBF, hocbf
+from cbftk.cbf import ABC, CBF_KINDS, RECBF, CbfInstance, abc, hocbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
-from cbftk.safety_filter import SafetyFilterSpec, safety_filter
+from cbftk.safety_filter import LinearGain, SafetyFilterSpec, safety_filter
 from cbftk.sim import SimulationError, compute_metrics, rk4_step, simulate
-from cbftk.systems import PendulumParams, pendulum_dynamics, pendulum_scenario
+from cbftk.systems import (
+    PendulumParams,
+    bicycle_scenario,
+    pendulum_dynamics,
+    pendulum_scenario,
+)
+from strategies import bicycle_params, pendulum_params
+
+HALF_PI_SQ = math.pi**2 / 4.0
 
 
 def test_rk4_exponential_decay():
@@ -247,3 +257,111 @@ def test_scenario_simulate_accepts_what_params_give():
     scenario = pendulum_scenario(params=PendulumParams(gamma=2.0, alpha_outer_c=3.0))
     replaced = dataclasses.replace(scenario, gamma=[2], alpha_outer=LinearClassK(3.0))
     assert np.array_equal(replaced.simulate(ABC, horizon=0.1).x, scenario.simulate(ABC, horizon=0.1).x)
+
+
+def test_scenario_simulate_refuses_a_replaced_desired(pendulum):
+    scenario = dataclasses.replace(pendulum, desired=lambda x: np.array([0.5]))
+    # the kernel would silently end at (0.7368, 0.7854), the reference at (0.7620, 0.7428)
+    with pytest.raises(ValueError, match="desired"):
+        scenario.simulate(ABC, horizon=1.0)
+    traj = simulate(scenario.system, scenario.make_cbf(ABC), scenario.filter_spec(), scenario.x0, 1.0, 1e-3)
+    assert np.allclose(traj.x[-1], [0.7620, 0.7428], atol=1e-4)
+
+
+def test_scenario_simulate_refuses_a_replaced_system_or_output(pendulum, bicycle):
+    damped = dataclasses.replace(pendulum.system, f=lambda x: [x[1], ad.sin(x[0]) - 2.0 * x[1]])
+    with pytest.raises(ValueError, match="system"):
+        dataclasses.replace(pendulum, system=damped).simulate(ABC, horizon=0.01)
+    output = dataclasses.replace(bicycle.output, in_extended_set=lambda x: True)
+    with pytest.raises(ValueError, match="output"):
+        dataclasses.replace(bicycle, output=output).simulate(ABC, horizon=0.01)
+
+
+def test_scenario_simulate_keeps_running_what_it_reads(pendulum, bicycle):
+    for scenario in (pendulum, bicycle):
+        reference = scenario.simulate(ABC, horizon=0.2, dt=2e-3)
+        assert reference.evaluation == "kernel"
+        replaced = dataclasses.replace(
+            scenario, window=((0.0, 1.0), (0.0, 1.0)), resolution=(5, 7), horizon=0.2, dt=2e-3
+        )
+        traj = replaced.simulate(ABC)
+        for column in ("t", "x", "u", "h", "psi", "s"):
+            assert getattr(traj, column).tobytes() == getattr(reference, column).tobytes()
+        assert (len(traj), traj.exit_reason) == (len(reference), reference.exit_reason)
+
+
+# -- the generated code gives the Dual path's bytes -------------------------------
+
+
+def _digest(traj) -> str:
+    h = hashlib.sha256()
+    for column in (traj.t, traj.x, traj.u, traj.h, traj.psi) + ((traj.s,) if traj.s is not None else ()):
+        h.update(np.ascontiguousarray(column).tobytes())
+    return h.hexdigest()[:32]
+
+
+# exit reason, rows and digest of each published run, recorded on the Dual path
+DUAL_RUNS = {
+    ("pendulum", "hocbf", 2.0): ("blow_up", 328, "e5625512824043ba6f52531229071cbe"),
+    ("pendulum", "recbf", 2.0): ("completed", 2001, "275f80319f41359d90662e45912167b2"),
+    ("pendulum", "backstepping", 2.0): ("completed", 2001, "48b51a518820b4849c512d590e080502"),
+    ("pendulum", "abc", 2.0): ("completed", 2001, "0d6412ff0124a8049a780b13d27d14b6"),
+    ("bicycle", "hocbf", 1.0): ("completed", 1001, "3bfbd918d3568e3530d0ab073722ee95"),
+    ("bicycle", "recbf", 1.0): ("completed", 1001, "f59e4d5ca379052612e362c12e76034c"),
+    ("bicycle", "backstepping", 1.0): ("completed", 1001, "cbb86e44e358bba9af9ad3337b5b46f9"),
+    ("bicycle", "abc", 1.0): ("completed", 1001, "5437eb383f7fe4a7a0b0611cc8a447b5"),
+}
+
+
+@pytest.mark.parametrize("plant, kind, horizon", list(DUAL_RUNS))
+def test_published_runs_keep_the_dual_bytes(plant, kind, horizon, pendulum, bicycle):
+    scenario = pendulum if plant == "pendulum" else bicycle
+    traj = simulate(scenario.system, scenario.make_cbf(kind), scenario.filter_spec(), scenario.x0, horizon, 1e-3)
+    assert traj.evaluation == "generated"
+    assert (traj.exit_reason, len(traj), _digest(traj)) == DUAL_RUNS[plant, kind, horizon]
+
+
+def _assert_generated_run_equals_dual(scenario, kind, horizon):
+    inst = scenario.make_cbf(kind)
+    spec = scenario.filter_spec()
+    traj = simulate(scenario.system, inst, spec, scenario.x0, horizon, 1e-3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CbfInstance, "value_and_gradient", lambda self, x: ad.value_and_grad(self.value, x))
+        dual = simulate(scenario.system, inst, spec, scenario.x0, horizon, 1e-3)
+    assert (traj.exit_reason, len(traj), _digest(traj)) == (dual.exit_reason, len(dual), _digest(dual))
+    assert traj.evaluation == "generated"
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=3, derandomize=True)
+@given(params=pendulum_params)
+def test_pendulum_runs_equal_dual_at_random_parameters(kind, params):
+    _assert_generated_run_equals_dual(pendulum_scenario(params=params), kind, 0.3)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=3, derandomize=True)
+@given(params=bicycle_params)
+def test_bicycle_runs_equal_dual_at_random_parameters(kind, params):
+    _assert_generated_run_equals_dual(bicycle_scenario(params=params), kind, 0.2)
+
+
+def test_an_untraceable_output_runs_on_dual_and_says_why(pendulum):
+    output = RelDeg2Output(
+        p=1,
+        y=lambda x: [x[0]],
+        ydot=lambda x: [x[1]],
+        psi=lambda y: HALF_PI_SQ - y[0] * y[0] + 0.05 * math.sin(ad.scalar(y[0])),
+        psi_grad=lambda y: [-2.0 * y[0]],
+    )
+    inst = abc(output, LinearClassK(1.0), LinearGain(0.75), ReQUActivation(5.0))
+    traj = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 1.0, 1e-3)
+    assert traj.evaluation.startswith("dual: not traced")
+    assert "float(), math.* or np.* on a traced value" in traj.evaluation
+    assert "math.sin(ad.scalar(y[0]))" in traj.evaluation
+    # recorded before the generated path existed
+    assert (traj.exit_reason, len(traj)) == ("completed", 1001)
+    h = hashlib.sha256()
+    for column in (traj.t, traj.x, traj.u, traj.h, traj.psi, traj.s):
+        h.update(np.ascontiguousarray(column).tobytes())
+    assert h.hexdigest() == "89c3186436e864ba3ccd00863734d9cbf82c9dd0b6c4b56cda1a2f3ceb27600c"
