@@ -7,8 +7,8 @@ simulation and phase-plane validity analysis, demonstrated on an inverted
 pendulum and a kinematic bicycle.
 """
 
-from .analysis import GridScan, GridScanRecord, abc_equivalence_check, grid_scan, validity_report
-from .autodiff import Dual, EvaluationError, grad, requ, requ_prime, value_and_grad
+from .analysis import GridScan, abc_equivalence_check, grid_scan, validity_report
+from .autodiff import Dual, EvaluationError, grad, requ, value_and_grad
 from .cbf import (
     ABC,
     BACKSTEPPING,
@@ -52,12 +52,8 @@ from .systems import (
     BicycleParams,
     PendulumParams,
     Scenario,
-    bicycle_constraint,
-    bicycle_dynamics,
     bicycle_scenario,
     lane_keeping_desired,
-    pendulum_constraint,
-    pendulum_dynamics,
     pendulum_scenario,
     scenario_by_name,
 )

@@ -12,7 +12,7 @@ construction claims it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .core import ControlAffineSystem, directional, first_failure, per_node
 __all__ = [
     "SINGULAR_TOL",
     "GridScan",
-    "GridScanRecord",
     "grid_scan",
     "ValidityReport",
     "validity_report",
@@ -34,35 +33,6 @@ __all__ = [
 # the activated construction's s >= -SINGULAR_TOL counts as nonnegative,
 # so the singular-set equivalence is testable in floating point
 SINGULAR_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GridScanRecord:
-    """One grid node of a scan."""
-
-    x: np.ndarray
-    h: float
-    psi: float
-    lgh_norm: float
-    margin: float
-    s: Optional[float]
-    excluded: bool
-
-    @property
-    def in_safe_set(self) -> bool:
-        return self.h >= 0.0
-
-    @property
-    def in_constraint_set(self) -> bool:
-        return self.psi >= 0.0
-
-    @property
-    def singular(self) -> bool:
-        return self.lgh_norm < SINGULAR_TOL
-
-    @property
-    def validity_violation(self) -> bool:
-        return self.singular and self.margin <= 0.0
 
 
 @dataclass
@@ -98,18 +68,6 @@ class GridScan:
     def validity_violation(self) -> np.ndarray:
         return self.singular & (self.margin <= 0.0)
 
-    def records(self) -> Iterator[GridScanRecord]:
-        for i in range(len(self)):
-            yield GridScanRecord(
-                x=self.x[i],
-                h=float(self.h[i]),
-                psi=float(self.psi[i]),
-                lgh_norm=float(self.lgh_norm[i]),
-                margin=float(self.margin[i]),
-                s=None if self.s is None else float(self.s[i]),
-                excluded=bool(self.excluded[i]),
-            )
-
 
 def _grid_axes(window, resolution):
     if len(window) != len(resolution):
@@ -132,10 +90,12 @@ def grid_scan(
 ) -> GridScan:
     """Scan a CBF construction over a rectangular window.
 
-    ``state_from_axes`` lifts a grid node to a full state (identity by
+    ``state_from_axes`` lifts grid nodes to full states (identity by
     default; the bicycle fills its fixed slice coordinates); every node is
-    evaluated at the lifted state.  ``alpha_outer`` defaults to the
-    construction's own class-K gain.
+    evaluated at the lifted state.  Like ``f`` and ``g`` it acts
+    elementwise: it gets the axis values as arrays over the nodes and
+    returns the ``system.n`` state components (see :func:`_node_array`).
+    ``alpha_outer`` defaults to the construction's own class-K gain.
 
     The nodes outside the extended set are excluded (NaN in every value
     column), from one call of ``in_extended_set`` on the node array.  The
@@ -152,7 +112,7 @@ def grid_scan(
     axes = _grid_axes(window, resolution)
     if state_from_axes is None:
         state_from_axes = lambda vals: np.asarray(vals, dtype=float)
-    nodes = _node_array(axes, state_from_axes)
+    nodes = _node_array(axes, state_from_axes, system.n)
     alpha = alpha_outer if alpha_outer is not None else instance.alpha
     # the mask first: the predicate's temporaries are freed before the columns exist
     excluded = ~instance.output.in_extended_set_batch(nodes.T)
@@ -194,33 +154,17 @@ def grid_scan(
     )
 
 
-def _node_array(axes, state_from_axes) -> np.ndarray:
-    """Row-major node states, built vectorized when the lift allows it.
+def _node_array(axes, state_from_axes, n: int) -> np.ndarray:
+    """Row-major node states, shape (nodes, n), from one call of the lift.
 
-    The common lifts place the axis values in the leading state
-    coordinates followed by constants (identity for the pendulum, fixed
-    (theta, v) slice for the bicycle); that structure is verified against
-    probe nodes and the construction falls back to a per-node loop
-    otherwise.
+    ``state_from_axes`` gets the axis values as arrays over all nodes and
+    must return ``n`` components, each an array over the nodes or a value
+    for all of them; :func:`cbftk.core.per_node` refuses any other result
+    with a ValueError naming ``state_from_axes``.
     """
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    count = flat[0].size
-    probe_ids = (0, count // 2, count - 1)
-    probes = {
-        i: np.asarray(state_from_axes(tuple(g[i] for g in flat)), dtype=float)
-        for i in probe_ids
-    }
-    first = probes[0]
-    if first.size >= len(axes):
-        tail = first[len(axes):]
-        nodes = np.column_stack(flat + [np.full(count, t) for t in tail])
-        if all(np.array_equal(nodes[i], probes[i]) for i in probe_ids):
-            return nodes
-    return np.array(
-        [state_from_axes(tuple(g[i] for g in flat)) for i in range(count)],
-        dtype=float,
-    )
+    grids = np.meshgrid(*axes, indexing="ij", copy=False)
+    axis_arrays = np.array(grids).reshape(len(axes), -1)
+    return per_node(state_from_axes, axis_arrays, "state_from_axes", (n,)).T
 
 
 @dataclass

@@ -59,7 +59,6 @@ __all__ = [
     "sqrt",
     "relu",
     "requ",
-    "requ_prime",
     "minimum",
     "maximum",
 ]
@@ -340,10 +339,10 @@ def sqrt(x):
 
 # -- rectifiers ------------------------------------------------------------
 #
-# requ is C^1 with requ_prime(0) = 0 (both one-sided derivatives agree, so
-# this is the true derivative).  relu gets subderivative 0 at its kink;
-# differentiating a field across a relu kink is outside the smoothness
-# contract and only branch logic should rely on relu here.
+# requ is C^1 with derivative 0 at 0 (both one-sided derivatives agree, so
+# the Dual rule below is the true derivative).  relu gets subderivative 0
+# at its kink; differentiating a field across a relu kink is outside the
+# smoothness contract and only branch logic should rely on relu here.
 
 
 def requ(x):
@@ -355,12 +354,6 @@ def requ(x):
         Dual(x.value * x.value, 2.0 * x.value * x.partials),
         Dual(0.0, 0.0 * x.partials),
     )
-
-
-def requ_prime(x):
-    """Derivative of requ: 2x for x > 0, else 0 (continuous at 0)."""
-    x = scalar(x)
-    return where(x > 0.0, 2.0 * x, 0.0)
 
 
 def relu(x):

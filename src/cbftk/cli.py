@@ -199,11 +199,9 @@ def cmd_validate(args) -> int:
     ok &= reg.ok
 
     if kind == RECBF:
-        condition = recbf_validity_condition(
-            instance,
-            scenario.system,
-            _node_array(_grid_axes(scenario.window, (101, 101)), scenario.state_from_axes),
-        )
+        axes = _grid_axes(scenario.window, (101, 101))
+        nodes = _node_array(axes, scenario.state_from_axes, scenario.system.n)
+        condition = recbf_validity_condition(instance, scenario.system, nodes)
         lines.append(str(condition))
         ok &= condition.ok
 

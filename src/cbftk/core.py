@@ -171,9 +171,6 @@ class ReQUActivation:
     def __call__(self, s):
         return ad.requ(s) / (2.0 * self.mu)
 
-    def derivative(self, s) -> float:
-        return ad.requ_prime(s) / (2.0 * self.mu)
-
 
 @dataclass(frozen=True)
 class ControlAffineSystem:

@@ -8,16 +8,15 @@ closed form:
     k(x) = k_d(x) + lambda(a, ||b||^2_Gamma) * b,
     a = L_f h + L_g h k_d + alpha(h),   b = Gamma^-1 L_g h^T,
 
-with ``lambda_exact`` the exact multiplier and ``lambda_half_sontag`` its
-smooth strict over-approximation.  The half-Sontag variant is what builds
-the smooth virtual controller kappa for the single integrator; the outer
-control loop uses the exact multiplier.
+with ``lambda_exact`` the exact multiplier, which the outer control loop
+always uses.  Its smooth strict over-approximation ``lambda_half_sontag``
+builds the smooth virtual controller kappa for the single integrator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,10 +34,6 @@ __all__ = [
     "virtual_kappa",
     "check_virtual_controller",
 ]
-
-LAMBDA_EXACT = "exact"
-LAMBDA_HALF_SONTAG = "half_sontag"
-
 
 def lambda_exact(a: float, b: float) -> float:
     """Exact QP multiplier: 0 if b <= 0, else max(0, -a/b)."""
@@ -65,7 +60,7 @@ def lambda_half_sontag(a, b, sigma: float):
 
 @dataclass(frozen=True)
 class SafetyFilterSpec:
-    """Desired controller, input weights and multiplier variant.
+    """Desired controller and input weights of the exact-multiplier filter.
 
     ``gamma`` is the positive diagonal of the input cost; ``alpha`` the
     (outer) extended class-K gain enforcing hdot >= -alpha(h).
@@ -74,34 +69,28 @@ class SafetyFilterSpec:
     desired: Callable[[np.ndarray], Sequence]
     gamma: np.ndarray
     alpha: LinearClassK
-    lambda_kind: str = LAMBDA_EXACT
-    sigma: Optional[float] = None
 
     def __post_init__(self):
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         if np.any(gamma <= 0.0):
             raise ValueError("all Gamma weights must be positive")
         object.__setattr__(self, "gamma", gamma)
-        if self.lambda_kind not in (LAMBDA_EXACT, LAMBDA_HALF_SONTAG):
-            raise ValueError(f"unknown lambda kind {self.lambda_kind!r}")
-        if self.lambda_kind == LAMBDA_HALF_SONTAG and not (self.sigma or 0.0) > 0.0:
-            raise ValueError("half-Sontag filter needs sigma > 0")
 
 
 def safety_filter(spec: SafetyFilterSpec, instance, system, x) -> np.ndarray:
     """Filtered input at ``x`` for the given CBF instance.
 
-    Returns k_d(x) unchanged when L_g h(x) = 0 or (exact multiplier)
-    when the desired controller already satisfies the barrier inequality.
-    h and its gradient come from ``instance.value_and_gradient``: the
-    instance's generated straight-line code, or the Dual path for a state
-    that code leaves to it, with the same bits.  The three ``@`` reductions
-    stay in numpy, which computes a length-2 or length-4 dot product with a
-    fused multiply-add that Python 3.11 floats cannot reproduce.
+    k_d(x) + lambda_exact(a, ||b||^2_Gamma) b: k_d(x) unchanged when
+    L_g h(x) = 0 or when the desired controller already satisfies the
+    barrier inequality.  h and its gradient come from
+    ``instance.value_and_gradient``, which refuses a state outside the
+    extended set with a DomainError; its generated straight-line code, or
+    the Dual path for a state that code leaves to it, give the same bits.
+    The three ``@`` reductions stay in numpy, which computes a length-2 or
+    length-4 dot product with a fused multiply-add that Python 3.11 floats
+    cannot reproduce.
     """
     x = np.asarray(x, dtype=float)
-    if not instance.output.in_extended_set(x):
-        raise DomainError(f"state {x} is outside the extended set")
     h, hgrad = instance.value_and_gradient(x)
     lfh = float(hgrad @ system.f_vec(x))
     lgh = hgrad @ system.g_mat(x)
@@ -109,11 +98,7 @@ def safety_filter(spec: SafetyFilterSpec, instance, system, x) -> np.ndarray:
     a = lfh + float(lgh @ kd) + spec.alpha(h)
     b = lgh / spec.gamma
     bb = float(lgh @ b)  # ||b||^2_Gamma
-    if spec.lambda_kind == LAMBDA_EXACT:
-        lam = lambda_exact(a, bb)
-    else:
-        lam = lambda_half_sontag(a, bb, spec.sigma)
-    return kd + lam * b
+    return kd + lambda_exact(a, bb) * b
 
 
 # -- virtual controllers for the single integrator ydot = u_y ---------------

@@ -31,7 +31,7 @@ from . import cbf as cbf_mod
 from . import kernels
 from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, CbfInstance
 from .core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
-from .safety_filter import LAMBDA_EXACT, LinearGain, SafetyFilterSpec, SmoothFilter
+from .safety_filter import LinearGain, SafetyFilterSpec, SmoothFilter
 from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _n_steps
 
 __all__ = [
@@ -41,10 +41,6 @@ __all__ = [
     "pendulum_scenario",
     "bicycle_scenario",
     "scenario_by_name",
-    "pendulum_dynamics",
-    "bicycle_dynamics",
-    "pendulum_constraint",
-    "bicycle_constraint",
     "lane_keeping_desired",
     "SCENARIO_NAMES",
 ]
@@ -120,33 +116,7 @@ class BicycleParams:
         return self.alpha_c if self.alpha_outer_c is None else self.alpha_outer_c
 
 
-# -- plant primitives --------------------------------------------------------
-
-
-def pendulum_dynamics(x, u):
-    """(phi_dot, omega_dot) = (omega, sin(phi) + u)."""
-    return np.asarray([float(x[1]), math.sin(float(x[0])) + float(u[0])])
-
-
-def bicycle_dynamics(x, u, wheelbase: float = 2.5):
-    """Kinematic bicycle: (v cos th, v sin th, v u1 / L, u2)."""
-    xi, eta, th, v = (float(c) for c in x)
-    return np.asarray(
-        [v * math.cos(th), v * math.sin(th), v * float(u[0]) / wheelbase, float(u[1])]
-    )
-
-
-def pendulum_constraint(phi) -> float:
-    """psi(phi) = pi^2/4 - phi^2 (above the horizontal)."""
-    phi = float(phi)
-    return HALF_PI_SQ - phi * phi
-
-
-def bicycle_constraint(y, params: BicycleParams = BicycleParams()) -> float:
-    """Squared obstacle clearance: (xi-xi_o)^2 + (eta-eta_o)^2 - r_o^2."""
-    dx = float(y[0]) - params.obstacle_xi
-    dy = float(y[1]) - params.obstacle_eta
-    return dx * dx + dy * dy - params.obstacle_radius**2
+# -- desired controller ------------------------------------------------------
 
 
 def lane_keeping_desired(x, params: BicycleParams = BicycleParams()) -> np.ndarray:
@@ -195,12 +165,7 @@ class Scenario:
         raise NotImplementedError
 
     def filter_spec(self) -> SafetyFilterSpec:
-        return SafetyFilterSpec(
-            desired=self.desired,
-            gamma=self.gamma,
-            alpha=self.alpha_outer,
-            lambda_kind=LAMBDA_EXACT,
-        )
+        return SafetyFilterSpec(desired=self.desired, gamma=self.gamma, alpha=self.alpha_outer)
 
     def simulate(
         self,
@@ -289,12 +254,13 @@ class Scenario:
             alpha_outer=self.alpha_outer,
         )
 
-    def state_from_axes(self, axis_values) -> np.ndarray:
-        """Full state for a scan node (fills fixed slice coordinates)."""
-        raise NotImplementedError
+    def state_from_axes(self, axis_values):
+        """Full state for scan nodes (fills fixed slice coordinates).
 
-    def alpha_inner(self) -> LinearClassK:
-        return LinearClassK(self.params.alpha_c)
+        Elementwise like ``system.f``: given the axis values as arrays over
+        the nodes, it returns one entry per state component.
+        """
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -383,11 +349,8 @@ class BicycleScenario(Scenario):
             return cbf_mod.backstepping(self.output, alpha, kappa, p.mu)
         return cbf_mod.abc(self.output, alpha, kappa, ReQUActivation(p.mu))
 
-    def state_from_axes(self, axis_values) -> np.ndarray:
-        return np.asarray(
-            [axis_values[0], axis_values[1], self.scan_slice["theta"], self.scan_slice["v"]],
-            dtype=float,
-        )
+    def state_from_axes(self, axis_values):
+        return [axis_values[0], axis_values[1], self.scan_slice["theta"], self.scan_slice["v"]]
 
     def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
         return kernels.bike_simulate(

@@ -20,7 +20,7 @@ from cbftk.analysis import abc_equivalence_check, validity_report
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, recbf_validity_condition
 from cbftk.cli import main
 from cbftk.sim import compute_metrics, rk4_step
-from cbftk.systems import PendulumParams, pendulum_dynamics, pendulum_scenario
+from cbftk.systems import PendulumParams, pendulum_scenario
 from conftest import central_difference
 from test_safety_filter import brute_force_qp, qp_cost
 
@@ -394,7 +394,7 @@ def test_criterion_9_numerical_hygiene(pendulum, tmp_path):
     e0 = energy(x)
     drift = 0.0
     for _ in range(10000):
-        x = rk4_step(lambda xs: pendulum_dynamics(xs, [0.0]), x, 1e-3)
+        x = rk4_step(pendulum.system.f_vec, x, 1e-3)
         drift = max(drift, abs(energy(x) - e0))
     energy_ok = drift < 1e-6
 

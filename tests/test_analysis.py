@@ -32,11 +32,10 @@ def test_scan_is_row_major_and_deterministic(pendulum):
 
 def test_record_flags_are_consistent(pendulum):
     scan = scan_pendulum(pendulum, ABC, (21, 21))
-    for record in scan.records():
-        assert record.in_safe_set == (record.h >= 0.0)
-        assert record.in_constraint_set == (record.psi >= 0.0)
-        if record.validity_violation:
-            assert record.singular
+    assert not scan.excluded.any()
+    assert np.array_equal(scan.in_safe_set, scan.h >= 0.0)
+    assert np.array_equal(scan.in_constraint_set, scan.psi >= 0.0)
+    assert not np.any(scan.validity_violation & ~scan.singular)
 
 
 def test_abc_scan_has_no_violations(pendulum):
@@ -186,6 +185,13 @@ def test_grid_scan_evaluates_the_lifted_nodes(pendulum):
     omegas = np.linspace(*pendulum.window[1], 5)
     assert np.array_equal(scan.x[:5, 1], -omegas)
     assert np.array_equal(scan.h, [inst.value(x) for x in scan.x])
+
+
+@pytest.mark.parametrize("lift", [lambda v: [v[0], v[1], v[1]], lambda v: [v[0]]], ids=["three", "one"])
+def test_grid_scan_refuses_a_lift_of_the_wrong_length(pendulum, lift):
+    # the pendulum state has two components; a bare IndexError named neither
+    with pytest.raises(ValueError, match=r"^state_from_axes must act elementwise .* shape \(2,\)"):
+        grid_scan(pendulum.make_cbf(ABC), pendulum.system, pendulum.window, (5, 5), state_from_axes=lift)
 
 
 def test_grid_scan_honours_a_modified_instance(pendulum):

@@ -42,16 +42,20 @@ def test_pendulum_abc_field_matches_finite_differences():
     assert np.all(np.abs(g - fd) / (1.0 + np.abs(g)) < 1e-6)
 
 
+def requ_prime(z):
+    return ad.grad(lambda v: ad.requ(v[0]), [z])[0]
+
+
 def test_requ_values():
     assert ad.requ(2.0) == 4.0
     assert ad.requ(-1.0) == 0.0
-    assert ad.requ_prime(0.0) == 0.0
-    assert ad.requ_prime(3.0) == 6.0
+    assert requ_prime(0.0) == 0.0
+    assert requ_prime(3.0) == 6.0
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-6])
 def test_requ_is_c1_at_zero(delta):
-    assert abs(ad.requ_prime(delta) - ad.requ_prime(-delta)) <= 2.0 * delta
+    assert abs(requ_prime(delta) - requ_prime(-delta)) <= 2.0 * delta
 
 
 def test_requ_dual_one_sided_rule_at_zero():

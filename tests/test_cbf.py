@@ -290,7 +290,8 @@ def test_recbf_validity_condition_matches_per_state_oracle(plant):
         # obstacle centre both do, and r = alpha psi < 0
         extra = [[xi, p.obstacle_eta, 0.0, 10.0] for xi in np.linspace(10.0, 30.0, 9)]
     # 61 x 61 nodes: more than one block, split inside a row
-    states = np.vstack([_node_array(_grid_axes(scenario.window, (61, 61)), scenario.state_from_axes), extra])
+    axes = _grid_axes(scenario.window, (61, 61))
+    states = np.vstack([_node_array(axes, scenario.state_from_axes, scenario.system.n), extra])
     assert ad.BLOCK_NODES < len(states) and ad.BLOCK_NODES % 61
     inst = scenario.make_cbf(RECBF)
     report = recbf_validity_condition(inst, scenario.system, states)

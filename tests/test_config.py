@@ -1,0 +1,69 @@
+"""Config serialization: ``parse -> to_text -> parse`` is a fixed point."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbftk.cbf import CBF_KINDS
+from cbftk.config import _BICYCLE_PARAM_KEYS, _PENDULUM_PARAM_KEYS, ScenarioConfig
+
+numbers = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+positives = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+# a drawn number is written in one of several spellings the parser accepts
+spellings = st.sampled_from([repr, "{:.3g}".format, "{:e}".format, "{:.17g}".format])
+
+
+def _text(draw, strategy):
+    return draw(spellings)(draw(strategy))
+
+
+def _window(draw):
+    axes = []
+    for _ in range(2):
+        lo = draw(numbers)
+        hi = draw(st.floats(lo, 2e6, exclude_min=True, allow_nan=False))
+        axes.append(f"{lo!r}:{hi!r}")
+    return ",".join(axes)
+
+
+@st.composite
+def assignments(draw):
+    """Config text: a scenario and a drawn subset of the keys it accepts."""
+    scenario = draw(st.sampled_from(["pendulum", "bicycle"]))
+    n = 2 if scenario == "pendulum" else 4
+    shared = {
+        "cbf": lambda: ",".join(draw(st.lists(st.sampled_from(CBF_KINDS), min_size=1, max_size=4))),
+        "sim.dt": lambda: _text(draw, positives),
+        "sim.horizon": lambda: _text(draw, positives),
+        "sim.blow_up": lambda: _text(draw, positives),
+        "init.x0": lambda: ",".join(_text(draw, numbers) for _ in range(n)),
+        "scan.window": lambda: _window(draw),
+        "scan.resolution": lambda: ",".join(
+            str(r) for r in draw(st.lists(st.integers(2, 999), min_size=1, max_size=2))
+        ),
+    }
+    param_keys = _PENDULUM_PARAM_KEYS if scenario == "pendulum" else _BICYCLE_PARAM_KEYS
+    params = {key: lambda: _text(draw, positives) for key in param_keys}
+    if scenario == "bicycle":
+        params["filter.gamma"] = lambda: f"{_text(draw, positives)},{_text(draw, positives)}"
+        params["scan.theta"] = lambda: _text(draw, numbers)
+        params["scan.v"] = lambda: _text(draw, numbers)
+    makers = {**shared, **params}
+    keys = draw(st.lists(st.sampled_from(sorted(makers)), unique=True))
+    return "".join([f"scenario = {scenario}\n"] + [f"{key} = {makers[key]()}\n" for key in keys])
+
+
+@settings(derandomize=True)
+@given(assignments())
+def test_parse_to_text_parse_is_a_fixed_point(text):
+    first = ScenarioConfig.from_text(text)
+    canonical = first.to_text()
+    second = ScenarioConfig.from_text(canonical)
+    assert second.to_text() == canonical
+    a, b = first.build_scenario(), second.build_scenario()
+    assert a.params == b.params
+    assert np.array_equal(a.x0, b.x0)
+    assert a.window == b.window and a.resolution == b.resolution
+    assert a.scan_slice == b.scan_slice
+    assert a.dt == b.dt and a.horizon == b.horizon
+    assert second.cbfs == first.cbfs and second.blow_up_threshold == first.blow_up_threshold

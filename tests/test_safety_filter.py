@@ -265,51 +265,18 @@ def test_scaled_desired_passes_through_when_inactive(pendulum, rng):
     assert found > 30
 
 
-def test_half_sontag_filter_variant_is_strict(pendulum, rng):
-    from cbftk.safety_filter import LAMBDA_HALF_SONTAG
-
-    inst = pendulum.make_cbf(BACKSTEPPING)
-    system = pendulum.system
-    spec = SafetyFilterSpec(
-        desired=lambda x: np.zeros(1),
-        gamma=pendulum.gamma,
-        alpha=pendulum.alpha_outer,
-        lambda_kind=LAMBDA_HALF_SONTAG,
-        sigma=0.01,
-    )
-    found = 0
-    for _ in range(300):
-        x = pendulum.sample_state(rng)
-        u = safety_filter(spec, inst, system, x)
-        h, grad = inst.value_and_gradient(x)
-        lgh = grad @ system.g_mat(x)
-        if abs(lgh[0]) < 1e-8:
-            continue
-        hdot = float(grad @ system.f_vec(x)) + float(lgh @ u)
-        assert hdot > -spec.alpha(h)
-        found += 1
-    assert found > 100
-
-
 def test_spec_validation_errors(pendulum):
-    from cbftk.safety_filter import LAMBDA_HALF_SONTAG
-
     with pytest.raises(ValueError):
         SafetyFilterSpec(desired=lambda x: np.zeros(1), gamma=np.array([0.0]), alpha=LinearClassK(1.0))
-    with pytest.raises(ValueError):
-        SafetyFilterSpec(
-            desired=lambda x: np.zeros(1),
-            gamma=np.ones(1),
-            alpha=LinearClassK(1.0),
-            lambda_kind=LAMBDA_HALF_SONTAG,
-        )
-    with pytest.raises(ValueError):
-        SafetyFilterSpec(
-            desired=lambda x: np.zeros(1),
-            gamma=np.ones(1),
-            alpha=LinearClassK(1.0),
-            lambda_kind="sontag",
-        )
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+def test_filter_refuses_the_bicycle_obstacle_centre(bicycle, kind):
+    x = np.array([20.0, -0.1, 0.0, 3.0])
+    with pytest.raises(DomainError) as err:
+        safety_filter(bicycle.filter_spec(), bicycle.make_cbf(kind), bicycle.system, x)
+    assert str(err.value) == f"state {x} is outside the extended set"
+    assert err.value.index is None
 
 
 # -- virtual controllers -------------------------------------------------------

@@ -11,12 +11,7 @@ from cbftk.cbf import ABC, CBF_KINDS, RECBF, CbfInstance, abc, hocbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from cbftk.safety_filter import LinearGain, SafetyFilterSpec, safety_filter
 from cbftk.sim import SimulationError, compute_metrics, rk4_step, simulate
-from cbftk.systems import (
-    PendulumParams,
-    bicycle_scenario,
-    pendulum_dynamics,
-    pendulum_scenario,
-)
+from cbftk.systems import PendulumParams, bicycle_scenario, pendulum_scenario
 from strategies import bicycle_params, pendulum_params
 
 HALF_PI_SQ = math.pi**2 / 4.0
@@ -43,13 +38,13 @@ def test_rk4_nonfinite_stage_carries_timestamp():
     assert err.value.t == 2.5
 
 
-def test_undriven_pendulum_conserves_energy():
+def test_undriven_pendulum_conserves_energy(pendulum):
     energy = lambda x: 0.5 * x[1] ** 2 + math.cos(x[0])
     x = np.array([0.4, 0.3])
     e0 = energy(x)
     drift = 0.0
     for _ in range(10000):
-        x = rk4_step(lambda xs: pendulum_dynamics(xs, [0.0]), x, 1e-3)
+        x = rk4_step(pendulum.system.f_vec, x, 1e-3)
         drift = max(drift, abs(energy(x) - e0))
     assert drift < 1e-6
 

@@ -6,17 +6,26 @@ import pytest
 from cbftk.systems import (
     BicycleParams,
     PendulumParams,
-    bicycle_constraint,
-    bicycle_dynamics,
     bicycle_scenario,
     lane_keeping_desired,
-    pendulum_constraint,
-    pendulum_dynamics,
     pendulum_scenario,
     scenario_by_name,
 )
 
 HALF_PI_SQ = math.pi**2 / 4.0
+
+
+def dynamics(scenario, x, u):
+    """xdot = f(x) + g(x) u from the scenario's own system."""
+    return scenario.system.f_vec(x) + scenario.system.g_mat(x) @ np.asarray(u, dtype=float)
+
+
+def pendulum_dynamics(x, u):
+    return dynamics(pendulum_scenario(), x, u)
+
+
+def bicycle_dynamics(x, u):
+    return dynamics(bicycle_scenario(), x, u)
 
 
 def test_pendulum_dynamics_examples():
@@ -37,11 +46,13 @@ def test_bicycle_dynamics_examples():
 
 
 def test_constraints():
-    assert pendulum_constraint(0.0) == pytest.approx(HALF_PI_SQ)
-    assert pendulum_constraint(math.pi / 2.0) == pytest.approx(0.0)
+    pendulum_constraint = pendulum_scenario().output.psi_of_state
+    assert pendulum_constraint([0.0, 0.0]) == pytest.approx(HALF_PI_SQ)
+    assert pendulum_constraint([math.pi / 2.0, 0.0]) == pytest.approx(0.0)
     p = BicycleParams()
-    assert bicycle_constraint([p.obstacle_xi + p.obstacle_radius, p.obstacle_eta], p) == pytest.approx(0.0)
-    assert bicycle_constraint([0.0, 0.0], p) == pytest.approx(20.0**2 + 0.1**2 - 16.0)
+    bicycle_constraint = bicycle_scenario(params=p).output.psi_of_state
+    assert bicycle_constraint([p.obstacle_xi + p.obstacle_radius, p.obstacle_eta, 0.0, 1.0]) == pytest.approx(0.0)
+    assert bicycle_constraint([0.0, 0.0, 0.0, 1.0]) == pytest.approx(20.0**2 + 0.1**2 - 16.0)
 
 
 def test_lane_keeping_desired():
