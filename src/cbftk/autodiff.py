@@ -23,19 +23,24 @@ full partials vector.  All helpers accept plain floats and arrays as well,
 which lets the same field definitions be evaluated with or without
 derivatives.
 
-For one state, :class:`Generated` runs this Dual code once on symbolic
+For one state, :class:`Traced` runs a function of floats once on symbolic
 floats (:class:`Sym`) and emits the float operations it records, in
-evaluation order, as one straight-line Python function: forward-mode AD by
-source transformation (Griewank & Walther; the trace-once approach of
-Tapenade and of JAX's jaxprs).  The generated code makes the same float
-operations as the Dual path, so it gives the same bits.
+evaluation order, as one straight-line Python function; :class:`Generated`
+does so for this Dual code: forward-mode AD by source transformation
+(Griewank & Walther; the trace-once approach of Tapenade and of JAX's
+jaxprs).  The generated code makes the same float operations as the traced
+function, so it gives the same bits.  :func:`dot` is numpy's ``@`` on
+floats; traced, it emits the fused multiply-adds numpy's dot products make,
+each computed exactly (:func:`_fma`).
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,10 +51,14 @@ __all__ = [
     "EvaluationError",
     "Generated",
     "Sym",
+    "Traced",
     "Untraceable",
+    "array",
     "blocks",
+    "dot",
     "failed",
     "first",
+    "holds",
     "grad",
     "value_and_grad",
     "scalar",
@@ -102,6 +111,18 @@ def failed(bad) -> bool:
         bad.trace.guard(bad.name, "check")
         return False
     return bool(bad)
+
+
+def holds(ok, label="check") -> bool:
+    """Whether the condition ``ok`` on one state holds.
+
+    In a trace the condition becomes a guard of the generated code, named
+    ``label``, and holds.
+    """
+    if ok.__class__ is Sym:
+        ok.trace.guard(f"not {ok.name}", label)
+        return True
+    return bool(ok)
 
 
 def first(bad):
@@ -270,10 +291,11 @@ def _pow_failure(value) -> str:
 
 
 def scalar(x):
-    """Value of ``x``, whether it is a Dual, an array of values or a plain number."""
+    """Value of ``x``, whether it is a Dual, an array of values, a traced
+    value or a plain number."""
     if isinstance(x, Dual):
         return x.value
-    return x if isinstance(x, np.ndarray) else float(x)
+    return x if isinstance(x, np.ndarray) or x.__class__ is Sym else float(x)
 
 
 def where(mask, a, b):
@@ -376,16 +398,29 @@ def maximum(a, b):
 # -- seeding and evaluation -------------------------------------------------
 
 
+def array(values) -> np.ndarray:
+    """``values`` as a float array.
+
+    In a trace, where traced values are among them, an object array of
+    those and plain numbers.
+    """
+    try:
+        return np.asarray(values, dtype=float)
+    except Untraceable:
+        return np.asarray(values, dtype=object)
+
+
 def seed(x) -> list:
     """Dual variables for the components of ``x``, seeded with unit vectors.
 
     ``x`` is one state of shape (n,), or a batch of shape (n, N) holding
     one state per column; a batch seeds partials of shape (n, N).
     """
-    x = np.asarray(x, dtype=float)
+    x = array(x)
     eye = np.eye(x.shape[0])
     if x.ndim == 1:
-        return [Dual(x[i], eye[i]) for i in range(x.size)]
+        units = eye.astype(x.dtype)
+        return [Dual(x[i], units[i]) for i in range(x.size)]
     return [Dual(x[i], np.repeat(eye[i][:, None], x.shape[1], axis=1)) for i in range(x.shape[0])]
 
 
@@ -395,7 +430,7 @@ def value_and_grad(field, x):
     For a batch ``x`` of shape (n, N) the value has shape (N,) and the
     gradient (n, N), one column per state.
     """
-    x = np.asarray(x, dtype=float)
+    x = array(x)
     out = field(seed(x))
     if isinstance(out, Dual):
         return out.value, out.partials.copy()
@@ -416,7 +451,175 @@ def blocks(count: int):
         yield slice(start, min(start + BLOCK_NODES, count))
 
 
-# -- tracing one state into straight-line code --------------------------------
+# -- numpy's dot products ------------------------------------------------------
+#
+# numpy computes a @ b on float64 arrays with OpenBLAS, whose kernels
+# accumulate with fused multiply-adds (FMA): a * b + c rounded once, which
+# Python 3.11 floats have no operation for.  _fma computes it exactly from
+# Dekker's split ("A floating-point technique for extending the available
+# precision", 1971): t = (2^27 + 1) v, high = t - (t - v), low = v - high
+# cuts v into two halves of 26 bits, so the four partial products of two
+# split factors are exact, and math.fsum rounds their sum with c once.
+# The split is exact for magnitudes in [2^-480, 2^480] and zero: then no
+# partial product overflows or loses bits to underflow.
+
+_SPLITTER = 134217729.0
+_SPLIT_MIN = math.ldexp(1.0, -480)
+_SPLIT_MAX = math.ldexp(1.0, 480)
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+def _split(v):
+    t = _SPLITTER * v
+    high = t - (t - v)
+    return high, v - high
+
+
+def _fma(a, b, c):
+    """``a * b + c`` rounded once.
+
+    A factor that makes every product exact (:func:`_exact_factor`) leaves
+    plain arithmetic.  Traced, a factor outside the split's exact range and a
+    non-finite ``c`` are guards named ``fma``; a constant one is refused.
+    """
+    if _exact_factor(a) or _exact_factor(b):
+        return a * b + c
+    for v in (a, b):
+        if v.__class__ is Sym:
+            v.trace.guard(f"not ({_SPLIT_MIN!r} <= abs({v.name}) <= {_SPLIT_MAX!r} or {v.name} == 0.0)", "fma")
+        elif not (_SPLIT_MIN <= abs(v) <= _SPLIT_MAX or v == 0.0):
+            raise ValueError(f"the factor {v} of a fused multiply-add cannot be split exactly")
+    if c.__class__ is Sym:
+        if c.name not in c.trace.summed:
+            c.trace.guard(f"not abs({c.name}) <= {_FLOAT_MAX!r}", "fma")
+    elif not math.isfinite(c):
+        raise ValueError(f"the addend {c} of a fused multiply-add is not finite")
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return _fsum((ah * bh, ah * bl, al * bh, al * bl, c))
+
+
+def _exact_factor(v) -> bool:
+    """Whether every product with ``v`` is exact: ``v`` is a constant ±0 or
+    ±1, or a traced product with a constant zero (the bicycle's
+    ``0.0 * x[0]``, the partials seeded with zeros)."""
+    if v.__class__ is Sym:
+        return v.name in v.trace.zeros
+    return float(v) in (0.0, 1.0, -1.0)
+
+
+def _fsum(values):
+    """``math.fsum(values)``; traced, one line whose value is finite (fsum
+    raises where the sum overflows) and +0.0 where it is zero."""
+    trace = next((v.trace for v in values if v.__class__ is Sym), None)
+    if trace is None:
+        return math.fsum(values)
+    total = trace.emit(f"fsum(({', '.join(trace.text(v) for v in values)}))")
+    trace.summed.add(total.name)
+    return total
+
+
+def _chain(a, b):
+    """a0 b0, then fma(a_i, b_i, total) for i = 1, 2, ...: numpy's dot product."""
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total = _fma(a[i], b[i], total)
+    return total
+
+
+def _pairs(a, b):
+    """fma(a0, b0, a1 b1) + fma(a2, b2, a3 b3) + ...: a kernel that takes
+    two terms at a time (even lengths only)."""
+    total = _fma(a[0], b[0], a[1] * b[1])
+    for i in range(2, len(a), 2):
+        total = total + _fma(a[i], b[i], a[i + 1] * b[i + 1])
+    return total
+
+
+def _reduction(shape_a, shape_b):
+    """The reduction numpy's ``@`` makes for each entry of a product of
+    float64 arrays of these shapes, as measured with OpenBLAS's Haswell
+    kernels; None where none is known."""
+    if len(shape_a) == 1 and len(shape_b) == 1:
+        return _chain
+    if len(shape_a) == 1 and len(shape_b) == 2:
+        n, m = shape_b
+        return _chain if m == 1 or n <= 3 else _pairs if n == 4 else None
+    if len(shape_a) == 2 and len(shape_b) == 1:
+        return {1: _chain, 2: _pairs}.get(shape_a[1])
+    return None
+
+
+def _reduce(reduction, a, b):
+    """``a @ b`` entry by entry through ``reduction``.
+
+    numpy's accumulators start at +0.0, so an entry that is zero is +0.0.
+    """
+    if b.ndim == 2:
+        entries = [reduction(a, column) for column in b.T]
+    elif a.ndim == 2:
+        entries = [reduction(row, b) for row in a]
+    else:
+        return _positive_zero(reduction(a, b))
+    return np.array([_positive_zero(v) for v in entries], dtype=object)
+
+
+def _positive_zero(v):
+    if v.__class__ is Sym and v.name in v.trace.summed:
+        return v
+    return v + 0.0
+
+
+# reductions checked against numpy's @, by (reduction, shape of a, shape of b)
+_CHECKED = {}
+_PROBES = 64
+
+
+def _numpy_reduction(shape_a, shape_b):
+    """The reduction of :func:`_reduction` for these shapes, once it gave
+    numpy's bits on fixed probes; Untraceable where it did not, or where
+    none is known."""
+    reduction = _reduction(shape_a, shape_b)
+    key = (reduction, shape_a, shape_b)
+    if key not in _CHECKED:
+        _CHECKED[key] = reduction is not None and _agrees_with_numpy(reduction, shape_a, shape_b)
+    if not _CHECKED[key]:
+        name = "no known reduction" if reduction is None else reduction.__name__.lstrip("_")
+        raise Untraceable(f"{name} does not give numpy's @ of shapes {shape_a} and {shape_b} here")
+    return reduction
+
+
+def _agrees_with_numpy(reduction, shape_a, shape_b) -> bool:
+    rng = np.random.default_rng(0)
+    for _ in range(_PROBES):
+        a, b = _probe(rng, shape_a), _probe(rng, shape_b)
+        got = np.asarray(_reduce(reduction, a, b), dtype=float)
+        if got.tobytes() != np.asarray(a @ b).tobytes():
+            return False
+    return True
+
+
+def _probe(rng, shape):
+    """Floats of both signs over twenty decades, about a quarter of them signed zeros."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-10.0, 10.0, shape)
+    return np.where(rng.random(shape) < 0.25, np.copysign(0.0, values), values)
+
+
+def dot(a, b):
+    """``a @ b`` as numpy computes it for float64 operands.
+
+    On floats this is numpy's ``@``.  In a trace each entry is the reduction
+    numpy makes for these shapes, with exact fused multiply-adds; it is
+    checked against numpy's bits on fixed probes once per pair of shapes,
+    and a pair whose reduction is unknown or differs is refused with
+    :class:`Untraceable`.
+    """
+    a, b = array(a), array(b)
+    if a.dtype != _OBJECT and b.dtype != _OBJECT:
+        return a @ b
+    return _reduce(_numpy_reduction(a.shape, b.shape), a.astype(object), b.astype(object))
+
+
+# -- tracing into straight-line code -------------------------------------------
 
 _OBJECT = np.dtype(object)
 
@@ -425,13 +628,18 @@ class Untraceable(TypeError):
     """A traced field needed the number behind a traced value."""
 
 
+class _Untraced(Untraceable):
+    """Code called from a trace was not traced itself; the message is its reason."""
+
+
 class Sym:
     """A float of a traced field: a variable of the generated code.
 
     Each operation with a float or another Sym appends one line to the
     trace.  Only identities that hold bit for bit in IEEE 754 are folded
-    (``x * 1.0``, ``1.0 * x``, ``x - 0.0``); ``0.0 * x`` and ``x + 0.0`` are
-    not, since they change NaN, infinity or the sign of a zero.
+    (``x * 1.0``, ``1.0 * x``, ``x / 1.0``, ``x - 0.0``); ``0.0 * x`` and
+    ``x + 0.0`` are not, since they change NaN, infinity or the sign of a
+    zero.
     """
 
     __slots__ = ("trace", "name")
@@ -445,12 +653,15 @@ class Sym:
             if not isinstance(other, numbers.Real):
                 return NotImplemented
             other = float(other)
-            if op == "*" and other == 1.0:
+            if op == "*" and other == 1.0 or op == "/" and not reflected and other == 1.0:
                 return self
             if op == "-" and not reflected and other == 0.0 and math.copysign(1.0, other) > 0.0:
                 return self
         a, b = self.name, self.trace.text(other)
-        return self.trace.emit(f"{b} {op} {a}" if reflected else f"{a} {op} {b}")
+        out = self.trace.emit(f"{b} {op} {a}" if reflected else f"{a} {op} {b}")
+        if op == "*" and other.__class__ is float and other == 0.0:
+            self.trace.zeros.add(out.name)
+        return out
 
     def _logic(self, other, op):
         if other.__class__ is Sym:
@@ -462,6 +673,9 @@ class Sym:
 
     def __neg__(self):
         return self.trace.emit(f"-{self.name}")
+
+    def __abs__(self):
+        return self.trace.emit(f"abs({self.name})")
 
     def __bool__(self):
         raise Untraceable("a Python if, and, or or not on a traced value")
@@ -510,12 +724,17 @@ _TRACED_MATH = SimpleNamespace(
 
 
 class _Trace:
-    """Lines of a generated function; a repeated operation is emitted once."""
+    """Lines of a generated function; a repeated operation or guard is emitted once."""
 
     def __init__(self):
         self.lines = []
         self.syms = {}
         self.constants = {}
+        self.guards = set()
+        # names of fsum results: finite, and +0.0 where zero
+        self.summed = set()
+        # names of products with a constant zero: ±0, or NaN
+        self.zeros = set()
 
     def emit(self, expression) -> Sym:
         sym = self.syms.get(expression)
@@ -524,8 +743,22 @@ class _Trace:
             self.lines.append(f"{sym.name} = {expression}")
         return sym
 
-    def guard(self, condition, label):
-        self.lines.append(f"if {condition}: return {label!r}")
+    def guard(self, condition, label, returned=None):
+        """A line returning the string ``label``, or the variable ``returned``,
+        where ``condition`` holds."""
+        line = f"if {condition}: return {returned or repr(label)}"
+        if line not in self.guards:
+            self.guards.add(line)
+            self.lines.append(line)
+
+    def global_name(self, value) -> str:
+        """The name the generated function's globals bind to ``value``."""
+        for name, bound in self.constants.items():
+            if bound is value:
+                return name
+        name = f"k{len(self.constants)}"
+        self.constants[name] = value
+        return name
 
     def text(self, value) -> str:
         if value.__class__ is Sym:
@@ -534,33 +767,36 @@ class _Trace:
             return repr(bool(value))
         value = float(value)
         if not math.isfinite(value):
-            name = f"k{len(self.constants)}"
-            self.constants[name] = value
-            return name
+            return self.global_name(value)
         return f"({value!r})" if math.copysign(1.0, value) < 0.0 else repr(value)
 
 
-class Generated:
-    """``value_and_grad(field, x)`` at one state of ``n`` components, as
-    straight-line code traced once from the Dual path.
+class Traced:
+    """``function`` of ``arity`` floats as straight-line code, traced once.
 
-    ``field`` runs on Duals whose values are :class:`Sym` and whose partials
-    are object arrays of Syms and floats, so the recorded operations are the
-    Dual path's by construction.  Each :func:`where` becomes a conditional
-    expression of two evaluated branches, and each refused or failed check a
-    guard.  Calling returns ``(value, gradient)``, or a string saying why
-    this state must be evaluated on the Dual path: a guard fired, the code
-    raised, or ``field`` could not be traced, which ``reason`` then says
+    ``function`` takes a list of traced floats (:class:`Sym`) and returns a
+    sequence of traced floats and constants.  The float operations it makes
+    on them are recorded in evaluation order and compiled into one Python
+    function.  Each :func:`where` on a traced mask becomes a conditional
+    expression, and each check (:func:`failed`, :func:`holds`, a refused
+    primitive, an :func:`_fma` operand) a guard.  Calling it with floats
+    returns the tuple of outputs, or a string saying why these arguments
+    must take the path that was traced instead: a guard fired, the code
+    raised, or ``function`` could not be traced, which ``reason`` then says
     (a ``float()``, ``math.*`` or ``np.*`` call or a Python ``if`` on a
     traced value, for example).
     """
 
-    def __init__(self, field, n: int):
+    def __init__(self, function, arity: int):
         self.reason = None
         self.source = None
+        self.outputs = 0
         try:
-            self._run = self._compile(field, n)
-        except Exception as exc:  # anything the trace cannot follow stays on the Dual path
+            self._run = self._compile(function, arity)
+        except _Untraced as exc:
+            self._run = None
+            self.reason = str(exc)
+        except Exception as exc:  # anything the trace cannot follow takes the traced path
             import traceback  # only here, to keep it out of the import time
 
             self._run = None
@@ -570,27 +806,114 @@ class Generated:
                 f = frames[-1]
                 self.reason += f" in {os.path.basename(f.filename)}:{f.lineno}: {f.line}"
 
-    def _compile(self, field, n):
+    def _compile(self, function, arity):
         trace = _Trace()
-        args = [f"x{i}" for i in range(n)]
-        unit = np.eye(n).astype(object)
-        out = field([Dual(Sym(trace, a), unit[i]) for i, a in enumerate(args)])
-        value, partials = (out.value, out.partials) if isinstance(out, Dual) else (out, np.zeros(n))
-        if np.shape(partials) != (n,):
-            raise Untraceable(f"gradient of shape {np.shape(partials)} for {n} components")
-        gradient = "".join(f"{trace.text(p)}, " for p in partials)
-        lines = [*trace.lines, f"return {trace.text(value)}, array(({gradient}))"]
+        args = [f"x{i}" for i in range(arity)]
+        outputs = [trace.text(v) for v in function([Sym(trace, a) for a in args])]
+        self.outputs = len(outputs)
+        lines = _inlined([*trace.lines, f"return ({''.join(f'{v}, ' for v in outputs)})"])
         self.source = f"def generated({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
-        namespace = {"array": np.array, **{f: getattr(math, f) for f in ("sin", "cos", "sqrt")}}
+        namespace = {"fsum": math.fsum, **{f: getattr(math, f) for f in ("sin", "cos", "sqrt")}}
         namespace.update(trace.constants)
-        exec(compile(self.source, "<generated value and gradient>", "exec"), namespace)
+        trace.syms.clear()  # each Sym refers to the trace: free them now, not at a collection
+        exec(compile(self.source, "<generated>", "exec"), namespace)
         return namespace["generated"]
 
-    def __call__(self, x):
+    def __call__(self, *args):
         if self._run is None:
             return self.reason
         try:
-            out = self._run(*x.tolist())
-        except Exception as exc:  # the Dual path gives the reference answer or error
-            return f"generated code raised {type(exc).__name__}: {exc} at state {x}"
-        return f"{out} guard fired at state {x}" if out.__class__ is str else out
+            out = self._run(*args)
+        except Exception as exc:  # the traced path gives the reference answer or error
+            return f"generated code raised {type(exc).__name__}: {exc}"
+        return out if out.__class__ is tuple else f"{out} guard fired"
+
+    def call(self, args) -> list:
+        """This code called at the traced ``args`` from inside another trace:
+        one line calling it, then one traced value per output.
+
+        Where the called code returns a reason, the caller returns it.
+        Refused with Untraceable where this code was not traced.
+        """
+        if self._run is None:
+            raise _Untraced(self.reason)
+        trace = next(v.trace for v in args if v.__class__ is Sym)
+        result = trace.emit(f"{trace.global_name(self._run)}({', '.join(trace.text(v) for v in args)})")
+        trace.guard(f"{result.name}.__class__ is str", None, returned=result.name)
+        return [trace.emit(f"{result.name}[{i}]") for i in range(self.outputs)]
+
+
+_ASSIGNMENT = re.compile(r"(t\d+) = (.*)")
+_VARIABLE = re.compile(r"\bt\d+\b")
+_CALL = re.compile(r"\b(sin|cos|sqrt|k\d+)\(")
+
+
+def _inlined(lines) -> list:
+    """``lines`` with each variable read once written into its reader, and
+    without the variables nothing reads, unless they call a function.
+
+    Every float operation kept keeps its operands; it only moves later,
+    past guards, which leave the arguments to the traced path anyway.  A
+    variable read in a conditional expression keeps its line, so that both
+    branches are evaluated first, as on the traced path, where ``math``
+    functions raise.
+    """
+    assignments = [_ASSIGNMENT.fullmatch(line) for line in lines]
+    live, kept_lines = set(), []
+    for line, assignment in zip(reversed(lines), reversed(assignments)):
+        if assignment is None or assignment[1] in live or _CALL.search(assignment[2]):
+            kept_lines.append((line, assignment))
+            live.update(_VARIABLE.findall(assignment[2] if assignment else line))
+    kept_lines.reverse()
+    reads, kept = collections.Counter(), set()
+    for line, assignment in kept_lines:
+        names = _VARIABLE.findall(assignment[2] if assignment else line)
+        reads.update(names)
+        if assignment and " if " in assignment[2]:
+            kept.update(names)
+    pending = {}
+
+    def substitute(text):
+        return _VARIABLE.sub(lambda v: f"({pending.pop(v[0])})" if v[0] in pending else v[0], text)
+
+    out = []
+    for line, assignment in kept_lines:
+        if assignment is None:
+            out.append(substitute(line))
+            continue
+        name, expression = assignment.groups()
+        if " if " not in expression:
+            expression = substitute(expression)
+        if reads[name] == 1 and name not in kept:
+            pending[name] = expression
+        else:
+            out.append(f"{name} = {expression}")
+    return out
+
+
+class Generated(Traced):
+    """``value_and_grad(field, x)`` at one state of ``n`` components, as
+    straight-line code traced once from the Dual path.
+
+    ``field`` runs on Duals whose values are :class:`Sym` and whose partials
+    are object arrays of Syms and floats, so the recorded operations are the
+    Dual path's by construction.  Calling with a state returns ``(value,
+    gradient)``, or the string of :class:`Traced`, which names the state
+    where the code left it to the Dual path.
+    """
+
+    def __init__(self, field, n: int):
+        super().__init__(lambda xs: _value_and_partials(field, xs), n)
+
+    def __call__(self, x):
+        out = super().__call__(*x.tolist())
+        if out.__class__ is tuple:
+            return out[0], np.array(out[1:])
+        return out if self._run is None else f"{out} at state {x}"
+
+
+def _value_and_partials(field, xs):
+    value, gradient = value_and_grad(field, np.array(xs, dtype=object))
+    if np.shape(gradient) != (len(xs),):
+        raise Untraceable(f"gradient of shape {np.shape(gradient)} for {len(xs)} components")
+    return (value, *gradient)

@@ -86,9 +86,9 @@ class CbfInstance:
     # -- scalar field --------------------------------------------------
 
     def _check_domain(self, x):
-        xv = np.asarray(x if isinstance(x, np.ndarray) else [ad.scalar(v) for v in x], dtype=float)
+        xv = ad.array(x if isinstance(x, np.ndarray) else [ad.scalar(v) for v in x])
         if xv.ndim == 1:
-            if not self.output.in_extended_set(xv):
+            if not ad.holds(self.output.in_extended_set(xv), "domain"):
                 raise DomainError(f"state {xv} is outside the extended set")
             return
         outside = ~self.output.in_extended_set_batch(xv)
@@ -146,10 +146,11 @@ class CbfInstance:
         ``dataclasses.replace`` traces afresh.  The state is evaluated again
         on the Dual path, which raises or gives the same bits, when the field
         could not be traced, a guard of the code fires or the code raises;
-        :meth:`fallback_report` collects why.  A batch runs on batched Duals.
+        :meth:`fallback_report` collects why.  A batch runs on batched Duals,
+        and a traced state (see :class:`cbftk.autodiff.Traced`) on traced ones.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
+        x = ad.array(x)
+        if x.ndim == 1 and x.dtype == float:
             self._check_domain(x)
             result = self._generated(x.size)(x)
             if result.__class__ is tuple:

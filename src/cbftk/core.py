@@ -189,10 +189,10 @@ class ControlAffineSystem:
     g: Callable[[Sequence], Sequence]
 
     def f_vec(self, x) -> np.ndarray:
-        return np.asarray(self.f(x), dtype=float)
+        return ad.array(self.f(x))
 
     def g_mat(self, x) -> np.ndarray:
-        return np.asarray(self.g(x), dtype=float).reshape(self.n, self.m)
+        return ad.array(self.g(x)).reshape(self.n, self.m)
 
     def f_batch(self, states) -> np.ndarray:
         """f at the N states of ``states`` (shape (n, N)), shape (n, N)."""

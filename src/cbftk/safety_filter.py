@@ -35,11 +35,15 @@ __all__ = [
     "check_virtual_controller",
 ]
 
-def lambda_exact(a: float, b: float) -> float:
-    """Exact QP multiplier: 0 if b <= 0, else max(0, -a/b)."""
-    if b <= 0.0:
-        return 0.0
-    return max(0.0, -a / b)
+def lambda_exact(a, b):
+    """Exact QP multiplier: 0 if b <= 0, else max(0, -a/b).
+
+    Selects with :func:`cbftk.autodiff.where`, so that it can be traced; 1
+    stands in for a b <= 0 that is then not used.
+    """
+    positive = b > 0.0
+    ratio = -a / ad.where(positive, b, 1.0)
+    return ad.where(positive & (ratio > 0.0), ratio, 0.0)
 
 
 def lambda_half_sontag(a, b, sigma: float):
@@ -62,8 +66,9 @@ def lambda_half_sontag(a, b, sigma: float):
 class SafetyFilterSpec:
     """Desired controller and input weights of the exact-multiplier filter.
 
-    ``gamma`` is the positive diagonal of the input cost; ``alpha`` the
-    (outer) extended class-K gain enforcing hdot >= -alpha(h).
+    ``gamma`` is the positive diagonal of the input cost, a read-only copy
+    (the generated step of :func:`cbftk.sim.simulate` holds its values);
+    ``alpha`` the (outer) extended class-K gain enforcing hdot >= -alpha(h).
     """
 
     desired: Callable[[np.ndarray], Sequence]
@@ -71,9 +76,10 @@ class SafetyFilterSpec:
     alpha: LinearClassK
 
     def __post_init__(self):
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        gamma = np.array(self.gamma, dtype=float, ndmin=1)
         if np.any(gamma <= 0.0):
             raise ValueError("all Gamma weights must be positive")
+        gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
 
 
@@ -86,19 +92,25 @@ def safety_filter(spec: SafetyFilterSpec, instance, system, x) -> np.ndarray:
     ``instance.value_and_gradient``, which refuses a state outside the
     extended set with a DomainError; its generated straight-line code, or
     the Dual path for a state that code leaves to it, give the same bits.
-    The three ``@`` reductions stay in numpy, which computes a length-2 or
-    length-4 dot product with a fused multiply-add that Python 3.11 floats
-    cannot reproduce.
+    The three ``@`` reductions are :func:`cbftk.autodiff.dot`: numpy's on
+    floats, and in the generated step of :func:`cbftk.sim.simulate` the
+    fused multiply-adds numpy makes, computed exactly.
     """
-    x = np.asarray(x, dtype=float)
+    return _filtered(spec, instance, system, ad.array(x))
+
+
+def _filtered(spec: SafetyFilterSpec, instance, system, x):
+    """The body of :func:`safety_filter` at the array ``x`` of floats, or of
+    traced floats in the step :func:`cbftk.sim.simulate` generates; the
+    trace calls it, so that a wrapper of the public function (a profiler's,
+    say) sees only calls on floats."""
     h, hgrad = instance.value_and_gradient(x)
-    lfh = float(hgrad @ system.f_vec(x))
-    lgh = hgrad @ system.g_mat(x)
-    kd = np.asarray(spec.desired(x), dtype=float)
-    a = lfh + float(lgh @ kd) + spec.alpha(h)
+    lfh = ad.dot(hgrad, system.f_vec(x))
+    lgh = ad.dot(hgrad, system.g_mat(x))
+    kd = ad.array(spec.desired(x))
+    a = lfh + ad.dot(lgh, kd) + spec.alpha(h)
     b = lgh / spec.gamma
-    bb = float(lgh @ b)  # ||b||^2_Gamma
-    return kd + lambda_exact(a, bb) * b
+    return kd + lambda_exact(a, ad.dot(lgh, b)) * b  # ||b||^2_Gamma = lgh . b
 
 
 # -- virtual controllers for the single integrator ydot = u_y ---------------

@@ -9,6 +9,10 @@ chatter metrics take differences of those logged values.
 
 Runs truncate (rather than abort) on input blow-up, on leaving the
 extended set, and on non-finite states, so comparative batches complete.
+
+:func:`simulate` runs each step as straight-line code traced once
+(:class:`cbftk.autodiff.Traced`) from the helpers its numpy step uses, and
+a step that code leaves to numpy on numpy, with the same bits.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import EvaluationError
 from .cbf import ABC, CbfInstance
 from .core import ControlAffineSystem, DomainError
-from .safety_filter import SafetyFilterSpec, safety_filter
+from .safety_filter import SafetyFilterSpec, _filtered, safety_filter
 
 __all__ = [
     "Trajectory",
@@ -50,11 +55,13 @@ class Trajectory:
 
     ``s`` is populated for the activated backstepping construction and
     ``None`` otherwise.  ``exit_reason`` is ``"completed"`` for a full run
-    and names the truncation cause otherwise.  ``evaluation`` says how h
-    and its gradient were evaluated: ``"generated"`` when every state ran
-    the instance's traced code, ``"dual: <reason>"`` with the reason of the
-    first state that fell back to the Dual path, and ``"kernel"`` for a
-    run of :meth:`cbftk.systems.Scenario.simulate`.
+    and names the truncation cause otherwise.  ``evaluation`` says how the
+    steps ran: ``"generated"`` when every step of :func:`simulate` ran its
+    generated code; ``"numpy: <reason>"`` with the reason of the first step
+    that ran on numpy instead; ``"dual: <reason>"`` when such a step also
+    evaluated h and its gradient on the Dual path, with the reason of the
+    first state that did; and ``"kernel"`` for a run of
+    :meth:`cbftk.systems.Scenario.simulate`.
     """
 
     dt: float
@@ -92,15 +99,15 @@ def rk4_step(derivative, x, dt: float, t: float = 0.0) -> np.ndarray:
     """One classical Runge-Kutta step; raises on non-finite stage values."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x = np.asarray(x, dtype=float)
-    k1 = np.asarray(derivative(x), dtype=float)
-    k2 = np.asarray(derivative(x + 0.5 * dt * k1), dtype=float)
-    k3 = np.asarray(derivative(x + 0.5 * dt * k2), dtype=float)
-    k4 = np.asarray(derivative(x + dt * k3), dtype=float)
-    for stage in (k1, k2, k3, k4):
+
+    def checked(z):
+        stage = np.asarray(derivative(z), dtype=float)
         if not np.all(np.isfinite(stage)):
             raise SimulationError("non-finite derivative at an RK4 stage", t)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return stage
+
+    x = np.asarray(x, dtype=float)
+    return _next_state(checked, x, checked(x), dt)
 
 
 def _n_steps(horizon: float, dt: float) -> int:
@@ -121,11 +128,20 @@ def simulate(
     """Closed-loop run of the safety-filtered system from ``x0``.
 
     Every argument is honoured: the controller is ``safety_filter(spec,
-    instance, system, x)``.  Its h and gradient come from the instance's
-    generated straight-line code, or from the Dual path for a state the
-    code leaves to it (see :meth:`cbftk.cbf.CbfInstance.value_and_gradient`);
-    both give the same bits, and ``evaluation`` of the result says which
-    ran.  For the published constructions of a built-in scenario,
+    instance, system, x)``.  A step runs as straight-line code on Python
+    floats, traced once per (instance, system, spec) from the same filter,
+    plant, RK4 stages and logged fields, and cached on the instance.  It
+    makes numpy's operations in numpy's order, including the fused
+    multiply-adds of the filter's dot products
+    (:func:`cbftk.autodiff.dot`), so it gives the same bits.  The step runs
+    on numpy instead, with the same bits or the same error, where the code
+    leaves it: a state that is not finite or not in the extended set, an
+    operand outside the exact range of the fused multiply-add, a check of
+    h's construction that fails, or an exception.  So does every step when
+    the step could not be traced (a callable that needs the number behind a
+    traced value, or a product whose shapes have no reduction known to give
+    numpy's bits).  ``evaluation`` of the result says which ran and why.
+    For the published constructions of a built-in scenario,
     :meth:`cbftk.systems.Scenario.simulate` gives the run on the scalar
     kernels.
     """
@@ -134,69 +150,134 @@ def simulate(
     n = system.n
     m = system.m
     want_s = instance.kind == ABC
-    xs = np.empty((n_steps + 1, n))
-    us = np.empty((n_steps + 1, m))
-    hs = np.empty(n_steps + 1)
-    psis = np.empty(n_steps + 1)
-    ss = np.empty(n_steps + 1) if want_s else None
+    step = _generated_step(system, instance, spec)
 
     def controlled_derivative(x):
-        u = safety_filter(spec, instance, system, x)
-        return system.f_vec(x) + system.g_mat(x) @ u
+        return _derivative(system, x, safety_filter(spec, instance, system, x))
 
-    x = x0.copy()
-    rows = 0
+    # each row: x, u, h, psi and, for the activated construction, s
+    rows = []
+    x = tuple(x0.tolist())
     exit_reason = "completed"
-    with instance.fallback_report() as fallback:
+    reason = None
+    with instance.fallback_report() as dual:
         for k in range(n_steps + 1):
-            if not np.all(np.isfinite(x)):
+            out = step(*x, dt)
+            generated = out.__class__ is tuple
+            if generated:
+                logged = out[n:]
+            else:
+                if reason is None:
+                    reason = out if step.source is None else f"{out} at state {np.array(x)}"
+                xa = np.array(x)
+                if not np.all(np.isfinite(xa)):
+                    exit_reason = "non_finite"
+                    break
+                if not instance.output.in_extended_set(xa):
+                    exit_reason = "left_domain"
+                    break
+                ua = safety_filter(spec, instance, system, xa)
+                logged = (*ua.tolist(), *_logged(instance, xa, want_s))
+            rows.append(x + logged)
+            u = logged[:m]
+            if not all(map(math.isfinite, u)):
                 exit_reason = "non_finite"
                 break
-            if not instance.output.in_extended_set(x):
-                exit_reason = "left_domain"
-                break
-            u = safety_filter(spec, instance, system, x)
-            xs[k] = x
-            us[k] = u
-            hs[k] = instance.value(x)
-            psis[k] = instance.output.psi_of_state(x)
-            if want_s:
-                ss[k] = instance.switching(x)
-            rows = k + 1
-            if not np.all(np.isfinite(u)):
-                exit_reason = "non_finite"
-                break
-            if np.max(np.abs(u)) > blow_up_threshold:
+            if max(map(abs, u)) > blow_up_threshold:
                 exit_reason = "blow_up"
                 break
             if k == n_steps:
                 break
+            if generated:
+                x = out[:n]
+                continue
             # stage 1 reuses the logged input; later stages re-evaluate the
             # controller, mirroring the compiled kernels exactly
             try:
-                k1 = system.f_vec(x) + system.g_mat(x) @ u
-                k2 = controlled_derivative(x + 0.5 * dt * k1)
-                k3 = controlled_derivative(x + 0.5 * dt * k2)
-                k4 = controlled_derivative(x + dt * k3)
+                x = tuple(_next_state(controlled_derivative, xa, _derivative(system, xa, ua), dt).tolist())
             except DomainError:
                 exit_reason = "left_domain"
                 break
             except EvaluationError:
                 exit_reason = "non_finite"
                 break
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    t = dt * np.arange(rows)
+    table = np.array(rows, dtype=float).reshape(len(rows), n + m + 2 + want_s)
     return Trajectory(
         dt=dt,
-        t=t,
-        x=xs[:rows].copy(),
-        u=us[:rows].copy(),
-        h=hs[:rows].copy(),
-        psi=psis[:rows].copy(),
-        s=ss[:rows].copy() if want_s else None,
+        t=dt * np.arange(len(rows)),
+        x=table[:, :n].copy(),
+        u=table[:, n : n + m].copy(),
+        h=table[:, n + m].copy(),
+        psi=table[:, n + m + 1].copy(),
+        s=table[:, n + m + 2].copy() if want_s else None,
         exit_reason=exit_reason,
-        evaluation=f"dual: {fallback[0]}" if fallback else "generated",
+        evaluation="generated" if reason is None else f"dual: {dual[0]}" if dual else f"numpy: {reason}",
     )
+
+
+def _derivative(system, x, u):
+    """xdot = f(x) + g(x) u."""
+    return system.f_vec(x) + ad.dot(system.g_mat(x), u)
+
+
+def _next_state(derivative, x, k1, dt):
+    """The classical RK4 step of ``derivative`` from ``x``, whose first stage is ``k1``."""
+    k2 = derivative(x + 0.5 * dt * k1)
+    k3 = derivative(x + 0.5 * dt * k2)
+    k4 = derivative(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _logged(instance, x, want_s) -> list:
+    """h and psi at ``x`` and, where ``want_s``, s: each on its float path."""
+    values = [instance.value(x), instance.output.psi_of_state(x)]
+    if want_s:
+        values.append(instance.switching(x))
+    return values
+
+
+def _generated_step(system, instance, spec) -> ad.Traced:
+    """:func:`_step` as straight-line code, cached on ``instance`` by the
+    identities of ``system`` and ``spec``, which the cache keeps alive."""
+    steps = instance.__dict__.setdefault("_steps", {})
+    key = (id(system), id(spec))
+    if key not in steps:
+        controller = ad.Traced(lambda x: _controlled(system, instance, spec, np.array(x, dtype=object)), system.n)
+        step = ad.Traced(lambda args: _step(system, instance, controller, args), system.n + 1)
+        steps[key] = (system, spec, step)
+    return steps[key][2]
+
+
+def _controlled(system, instance, spec, x) -> list:
+    """u at ``x``, then the stage derivative f(x) + g(x) u."""
+    u = _filtered(spec, instance, system, x)
+    return [*u, *_derivative(system, x, u)]
+
+
+def _step(system, instance, controller, args) -> list:
+    """One step of :func:`simulate` from the traced state and step size in
+    ``args``: the next state, then u, h, psi and, for the activated
+    construction, s at the state.
+
+    ``controller`` is the code of :func:`_controlled`, called at the state
+    and at the three later stages.  Besides the guards of that code (the
+    extended set among them), a guard leaves the step to numpy where an
+    output is not finite: the state itself may not be, which the numpy
+    step reports as the loop checks it, or a NaN may have gone through a
+    fused multiply-add, which need not keep its bits.
+    """
+    x, dt = np.array(args[:-1], dtype=object), args[-1]
+    m = system.m
+
+    def controlled_derivative(z):
+        return np.array(controller.call(z)[m:], dtype=object)
+
+    at_x = controller.call(x)
+    k1 = np.array(at_x[m:], dtype=object)
+    outputs = [*_next_state(controlled_derivative, x, k1, dt), *at_x[:m], *_logged(instance, x, instance.kind == ABC)]
+    for v in outputs:
+        ad.holds(abs(v) < math.inf, "non-finite")
+    return outputs
 
 
 def compute_metrics(traj: Trajectory) -> SafetyMetrics:

@@ -120,11 +120,11 @@ class BicycleParams:
 
 
 def lane_keeping_desired(x, params: BicycleParams = BicycleParams()) -> np.ndarray:
-    """(-K_eta eta - K_theta sin theta, K_v (v_d - v))."""
+    """(-K_eta eta - K_theta sin theta, K_v (v_d - v)); traceable."""
     return np.asarray(
         [
-            -params.k_eta * float(x[1]) - params.k_theta * math.sin(float(x[2])),
-            params.k_v * (params.v_desired - float(x[3])),
+            -params.k_eta * x[1] - params.k_theta * ad.sin(x[2]),
+            params.k_v * (params.v_desired - x[3]),
         ]
     )
 

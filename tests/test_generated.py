@@ -217,6 +217,19 @@ def test_smooth_primitives_and_branches_match():
     assert all(isinstance(out, tuple) for out in outcomes)
 
 
+def test_both_branches_of_a_where_are_evaluated_first():
+    # on floats both operands of a where are evaluated, so sin(inf) raises
+    # where the other one is taken; the generated code must not skip it
+    def function(x):
+        return [ad.where(x[0] > 0.0, ad.sin(x[1]), x[0])]
+
+    run = ad.Traced(function, 2)
+    assert run(-1.0, 2.0) == (-1.0,) and run(1.0, 2.0) == (math.sin(2.0),)
+    with pytest.raises(ValueError, match="math domain error"):
+        function([-1.0, math.inf])
+    assert run(-1.0, math.inf) == "generated code raised ValueError: math domain error"
+
+
 def test_a_where_between_a_dual_and_a_constant_is_guarded():
     # one state gets the Dual or the constant; the latter is left to Dual
     def field(x):

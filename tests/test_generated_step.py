@@ -1,0 +1,171 @@
+"""The generated closed-loop step gives the numpy step's bits.
+
+``sim.simulate`` runs each step as straight-line code traced from the
+filter, the plant, the RK4 stages and the logged fields.  Each run here is
+compared with the same run made with every step on numpy: every logged
+column by ``tobytes()``, the exit reason and the row count.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbftk import autodiff as ad
+from cbftk import sim
+from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, abc, backstepping, hocbf, recbf
+from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
+from cbftk.safety_filter import LinearGain, SafetyFilterSpec
+from cbftk.systems import bicycle_scenario, pendulum_scenario
+from strategies import bicycle_params, pendulum_params
+
+COLUMNS = ("t", "x", "u", "h", "psi", "s")
+
+
+def _numpy_simulate(*args, **kwargs):
+    """``sim.simulate`` with every step on numpy."""
+    untraceable = ad.Traced(lambda xs: [float(xs[0])], 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_generated_step", lambda *_: untraceable)
+        return sim.simulate(*args, **kwargs)
+
+
+def _assert_same_run(system, inst, spec, x0, horizon, dt=1e-3, **kwargs):
+    traj = sim.simulate(system, inst, spec, x0, horizon, dt, **kwargs)
+    reference = _numpy_simulate(system, inst, spec, x0, horizon, dt, **kwargs)
+    assert reference.evaluation.startswith("numpy: not traced")
+    for column in COLUMNS:
+        got, expected = getattr(traj, column), getattr(reference, column)
+        assert (got is None) == (expected is None), column
+        if got is not None:
+            assert got.tobytes() == expected.tobytes(), column
+    assert (traj.exit_reason, len(traj)) == (reference.exit_reason, len(reference))
+    return traj
+
+
+pendulum_states = st.tuples(st.floats(-1.5, 1.5), st.floats(-4.0, 4.0))
+bicycle_states = st.tuples(
+    st.floats(0.0, 40.0), st.floats(-8.0, 8.0), st.floats(-0.8, 0.8), st.floats(0.5, 13.0)
+).filter(lambda x: (x[0] - 20.0) ** 2 + (x[1] + 0.1) ** 2 > 0.25)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=4, derandomize=True)
+@given(params=pendulum_params, x0=pendulum_states)
+def test_pendulum_step_equals_numpy(kind, params, x0):
+    scenario = pendulum_scenario(params=params)
+    _assert_same_run(scenario.system, scenario.make_cbf(kind), scenario.filter_spec(), x0, 0.1)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=4, derandomize=True)
+@given(params=bicycle_params, x0=bicycle_states)
+def test_bicycle_step_equals_numpy(kind, params, x0):
+    scenario = bicycle_scenario(params=params)
+    _assert_same_run(scenario.system, scenario.make_cbf(kind), scenario.filter_spec(), x0, 0.1)
+
+
+# a plant that is not in cbftk.systems: three states, one input, the
+# output's second derivative driven through a lagged state
+TRIPLE = ControlAffineSystem(
+    n=3,
+    m=1,
+    f=lambda x: [x[1], -0.5 * x[1] + x[2], -x[2] + ad.sin(x[0])],
+    g=lambda x: [[0.0], [1.0], [0.0]],
+)
+TRIPLE_OUTPUT = RelDeg2Output(
+    p=1,
+    y=lambda x: [x[0]],
+    ydot=lambda x: [x[1]],
+    psi=lambda y: 1.0 - y[0] * y[0],
+    psi_grad=lambda y: [-2.0 * y[0]],
+)
+TRIPLE_SPEC = SafetyFilterSpec(desired=lambda x: [0.3 * x[2] - x[0]], gamma=np.array([0.7]), alpha=LinearClassK(1.5))
+
+
+def _triple_instance(kind, gain, mu):
+    alpha = LinearClassK(gain)
+    if kind == HOCBF:
+        return hocbf(TRIPLE_OUTPUT, alpha)
+    if kind == RECBF:
+        return recbf(TRIPLE_OUTPUT, alpha, ReQUActivation(mu), 0.5)
+    if kind == BACKSTEPPING:
+        return backstepping(TRIPLE_OUTPUT, alpha, LinearGain(0.8), mu)
+    return abc(TRIPLE_OUTPUT, alpha, LinearGain(0.8), ReQUActivation(mu))
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=4, derandomize=True)
+@given(
+    gain=st.floats(0.3, 3.0),
+    mu=st.floats(0.5, 5.0),
+    x0=st.tuples(st.floats(-0.9, 0.9), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+def test_a_plant_outside_systems_steps_as_numpy(kind, gain, mu, x0):
+    _assert_same_run(TRIPLE, _triple_instance(kind, gain, mu), TRIPLE_SPEC, x0, 0.2)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+def test_a_plant_outside_systems_runs_generated(kind):
+    traj = sim.simulate(TRIPLE, _triple_instance(kind, 1.2, 2.0), TRIPLE_SPEC, [0.3, -0.5, 0.8], 0.5, 1e-3)
+    assert traj.evaluation == "generated"
+
+
+def test_a_blow_up_ends_the_same(pendulum):
+    traj = _assert_same_run(pendulum.system, pendulum.make_cbf(HOCBF), pendulum.filter_spec(), [0.1, -2.0], 5.0)
+    assert traj.exit_reason == "blow_up" and traj.evaluation == "generated"
+
+
+def test_leaving_the_domain_ends_the_same():
+    # a drifting cart whose extended set ends at x0 = 2
+    system = ControlAffineSystem(
+        n=2, m=1, f=lambda x: [1.0 + 0.0 * x[0], 0.0 * x[0]], g=lambda x: [[0.0], [1.0]]
+    )
+    output = RelDeg2Output(
+        p=1,
+        y=lambda x: [x[0]],
+        ydot=lambda x: [1.0 + 0.0 * x[0]],
+        psi=lambda y: 100.0 - y[0] * y[0],
+        psi_grad=lambda y: [-2.0 * y[0]],
+        in_extended_set=lambda x: x[0] < 2.0,
+    )
+    spec = SafetyFilterSpec(desired=lambda x: np.zeros(1), gamma=np.ones(1), alpha=LinearClassK(1.0))
+    traj = _assert_same_run(system, hocbf(output, LinearClassK(1.0)), spec, [0.0, 0.0], 5.0, 1e-2)
+    assert traj.exit_reason == "left_domain"
+    assert traj.evaluation.startswith("numpy: domain guard fired at state [1.99")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows where the state does
+def test_a_state_that_overflows_ends_the_same():
+    # xdot = x^2 from 1 leaves the floats in finite time; the input stays bounded
+    system = ControlAffineSystem(n=2, m=1, f=lambda x: [x[0] * x[0], 0.0 * x[1]], g=lambda x: [[0.0], [1.0]])
+    output = RelDeg2Output(
+        p=1, y=lambda x: [x[1]], ydot=lambda x: [0.0 * x[1]], psi=lambda y: 1.0 + 0.0 * y[0], psi_grad=lambda y: [0.0 * y[0]]
+    )
+    spec = SafetyFilterSpec(desired=lambda x: np.zeros(1), gamma=np.ones(1), alpha=LinearClassK(1.0))
+    traj = _assert_same_run(system, hocbf(output, LinearClassK(1.0)), spec, [1.0, 0.0], 2.0, 1e-2, blow_up_threshold=math.inf)
+    assert traj.exit_reason == "non_finite"
+    assert traj.evaluation.startswith("numpy: ")
+
+
+# -- performance guard: the runs the benchmark makes stay on generated code ----
+
+
+def test_custom_plant_runs_are_generated_at_every_step():
+    # drawn as the custom_plant benchmark draws them: three states per
+    # construction with h >= 0.05, 0.5 s at dt = 1e-3
+    rng = np.random.default_rng(0)
+    for scenario in (pendulum_scenario(), bicycle_scenario()):
+        spec = SafetyFilterSpec(scenario.desired, scenario.gamma, scenario.alpha_outer)
+        for kind in CBF_KINDS:
+            inst = scenario.make_cbf(kind)
+            states = []
+            while len(states) < 3:
+                x = scenario.sample_state(rng)
+                if scenario.output.in_extended_set(x) and inst.value(x) >= 0.05:
+                    states.append(x)
+            for x0 in states:
+                traj = sim.simulate(scenario.system, inst, spec, x0, 0.5, 1e-3)
+                assert traj.evaluation == "generated", (scenario.name, kind, x0, traj.evaluation)

@@ -270,6 +270,16 @@ def test_spec_validation_errors(pendulum):
         SafetyFilterSpec(desired=lambda x: np.zeros(1), gamma=np.array([0.0]), alpha=LinearClassK(1.0))
 
 
+def test_spec_gamma_is_a_read_only_copy():
+    # the generated step of sim.simulate holds gamma's values, so it cannot change
+    weights = np.array([1.0, 0.15])
+    spec = SafetyFilterSpec(desired=lambda x: np.zeros(2), gamma=weights, alpha=LinearClassK(1.0))
+    with pytest.raises(ValueError, match="read-only"):
+        spec.gamma[0] = 2.0
+    weights[0] = 2.0  # the caller's array stays writable and apart
+    assert spec.gamma.tolist() == [1.0, 0.15]
+
+
 @pytest.mark.parametrize("kind", CBF_KINDS)
 def test_filter_refuses_the_bicycle_obstacle_centre(bicycle, kind):
     x = np.array([20.0, -0.1, 0.0, 3.0])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from cbftk import autodiff as ad
+from cbftk import sim
 from cbftk.cbf import ABC, CBF_KINDS, RECBF, CbfInstance, abc, hocbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from cbftk.safety_filter import LinearGain, SafetyFilterSpec, safety_filter
@@ -320,9 +321,13 @@ def _assert_generated_run_equals_dual(scenario, kind, horizon):
     inst = scenario.make_cbf(kind)
     spec = scenario.filter_spec()
     traj = simulate(scenario.system, inst, spec, scenario.x0, horizon, 1e-3)
+    # every step on numpy, with h and its gradient on the Dual path
+    untraceable = ad.Traced(lambda xs: [float(xs[0])], 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(CbfInstance, "value_and_gradient", lambda self, x: ad.value_and_grad(self.value, x))
+        patch.setattr(sim, "_generated_step", lambda *_: untraceable)
         dual = simulate(scenario.system, inst, spec, scenario.x0, horizon, 1e-3)
+    assert dual.evaluation.startswith("numpy: not traced")
     assert (traj.exit_reason, len(traj), _digest(traj)) == (dual.exit_reason, len(dual), _digest(dual))
     assert traj.evaluation == "generated"
 
