@@ -39,6 +39,8 @@ EXIT_VALIDATION = 3
 # rows formatted and written at a time: bounds the text held in memory
 _BLOCK_ROWS = 4096
 
+_BOOL_TEXT = np.array(["0", "1"], dtype=object)
+
 
 def _fmt(value: float) -> str:
     """Nine significant digits, plain decimal or exponent as needed."""
@@ -55,14 +57,43 @@ def _output(path):
             yield handle
 
 
+def _format_block(values):
+    """``"%.9g"`` text of each entry of a float64 array, as a list.
+
+    Each distinct value is formatted once and its text gathered into every
+    cell that holds it.  Values are keyed by their bit pattern, not compared
+    with ``==``: ``-0.0 == 0.0`` although they print as ``-0`` and ``0``
+    (the kernel runs' ``u`` column holds both), and a NaN equals no value,
+    itself included; by bits, each NaN sign and payload is one key.  A block
+    without a repeated value, as most trajectory blocks are, is formatted
+    cell by cell, which skips the gather.
+    """
+    keys = values.view(np.int64)
+    order = np.argsort(keys, kind="stable")
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
+    if first.all():
+        return ["%.9g" % v for v in values.tolist()]
+    text = np.array(["%.9g" % v for v in values[order[first]].tolist()], dtype=object)
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return text[group].tolist()
+
+
 def _write_csv(handle, header, columns):
     """Write ``header`` and the rows of ``columns``, one block of rows at a time.
 
-    A column is a float array (nine significant digits), a bool array (0/1)
-    or None (empty cells); the first column is an array.  Each block of
-    ``_BLOCK_ROWS`` rows is written as soon as it is formatted, so the whole
-    text is never held in memory.
+    A column is a numeric array (nine significant digits of its float64
+    value), a bool array (0/1) or None (empty cells); the first column is an
+    array.  Each block of ``_BLOCK_ROWS`` rows is written as soon as it is
+    formatted, so the whole text is never held in memory; within a block,
+    each distinct float is formatted once (:func:`_format_block`).
     """
+    columns = [
+        column if column is None or column.dtype == bool else np.asarray(column, dtype=float)
+        for column in columns
+    ]
     rows = len(columns[0])
     handle.write(header + "\n")
     for start in range(0, rows, _BLOCK_ROWS):
@@ -72,9 +103,9 @@ def _write_csv(handle, header, columns):
             if column is None:
                 cells.append([""] * (stop - start))
             elif column.dtype == bool:
-                cells.append(["1" if v else "0" for v in column[start:stop].tolist()])
+                cells.append(_BOOL_TEXT[column[start:stop].view(np.uint8)].tolist())
             else:
-                cells.append(["%.9g" % v for v in column[start:stop].tolist()])
+                cells.append(_format_block(column[start:stop]))
         handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -9,6 +9,7 @@ repeated ``--set key=value`` flags) overrides them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional
 
@@ -107,6 +108,11 @@ _BICYCLE_PARAM_KEYS = {
     "kappa.sigma_hat": "sigma_hat",
 }
 
+
+def _listing(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
 def parse_assignments(text: str) -> dict:
     """Flat key=value lines to an ordered dict of raw strings."""
     out = {}
@@ -196,6 +202,8 @@ class ScenarioConfig:
         n = 2 if self.scenario == "pendulum" else 4
         if self.x0 is not None and len(self.x0) != n:
             raise ConfigError(f"init.x0: expected {n} components for {self.scenario}")
+        if self.x0 is not None and not all(math.isfinite(v) for v in self.x0):
+            raise ConfigError(f"init.x0: expected finite numbers, got {_listing(self.x0)}")
         if self.dt is not None and not self.dt > 0.0:
             raise ConfigError("sim.dt: must be positive")
         if self.horizon is not None and not self.horizon > 0.0:
@@ -211,6 +219,27 @@ class ScenarioConfig:
     # -- realization ---------------------------------------------------
 
     def build_scenario(self) -> Scenario:
+        """The configured scenario, its constructions and filter checked.
+
+        A parameter that the scenario, a construction of ``cbfs`` or the
+        safety filter refuses, and an ``x0`` outside the scenario's extended
+        set, raise a :class:`ConfigError`.
+        """
+        try:
+            scenario = self._scenario()
+            for kind in self.cbfs:
+                scenario.make_cbf(kind)
+            scenario.filter_spec()
+        except ValueError as exc:
+            raise ConfigError(f"{self.scenario} parameters: {exc}") from None
+        if not scenario.output.in_extended_set(scenario.x0):
+            raise ConfigError(
+                f"init.x0: {_listing(scenario.x0)} lies outside the extended set of "
+                f"{self.scenario}, where the constructions are undefined"
+            )
+        return scenario
+
+    def _scenario(self) -> Scenario:
         if self.scenario == "pendulum":
             params = PendulumParams(**self.param_overrides) if self.param_overrides else PendulumParams()
             kwargs = {}

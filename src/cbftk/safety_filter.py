@@ -159,6 +159,10 @@ class SmoothFilter(VirtualController):
     sigma_hat: float
     p: int = 2
 
+    def __post_init__(self):
+        if not self.sigma_hat > 0.0:
+            raise ValueError(f"half-Sontag smoothing sigma must be positive, got {self.sigma_hat}")
+
     def __call__(self, y):
         b = self.psi_grad(y)
         kd = self.kappa_d(y)

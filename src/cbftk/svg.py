@@ -71,12 +71,14 @@ def line_chart(path, x, series, title="", x_label="", y_label=""):
             f'<text x="{_ML - 6}" y="{sy(tick) + 3:.1f}" text-anchor="end" '
             f'font-size="10">{tick:.3g}</text>'
         )
+    # the x text is shared by every series; each keeps its finite points
+    x_text = np.array(["%.2f" % v for v in sx(x).tolist()], dtype=object)
     for i, (name, values) in enumerate(series.items()):
         values = np.asarray(values, dtype=float)
         color = _PALETTE[i % len(_PALETTE)]
         keep = np.isfinite(values)
         points = " ".join(
-            ["%.2f,%.2f" % p for p in zip(sx(x[keep]).tolist(), sy(values[keep]).tolist())]
+            ["%s,%.2f" % p for p in zip(x_text[keep].tolist(), sy(values[keep]).tolist())]
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'

@@ -389,6 +389,41 @@ def test_config_error_messages_name_keys():
         ScenarioConfig.from_text("scenario = pendulum\ninit.x0 = 1,2,3\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "plant,x0", [("bicycle", "20,-0.1,0,3"), ("pendulum", "nan,0"), ("pendulum", "0,-inf")]
+)
+def test_initial_state_without_a_first_row_is_refused(tmp_path, capsys, command, plant, x0):
+    # the obstacle centre and non-finite states would give zero-row runs
+    out = tmp_path / "out.csv"
+    argv = [command, "--scenario", plant, "--cbf", "abc", "--set", f"init.x0={x0}"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: init.x0: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "plant,kind,assignment,reason",
+    [
+        ("pendulum", "abc", "cbf.alpha_outer_c=0", "class-K gain"),
+        ("pendulum", "recbf", "cbf.mu_recbf=-1", "activation scale"),
+        ("pendulum", "recbf", "cbf.epsilon=-1", "epsilon"),
+        ("bicycle", "abc", "cbf.mu=0", "activation scale"),
+        ("bicycle", "abc", "kappa.sigma_hat=-1", "sigma"),
+    ],
+)
+def test_parameters_refused_by_the_constructors_exit_1(tmp_path, capsys, plant, kind, assignment, reason):
+    for command in ("simulate", "scan", "validate"):
+        out = tmp_path / f"{command}.out"
+        argv = [command, "--scenario", plant, "--cbf", kind, "--set", assignment]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"configuration error: {plant} parameters: ")
+        assert reason in err[0]
+        assert not out.exists()
+
+
 # -- the column writer against the per-cell layout ----------------------------
 
 # values whose nine-digit text is easy to get wrong: signed zero, the
@@ -399,6 +434,11 @@ _AWKWARD = [
     1.7976931348623157e308, -1e300, 1e-300, 1e-5, 1e-4, 0.0001234567891,
     999999999.0, 999999999.5, 1e9, -123456789.123, 1.0 / 3.0,
 ]
+# NaNs with the sign bit set or other payload bits: distinct keys, one text
+_NANS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000123],
+    dtype=np.uint64,
+).view(float)
 
 
 def _per_cell_lines(header, columns):
@@ -423,17 +463,28 @@ def _per_cell_lines(header, columns):
     rows=st.sampled_from(
         [0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
     ),
-    kinds=st.lists(st.sampled_from(["float", "bool", "empty"]), max_size=6),
+    kinds=st.lists(
+        st.sampled_from(["float", "distinct", "mixed", "zeros", "bool", "empty"]), max_size=6
+    ),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_column_writer_matches_per_cell_formatting(pool, rows, kinds, seed):
     rng = np.random.default_rng(seed)
-    values = np.array(pool + _AWKWARD)
+    values = np.concatenate([pool + _AWKWARD, _NANS])
+    # all distinct: every block is formatted cell by cell
+    distinct = rng.permutation(rows) / 7.0 - 100.0
     # the leading columns are strided views, as the state columns x.T are
     columns = [*rng.choice(values, (rows, 2)).T]
     for kind in kinds:
         if kind == "float":
             columns.append(rng.choice(values, rows))
+        elif kind == "distinct":
+            columns.append(distinct)
+        elif kind == "mixed":
+            # no repeat in the first block, repeats after it
+            columns.append(np.where(np.arange(rows) < _BLOCK_ROWS, distinct, rng.choice(values, rows)))
+        elif kind == "zeros":
+            columns.append(rng.choice(np.array([0.0, -0.0, *_NANS]), rows))
         elif kind == "bool":
             columns.append(rng.random(rows) < 0.5)
         else:
@@ -442,6 +493,19 @@ def test_column_writer_matches_per_cell_formatting(pool, rows, kinds, seed):
     out = io.StringIO()
     _write_csv(out, header, columns)
     assert out.getvalue() == _per_cell_lines(header, columns)
+
+
+def test_column_writer_formats_other_numeric_dtypes_as_floats():
+    # an integer's bits must not be read as a double's
+    columns = [
+        np.array([0, 1, -7, 2**53 + 1, 2**62, 1, 0], dtype=np.int64),
+        np.array([0.1, 0.1, -0.0, np.nan, 3e38, 1e-45, 0.1], dtype=np.float32),
+        np.array([1, 1, 2, 2, 3, 3, 4], dtype=np.int32),
+    ]
+    out = io.StringIO()
+    _write_csv(out, "a,b,c", columns)
+    assert out.getvalue() == _per_cell_lines("a,b,c", columns)
+    assert out.getvalue().splitlines()[4] == "9.00719925e+15,nan,2"
 
 
 def _scenario(plant, kind):
