@@ -25,10 +25,11 @@ derivatives.
 
 For one state, :class:`Traced` runs a function of floats once on symbolic
 floats (:class:`Sym`) and emits the float operations it records, in
-evaluation order, as one straight-line Python function; :class:`Generated`
-does so for this Dual code: forward-mode AD by source transformation
-(Griewank & Walther; the trace-once approach of Tapenade and of JAX's
-jaxprs).  The generated code makes the same float operations as the traced
+evaluation order, as one straight-line Python function (the trace-once
+approach of Tapenade and of JAX's jaxprs).  Dual code traces too, on Duals
+whose values are Syms and whose partials are object arrays of Syms and
+floats: forward-mode AD by source transformation (Griewank & Walther).
+The generated code makes the same float operations as the traced
 function, so it gives the same bits.  :func:`dot` is numpy's ``@`` on
 floats; traced, it emits the fused multiply-adds numpy's dot products make,
 each computed exactly (:func:`_fma`).
@@ -49,7 +50,6 @@ __all__ = [
     "BLOCK_NODES",
     "Dual",
     "EvaluationError",
-    "Generated",
     "Sym",
     "Traced",
     "Untraceable",
@@ -691,7 +691,7 @@ class Sym:
         On one state the Dual path returns either operand as it is, so a Dual
         and a plain value cannot share one variable of the generated code:
         the Dual side is traced, and a guard leaves the states that take the
-        other side to the Dual path.
+        other side to the path that was traced.
         """
         a_dual, b_dual = isinstance(a, Dual), isinstance(b, Dual)
         if a_dual and b_dual:
@@ -889,31 +889,3 @@ def _inlined(lines) -> list:
         else:
             out.append(f"{name} = {expression}")
     return out
-
-
-class Generated(Traced):
-    """``value_and_grad(field, x)`` at one state of ``n`` components, as
-    straight-line code traced once from the Dual path.
-
-    ``field`` runs on Duals whose values are :class:`Sym` and whose partials
-    are object arrays of Syms and floats, so the recorded operations are the
-    Dual path's by construction.  Calling with a state returns ``(value,
-    gradient)``, or the string of :class:`Traced`, which names the state
-    where the code left it to the Dual path.
-    """
-
-    def __init__(self, field, n: int):
-        super().__init__(lambda xs: _value_and_partials(field, xs), n)
-
-    def __call__(self, x):
-        out = super().__call__(*x.tolist())
-        if out.__class__ is tuple:
-            return out[0], np.array(out[1:])
-        return out if self._run is None else f"{out} at state {x}"
-
-
-def _value_and_partials(field, xs):
-    value, gradient = value_and_grad(field, np.array(xs, dtype=object))
-    if np.shape(gradient) != (len(xs),):
-        raise Untraceable(f"gradient of shape {np.shape(gradient)} for {len(xs)} components")
-    return (value, *gradient)

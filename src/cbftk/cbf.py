@@ -20,7 +20,6 @@ they remain exact through kappa and the activations.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,10 +116,6 @@ class CbfInstance:
     def value(self, x):
         """h(x); accepts floats or Duals componentwise, each for one state or a batch."""
         self._check_domain(x)
-        return self._field(x)
-
-    def _field(self, x):
-        """h(x) without the domain check: the body the tracer follows."""
         out = self.output
         if self.kind == HOCBF:
             return self.residual(x)
@@ -138,46 +133,14 @@ class CbfInstance:
         return psi - self.theta(-self.switching(x))
 
     def value_and_gradient(self, x):
-        """h and its exact gradient at one state (n,) or a batch (n, N).
+        """h and its exact gradient at one state (n,) or a batch (n, N),
+        on Duals: :func:`cbftk.autodiff.value_and_grad` of :meth:`value`.
 
-        One state, after the domain check, runs straight-line code traced
-        once per state size from the Dual path (:class:`cbftk.autodiff.Generated`)
-        and cached on this instance; an instance made by
-        ``dataclasses.replace`` traces afresh.  The state is evaluated again
-        on the Dual path, which raises or gives the same bits, when the field
-        could not be traced, a guard of the code fires or the code raises;
-        :meth:`fallback_report` collects why.  A batch runs on batched Duals,
-        and a traced state (see :class:`cbftk.autodiff.Traced`) on traced ones.
+        A traced state (see :class:`cbftk.autodiff.Traced`) runs on traced
+        Duals, which is how the generated step of :func:`cbftk.sim.simulate`
+        gets h and its gradient.
         """
-        x = ad.array(x)
-        if x.ndim == 1 and x.dtype == float:
-            self._check_domain(x)
-            result = self._generated(x.size)(x)
-            if result.__class__ is tuple:
-                return result
-            for first in self.__dict__.get("_reports", ()):
-                if not first:
-                    first.append(result)
-        return ad.value_and_grad(self.value, x)
-
-    def _generated(self, n: int) -> ad.Generated:
-        traces = self.__dict__.setdefault("_traces", {})
-        if n not in traces:
-            traces[n] = ad.Generated(self._field, n)
-        return traces[n]
-
-    @contextmanager
-    def fallback_report(self):
-        """Yields a list that gets the reason of the first single-state
-        :meth:`value_and_gradient` that falls back to the Dual path inside
-        the ``with`` block, and stays empty if none does."""
-        first = []
-        reports = self.__dict__.setdefault("_reports", [])
-        reports.append(first)
-        try:
-            yield first
-        finally:
-            reports.remove(first)
+        return ad.value_and_grad(self.value, ad.array(x))
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient of h at x via forward-mode AD."""

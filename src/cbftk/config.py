@@ -32,16 +32,22 @@ class ConfigError(ValueError):
 
 def _parse_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_floats(key, text):
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key}: expected finite numbers, got {text!r}")
+    return values
 
 
 def _parse_ints(key, text):
@@ -108,6 +114,8 @@ _BICYCLE_PARAM_KEYS = {
     "kappa.sigma_hat": "sigma_hat",
 }
 
+_PARAM_KEYS = {"pendulum": _PENDULUM_PARAM_KEYS, "bicycle": _BICYCLE_PARAM_KEYS}
+
 
 def _listing(values) -> str:
     return ",".join(repr(float(v)) for v in values)
@@ -155,7 +163,7 @@ class ScenarioConfig:
                 f"scenario: expected one of {', '.join(SCENARIO_NAMES)}, got {scenario!r}"
             )
         config.scenario = scenario
-        param_keys = _PENDULUM_PARAM_KEYS if scenario == "pendulum" else _BICYCLE_PARAM_KEYS
+        param_keys = _PARAM_KEYS[scenario]
         for key, value in assignments.items():
             if key == "scenario":
                 continue
@@ -208,6 +216,8 @@ class ScenarioConfig:
             raise ConfigError("sim.dt: must be positive")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ConfigError("sim.horizon: must be positive")
+        if not self.blow_up_threshold > 0.0:
+            raise ConfigError("sim.blow_up: must be positive")
         if self.window is not None and len(self.window) != 2:
             raise ConfigError("scan.window: expected two axes")
         if self.resolution is not None:
@@ -240,29 +250,14 @@ class ScenarioConfig:
         return scenario
 
     def _scenario(self) -> Scenario:
+        given = {"x0": self.x0, "window": self.window, "resolution": self.resolution}
+        kwargs = {name: value for name, value in given.items() if value is not None}
         if self.scenario == "pendulum":
-            params = PendulumParams(**self.param_overrides) if self.param_overrides else PendulumParams()
-            kwargs = {}
-            if self.x0 is not None:
-                kwargs["x0"] = self.x0
-            if self.window is not None:
-                kwargs["window"] = self.window
-            if self.resolution is not None:
-                kwargs["resolution"] = self.resolution
-            scenario = pendulum_scenario(params=params, **kwargs)
+            scenario = pendulum_scenario(params=PendulumParams(**self.param_overrides), **kwargs)
         else:
-            params = BicycleParams(**self.param_overrides) if self.param_overrides else BicycleParams()
-            kwargs = {}
-            if self.x0 is not None:
-                kwargs["x0"] = self.x0
-            if self.window is not None:
-                kwargs["window"] = self.window
-            if self.resolution is not None:
-                kwargs["resolution"] = self.resolution
+            params = BicycleParams(**self.param_overrides)
             if self.scan_slice:
-                slice_values = {"theta": 0.0, "v": params.v_desired}
-                slice_values.update(self.scan_slice)
-                kwargs["scan_slice"] = slice_values
+                kwargs["scan_slice"] = {"theta": 0.0, "v": params.v_desired, **self.scan_slice}
             scenario = bicycle_scenario(params=params, **kwargs)
         if self.dt is not None:
             scenario = replace(scenario, dt=self.dt)
@@ -287,18 +282,11 @@ class ScenarioConfig:
             "scan.resolution = " + ",".join(str(r) for r in scenario.resolution),
         ]
         params = scenario.params
-        if self.scenario == "pendulum":
-            for key, attr in _PENDULUM_PARAM_KEYS.items():
-                value = getattr(params, attr)
-                if value is None:
-                    continue
+        for key, attr in _PARAM_KEYS[self.scenario].items():
+            value = getattr(params, attr)
+            if value is not None:
                 lines.append(f"{key} = {float(value)!r}")
-        else:
-            for key, attr in _BICYCLE_PARAM_KEYS.items():
-                value = getattr(params, attr)
-                if value is None:
-                    continue
-                lines.append(f"{key} = {float(value)!r}")
+        if self.scenario == "bicycle":
             lines.append(f"filter.gamma = {params.gamma1!r},{params.gamma2!r}")
             lines.append(f"scan.theta = {scenario.scan_slice['theta']!r}")
             lines.append(f"scan.v = {scenario.scan_slice['v']!r}")

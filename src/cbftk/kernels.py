@@ -2,10 +2,11 @@
 
 Closed-loop stepping evaluates the filter at every RK4 stage of every
 step, one state at a time, so the per-state math for the pendulum and
-bicycle scenarios is spelled out here as scalar kernels compiled with
-numba.  Derivatives are carried inline (value plus partials), mirroring
-the dual-number rules of :mod:`cbftk.autodiff`; the test suite pins these
+bicycle scenarios is spelled out here as scalar kernels in plain Python.
+Derivatives are carried inline (value plus partials), mirroring the
+dual-number rules of :mod:`cbftk.autodiff`; the test suite pins these
 kernels against the AD reference path at random states and parameters.
+Within the library only :meth:`cbftk.systems.Scenario.simulate` calls them.
 Phase-plane scans need no kernel: :func:`cbftk.analysis.grid_scan`
 evaluates whole blocks of nodes with batched dual numbers, and
 :meth:`cbftk.systems.Scenario.scan` calls it.  The scan kernels
@@ -13,10 +14,6 @@ evaluates whole blocks of nodes with batched dual numbers, and
 library; they stay only because the benchmark's span tracer
 (``perfbench/tracing.py``) still lists them as targets, and go with those
 targets at the next change to the benchmark.
-
-Without numba installed the same code runs as plain Python -- identical
-results, minus the speed.  Within the library only
-:meth:`cbftk.systems.Scenario.simulate` calls them.
 
 Parameter vectors
 -----------------
@@ -35,23 +32,6 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    NUMBA_ENABLED = False
-
 HALF_PI_SQ = math.pi * math.pi / 4.0
 
 KIND_CODES = {"hocbf": 0, "recbf": 1, "backstepping": 2, "abc": 3}
@@ -69,17 +49,14 @@ EXIT_REASONS = {
 }
 
 
-@njit(cache=True)
 def _requ(z):
     return z * z if z > 0.0 else 0.0
 
 
-@njit(cache=True)
 def _requ_prime(z):
     return 2.0 * z if z > 0.0 else 0.0
 
 
-@njit(cache=True)
 def _lambda_exact(a, b):
     if b <= 0.0:
         return 0.0
@@ -92,7 +69,6 @@ def _lambda_exact(a, b):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
 def pend_h_grad(kind, phi, om, P):
     """(h, dh/dphi, dh/domega) for the requested construction."""
     ai = P[0]
@@ -121,12 +97,10 @@ def pend_h_grad(kind, phi, om, P):
     return h, -2.0 * phi - c * (2.0 * om + 4.0 * K * phi), -c * 2.0 * phi
 
 
-@njit(cache=True)
 def pend_switching(phi, om, K):
     return -2.0 * phi * (om + K * phi)
 
 
-@njit(cache=True)
 def pend_control(kind, phi, om, P):
     """(u, h) of the exact safety filter with the zero desired controller."""
     h, g0, g1 = pend_h_grad(kind, phi, om, P)
@@ -137,7 +111,6 @@ def pend_control(kind, phi, om, P):
     return lam * b, h
 
 
-@njit(cache=True)
 def pend_simulate(kind, phi0, om0, n_steps, dt, P, blow_threshold):
     """Closed-loop RK4 with the controller evaluated at every stage point.
 
@@ -197,7 +170,6 @@ def pend_simulate(kind, phi0, om0, n_steps, dt, P, blow_threshold):
     return xs, us, hs, psis, ss, rows, exit_code
 
 
-@njit(cache=True)
 def pend_scan(kind, phis, oms, P):
     """Row-major grid scan: h, psi, |L_g h|, L_f h + alpha_out(h), s."""
     n = phis.size * oms.size
@@ -229,7 +201,6 @@ def pend_scan(kind, phis, oms, P):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
 def bike_kappa_grad(xi, eta, P):
     """Smooth-filter virtual controller and its output-space partials.
 
@@ -272,7 +243,6 @@ def bike_kappa_grad(xi, eta, P):
     )
 
 
-@njit(cache=True)
 def bike_h_grad(kind, xi, eta, th, v, P):
     """(h, dh/dxi, dh/deta, dh/dtheta, dh/dv)."""
     xi_o = P[3]
@@ -335,7 +305,6 @@ def bike_h_grad(kind, xi, eta, th, v, P):
     return h, b1 + c * sx, b2 + c * se, c * sth_d, c * sv
 
 
-@njit(cache=True)
 def bike_switching(xi, eta, th, v, P):
     k1, k2, _, _, _, _ = bike_kappa_grad(xi, eta, P)
     b1 = 2.0 * (xi - P[3])
@@ -343,7 +312,6 @@ def bike_switching(xi, eta, th, v, P):
     return b1 * (v * math.cos(th) - k1) + b2 * (v * math.sin(th) - k2)
 
 
-@njit(cache=True)
 def bike_control(kind, xi, eta, th, v, P):
     """(u1, u2, h): exact safety filter around the lane-keeping controller."""
     L = P[0]
@@ -367,13 +335,11 @@ def bike_control(kind, xi, eta, th, v, P):
     return kd1 + lam * b1, kd2 + lam * b2, h
 
 
-@njit(cache=True)
 def _bike_rhs(kind, xi, eta, th, v, P):
     u1, u2, _ = bike_control(kind, xi, eta, th, v, P)
     return v * math.cos(th), v * math.sin(th), v * u1 / P[0], u2
 
 
-@njit(cache=True)
 def bike_simulate(kind, xi0, eta0, th0, v0, n_steps, dt, P, blow_threshold):
     """Closed-loop RK4 with stage-evaluated control; see pend_simulate."""
     n_rows = n_steps + 1
@@ -432,7 +398,6 @@ def bike_simulate(kind, xi0, eta0, th0, v0, n_steps, dt, P, blow_threshold):
     return xs, us, hs, psis, ss, rows, exit_code
 
 
-@njit(cache=True)
 def bike_scan(kind, xis, etas, theta, v, P):
     """Grid scan over (xi, eta) at a fixed (theta, v) slice.
 

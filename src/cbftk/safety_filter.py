@@ -89,12 +89,11 @@ def safety_filter(spec: SafetyFilterSpec, instance, system, x) -> np.ndarray:
     k_d(x) + lambda_exact(a, ||b||^2_Gamma) b: k_d(x) unchanged when
     L_g h(x) = 0 or when the desired controller already satisfies the
     barrier inequality.  h and its gradient come from
-    ``instance.value_and_gradient``, which refuses a state outside the
-    extended set with a DomainError; its generated straight-line code, or
-    the Dual path for a state that code leaves to it, give the same bits.
-    The three ``@`` reductions are :func:`cbftk.autodiff.dot`: numpy's on
-    floats, and in the generated step of :func:`cbftk.sim.simulate` the
-    fused multiply-adds numpy makes, computed exactly.
+    ``instance.value_and_gradient`` on Duals, which refuses a state outside
+    the extended set with a DomainError.  The three ``@`` reductions are
+    :func:`cbftk.autodiff.dot`: numpy's on floats, and in the generated
+    step of :func:`cbftk.sim.simulate` the fused multiply-adds numpy makes,
+    computed exactly.
     """
     return _filtered(spec, instance, system, ad.array(x))
 

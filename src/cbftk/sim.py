@@ -58,10 +58,8 @@ class Trajectory:
     and names the truncation cause otherwise.  ``evaluation`` says how the
     steps ran: ``"generated"`` when every step of :func:`simulate` ran its
     generated code; ``"numpy: <reason>"`` with the reason of the first step
-    that ran on numpy instead; ``"dual: <reason>"`` when such a step also
-    evaluated h and its gradient on the Dual path, with the reason of the
-    first state that did; and ``"kernel"`` for a run of
-    :meth:`cbftk.systems.Scenario.simulate`.
+    that ran on numpy instead, with h and its gradient on Duals; and
+    ``"kernel"`` for a run of :meth:`cbftk.systems.Scenario.simulate`.
     """
 
     dt: float
@@ -111,9 +109,22 @@ def rk4_step(derivative, x, dt: float, t: float = 0.0) -> np.ndarray:
 
 
 def _n_steps(horizon: float, dt: float) -> int:
-    if not horizon > 0.0 or not dt > 0.0:
-        raise ValueError("horizon and dt must be positive")
-    return int(math.floor(horizon / dt + 1e-9))
+    """The steps of ``dt`` in ``horizon``; refuses either where it is not
+    positive and finite, and a count that is not finite."""
+    if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(f"horizon and dt must be positive and finite, got {horizon} and {dt}")
+    steps = horizon / dt + 1e-9
+    if steps == math.inf:
+        raise ValueError(f"horizon / dt = {horizon} / {dt} overflows")
+    return int(math.floor(steps))
+
+
+def _initial_state(x0, n: int) -> np.ndarray:
+    """``x0`` as floats; refuses it unless it has the system's ``n`` components."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have {n} components, got shape {x0.shape}")
+    return x0
 
 
 def simulate(
@@ -140,14 +151,17 @@ def simulate(
     h's construction that fails, or an exception.  So does every step when
     the step could not be traced (a callable that needs the number behind a
     traced value, or a product whose shapes have no reduction known to give
-    numpy's bits).  ``evaluation`` of the result says which ran and why.
-    For the published constructions of a built-in scenario,
+    numpy's bits).  A step on numpy evaluates h and its gradient on Duals.
+    ``evaluation`` of the result says which ran and why.  An ``x0`` without
+    ``system.n`` components, or a ``horizon`` or ``dt`` that is not
+    positive and finite, is refused with a ValueError.  For the published
+    constructions of a built-in scenario,
     :meth:`cbftk.systems.Scenario.simulate` gives the run on the scalar
     kernels.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n_steps = _n_steps(horizon, dt)
     n = system.n
+    x0 = _initial_state(x0, n)
+    n_steps = _n_steps(horizon, dt)
     m = system.m
     want_s = instance.kind == ABC
     step = _generated_step(system, instance, spec)
@@ -160,47 +174,46 @@ def simulate(
     x = tuple(x0.tolist())
     exit_reason = "completed"
     reason = None
-    with instance.fallback_report() as dual:
-        for k in range(n_steps + 1):
-            out = step(*x, dt)
-            generated = out.__class__ is tuple
-            if generated:
-                logged = out[n:]
-            else:
-                if reason is None:
-                    reason = out if step.source is None else f"{out} at state {np.array(x)}"
-                xa = np.array(x)
-                if not np.all(np.isfinite(xa)):
-                    exit_reason = "non_finite"
-                    break
-                if not instance.output.in_extended_set(xa):
-                    exit_reason = "left_domain"
-                    break
-                ua = safety_filter(spec, instance, system, xa)
-                logged = (*ua.tolist(), *_logged(instance, xa, want_s))
-            rows.append(x + logged)
-            u = logged[:m]
-            if not all(map(math.isfinite, u)):
+    for k in range(n_steps + 1):
+        out = step(*x, dt)
+        generated = out.__class__ is tuple
+        if generated:
+            logged = out[n:]
+        else:
+            if reason is None:
+                reason = out if step.source is None else f"{out} at state {np.array(x)}"
+            xa = np.array(x)
+            if not np.all(np.isfinite(xa)):
                 exit_reason = "non_finite"
                 break
-            if max(map(abs, u)) > blow_up_threshold:
-                exit_reason = "blow_up"
-                break
-            if k == n_steps:
-                break
-            if generated:
-                x = out[:n]
-                continue
-            # stage 1 reuses the logged input; later stages re-evaluate the
-            # controller, mirroring the compiled kernels exactly
-            try:
-                x = tuple(_next_state(controlled_derivative, xa, _derivative(system, xa, ua), dt).tolist())
-            except DomainError:
+            if not instance.output.in_extended_set(xa):
                 exit_reason = "left_domain"
                 break
-            except EvaluationError:
-                exit_reason = "non_finite"
-                break
+            ua = safety_filter(spec, instance, system, xa)
+            logged = (*ua.tolist(), *_logged(instance, xa, want_s))
+        rows.append(x + logged)
+        u = logged[:m]
+        if not all(map(math.isfinite, u)):
+            exit_reason = "non_finite"
+            break
+        if max(map(abs, u)) > blow_up_threshold:
+            exit_reason = "blow_up"
+            break
+        if k == n_steps:
+            break
+        if generated:
+            x = out[:n]
+            continue
+        # stage 1 reuses the logged input; later stages re-evaluate the
+        # controller, mirroring the scalar kernels exactly
+        try:
+            x = tuple(_next_state(controlled_derivative, xa, _derivative(system, xa, ua), dt).tolist())
+        except DomainError:
+            exit_reason = "left_domain"
+            break
+        except EvaluationError:
+            exit_reason = "non_finite"
+            break
     table = np.array(rows, dtype=float).reshape(len(rows), n + m + 2 + want_s)
     return Trajectory(
         dt=dt,
@@ -211,7 +224,7 @@ def simulate(
         psi=table[:, n + m + 1].copy(),
         s=table[:, n + m + 2].copy() if want_s else None,
         exit_reason=exit_reason,
-        evaluation="generated" if reason is None else f"dual: {dual[0]}" if dual else f"numpy: {reason}",
+        evaluation="generated" if reason is None else f"numpy: {reason}",
     )
 
 

@@ -4,7 +4,7 @@ Each scenario bundles dynamics, the relative-degree-two output with its
 constraint, the desired controller, default parameters and CBF factories.
 Its ``scan`` method is :func:`cbftk.analysis.grid_scan` of the scenario's
 own construction, system, window and gain.  Its ``simulate`` method runs
-the published constructions on the compiled simulation kernels, and is
+the published constructions on the scalar simulation kernels, and is
 the only caller of :mod:`cbftk.kernels` in the library.  The dynamics and
 outputs act elementwise on per-component arrays, so the scans evaluate
 whole blocks of nodes at once.
@@ -32,7 +32,7 @@ from . import kernels
 from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, CbfInstance
 from .core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from .safety_filter import LinearGain, SafetyFilterSpec, SmoothFilter
-from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _n_steps
+from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _initial_state, _n_steps
 
 __all__ = [
     "PendulumParams",
@@ -175,10 +175,11 @@ class Scenario:
         dt: Optional[float] = None,
         blow_up_threshold: float = DEFAULT_BLOW_UP_THRESHOLD,
     ) -> Trajectory:
-        """Closed-loop run of ``make_cbf(kind)`` under ``filter_spec()``, compiled.
+        """Closed-loop run of ``make_cbf(kind)`` under ``filter_spec()``, on
+        the scalar kernels.
 
         The same run as :func:`cbftk.sim.simulate` with those arguments, on
-        the scenario kernel, which reads the construction, the filter and
+        the scenario kernel in plain Python, which reads the construction, the filter and
         the plant from ``self.params`` alone.  A scenario whose ``gamma`` or
         ``alpha_outer`` differs from what ``params`` gives, or whose
         ``system``, ``output`` or ``desired`` is not the object its factory
@@ -189,9 +190,7 @@ class Scenario:
         self._check_built()
         self._check_filter_from_params()
         code, params = kernels.KIND_CODES[kind], self.kernel_params_for(kind)
-        x0 = np.asarray(self.x0 if x0 is None else x0, dtype=float)
-        if x0.shape != (self.system.n,):
-            raise ValueError(f"x0 must have {self.system.n} components, got shape {x0.shape}")
+        x0 = _initial_state(self.x0 if x0 is None else x0, self.system.n)
         dt = self.dt if dt is None else dt
         n_steps = _n_steps(self.horizon if horizon is None else horizon, dt)
         xs, us, hs, psis, ss, rows, exit_code = self._kernel_simulate(

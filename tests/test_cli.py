@@ -404,6 +404,30 @@ def test_initial_state_without_a_first_row_is_refused(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
+    "plant,assignment,message",
+    [
+        ("pendulum", "sim.horizon=inf", "sim.horizon: expected a finite number"),
+        ("pendulum", "sim.dt=inf", "sim.dt: expected a finite number"),
+        ("pendulum", "scan.window=0:inf,-1:1", "scan.window: expected a finite number"),
+        ("pendulum", "cbf.K=nan", "cbf.K: expected a finite number"),
+        ("pendulum", "sim.blow_up=nan", "sim.blow_up: expected a finite number"),
+        ("pendulum", "sim.blow_up=0", "sim.blow_up: must be positive"),
+        ("pendulum", "sim.blow_up=-1", "sim.blow_up: must be positive"),
+        ("bicycle", "filter.gamma=inf,1", "filter.gamma: expected finite numbers"),
+        ("bicycle", "scan.v=nan", "scan.v: expected a finite number"),
+    ],
+)
+def test_non_finite_and_non_positive_numbers_are_refused(tmp_path, capsys, plant, assignment, message):
+    for command in ("simulate", "scan"):
+        out = tmp_path / f"{command}.out"
+        argv = [command, "--scenario", plant, "--cbf", "abc", "--set", assignment]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"configuration error: {message}")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "plant,kind,assignment,reason",
     [
         ("pendulum", "abc", "cbf.alpha_outer_c=0", "class-K gain"),

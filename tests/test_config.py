@@ -1,6 +1,7 @@
 """Config serialization: ``parse -> to_text -> parse`` is a fixed point."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,3 +68,27 @@ def test_parse_to_text_parse_is_a_fixed_point(text):
     assert a.scan_slice == b.scan_slice
     assert a.dt == b.dt and a.horizon == b.horizon
     assert second.cbfs == first.cbfs and second.blow_up_threshold == first.blow_up_threshold
+
+
+DEFAULT_TEXTS = {
+    "pendulum": (
+        "scenario = pendulum\ncbf = abc\nsim.dt = 0.001\nsim.horizon = 10.0\nsim.blow_up = 1000.0\n"
+        "init.x0 = -1.2,2.6\nscan.window = -1.5707963267948966:1.5707963267948966,-4.0:4.0\n"
+        "scan.resolution = 401,401\ncbf.alpha_c = 1.0\ncbf.K = 0.75\ncbf.mu_backstepping = 1.5\n"
+        "cbf.mu_abc = 5.0\ncbf.mu_recbf = 5.0\ncbf.epsilon = 2.0\nfilter.gamma = 1.0\n"
+    ),
+    "bicycle": (
+        "scenario = bicycle\ncbf = abc\nsim.dt = 0.001\nsim.horizon = 20.0\nsim.blow_up = 1000.0\n"
+        "init.x0 = 0.0,0.5,0.0,3.0\nscan.window = 0.0:40.0,-8.0:8.0\nscan.resolution = 401,401\n"
+        "cbf.alpha_c = 5.0\ncbf.mu = 1.0\ncbf.epsilon = 2.0\nsystem.wheelbase = 2.5\n"
+        "system.v_desired = 10.0\nsystem.v_hat = 4.0\nsystem.obstacle_xi = 20.0\n"
+        "system.obstacle_eta = -0.1\nsystem.obstacle_radius = 4.0\ndesired.k_eta = 0.4\n"
+        "desired.k_theta = 1.75\ndesired.k_v = 0.3\nkappa.alpha_hat_c = 1.0\nkappa.sigma_hat = 0.001\n"
+        "filter.gamma = 1.0,0.15\nscan.theta = 0.0\nscan.v = 10.0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(DEFAULT_TEXTS))
+def test_default_text_is_pinned(scenario):
+    assert ScenarioConfig.from_text(f"scenario = {scenario}\n").to_text() == DEFAULT_TEXTS[scenario]

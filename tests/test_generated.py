@@ -1,8 +1,11 @@
-"""The generated straight-line code equals the Dual path bit for bit.
+"""Traced Dual code equals the Dual path bit for bit.
 
-``CbfInstance.value_and_gradient`` at one state runs code traced once from
-the Dual path; every comparison here is by ``tobytes()``, so NaN, infinities
-and the sign of a zero count, and an error must match in type and message.
+The generated step of ``sim.simulate`` gets h and its gradient by tracing
+``ad.value_and_grad`` on Duals whose values are traced floats.  Here the
+same trace, ``ad.Traced`` over ``ad.value_and_grad`` on an object array, is
+taken of each field alone and compared with the Dual path on floats; every
+comparison is by ``tobytes()``, so NaN, infinities and the sign of a zero
+count.  A state the code leaves to the Dual path must get the reason.
 """
 
 import dataclasses
@@ -18,8 +21,21 @@ from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, hocbf
 from cbftk.core import LinearClassK, RelDeg2Output
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
 from strategies import bicycle_params, pendulum_params
+from test_generated_step import _assert_same_run
 
 HALF_PI_SQ = math.pi**2 / 4.0
+
+
+def _traced(field, n):
+    """``ad.value_and_grad(field, x)`` at one state of ``n`` components as
+    straight-line code: called with floats, it returns ``(value,
+    *gradient)`` or the reason it leaves them to the Dual path."""
+
+    def value_and_partials(xs):
+        value, gradient = ad.value_and_grad(field, np.array(xs, dtype=object))
+        return (value, *gradient)
+
+    return ad.Traced(value_and_partials, n)
 
 
 def _outcome(call, x):
@@ -28,22 +44,34 @@ def _outcome(call, x):
         value, grad = call(x)
     except Exception as exc:
         return type(exc), str(exc)
-    return np.float64(value).tobytes(), grad.tobytes()
+    return np.float64(value).tobytes(), np.asarray(grad, dtype=float).tobytes()
 
 
-def _assert_bit_identical(inst, x, generated=True):
-    """Generated and Dual outcomes agree; ``generated`` says whether the
-    state must run the generated code (else it must fall back)."""
-    x = np.asarray(x, dtype=float)
-    with inst.fallback_report() as fallback:
-        got = _outcome(inst.value_and_gradient, x)
-    assert got == _outcome(lambda s: ad.value_and_grad(inst.value, s), x), x
-    if generated:
-        assert not fallback, fallback
-    elif not isinstance(got[0], type):
-        # a state the code leaves to Dual, which must then answer
-        assert fallback
-    return fallback
+def _traced_equals_dual(run, field, x):
+    """The outcome of ``run`` at ``x``, after checking that, where it is
+    not a reason, it has the Dual path's bytes."""
+    out = run(*x)
+    if out.__class__ is tuple:
+        expected = _outcome(lambda s: ad.value_and_grad(field, s), np.asarray(x, dtype=float))
+        assert _outcome(lambda s: (out[0], out[1:]), x) == expected, x
+    return out
+
+
+def _assert_bit_identical(inst, states, generated=True):
+    """h and its gradient traced from ``inst.value`` give the Dual path's
+    bytes at each state; ``generated`` says whether every state must run
+    the code, else every state must be left to the Dual path, whose
+    reasons are returned."""
+    run = _traced(inst.value, len(states[0]))
+    reasons = []
+    for x in states:
+        out = _traced_equals_dual(run, inst.value, x)
+        if generated:
+            assert out.__class__ is tuple, (x, out)
+        else:
+            assert out.__class__ is str, x
+            reasons.append(out)
+    return reasons
 
 
 def _pendulum_special_states(params: PendulumParams):
@@ -88,8 +116,7 @@ bicycle_states = st.lists(
 @given(params=pendulum_params, states=pendulum_states)
 def test_pendulum_generated_equals_dual(kind, params, states):
     inst = pendulum_scenario(params=params).make_cbf(kind)
-    for x in [*_pendulum_special_states(params), *states]:
-        _assert_bit_identical(inst, x)
+    _assert_bit_identical(inst, [*_pendulum_special_states(params), *states])
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
@@ -97,11 +124,20 @@ def test_pendulum_generated_equals_dual(kind, params, states):
 @given(params=bicycle_params, states=bicycle_states)
 def test_bicycle_generated_equals_dual(kind, params, states):
     inst = bicycle_scenario(params=params).make_cbf(kind)
-    for x in [*_bicycle_special_states(params), *states]:
-        _assert_bit_identical(inst, x)
-    # the obstacle centre is outside the extended set: the same DomainError
+    _assert_bit_identical(inst, [*_bicycle_special_states(params), *states])
+    # the obstacle centre is outside the extended set: left to Dual, which raises
     centre = [params.obstacle_xi, params.obstacle_eta, 0.0, 5.0]
-    _assert_bit_identical(inst, centre, generated=False)
+    assert _assert_bit_identical(inst, [centre], generated=False) == ["domain guard fired"]
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+def test_steps_from_special_states_equal_numpy(plant, kind, pendulum, bicycle):
+    scenario = pendulum if plant == "pendulum" else bicycle
+    special = _pendulum_special_states if plant == "pendulum" else _bicycle_special_states
+    inst, spec = scenario.make_cbf(kind), scenario.filter_spec()
+    for x0 in special(scenario.params):
+        _assert_same_run(scenario.system, inst, spec, x0, 0.01)
 
 
 def test_activated_partials_are_signed_zeros_where_s_is_nonnegative(pendulum):
@@ -109,8 +145,7 @@ def test_activated_partials_are_signed_zeros_where_s_is_nonnegative(pendulum):
     inst = pendulum.make_cbf(ABC)
     grads = [inst.value_and_gradient(np.array(x))[1] for x in ([0.0, 1.3], [0.0, -1.3])]
     assert [np.signbit(g).tolist() for g in grads] != [[False, False], [False, False]]
-    for x in ([0.0, 1.3], [0.0, -1.3]):
-        _assert_bit_identical(inst, x)
+    _assert_bit_identical(inst, [[0.0, 1.3], [0.0, -1.3]])
 
 
 @pytest.mark.parametrize("kind", [BACKSTEPPING, ABC])
@@ -120,11 +155,11 @@ def test_singular_point_of_the_virtual_controller_raises_as_dual(kind, bicycle):
     output = dataclasses.replace(bicycle.output, in_extended_set=lambda x: True)
     inst = dataclasses.replace(bicycle.make_cbf(kind), output=output)
     p = bicycle.params
-    fallback = _assert_bit_identical(inst, [p.obstacle_xi, p.obstacle_eta, 0.0, 5.0], generated=False)
-    assert fallback == ["check guard fired at state [20.  -0.1  0.   5. ]"]
+    centre = [p.obstacle_xi, p.obstacle_eta, 0.0, 5.0]
+    assert _assert_bit_identical(inst, [centre], generated=False) == ["check guard fired"]
     with pytest.raises(Exception, match="singular point"):
-        inst.value_and_gradient(np.array([p.obstacle_xi, p.obstacle_eta, 0.0, 5.0]))
-    _assert_bit_identical(inst, [p.obstacle_xi - 5.0, p.obstacle_eta, 0.0, 5.0])
+        inst.value_and_gradient(np.array(centre))
+    _assert_bit_identical(inst, [[p.obstacle_xi - 5.0, p.obstacle_eta, 0.0, 5.0]])
 
 
 def _pendulum_output(psi):
@@ -141,38 +176,31 @@ def _pendulum_output(psi):
 )
 def test_refused_primitives_raise_as_dual(psi, failing, guard):
     inst = hocbf(_pendulum_output(psi), LinearClassK(1.0))
-    fallback = _assert_bit_identical(inst, failing, generated=False)
-    assert fallback[0].startswith(f"{guard} guard fired")
+    reasons = _assert_bit_identical(inst, [failing], generated=False)
+    assert reasons[0].startswith(f"{guard} guard fired")
     with pytest.raises(ad.EvaluationError, match=guard):
         inst.value_and_gradient(np.array(failing))
-    _assert_bit_identical(inst, [0.3, -0.5])
+    _assert_bit_identical(inst, [[0.3, -0.5]])
 
 
 def test_a_replaced_instance_traces_its_own_fields(pendulum):
-    inst = pendulum.make_cbf(ABC)
-    x = np.array([0.9, 0.4])
-    before = inst.value_and_gradient(x)
+    # the generated step is cached on the instance; a replaced one traces afresh
+    inst, spec = pendulum.make_cbf(ABC), pendulum.filter_spec()
+    x0 = np.array([0.9, 0.4])
+    before = _assert_same_run(pendulum.system, inst, spec, x0, 0.05)
     replaced = dataclasses.replace(inst, alpha=LinearClassK(3.0), kappa=dataclasses.replace(inst.kappa, gain=2.0))
-    after = replaced.value_and_gradient(x)
-    assert after[0] != before[0]
-    _assert_bit_identical(replaced, x)
-    assert inst.value_and_gradient(x)[0] == before[0]
+    after = _assert_same_run(pendulum.system, replaced, spec, x0, 0.05)
+    assert after.h[0] != before.h[0] and after.u.tobytes() != before.u.tobytes()
+    again = _assert_same_run(pendulum.system, inst, spec, x0, 0.05)
+    assert again.h.tobytes() == before.h.tobytes() and again.u.tobytes() == before.u.tobytes()
 
 
 # -- the tracer on fields of its own --------------------------------------------
 
 
 def _generated_equals_dual(field, states, n=2):
-    run = ad.Generated(field, n)
-    outcomes = []
-    for x in states:
-        x = np.asarray(x, dtype=float)
-        out = run(x)
-        expected = ad.value_and_grad(field, x)
-        if isinstance(out, tuple):
-            assert _outcome(lambda s: out, x) == _outcome(lambda s: expected, x), x
-        outcomes.append(out)
-    return run, outcomes
+    run = _traced(field, n)
+    return run, [_traced_equals_dual(run, field, x) for x in states]
 
 
 EDGE_STATES = [
@@ -205,7 +233,7 @@ def test_a_select_keeps_the_sign_of_constant_zero_partials():
         return ad.maximum(x[0] * 0.0 + 1.0, x[1] * -0.0 + 2.0)
 
     _, (out,) = _generated_equals_dual(field, [[0.5, 0.5]])
-    assert np.signbit(out[1]).all()
+    assert np.signbit(out[1:]).all()
 
 
 def test_smooth_primitives_and_branches_match():
@@ -237,7 +265,7 @@ def test_a_where_between_a_dual_and_a_constant_is_guarded():
 
     _, (inside, outside) = _generated_equals_dual(field, [[0.2, 3.0], [0.9, 3.0]])
     assert isinstance(inside, tuple)
-    assert outside == "where guard fired at state [0.9 3. ]"
+    assert outside == "where guard fired"
 
 
 @pytest.mark.parametrize(
@@ -250,7 +278,7 @@ def test_a_where_between_a_dual_and_a_constant_is_guarded():
     ],
 )
 def test_an_untraceable_field_names_the_operation(field, operation):
-    run = ad.Generated(field, 2)
+    run = _traced(field, 2)
     assert run.source is None
     assert run.reason.startswith("not traced") and operation in run.reason
-    assert run(np.array([0.4, 1.0])) == run.reason
+    assert run(0.4, 1.0) == run.reason

@@ -1,10 +1,7 @@
-"""The compiled kernels must agree with the AD reference path, and the
+"""The scalar kernels must agree with the AD reference path, and the
 batched grid scan with a per-node scalar evaluation."""
 
 import ast
-import os
-import subprocess
-import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -234,38 +231,3 @@ def test_blow_up_exit_code(pendulum):
     assert code == kernels.EXIT_BLOW_UP
     assert rows < 5001
     assert abs(us[rows - 1, 0]) > 1e3
-
-
-def test_fallback_mode_matches_jitted_results(tmp_path):
-    """The jitted kernels and their plain-Python fallback give one answer.
-
-    The fallback runs in a probe that hides numba before importing cbftk.
-    """
-    pytest.importorskip("numba")
-    probe = (
-        "import numpy as np\n"
-        "from cbftk import kernels\n"
-        "from cbftk.systems import pendulum_scenario\n"
-        "sc = pendulum_scenario()\n"
-        "P = sc.kernel_params_for('abc')\n"
-        "xs, us, hs, psis, ss, rows, code = kernels.pend_simulate(3, -1.2, 2.6, 200, 1e-3, P, 1e3)\n"
-        "np.save('STATE', xs[:rows])\n"
-    )
-    # The probe runs in tmp_path, where a relative PYTHONPATH resolves to nothing.
-    package_root = str(Path(cbftk.__file__).resolve().parents[1])
-    python_path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=python_path)
-    states = {}
-    for mode, prelude in (("jitted", ""), ("fallback", "import sys\nsys.modules['numba'] = None\n")):
-        script = tmp_path / f"{mode}_probe.py"
-        script.write_text(prelude + probe)
-        proc = subprocess.run(
-            [sys.executable, script.name],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        states[mode] = np.load(tmp_path / "STATE.npy")
-    assert np.allclose(states["jitted"], states["fallback"], rtol=0.0, atol=1e-13)

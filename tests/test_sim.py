@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from cbftk import autodiff as ad
 from cbftk import sim
-from cbftk.cbf import ABC, CBF_KINDS, RECBF, CbfInstance, abc, hocbf
+from cbftk.cbf import ABC, CBF_KINDS, RECBF, abc, hocbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from cbftk.safety_filter import LinearGain, SafetyFilterSpec, safety_filter
 from cbftk.sim import SimulationError, compute_metrics, rk4_step, simulate
@@ -230,7 +230,36 @@ def test_simulate_honours_a_modified_instance(pendulum):
     assert np.allclose(traj.x[-1], [0.8704, 0.8998], atol=1e-4)
 
 
-# -- the compiled scenario run refuses what it would not read --------------------
+@pytest.mark.parametrize("x0", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_simulate_refuses_an_initial_state_of_another_size(pendulum, x0):
+    inst, spec = pendulum.make_cbf(ABC), pendulum.filter_spec()
+    with pytest.raises(ValueError, match="x0 must have 2 components"):
+        simulate(pendulum.system, inst, spec, x0, 1.0, 1e-3)
+    with pytest.raises(ValueError, match="x0 must have 2 components"):
+        pendulum.simulate(ABC, x0=x0, horizon=1.0)
+
+
+@pytest.mark.parametrize(
+    "horizon, dt",
+    [
+        (math.inf, 1e-3),
+        (1.0, math.inf),
+        (math.nan, 1e-3),
+        (1.0, math.nan),
+        (0.0, 1e-3),
+        (1.0, -1e-3),
+        (1e308, 1e-300),
+    ],
+)
+def test_simulate_refuses_a_horizon_or_step_that_is_not_positive_and_finite(pendulum, horizon, dt):
+    inst, spec = pendulum.make_cbf(ABC), pendulum.filter_spec()
+    with pytest.raises(ValueError, match="horizon"):
+        simulate(pendulum.system, inst, spec, pendulum.x0, horizon, dt)
+    with pytest.raises(ValueError, match="horizon"):
+        pendulum.simulate(ABC, horizon=horizon, dt=dt)
+
+
+# -- the kernel scenario run refuses what it would not read --------------------
 
 
 def test_scenario_simulate_refuses_a_replaced_alpha_outer(pendulum):
@@ -324,7 +353,6 @@ def _assert_generated_run_equals_dual(scenario, kind, horizon):
     # every step on numpy, with h and its gradient on the Dual path
     untraceable = ad.Traced(lambda xs: [float(xs[0])], 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CbfInstance, "value_and_gradient", lambda self, x: ad.value_and_grad(self.value, x))
         patch.setattr(sim, "_generated_step", lambda *_: untraceable)
         dual = simulate(scenario.system, inst, spec, scenario.x0, horizon, 1e-3)
     assert dual.evaluation.startswith("numpy: not traced")
@@ -356,7 +384,7 @@ def test_an_untraceable_output_runs_on_dual_and_says_why(pendulum):
     )
     inst = abc(output, LinearClassK(1.0), LinearGain(0.75), ReQUActivation(5.0))
     traj = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 1.0, 1e-3)
-    assert traj.evaluation.startswith("dual: not traced")
+    assert traj.evaluation.startswith("numpy: not traced")
     assert "float(), math.* or np.* on a traced value" in traj.evaluation
     assert "math.sin(ad.scalar(y[0]))" in traj.evaluation
     # recorded before the generated path existed
