@@ -771,6 +771,9 @@ class _Trace:
         return f"({value!r})" if math.copysign(1.0, value) < 0.0 else repr(value)
 
 
+_NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+
+
 class Traced:
     """``function`` of ``arity`` floats as straight-line code, traced once.
 
@@ -801,7 +804,12 @@ class Traced:
 
             self._run = None
             self.reason = f"not traced, {type(exc).__name__}: {exc}"
-            frames = [f for f in traceback.extract_tb(exc.__traceback__) if f.filename != __file__]
+            # name the caller's line, not this module's or numpy's
+            frames = [
+                f
+                for f in traceback.extract_tb(exc.__traceback__)
+                if f.filename != __file__ and not f.filename.startswith(_NUMPY_DIR)
+            ]
             if frames:
                 f = frames[-1]
                 self.reason += f" in {os.path.basename(f.filename)}:{f.lineno}: {f.line}"

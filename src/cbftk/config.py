@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional
 
 from .cbf import CBF_KINDS
+from .sim import _n_steps
 from .systems import (
     BicycleParams,
     PendulumParams,
@@ -232,8 +233,9 @@ class ScenarioConfig:
         """The configured scenario, its constructions and filter checked.
 
         A parameter that the scenario, a construction of ``cbfs`` or the
-        safety filter refuses, and an ``x0`` outside the scenario's extended
-        set, raise a :class:`ConfigError`.
+        safety filter refuses, a horizon and step whose step count overflows,
+        and an ``x0`` outside the scenario's extended set, raise a
+        :class:`ConfigError`.
         """
         try:
             scenario = self._scenario()
@@ -242,6 +244,10 @@ class ScenarioConfig:
             scenario.filter_spec()
         except ValueError as exc:
             raise ConfigError(f"{self.scenario} parameters: {exc}") from None
+        try:
+            _n_steps(scenario.horizon, scenario.dt)
+        except ValueError as exc:
+            raise ConfigError(f"sim.horizon, sim.dt: {exc}") from None
         if not scenario.output.in_extended_set(scenario.x0):
             raise ConfigError(
                 f"init.x0: {_listing(scenario.x0)} lies outside the extended set of "

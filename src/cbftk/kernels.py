@@ -15,6 +15,17 @@ library; they stay only because the benchmark's span tracer
 (``perfbench/tracing.py``) still lists them as targets, and go with those
 targets at the next change to the benchmark.
 
+The kernels take Python floats: the state, the step, the threshold and the
+parameter vector.  Fed numpy scalars they give the same bits, but every
+scalar operation then runs as ``np.float64`` arithmetic, 2-3 times slower
+per step, so the caller converts at the boundary.  On Python floats a
+division by zero raises where numpy gave inf or NaN.  Each divisor is
+nonzero by construction (``mu``, ``gamma``, ``sigma_hat`` and the
+wheelbase are refused at zero or below when the scenario's construction,
+filter and parameters are built, and ``b`` and ``bb`` are guarded) except
+``root`` in :func:`bike_kappa_grad`, which underflow can zero; it divides
+as numpy did, so such a run ends as it did on numpy scalars.
+
 Parameter vectors
 -----------------
 pendulum ``P`` (6):  alpha_in, alpha_out, K, mu, epsilon, gamma
@@ -55,6 +66,11 @@ def _requ(z):
 
 def _requ_prime(z):
     return 2.0 * z if z > 0.0 else 0.0
+
+
+def _over_zero(z):
+    """``z / 0.0`` as IEEE 754 (and numpy) gives it, where Python raises."""
+    return math.copysign(math.inf, z) if z != 0.0 and z == z else math.nan
 
 
 def _lambda_exact(a, b):
@@ -226,8 +242,13 @@ def bike_kappa_grad(xi, eta, P):
     bbx = 4.0 * b1
     bbe = 4.0 * b2
     root = math.sqrt(a * a + sig * bb * bb)
-    rootx = (a * ax + sig * bb * bbx) / root
-    roote = (a * ae + sig * bb * bbe) / root
+    if root == 0.0:
+        # only where a * a + sig * bb * bb underflows
+        rootx = _over_zero(a * ax + sig * bb * bbx)
+        roote = _over_zero(a * ae + sig * bb * bbe)
+    else:
+        rootx = (a * ax + sig * bb * bbx) / root
+        roote = (a * ae + sig * bb * bbe) / root
     lam = (root - a) / (2.0 * bb)
     lamx = (rootx - ax) / (2.0 * bb) - lam * bbx / bb
     lame = (roote - ae) / (2.0 * bb) - lam * bbe / bb

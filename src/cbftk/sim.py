@@ -162,6 +162,7 @@ def simulate(
     n = system.n
     x0 = _initial_state(x0, n)
     n_steps = _n_steps(horizon, dt)
+    dt = float(dt)  # the generated step runs 1.7-2.8x slower on an np.float64 dt
     m = system.m
     want_s = instance.kind == ABC
     step = _generated_step(system, instance, spec)

@@ -111,6 +111,11 @@ class BicycleParams:
     epsilon: float = 2.0
     alpha_outer_c: Optional[float] = None
 
+    def __post_init__(self):
+        # the steering input enters as v u1 / L
+        if not self.wheelbase > 0.0:
+            raise ValueError(f"wheelbase must be positive, got {self.wheelbase}")
+
     @property
     def alpha_outer(self) -> float:
         return self.alpha_c if self.alpha_outer_c is None else self.alpha_outer_c
@@ -161,7 +166,8 @@ class Scenario:
     def make_cbf(self, kind: str) -> CbfInstance:
         raise NotImplementedError
 
-    def kernel_params_for(self, kind: str) -> np.ndarray:
+    def kernel_params_for(self, kind: str) -> tuple:
+        """The kernel's parameter vector for ``kind``, as Python floats."""
         raise NotImplementedError
 
     def filter_spec(self) -> SafetyFilterSpec:
@@ -185,16 +191,22 @@ class Scenario:
         ``system``, ``output`` or ``desired`` is not the object its factory
         built, is refused with a ValueError naming the field.  ``x0``,
         ``horizon`` and ``dt`` default to the scenario's own.
+
+        The kernel gets ``x0``, ``dt``, the threshold and the parameters as
+        Python floats, whatever number types the caller gave: on numpy
+        scalars each of its scalar operations would run as ``np.float64``
+        arithmetic, with the same bits at 2-3 times the cost per step.
         """
         self.make_cbf(kind)  # refuses the kinds and parameters the reference refuses
+        self.filter_spec()  # and the filter's weights, which the kernel divides by
         self._check_built()
         self._check_filter_from_params()
         code, params = kernels.KIND_CODES[kind], self.kernel_params_for(kind)
-        x0 = _initial_state(self.x0 if x0 is None else x0, self.system.n)
-        dt = self.dt if dt is None else dt
+        x0 = _initial_state(self.x0 if x0 is None else x0, self.system.n).tolist()
+        dt = float(self.dt if dt is None else dt)
         n_steps = _n_steps(self.horizon if horizon is None else horizon, dt)
         xs, us, hs, psis, ss, rows, exit_code = self._kernel_simulate(
-            code, x0, n_steps, dt, params, blow_up_threshold
+            code, x0, n_steps, dt, params, float(blow_up_threshold)
         )
         return Trajectory(
             dt=dt,
@@ -268,11 +280,10 @@ class PendulumScenario(Scenario):
     def _filter_from_params(params: PendulumParams):
         return np.asarray([params.gamma], dtype=float), LinearClassK(params.alpha_outer)
 
-    def kernel_params_for(self, kind: str) -> np.ndarray:
+    def kernel_params_for(self, kind: str) -> tuple:
         p: PendulumParams = self.params
-        return np.asarray(
-            [p.alpha_c, p.alpha_outer, p.K, p.mu_for(kind), p.epsilon, p.gamma],
-            dtype=float,
+        return tuple(
+            float(v) for v in (p.alpha_c, p.alpha_outer, p.K, p.mu_for(kind), p.epsilon, p.gamma)
         )
 
     def make_cbf(self, kind: str) -> CbfInstance:
@@ -302,10 +313,11 @@ class BicycleScenario(Scenario):
     def _filter_from_params(params: BicycleParams):
         return np.asarray([params.gamma1, params.gamma2], dtype=float), LinearClassK(params.alpha_outer)
 
-    def kernel_params_for(self, kind: str) -> np.ndarray:
+    def kernel_params_for(self, kind: str) -> tuple:
         p: BicycleParams = self.params
-        return np.asarray(
-            [
+        return tuple(
+            float(v)
+            for v in (
                 p.wheelbase,
                 p.v_desired,
                 p.v_hat,
@@ -323,8 +335,7 @@ class BicycleScenario(Scenario):
                 p.alpha_c,
                 p.alpha_outer,
                 p.epsilon,
-            ],
-            dtype=float,
+            )
         )
 
     def make_cbf(self, kind: str) -> CbfInstance:

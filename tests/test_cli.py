@@ -427,6 +427,16 @@ def test_non_finite_and_non_positive_numbers_are_refused(tmp_path, capsys, plant
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "scan", "compare"])
+def test_a_step_count_that_overflows_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--set", "sim.horizon=1e300", "--set", "sim.dt=1e-10", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: sim.horizon, sim.dt: horizon / dt = 1e+300 / 1e-10 overflows"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "plant,kind,assignment,reason",
     [
@@ -435,6 +445,8 @@ def test_non_finite_and_non_positive_numbers_are_refused(tmp_path, capsys, plant
         ("pendulum", "recbf", "cbf.epsilon=-1", "epsilon"),
         ("bicycle", "abc", "cbf.mu=0", "activation scale"),
         ("bicycle", "abc", "kappa.sigma_hat=-1", "sigma"),
+        ("bicycle", "abc", "system.wheelbase=0", "wheelbase must be positive"),
+        ("bicycle", "hocbf", "system.wheelbase=-1", "wheelbase must be positive"),
     ],
 )
 def test_parameters_refused_by_the_constructors_exit_1(tmp_path, capsys, plant, kind, assignment, reason):

@@ -2,6 +2,7 @@
 batched grid scan with a per-node scalar evaluation."""
 
 import ast
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -231,3 +232,59 @@ def test_blow_up_exit_code(pendulum):
     assert code == kernels.EXIT_BLOW_UP
     assert rows < 5001
     assert abs(us[rows - 1, 0]) > 1e3
+
+
+def _recording(kernel, calls):
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    return record
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+def test_the_kernels_get_python_floats(kind, monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "pend_simulate", _recording(kernels.pend_simulate, calls))
+    monkeypatch.setattr(kernels, "bike_simulate", _recording(kernels.bike_simulate, calls))
+    numpy_scalars = dict(horizon=np.float64(0.01), dt=np.float64(1e-3), blow_up_threshold=np.float64(1e3))
+    runs = 0
+    for factory, params in (
+        (pendulum_scenario, PendulumParams(gamma=np.float64(1.0), K=np.float64(0.75))),
+        (bicycle_scenario, BicycleParams(wheelbase=np.float64(2.5), mu=np.float64(1.0))),
+    ):
+        for scenario in (factory(), factory(params=params)):
+            x0 = scenario.x0.copy()
+            scenario.simulate(kind, horizon=0.01)
+            scenario.simulate(kind, x0=x0, **numpy_scalars)
+            scenario.simulate(kind, x0=list(x0), horizon=0.01, dt=np.float32(1e-3))
+            runs += 3
+    assert len(calls) == runs
+    for code, *args in calls:
+        *scalars, n_steps, dt, P, blow_threshold = args
+        assert type(code) is int and type(n_steps) is int
+        assert type(P) is tuple and len(P) in (6, 17)
+        assert all(type(v) is float for v in (*scalars, dt, *P, blow_threshold))
+
+
+@pytest.mark.parametrize("v_hat", [1e-200, -1e-200])
+@pytest.mark.parametrize("kind", ["backstepping", ABC])
+def test_a_root_that_underflows_divides_as_numpy_does(v_hat, kind):
+    # on the circle a = 2 (xi - xi_o) v_hat, whose square underflows, as
+    # does sigma_hat bb^2: root is zero and its divisions give inf and NaN
+    params = BicycleParams(v_hat=v_hat, obstacle_xi=0.0, obstacle_eta=0.0, obstacle_radius=0.25, sigma_hat=5e-324)
+    P = bicycle_scenario(params=params).kernel_params_for(kind)
+    x0 = (0.25, 0.0, 0.0, 1.0)
+    floats = kernels.bike_kappa_grad(*x0[:2], P)
+    assert floats[2] == math.copysign(math.inf, v_hat) and math.isnan(floats[3])
+    run = kernels.bike_simulate(KIND_CODES[kind], *x0, 10, 1e-3, P, 1e3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scalars = kernels.bike_kappa_grad(*map(np.float64, x0[:2]), np.array(P))
+        numpy_run = kernels.bike_simulate(
+            KIND_CODES[kind], *map(np.float64, x0), 10, np.float64(1e-3), np.array(P), 1e3
+        )
+    np.testing.assert_array_equal(floats, scalars)
+    rows = run[5]
+    assert (rows, run[6]) == numpy_run[5:]
+    for got, want in zip(run[:5], numpy_run[:5]):
+        np.testing.assert_array_equal(got[:rows], want[:rows])

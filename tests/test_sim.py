@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
 from cbftk import sim
@@ -12,7 +13,7 @@ from cbftk.cbf import ABC, CBF_KINDS, RECBF, abc, hocbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from cbftk.safety_filter import LinearGain, SafetyFilterSpec, safety_filter
 from cbftk.sim import SimulationError, compute_metrics, rk4_step, simulate
-from cbftk.systems import PendulumParams, bicycle_scenario, pendulum_scenario
+from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, lane_keeping_desired, pendulum_scenario
 from strategies import bicycle_params, pendulum_params
 
 HALF_PI_SQ = math.pi**2 / 4.0
@@ -278,6 +279,16 @@ def test_scenario_simulate_refuses_a_replaced_gamma(pendulum, bicycle):
         dataclasses.replace(bicycle, gamma=np.array([1.0, 1.0])).simulate(ABC, horizon=0.01)
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [pendulum_scenario(params=PendulumParams(gamma=0.0)), bicycle_scenario(params=BicycleParams(gamma2=0.0))],
+)
+def test_scenario_simulate_refuses_a_zero_filter_weight(scenario):
+    # the kernels divide by each weight, as sim.simulate's filter spec refuses
+    with pytest.raises(ValueError, match="Gamma weights must be positive"):
+        scenario.simulate(ABC, horizon=0.01)
+
+
 def test_scenario_simulate_accepts_what_params_give():
     scenario = pendulum_scenario(params=PendulumParams(gamma=2.0, alpha_outer_c=3.0))
     replaced = dataclasses.replace(scenario, gamma=[2], alpha_outer=LinearClassK(3.0))
@@ -313,6 +324,33 @@ def test_scenario_simulate_keeps_running_what_it_reads(pendulum, bicycle):
         for column in ("t", "x", "u", "h", "psi", "s"):
             assert getattr(traj, column).tobytes() == getattr(reference, column).tobytes()
         assert (len(traj), traj.exit_reason) == (len(reference), reference.exit_reason)
+
+
+# each (plant, kind) traces its generated step once across the examples
+_TRACED = {}
+
+
+def _both_runs(scenario, kind, x0, dt):
+    """Scenario.simulate and sim.simulate of ``kind`` from ``x0`` with step ``dt``."""
+    if (scenario.name, kind) not in _TRACED:
+        _TRACED[scenario.name, kind] = (scenario.make_cbf(kind), scenario.filter_spec())
+    inst, spec = _TRACED[scenario.name, kind]
+    return scenario.simulate(kind, x0=x0, horizon=0.05, dt=dt), simulate(scenario.system, inst, spec, x0, 0.05, dt)
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=4, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dt=st.floats(2e-4, 5e-3))
+def test_numpy_scalar_inputs_give_the_python_float_run(plant, kind, seed, dt, pendulum, bicycle):
+    scenario = pendulum if plant == "pendulum" else bicycle
+    x0 = scenario.sample_state(np.random.default_rng(seed))
+    floats = _both_runs(scenario, kind, tuple(x0.tolist()), dt)
+    numpy_scalars = _both_runs(scenario, kind, x0, np.float64(dt))
+    for want, got in zip(floats, numpy_scalars):
+        assert (got.exit_reason, len(got), got.evaluation) == (want.exit_reason, len(want), want.evaluation)
+        for column in ("t", "x", "u", "h", "psi", "s"):
+            assert np.asarray(getattr(got, column)).tobytes() == np.asarray(getattr(want, column)).tobytes()
 
 
 # -- the generated code gives the Dual path's bytes -------------------------------
@@ -393,3 +431,12 @@ def test_an_untraceable_output_runs_on_dual_and_says_why(pendulum):
     for column in (traj.t, traj.x, traj.u, traj.h, traj.psi, traj.s):
         h.update(np.ascontiguousarray(column).tobytes())
     assert h.hexdigest() == "89c3186436e864ba3ccd00863734d9cbf82c9dd0b6c4b56cda1a2f3ceb27600c"
+
+
+def test_an_untraceable_numpy_call_names_the_callers_line(bicycle):
+    p = bicycle.params
+    spec = dataclasses.replace(bicycle.filter_spec(), desired=lambda x: np.clip(lane_keeping_desired(x, p), -1.0, 1.0))
+    traj = simulate(bicycle.system, bicycle.make_cbf(ABC), spec, bicycle.x0, 0.01, 1e-3)
+    assert traj.evaluation.startswith("numpy: not traced")
+    assert "test_sim.py:" in traj.evaluation
+    assert "np.clip(lane_keeping_desired(x, p), -1.0, 1.0)" in traj.evaluation

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -106,3 +107,12 @@ def test_sampler_respects_extended_set(bicycle, rng):
     for _ in range(200):
         x = bicycle.sample_state(rng)
         assert bicycle.output.in_extended_set(x)
+
+
+@pytest.mark.parametrize("wheelbase", [0.0, -1.0, math.nan])
+def test_a_non_positive_wheelbase_is_refused(wheelbase):
+    # the steering input enters the dynamics as v u1 / L
+    with pytest.raises(ValueError, match="wheelbase must be positive"):
+        BicycleParams(wheelbase=wheelbase)
+    with pytest.raises(ValueError, match="wheelbase must be positive"):
+        dataclasses.replace(BicycleParams(), wheelbase=wheelbase)
