@@ -30,9 +30,9 @@ approach of Tapenade and of JAX's jaxprs).  Dual code traces too, on Duals
 whose values are Syms and whose partials are object arrays of Syms and
 floats: forward-mode AD by source transformation (Griewank & Walther).
 The generated code makes the same float operations as the traced
-function, so it gives the same bits.  :func:`dot` is numpy's ``@`` on
-floats; traced, it emits the fused multiply-adds numpy's dot products make,
-each computed exactly (:func:`_fma`).
+function, so it gives the same bits.  That includes the dot products:
+:func:`dot` sums in index order on floats and traced alike, where numpy's
+``@`` would give the bits of whichever BLAS kernel it loads.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "Untraceable",
     "array",
     "blocks",
+    "directional",
     "dot",
     "failed",
     "first",
@@ -451,172 +452,34 @@ def blocks(count: int):
         yield slice(start, min(start + BLOCK_NODES, count))
 
 
-# -- numpy's dot products ------------------------------------------------------
-#
-# numpy computes a @ b on float64 arrays with OpenBLAS, whose kernels
-# accumulate with fused multiply-adds (FMA): a * b + c rounded once, which
-# Python 3.11 floats have no operation for.  _fma computes it exactly from
-# Dekker's split ("A floating-point technique for extending the available
-# precision", 1971): t = (2^27 + 1) v, high = t - (t - v), low = v - high
-# cuts v into two halves of 26 bits, so the four partial products of two
-# split factors are exact, and math.fsum rounds their sum with c once.
-# The split is exact for magnitudes in [2^-480, 2^480] and zero: then no
-# partial product overflows or loses bits to underflow.
-
-_SPLITTER = 134217729.0
-_SPLIT_MIN = math.ldexp(1.0, -480)
-_SPLIT_MAX = math.ldexp(1.0, 480)
-_FLOAT_MAX = 1.7976931348623157e308
+# -- dot products --------------------------------------------------------------
 
 
-def _split(v):
-    t = _SPLITTER * v
-    high = t - (t - v)
-    return high, v - high
+def directional(grad, field):
+    """Sum of grad[i] * field[i] over the leading axis, in index order.
 
-
-def _fma(a, b, c):
-    """``a * b + c`` rounded once.
-
-    A factor that makes every product exact (:func:`_exact_factor`) leaves
-    plain arithmetic.  Traced, a factor outside the split's exact range and a
-    non-finite ``c`` are guards named ``fma``; a constant one is refused.
+    The reduction of the scans, the safety filter and the stage derivative:
+    per state of a batch, ``grad`` of shape (n, N) and ``field`` (n, N) or
+    (n, m, N) give (N,) or (m, N); on one state it sums :func:`dot`.
     """
-    if _exact_factor(a) or _exact_factor(b):
-        return a * b + c
-    for v in (a, b):
-        if v.__class__ is Sym:
-            v.trace.guard(f"not ({_SPLIT_MIN!r} <= abs({v.name}) <= {_SPLIT_MAX!r} or {v.name} == 0.0)", "fma")
-        elif not (_SPLIT_MIN <= abs(v) <= _SPLIT_MAX or v == 0.0):
-            raise ValueError(f"the factor {v} of a fused multiply-add cannot be split exactly")
-    if c.__class__ is Sym:
-        if c.name not in c.trace.summed:
-            c.trace.guard(f"not abs({c.name}) <= {_FLOAT_MAX!r}", "fma")
-    elif not math.isfinite(c):
-        raise ValueError(f"the addend {c} of a fused multiply-add is not finite")
-    (ah, al), (bh, bl) = _split(a), _split(b)
-    return _fsum((ah * bh, ah * bl, al * bh, al * bl, c))
-
-
-def _exact_factor(v) -> bool:
-    """Whether every product with ``v`` is exact: ``v`` is a constant ±0 or
-    ±1, or a traced product with a constant zero (the bicycle's
-    ``0.0 * x[0]``, the partials seeded with zeros)."""
-    if v.__class__ is Sym:
-        return v.name in v.trace.zeros
-    return float(v) in (0.0, 1.0, -1.0)
-
-
-def _fsum(values):
-    """``math.fsum(values)``; traced, one line whose value is finite (fsum
-    raises where the sum overflows) and +0.0 where it is zero."""
-    trace = next((v.trace for v in values if v.__class__ is Sym), None)
-    if trace is None:
-        return math.fsum(values)
-    total = trace.emit(f"fsum(({', '.join(trace.text(v) for v in values)}))")
-    trace.summed.add(total.name)
+    total = grad[0] * field[0]
+    for i in range(1, len(grad)):
+        total = total + grad[i] * field[i]
     return total
-
-
-def _chain(a, b):
-    """a0 b0, then fma(a_i, b_i, total) for i = 1, 2, ...: numpy's dot product."""
-    total = a[0] * b[0]
-    for i in range(1, len(a)):
-        total = _fma(a[i], b[i], total)
-    return total
-
-
-def _pairs(a, b):
-    """fma(a0, b0, a1 b1) + fma(a2, b2, a3 b3) + ...: a kernel that takes
-    two terms at a time (even lengths only)."""
-    total = _fma(a[0], b[0], a[1] * b[1])
-    for i in range(2, len(a), 2):
-        total = total + _fma(a[i], b[i], a[i + 1] * b[i + 1])
-    return total
-
-
-def _reduction(shape_a, shape_b):
-    """The reduction numpy's ``@`` makes for each entry of a product of
-    float64 arrays of these shapes, as measured with OpenBLAS's Haswell
-    kernels; None where none is known."""
-    if len(shape_a) == 1 and len(shape_b) == 1:
-        return _chain
-    if len(shape_a) == 1 and len(shape_b) == 2:
-        n, m = shape_b
-        return _chain if m == 1 or n <= 3 else _pairs if n == 4 else None
-    if len(shape_a) == 2 and len(shape_b) == 1:
-        return {1: _chain, 2: _pairs}.get(shape_a[1])
-    return None
-
-
-def _reduce(reduction, a, b):
-    """``a @ b`` entry by entry through ``reduction``.
-
-    numpy's accumulators start at +0.0, so an entry that is zero is +0.0.
-    """
-    if b.ndim == 2:
-        entries = [reduction(a, column) for column in b.T]
-    elif a.ndim == 2:
-        entries = [reduction(row, b) for row in a]
-    else:
-        return _positive_zero(reduction(a, b))
-    return np.array([_positive_zero(v) for v in entries], dtype=object)
-
-
-def _positive_zero(v):
-    if v.__class__ is Sym and v.name in v.trace.summed:
-        return v
-    return v + 0.0
-
-
-# reductions checked against numpy's @, by (reduction, shape of a, shape of b)
-_CHECKED = {}
-_PROBES = 64
-
-
-def _numpy_reduction(shape_a, shape_b):
-    """The reduction of :func:`_reduction` for these shapes, once it gave
-    numpy's bits on fixed probes; Untraceable where it did not, or where
-    none is known."""
-    reduction = _reduction(shape_a, shape_b)
-    key = (reduction, shape_a, shape_b)
-    if key not in _CHECKED:
-        _CHECKED[key] = reduction is not None and _agrees_with_numpy(reduction, shape_a, shape_b)
-    if not _CHECKED[key]:
-        name = "no known reduction" if reduction is None else reduction.__name__.lstrip("_")
-        raise Untraceable(f"{name} does not give numpy's @ of shapes {shape_a} and {shape_b} here")
-    return reduction
-
-
-def _agrees_with_numpy(reduction, shape_a, shape_b) -> bool:
-    rng = np.random.default_rng(0)
-    for _ in range(_PROBES):
-        a, b = _probe(rng, shape_a), _probe(rng, shape_b)
-        got = np.asarray(_reduce(reduction, a, b), dtype=float)
-        if got.tobytes() != np.asarray(a @ b).tobytes():
-            return False
-    return True
-
-
-def _probe(rng, shape):
-    """Floats of both signs over twenty decades, about a quarter of them signed zeros."""
-    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-10.0, 10.0, shape)
-    return np.where(rng.random(shape) < 0.25, np.copysign(0.0, values), values)
 
 
 def dot(a, b):
-    """``a @ b`` as numpy computes it for float64 operands.
+    """``a @ b`` for a vector ``b``, or a vector ``a`` and a matrix ``b``,
+    summed in index order, ``a0 b0 + a1 b1 + ...`` (:func:`directional`).
 
-    On floats this is numpy's ``@``.  In a trace each entry is the reduction
-    numpy makes for these shapes, with exact fused multiply-adds; it is
-    checked against numpy's bits on fixed probes once per pair of shapes,
-    and a pair whose reduction is unknown or differs is refused with
-    :class:`Untraceable`.
+    A matrix ``a`` sums its columns, ``b0 a[:, 0] + b1 a[:, 1] + ...``:
+    each entry is its row's sum in index order, since a product of two
+    floats does not depend on the order of its factors.  The operations
+    are the same on floats and traced, so the generated code gives the
+    float path's bits whatever BLAS numpy loads.
     """
     a, b = array(a), array(b)
-    if a.dtype != _OBJECT and b.dtype != _OBJECT:
-        return a @ b
-    return _reduce(_numpy_reduction(a.shape, b.shape), a.astype(object), b.astype(object))
+    return directional(b, a.T) if a.ndim == 2 else directional(a, b)
 
 
 # -- tracing into straight-line code -------------------------------------------
@@ -658,10 +521,7 @@ class Sym:
             if op == "-" and not reflected and other == 0.0 and math.copysign(1.0, other) > 0.0:
                 return self
         a, b = self.name, self.trace.text(other)
-        out = self.trace.emit(f"{b} {op} {a}" if reflected else f"{a} {op} {b}")
-        if op == "*" and other.__class__ is float and other == 0.0:
-            self.trace.zeros.add(out.name)
-        return out
+        return self.trace.emit(f"{b} {op} {a}" if reflected else f"{a} {op} {b}")
 
     def _logic(self, other, op):
         if other.__class__ is Sym:
@@ -731,10 +591,6 @@ class _Trace:
         self.syms = {}
         self.constants = {}
         self.guards = set()
-        # names of fsum results: finite, and +0.0 where zero
-        self.summed = set()
-        # names of products with a constant zero: ±0, or NaN
-        self.zeros = set()
 
     def emit(self, expression) -> Sym:
         sym = self.syms.get(expression)
@@ -782,12 +638,12 @@ class Traced:
     on them are recorded in evaluation order and compiled into one Python
     function.  Each :func:`where` on a traced mask becomes a conditional
     expression, and each check (:func:`failed`, :func:`holds`, a refused
-    primitive, an :func:`_fma` operand) a guard.  Calling it with floats
-    returns the tuple of outputs, or a string saying why these arguments
-    must take the path that was traced instead: a guard fired, the code
-    raised, or ``function`` could not be traced, which ``reason`` then says
-    (a ``float()``, ``math.*`` or ``np.*`` call or a Python ``if`` on a
-    traced value, for example).
+    primitive) a guard.  Calling it with floats returns the tuple of
+    outputs, or a string saying why these arguments must take the path that
+    was traced instead: a guard fired, the code raised, or ``function``
+    could not be traced, which ``reason`` then says (a ``float()``,
+    ``math.*`` or ``np.*`` call or a Python ``if`` on a traced value, for
+    example).
     """
 
     def __init__(self, function, arity: int):
@@ -821,7 +677,7 @@ class Traced:
         self.outputs = len(outputs)
         lines = _inlined([*trace.lines, f"return ({''.join(f'{v}, ' for v in outputs)})"])
         self.source = f"def generated({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
-        namespace = {"fsum": math.fsum, **{f: getattr(math, f) for f in ("sin", "cos", "sqrt")}}
+        namespace = {f: getattr(math, f) for f in ("sin", "cos", "sqrt")}
         namespace.update(trace.constants)
         trace.syms.clear()  # each Sym refers to the trace: free them now, not at a collection
         exec(compile(self.source, "<generated>", "exec"), namespace)

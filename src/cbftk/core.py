@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import directional
 
 __all__ = [
     "LinearClassK",
@@ -122,18 +123,6 @@ def _not_elementwise(name, shape, count, reason) -> ValueError:
         f"{name} must act elementwise on per-component arrays and give shape "
         f"{shape} for a batch of {count} states: {reason}"
     )
-
-
-def directional(grad, field) -> np.ndarray:
-    """Per-state sum of grad[i] * field[i] over the leading axis, in index order.
-
-    ``grad`` has shape (n, N) and ``field`` (n, N) or (n, m, N); the result
-    has shape (N,) or (m, N).
-    """
-    total = grad[0] * field[0]
-    for i in range(1, len(grad)):
-        total = total + grad[i] * field[i]
-    return total
 
 
 @dataclass(frozen=True)

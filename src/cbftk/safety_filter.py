@@ -90,10 +90,9 @@ def safety_filter(spec: SafetyFilterSpec, instance, system, x) -> np.ndarray:
     L_g h(x) = 0 or when the desired controller already satisfies the
     barrier inequality.  h and its gradient come from
     ``instance.value_and_gradient`` on Duals, which refuses a state outside
-    the extended set with a DomainError.  The three ``@`` reductions are
-    :func:`cbftk.autodiff.dot`: numpy's on floats, and in the generated
-    step of :func:`cbftk.sim.simulate` the fused multiply-adds numpy makes,
-    computed exactly.
+    the extended set with a DomainError.  The three dot products are
+    :func:`cbftk.autodiff.dot`, summed in index order, on floats and in the
+    generated step of :func:`cbftk.sim.simulate` alike.
     """
     return _filtered(spec, instance, system, ad.array(x))
 

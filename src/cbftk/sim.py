@@ -18,6 +18,7 @@ a step that code leaves to numpy on numpy, with the same bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,12 +111,15 @@ def rk4_step(derivative, x, dt: float, t: float = 0.0) -> np.ndarray:
 
 def _n_steps(horizon: float, dt: float) -> int:
     """The steps of ``dt`` in ``horizon``; refuses either where it is not
-    positive and finite, and a count that is not finite."""
+    positive and finite, and a count that is not finite or whose rows no
+    index can hold (``sys.maxsize``)."""
     if not (0.0 < horizon < math.inf and 0.0 < dt < math.inf):
         raise ValueError(f"horizon and dt must be positive and finite, got {horizon} and {dt}")
     steps = horizon / dt + 1e-9
     if steps == math.inf:
         raise ValueError(f"horizon / dt = {horizon} / {dt} overflows")
+    if not steps < sys.maxsize:
+        raise ValueError(f"horizon / dt = {horizon} / {dt} is {steps:.6g} steps, more than an index holds")
     return int(math.floor(steps))
 
 
@@ -142,19 +146,19 @@ def simulate(
     instance, system, x)``.  A step runs as straight-line code on Python
     floats, traced once per (instance, system, spec) from the same filter,
     plant, RK4 stages and logged fields, and cached on the instance.  It
-    makes numpy's operations in numpy's order, including the fused
-    multiply-adds of the filter's dot products
-    (:func:`cbftk.autodiff.dot`), so it gives the same bits.  The step runs
-    on numpy instead, with the same bits or the same error, where the code
-    leaves it: a state that is not finite or not in the extended set, an
-    operand outside the exact range of the fused multiply-add, a check of
-    h's construction that fails, or an exception.  So does every step when
-    the step could not be traced (a callable that needs the number behind a
-    traced value, or a product whose shapes have no reduction known to give
-    numpy's bits).  A step on numpy evaluates h and its gradient on Duals.
+    makes numpy's float operations in numpy's order; the filter's dot
+    products sum in index order on both paths (:func:`cbftk.autodiff.dot`),
+    so it gives the same bits whatever BLAS numpy loads.  The step runs on
+    numpy instead, with the same bits or the same error, where the code
+    leaves it: a state that is not finite or not in the extended set, a
+    check of h's construction that fails, or an exception.  So does every
+    step when the step could not be traced (a callable that needs the
+    number behind a traced value).  A step on numpy evaluates h and its
+    gradient on Duals.
     ``evaluation`` of the result says which ran and why.  An ``x0`` without
     ``system.n`` components, or a ``horizon`` or ``dt`` that is not
-    positive and finite, is refused with a ValueError.  For the published
+    positive and finite or gives more steps than an index holds, is
+    refused with a ValueError.  For the published
     constructions of a built-in scenario,
     :meth:`cbftk.systems.Scenario.simulate` gives the run on the scalar
     kernels.
@@ -278,7 +282,8 @@ def _step(system, instance, controller, args) -> list:
     extended set among them), a guard leaves the step to numpy where an
     output is not finite: the state itself may not be, which the numpy
     step reports as the loop checks it, or a NaN may have gone through a
-    fused multiply-add, which need not keep its bits.
+    sum, whose sign and payload Python's and numpy's arithmetic need not
+    pass on alike.
     """
     x, dt = np.array(args[:-1], dtype=object), args[-1]
     m = system.m

@@ -437,6 +437,18 @@ def test_a_step_count_that_overflows_is_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "scan", "compare"])
+def test_a_step_count_no_index_holds_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--set", "sim.horizon=1e300", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "configuration error: sim.horizon, sim.dt: horizon / dt = 1e+300 / 0.001 is 1e+303 steps, "
+        "more than an index holds"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "plant,kind,assignment,reason",
     [

@@ -1,14 +1,15 @@
-"""``ad.dot`` gives numpy's ``@`` bit for bit, traced or not.
+"""``ad.dot`` sums its products in index order, on floats and traced alike.
 
-numpy computes the dot products and matrix-vector products of float64
-arrays with fused multiply-adds; traced, ``ad.dot`` emits the same
-reductions with each fused multiply-add computed exactly (Dekker's split
-and ``math.fsum``).  Every comparison is by ``tobytes()``, so NaN,
-infinities and the sign of a zero count.
+The reference is written out here on Python floats: ``a0 b0 + a1 b1 + ...``
+for a vector, each column's sum for a vector times a matrix, and each
+row's sum for a matrix times a vector.  Every comparison is by
+``tobytes()``, so infinities and the sign of a zero count.  A NaN counts
+as a NaN of any sign and payload: IEEE 754 leaves open which NaN operand
+a sum passes on, and numpy's scalar addition and Python's pass on
+different ones.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
-from cbftk.sim import simulate
-from cbftk.systems import pendulum_scenario
+from cbftk import sim
+from cbftk.cbf import CBF_KINDS
 
 # every pair of shapes the filter and the stage derivative emit for n = 2,
 # 3, 4 and m = 1, 2: hgrad . f, hgrad @ g, lgh . kd, lgh . b and g @ u
@@ -37,7 +38,6 @@ SHAPES = [
     ((4, 2), (2,)),
 ]
 
-SPLIT_MIN, SPLIT_MAX = 2.0**-480, 2.0**480
 EDGES = [
     0.0,
     -0.0,
@@ -53,17 +53,45 @@ EDGES = [
     -1.0,
 ]
 
-# floats the exact split takes: both signs over the whole range, and zeros
+# floats of 2^-480 to 2^480 in magnitude, and signed zeros: no product of
+# two overflows or becomes subnormal
 splittable = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, SPLIT_MIN, -SPLIT_MAX]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**-480, -(2.0**480)]),
     st.builds(
         lambda mantissa, exponent: math.ldexp(mantissa, exponent),
         st.floats(0.5, 1.0, exclude_max=True) | st.floats(-1.0, -0.5, exclude_min=True),
         st.integers(-479, 480),
     ),
 )
-# any float, with the edges drawn often
-anything = st.sampled_from(EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+# both signs over 600 decades, signed zeros and the edges drawn often,
+# operands of one magnitude, whose sums the order rounds differently, and
+# any other float
+anything = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(-2.0, 2.0),
+    st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(-10.0, 10.0),
+        st.integers(-300, 300),
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _index_order(a, b) -> list:
+    """The entries of ``a @ b`` summed in index order on Python floats."""
+
+    def summed(x, y):
+        total = x[0] * y[0]
+        for i in range(1, len(x)):
+            total = total + x[i] * y[i]
+        return total
+
+    if isinstance(b[0], list):
+        return [summed(a, [row[j] for row in b]) for j in range(len(b[0]))]
+    if isinstance(a[0], list):
+        return [summed(row, b) for row in a]
+    return [summed(a, b)]
 
 
 def _traced_dot(shape_a, shape_b):
@@ -80,20 +108,29 @@ def _traced_dot(shape_a, shape_b):
 TRACED = {shapes: _traced_dot(*shapes) for shapes in SHAPES}
 
 
-def _generated_and_numpy(shapes, values):
-    """The generated code's outcome and numpy's bytes for these operands."""
+def _bytes(values) -> bytes:
+    values = np.array(values, dtype=float)
+    return np.where(np.isnan(values), math.nan, values).tobytes()
+
+
+def _assert_index_order(shapes, values):
+    """``ad.dot`` on float arrays and the generated code both give the
+    index-order sum's bytes."""
     shape_a, shape_b = shapes
     size_a = math.prod(shape_a)
     a = np.array(values[:size_a]).reshape(shape_a)
     b = np.array(values[size_a:]).reshape(shape_b)
-    out = TRACED[shapes](*values)
+    expected = _bytes(_index_order(a.tolist(), b.tolist()))
     with np.errstate(all="ignore"):
-        expected = np.asarray(a @ b).tobytes()
-    return out, expected
+        assert _bytes(np.atleast_1d(ad.dot(a, b))) == expected, values
+    out = TRACED[shapes](*values)
+    assert out.__class__ is tuple, out
+    assert _bytes(out) == expected, values
 
 
 def _operands(values, shapes):
-    return st.lists(values, min_size=sum(math.prod(s) for s in shapes), max_size=sum(math.prod(s) for s in shapes))
+    size = sum(math.prod(s) for s in shapes)
+    return st.lists(values, min_size=size, max_size=size)
 
 
 def test_every_emitted_shape_is_traced():
@@ -105,22 +142,15 @@ def test_every_emitted_shape_is_traced():
 @settings(max_examples=100, derandomize=True)
 @given(data=st.data())
 def test_dot_of_splittable_operands_is_generated_and_exact(shapes, data):
-    values = data.draw(_operands(splittable, shapes))
-    out, expected = _generated_and_numpy(shapes, values)
-    assert out.__class__ is tuple, out
-    assert np.array(out, dtype=float).tobytes() == expected, values
+    _assert_index_order(shapes, data.draw(_operands(splittable, shapes)))
 
 
 @pytest.mark.parametrize("shapes", SHAPES, ids=str)
 @settings(max_examples=100, derandomize=True)
 @given(data=st.data())
 def test_dot_of_any_operands_is_exact_or_left_to_numpy(shapes, data):
-    values = data.draw(_operands(anything, shapes))
-    out, expected = _generated_and_numpy(shapes, values)
-    if out.__class__ is tuple:
-        assert np.array(out, dtype=float).tobytes() == expected, values
-    else:
-        assert out in ("fma guard fired",) or out.startswith("generated code raised OverflowError"), out
+    # every operand is generated and exact: none is left to numpy
+    _assert_index_order(shapes, data.draw(_operands(anything, shapes)))
 
 
 @pytest.mark.parametrize("shapes", SHAPES, ids=str)
@@ -128,51 +158,37 @@ def test_edge_operands_are_exact_or_left_to_numpy(shapes):
     size = sum(math.prod(s) for s in shapes)
     rng = np.random.default_rng(7)
     for _ in range(300):
-        values = [float(v) for v in rng.choice(np.array(EDGES), size)]
-        out, expected = _generated_and_numpy(shapes, values)
-        if out.__class__ is tuple:
-            assert np.array(out, dtype=float).tobytes() == expected, values
+        _assert_index_order(shapes, [float(v) for v in rng.choice(np.array(EDGES), size)])
 
 
-@settings(max_examples=2000, derandomize=True)
-@given(a=splittable, b=splittable, c=st.floats(-1e300, 1e300))
-def test_exact_fma_is_correctly_rounded(a, b, c):
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    got = ad._fma(a, b, c)
-    # the sign of an exact zero is left to the reductions, which make it +0.0
-    assert got == float(exact)
+def test_dot_sums_from_the_first_index():
+    # 1 + 1e16 rounds to 1e16, so only this order cancels to 0: from the
+    # last index, or as 1 + (1e16 - 1e16), the sum is 1
+    a, ones = [1.0, 1e16, -1e16], [1.0, 1.0, 1.0]
+    assert ad.dot(a, ones) == 0.0
+    assert ad.dot(a, [[1.0], [1.0], [1.0]]).tolist() == [0.0]
+    assert TRACED[(3,), (3,)](*a, *ones) == (0.0,)
+    assert TRACED[(3,), (3, 1)](*a, *ones) == (0.0,)
 
 
-def test_fma_differs_from_a_multiply_then_add():
-    # the case numpy's length-2 dot product rounds once: not a0 b0 + a1 b1
+def test_dot_does_not_give_numpys_fused_multiply_add():
+    # numpy's BLAS rounds this length-2 dot product once, as fma(a1, b1, a0 b0)
+    # on an FMA kernel; dot rounds each product and the sum
     a, b = np.array([0.1, 0.7]), np.array([0.3, 0.9])
-    assert float(a @ b) != 0.1 * 0.3 + 0.7 * 0.9
-    assert ad._fma(0.7, 0.9, 0.1 * 0.3) == float(a @ b)
+    assert ad.dot(a, b) == 0.1 * 0.3 + 0.7 * 0.9
+    assert ad.dot([0.1, 0.7], [0.3, 0.9]) == 0.1 * 0.3 + 0.7 * 0.9
 
 
-def test_dot_on_floats_is_numpys():
-    a, b = np.array([0.1, 0.7, -0.2, 3.0]), np.arange(8.0).reshape(4, 2) / 7.0
-    assert ad.dot(a, b).tobytes() == (a @ b).tobytes()
-    assert ad.dot([0.1, 0.7], [0.3, 0.9]) == np.array([0.1, 0.7]) @ np.array([0.3, 0.9])
-
-
-def test_a_product_without_a_known_reduction_is_refused():
-    traced = _traced_dot((5,), (5, 2))
-    assert traced.source is None
-    assert "no known reduction does not give numpy's @ of shapes (5,) and (5, 2)" in traced.reason
-
-
-def test_a_reduction_that_does_not_give_numpys_bits_is_refused(monkeypatch):
-    pendulum = pendulum_scenario()
-    spec = pendulum.filter_spec()
-    reference = simulate(pendulum.system, pendulum.make_cbf("abc"), spec, pendulum.x0, 0.3, 1e-3)
-    assert reference.evaluation == "generated"
-    # pairs rounds a0 b0 + a1 b1 as fma(a0, b0, a1 b1), numpy as fma(a1, b1, a0 b0)
-    monkeypatch.setattr(ad, "_reduction", lambda shape_a, shape_b: ad._pairs)
-    traj = simulate(pendulum.system, pendulum.make_cbf("abc"), spec, pendulum.x0, 0.3, 1e-3)
-    assert traj.evaluation.startswith(
-        "numpy: not traced, Untraceable: pairs does not give numpy's @ of shapes (2,) and (2,) here"
-    )
-    for column in ("t", "x", "u", "h", "psi", "s"):
-        assert getattr(traj, column).tobytes() == getattr(reference, column).tobytes()
-    assert (traj.exit_reason, len(traj)) == (reference.exit_reason, len(reference))
+def test_no_generated_source_emulates_a_fused_multiply_add(pendulum, bicycle):
+    sources = [traced.source for traced in TRACED.values()]
+    for scenario in (pendulum, bicycle):
+        spec = scenario.filter_spec()
+        for kind in CBF_KINDS:
+            inst = scenario.make_cbf(kind)
+            controller = ad.Traced(
+                lambda x: sim._controlled(scenario.system, inst, spec, np.array(x, dtype=object)), scenario.system.n
+            )
+            sources += [controller.source, sim._generated_step(scenario.system, inst, spec).source]
+    assert all(sources)
+    for source in sources:
+        assert "fsum(" not in source and "134217729.0" not in source

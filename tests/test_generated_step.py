@@ -169,3 +169,23 @@ def test_custom_plant_runs_are_generated_at_every_step():
             for x0 in states:
                 traj = sim.simulate(scenario.system, inst, spec, x0, 0.5, 1e-3)
                 assert traj.evaluation == "generated", (scenario.name, kind, x0, traj.evaluation)
+
+
+# -- states with tiny factors in the filter's dot products -------------------
+
+
+@pytest.mark.parametrize(
+    "plant, kind, x0",
+    [
+        ("pendulum", ABC, [1e-160, 0.0]),
+        ("pendulum", RECBF, [1e-160, 0.0]),
+        ("bicycle", HOCBF, [0.0, 0.0, 1e-160, 5.0]),
+        ("bicycle", ABC, [0.0, 0.0, 1e-160, 5.0]),
+    ],
+)
+def test_a_state_with_tiny_products_runs_generated(plant, kind, x0, pendulum, bicycle):
+    # some factors of the filter's dot products here are about 1e-160, so
+    # their products are subnormal or zero
+    scenario = pendulum if plant == "pendulum" else bicycle
+    traj = _assert_same_run(scenario.system, scenario.make_cbf(kind), scenario.filter_spec(), x0, 0.1)
+    assert traj.evaluation == "generated"

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
-from cbftk import sim
+from cbftk import kernels, sim
 from cbftk.cbf import ABC, CBF_KINDS, RECBF, abc, hocbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from cbftk.safety_filter import LinearGain, SafetyFilterSpec, safety_filter
@@ -260,6 +263,20 @@ def test_simulate_refuses_a_horizon_or_step_that_is_not_positive_and_finite(pend
         pendulum.simulate(ABC, horizon=horizon, dt=dt)
 
 
+@pytest.mark.parametrize("horizon, dt", [(1e300, 1e-3), (1e10, 1e-10), (1.0, 2.0**-63)])
+def test_simulate_refuses_a_step_count_no_index_holds_before_running(pendulum, horizon, dt, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim, "_generated_step", unreachable)
+    monkeypatch.setattr(kernels, "pend_simulate", unreachable)
+    inst, spec = pendulum.make_cbf(ABC), pendulum.filter_spec()
+    with pytest.raises(ValueError, match="steps, more than an index holds"):
+        simulate(pendulum.system, inst, spec, pendulum.x0, horizon, dt)
+    with pytest.raises(ValueError, match="steps, more than an index holds"):
+        pendulum.simulate(ABC, horizon=horizon, dt=dt)
+
+
 # -- the kernel scenario run refuses what it would not read --------------------
 
 
@@ -363,16 +380,18 @@ def _digest(traj) -> str:
     return h.hexdigest()[:32]
 
 
-# exit reason, rows and digest of each published run, recorded on the Dual path
+# exit reason, rows and digest of each published run, recorded with every
+# step on numpy, h and its gradient on Duals, and the filter's dot products
+# summed in index order
 DUAL_RUNS = {
-    ("pendulum", "hocbf", 2.0): ("blow_up", 328, "e5625512824043ba6f52531229071cbe"),
-    ("pendulum", "recbf", 2.0): ("completed", 2001, "275f80319f41359d90662e45912167b2"),
-    ("pendulum", "backstepping", 2.0): ("completed", 2001, "48b51a518820b4849c512d590e080502"),
-    ("pendulum", "abc", 2.0): ("completed", 2001, "0d6412ff0124a8049a780b13d27d14b6"),
+    ("pendulum", "hocbf", 2.0): ("blow_up", 328, "617ed50c7f4e1d5f65772afcae8e85ca"),
+    ("pendulum", "recbf", 2.0): ("completed", 2001, "cb075643c4a67dec17946dabea306137"),
+    ("pendulum", "backstepping", 2.0): ("completed", 2001, "b62d7484ed4a9307f16d498e79bb5bdf"),
+    ("pendulum", "abc", 2.0): ("completed", 2001, "56342fe8033844057bbac8c297a55a2e"),
     ("bicycle", "hocbf", 1.0): ("completed", 1001, "3bfbd918d3568e3530d0ab073722ee95"),
     ("bicycle", "recbf", 1.0): ("completed", 1001, "f59e4d5ca379052612e362c12e76034c"),
     ("bicycle", "backstepping", 1.0): ("completed", 1001, "cbb86e44e358bba9af9ad3337b5b46f9"),
-    ("bicycle", "abc", 1.0): ("completed", 1001, "5437eb383f7fe4a7a0b0611cc8a447b5"),
+    ("bicycle", "abc", 1.0): ("completed", 1001, "9b896397e6d282fb6432ae53339fbbae"),
 }
 
 
@@ -382,6 +401,29 @@ def test_published_runs_keep_the_dual_bytes(plant, kind, horizon, pendulum, bicy
     traj = simulate(scenario.system, scenario.make_cbf(kind), scenario.filter_spec(), scenario.x0, horizon, 1e-3)
     assert traj.evaluation == "generated"
     assert (traj.exit_reason, len(traj), _digest(traj)) == DUAL_RUNS[plant, kind, horizon]
+
+
+def test_a_published_run_keeps_its_bytes_on_another_blas_kernel(pendulum):
+    # OpenBLAS's Prescott kernels have no fused multiply-add; the run is
+    # summed in index order whatever numpy's @ would give
+    script = (
+        "import hashlib, numpy as np\n"
+        "from cbftk.sim import simulate\n"
+        "from cbftk.systems import pendulum_scenario\n"
+        "s = pendulum_scenario()\n"
+        "traj = simulate(s.system, s.make_cbf('abc'), s.filter_spec(), s.x0, 2.0, 1e-3)\n"
+        "h = hashlib.sha256()\n"
+        "for column in (traj.t, traj.x, traj.u, traj.h, traj.psi, traj.s):\n"
+        "    h.update(np.ascontiguousarray(column).tobytes())\n"
+        "print(traj.evaluation, traj.exit_reason, len(traj), h.hexdigest()[:32])\n"
+    )
+    paths = [os.path.dirname(os.path.dirname(sim.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    traj = simulate(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec(), pendulum.x0, 2.0, 1e-3)
+    assert done.stdout.split() == [traj.evaluation, traj.exit_reason, str(len(traj)), _digest(traj)]
+    assert traj.evaluation == "generated"
 
 
 def _assert_generated_run_equals_dual(scenario, kind, horizon):
@@ -425,12 +467,12 @@ def test_an_untraceable_output_runs_on_dual_and_says_why(pendulum):
     assert traj.evaluation.startswith("numpy: not traced")
     assert "float(), math.* or np.* on a traced value" in traj.evaluation
     assert "math.sin(ad.scalar(y[0]))" in traj.evaluation
-    # recorded before the generated path existed
+    # recorded with the filter's dot products summed in index order
     assert (traj.exit_reason, len(traj)) == ("completed", 1001)
     h = hashlib.sha256()
     for column in (traj.t, traj.x, traj.u, traj.h, traj.psi, traj.s):
         h.update(np.ascontiguousarray(column).tobytes())
-    assert h.hexdigest() == "89c3186436e864ba3ccd00863734d9cbf82c9dd0b6c4b56cda1a2f3ceb27600c"
+    assert h.hexdigest() == "08bf3550e10ef9b9931e5ad48a3231a0b45f51df47a7ff9460a3869dd7ee5fc0"
 
 
 def test_an_untraceable_numpy_call_names_the_callers_line(bicycle):
