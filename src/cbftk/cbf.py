@@ -32,8 +32,8 @@ from .core import (
     RelDeg2Output,
     ReQUActivation,
     directional,
-    first_failure,
     per_node,
+    sampled,
 )
 from .safety_filter import VirtualController
 
@@ -211,18 +211,13 @@ def recbf_validity_condition(
     if instance.kind != RECBF:
         raise ValueError("validity condition applies to rectified CBFs")
     out = instance.output
-    witnesses = []
     states = np.atleast_2d(np.asarray(states, dtype=float))
 
     def evaluate(xs):
         # the residual only where the coupling vanishes
         coupling = directional(ad.grad(out.psi_dot, xs), system.g_batch(xs))
         uncoupled = np.flatnonzero(np.max(np.abs(coupling), axis=0) < coupling_tol)
-        return uncoupled, per_node(instance.residual, xs[:, uncoupled], "residual")
+        r = per_node(instance.residual, xs[:, uncoupled], "residual")
+        return [(i, float(ri)) for i, ri in zip(uncoupled, r) if ri < instance.epsilon]
 
-    for block in ad.blocks(len(states)):
-        uncoupled, r = first_failure(evaluate, states[block].T)
-        for i, ri in zip(uncoupled, r):
-            if ri < instance.epsilon:
-                witnesses.append((states[block.start + i].copy(), float(ri)))
-    return ValidityConditionReport(instance.epsilon, len(states), witnesses)
+    return ValidityConditionReport(instance.epsilon, len(states), sampled(evaluate, states))

@@ -26,6 +26,7 @@ __all__ = [
     "DomainError",
     "first_failure",
     "per_node",
+    "sampled",
     "directional",
     "lie_f",
     "lie_g",
@@ -72,6 +73,16 @@ def first_failure(evaluate, states):
             exc.args = (f"{exc.reason} at state {states[:, i]}",)
             raise
     raise failure
+
+
+def sampled(evaluate, states) -> list:
+    """``(state, item)`` for each ``(column, item)`` that ``evaluate`` returns on blocks of
+    :data:`cbftk.autodiff.BLOCK_NODES` rows of ``states``, one per column; errors as :func:`first_failure`."""
+    found = []
+    for block in ad.blocks(len(states)):
+        rows = states[block]
+        found += [(rows[j].copy(), item) for j, item in first_failure(evaluate, rows.T)]
+    return found
 
 
 def per_node(func, states, name, shape=(), dtype=float) -> np.ndarray:
@@ -208,7 +219,8 @@ class RelDeg2Output:
     elementwise on per-component arrays: given the components of N states
     as arrays of shape (N,), it returns one flag per state (see
     :meth:`in_extended_set_batch`).  The other callables take such arrays,
-    or batched Duals, as well.
+    or batched Duals, as well: the grid scans and the sampled assumption
+    checks evaluate them over many states at once.
     """
 
     p: int
@@ -240,21 +252,19 @@ class RelDeg2Output:
 
 
 def lie_f(field, system: ControlAffineSystem, x) -> float:
-    """L_f field (x) = grad(field, x) . f(x)."""
-    g = ad.grad(field, x)
-    return float(g @ system.f_vec(x))
+    """L_f field (x) = grad(field, x) . f(x), summed in index order."""
+    return float(ad.dot(ad.grad(field, x), system.f_vec(x)))
 
 
 def lie_g(field, system: ControlAffineSystem, x) -> np.ndarray:
-    """L_g field (x) = grad(field, x) . g(x), a row of length m."""
-    g = ad.grad(field, x)
-    return g @ system.g_mat(x)
+    """L_g field (x) = grad(field, x) . g(x), a row of length m summed in index order."""
+    return ad.dot(ad.grad(field, x), system.g_mat(x))
 
 
 def lie_derivatives(field, system: ControlAffineSystem, x):
     """(value, L_f field, L_g field) from a single gradient evaluation."""
     value, g = ad.value_and_grad(field, x)
-    return value, float(g @ system.f_vec(x)), g @ system.g_mat(x)
+    return value, float(ad.dot(g, system.f_vec(x))), ad.dot(g, system.g_mat(x))
 
 
 # -- sampled assumption checks ----------------------------------------------
@@ -275,17 +285,18 @@ class AssumptionReport:
         return f"{self.name}: {status} over {self.n_checked} sampled states"
 
 
-def _output_jacobian_times_g(output, system, x, use_drift_derivative):
-    """Rows grad(y_i) . g(x), or grad(ydot_i) . g(x)."""
-    gm = system.g_mat(x)
-    rows = []
-    for i in range(output.p):
-        if use_drift_derivative:
-            fi = lambda xs, i=i: output.ydot(xs)[i]
-        else:
-            fi = lambda xs, i=i: output.y(xs)[i]
-        rows.append(ad.grad(fi, x) @ gm)
-    return np.asarray(rows)
+def _states(states, n: int) -> np.ndarray:
+    """``states`` as an (N, n) array; refuses any other shape."""
+    given = np.asarray(states, dtype=float)
+    rows = np.atleast_2d(given)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"states must hold {n} components each, got shape {given.shape}")
+    return rows
+
+
+def _lie_rows(field, p: int, vector_field, xs) -> np.ndarray:
+    """L_f (or L_g) of the p components of ``field`` at ``xs``, shape (p, N) (or (p, m, N))."""
+    return np.array([directional(ad.grad(lambda v, i=i: field(v)[i], xs), vector_field) for i in range(p)])
 
 
 def check_relative_degree(
@@ -297,20 +308,26 @@ def check_relative_degree(
 ) -> AssumptionReport:
     """Sampled relative-degree-two check: L_g y = 0 and L_g L_f y full rank.
 
-    Rank is tested on the smallest singular value of the p x m matrix.
+    ``states`` must hold ``system.n`` components per row.  They are checked
+    in batches (:func:`sampled`), so ``y``, ``ydot`` and ``g`` must act
+    elementwise.  L_g L_f y is evaluated only where L_g y = 0; its rank is
+    the smallest singular value of the p x m matrix.  A NaN fails.
     """
-    failures = []
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    for x in states:
-        lgy = _output_jacobian_times_g(output, system, x, use_drift_derivative=False)
-        if np.max(np.abs(lgy)) >= lgy_tol:
-            failures.append((x.copy(), f"L_g y nonzero (max |entry| {np.max(np.abs(lgy)):.3e})"))
-            continue
-        lglfy = _output_jacobian_times_g(output, system, x, use_drift_derivative=True)
-        smin = np.linalg.svd(lglfy, compute_uv=False)[-1]
-        if smin <= rank_tol:
-            failures.append((x.copy(), f"L_g L_f y rank-deficient (sigma_min {smin:.3e})"))
-    return AssumptionReport("relative degree two", len(states), failures)
+    rows = _states(states, system.n)
+
+    def evaluate(xs):
+        g = system.g_batch(xs)
+        lgy = np.max(np.abs(_lie_rows(output.y, output.p, g, xs)), axis=(0, 1))
+        passed = np.flatnonzero(lgy < lgy_tol)
+        lglfy = np.moveaxis(_lie_rows(output.ydot, output.p, g[..., passed], xs[:, passed]), -1, 0)
+        finite = np.isfinite(lglfy).all(axis=(1, 2))
+        smin = np.full(passed.size, np.nan)
+        smin[finite] = np.linalg.svd(lglfy[finite], compute_uv=False)[:, -1]
+        failures = [(j, f"L_g y nonzero (max |entry| {lgy[j]:.3e})") for j in np.flatnonzero(~(lgy < lgy_tol))]
+        failures += [(j, f"L_g L_f y rank-deficient (sigma_min {s:.3e})") for j, s in zip(passed, smin) if not s > rank_tol]
+        return sorted(failures)
+
+    return AssumptionReport("relative degree two", len(rows), sampled(evaluate, rows))
 
 
 def check_constraint_regularity(
@@ -318,15 +335,18 @@ def check_constraint_regularity(
     states,
     grad_tol: float = 1e-10,
 ) -> AssumptionReport:
-    """Sampled regularity check: psi_grad = 0 only where psi > 0."""
-    failures = []
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    for x in states:
-        yv = [float(v) for v in output.y(x)]
-        gnorm = float(np.linalg.norm(np.asarray(output.psi_grad(yv), dtype=float)))
-        if gnorm < grad_tol and not output.psi(yv) > 0.0:
-            failures.append((x.copy(), f"stationary output point with psi = {output.psi(yv):.3e} <= 0"))
-    return AssumptionReport("constraint regularity", len(states), failures)
+    """Sampled regularity check: psi_grad = 0 only where psi > 0.  Batched as
+    :func:`check_relative_degree`, with ``psi`` and ``psi_grad`` elementwise; a NaN fails."""
+    rows = np.atleast_2d(np.asarray(states, dtype=float))
+
+    def evaluate(xs):
+        y = per_node(output.y, xs, "y", (output.p,))
+        grad = per_node(output.psi_grad, y, "psi_grad", (output.p,))
+        psi = per_node(output.psi, y, "psi")
+        stationary = ~(np.sqrt(directional(grad, grad)) >= grad_tol) & ~(psi > 0.0)
+        return [(j, f"stationary output point with psi = {psi[j]:.3e} <= 0") for j in np.flatnonzero(stationary)]
+
+    return AssumptionReport("constraint regularity", len(rows), sampled(evaluate, rows))
 
 
 def check_output_consistency(
@@ -338,19 +358,22 @@ def check_output_consistency(
     """Validate the explicit ydot and psi_grad fields against AD.
 
     ydot must equal L_f y componentwise and psi_grad must equal the AD
-    gradient of psi at the sampled states.
+    gradient of psi at the sampled states.  Batched as
+    :func:`check_relative_degree`, with ``f`` in place of ``g``; a NaN fails.
     """
-    failures = []
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    for x in states:
-        declared = np.asarray([ad.scalar(v) for v in output.ydot(x)], dtype=float)
-        for i in range(output.p):
-            lf = lie_f(lambda xs, i=i: output.y(xs)[i], system, x)
-            if abs(lf - declared[i]) > tol * (1.0 + abs(lf)):
-                failures.append((x.copy(), f"ydot[{i}] = {declared[i]} but L_f y[{i}] = {lf}"))
-        yv = np.asarray([ad.scalar(v) for v in output.y(x)], dtype=float)
-        declared_g = np.asarray([ad.scalar(v) for v in output.psi_grad(yv)], dtype=float)
-        auto_g = ad.grad(output.psi, yv)
-        if np.max(np.abs(declared_g - auto_g)) > tol * (1.0 + np.max(np.abs(auto_g))):
-            failures.append((x.copy(), "psi_grad disagrees with grad(psi)"))
-    return AssumptionReport("output consistency", len(states), failures)
+    rows = _states(states, system.n)
+
+    def evaluate(xs):
+        lf = _lie_rows(output.y, output.p, system.f_batch(xs), xs)
+        declared = per_node(output.ydot, xs, "ydot", (output.p,))
+        wrong = ~(np.abs(lf - declared) <= tol * (1.0 + np.abs(lf)))
+        y = per_node(output.y, xs, "y", (output.p,))
+        auto_g = ad.grad(output.psi, y)
+        error_g = np.abs(per_node(output.psi_grad, y, "psi_grad", (output.p,)) - auto_g)
+        wrong_g = ~(np.max(error_g, axis=0) <= tol * (1.0 + np.max(np.abs(auto_g), axis=0)))
+        # per state: its ydot components in order, then psi_grad
+        failures = [(j, i, f"ydot[{i}] = {declared[i, j]} but L_f y[{i}] = {lf[i, j]}") for i, j in np.argwhere(wrong)]
+        failures += [(j, output.p, "psi_grad disagrees with grad(psi)") for j in np.flatnonzero(wrong_g)]
+        return [(j, message) for j, _, message in sorted(failures)]
+
+    return AssumptionReport("output consistency", len(rows), sampled(evaluate, rows))

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import DomainError, LinearClassK
+from .core import AssumptionReport, DomainError, LinearClassK, directional, per_node, sampled
 
 __all__ = [
     "lambda_exact",
@@ -195,18 +195,18 @@ def check_virtual_controller(
 ):
     """Sampled single-integrator safety: psi_dot(y, kappa(y)) > -alpha(psi(y)).
 
-    Returns an :class:`cbftk.core.AssumptionReport`-style (ok, failures).
+    Returns a :class:`cbftk.core.AssumptionReport`.  Batched as
+    :func:`cbftk.core.check_relative_degree`, with ``vc`` elementwise.
     """
-    from .core import AssumptionReport
 
-    failures = []
+    def evaluate(xs):
+        y = per_node(output.y, xs, "y", (output.p,))
+        kv = per_node(vc, y, "virtual controller", (output.p,))
+        # summed from 0.0, so that a total of -0.0 reads 0.0 in a message
+        psidot = 0.0 + directional(per_node(output.psi_grad, y, "psi_grad", (output.p,)), kv)
+        bound = -alpha(per_node(output.psi, y, "psi"))
+        failed = np.flatnonzero(~(psidot > bound + margin))
+        return [(j, f"psi_dot(y, kappa) = {psidot[j]:.6e} <= {bound[j]:.6e}") for j in failed]
+
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    for x in states:
-        yv = [float(v) for v in output.y(x)]
-        kv = vc(yv)
-        gv = output.psi_grad(yv)
-        psidot = sum(float(gv[i]) * ad.scalar(kv[i]) for i in range(output.p))
-        bound = -alpha(float(output.psi(yv)))
-        if not psidot > bound + margin:
-            failures.append((x.copy(), f"psi_dot(y, kappa) = {psidot:.6e} <= {bound:.6e}"))
-    return AssumptionReport("virtual controller safety", len(states), failures)
+    return AssumptionReport("virtual controller safety", len(states), sampled(evaluate, states))

@@ -1,9 +1,14 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
+from cbftk.cbf import ABC
 from cbftk.core import (
     ControlAffineSystem,
     DomainError,
@@ -18,6 +23,7 @@ from cbftk.core import (
     lie_g,
     per_node,
 )
+from cbftk.safety_filter import LinearGain, check_virtual_controller
 
 HALF_PI_SQ = math.pi**2 / 4.0
 
@@ -195,3 +201,188 @@ def test_per_node_keeps_a_domain_error():
         per_node(undefined, np.zeros((2, 3)), "psi")
     assert err.value.index == 1
 
+
+
+# -- batched assumption checks -------------------------------------------------
+
+
+def _loop_reports(output, system, vc, alpha, states):
+    """The four checks one state at a time on floats, index-order sums: the
+    reference for the batched checks.  Each is a list of (state, message)."""
+    rel, reg, cons, safe = [], [], [], []
+    for x in states:
+        gm = system.g_mat(x)
+
+        def lie_g_rows(field):
+            return np.array([ad.dot(ad.grad(lambda v, i=i: field(v)[i], x), gm) for i in range(output.p)])
+
+        lgy = np.max(np.abs(lie_g_rows(output.y)))
+        if not lgy < 1e-10:
+            rel.append((x, f"L_g y nonzero (max |entry| {lgy:.3e})"))
+        else:
+            smin = np.linalg.svd(lie_g_rows(output.ydot), compute_uv=False)[-1]
+            if not smin > 1e-8:
+                rel.append((x, f"L_g L_f y rank-deficient (sigma_min {smin:.3e})"))
+        yv = [float(v) for v in output.y(x)]
+        gv = [float(v) for v in output.psi_grad(yv)]
+        psi = output.psi(yv)
+        if not math.sqrt(ad.dot(gv, gv)) >= 1e-10 and not psi > 0.0:
+            reg.append((x, f"stationary output point with psi = {psi:.3e} <= 0"))
+        declared = [ad.scalar(v) for v in output.ydot(x)]
+        for i in range(output.p):
+            lf = lie_f(lambda v, i=i: output.y(v)[i], system, x)
+            if not abs(lf - declared[i]) <= 1e-9 * (1.0 + abs(lf)):
+                cons.append((x, f"ydot[{i}] = {declared[i]} but L_f y[{i}] = {lf}"))
+        auto_g = ad.grad(output.psi, yv)
+        if not np.max(np.abs(np.subtract(gv, auto_g))) <= 1e-9 * (1.0 + np.max(np.abs(auto_g))):
+            cons.append((x, "psi_grad disagrees with grad(psi)"))
+        psidot = sum(g * ad.scalar(k) for g, k in zip(gv, vc(yv)))
+        bound = -alpha(psi)
+        if not psidot > bound + 1e-10:
+            safe.append((x, f"psi_dot(y, kappa) = {psidot:.6e} <= {bound:.6e}"))
+    return rel, reg, cons, safe
+
+
+def _batched_reports(output, system, vc, alpha, states):
+    return [
+        check_relative_degree(output, system, states),
+        check_constraint_regularity(output, states),
+        check_output_consistency(output, system, states),
+        check_virtual_controller(vc, output, alpha, states),
+    ]
+
+
+def _assert_batches_equal_the_loop(scenario, output, states):
+    vc = scenario.make_cbf(ABC).kappa
+    alpha = scenario.alpha_outer
+    expected = _loop_reports(output, scenario.system, vc, alpha, states)
+    for report, failures in zip(_batched_reports(output, scenario.system, vc, alpha, states), expected):
+        assert report.n_checked == len(states)
+        assert report.ok == (not failures)
+        assert [(x.tolist(), m) for x, m in report.failures] == [(x.tolist(), m) for x, m in failures], report.name
+
+
+def _output_variant(output, variant):
+    if variant == "wrong ydot":
+        return dataclasses.replace(output, ydot=lambda x: [2.0 * v for v in output.ydot(x)])
+    if variant == "stationary psi":
+        # psi = -y_0^2 is stationary with psi = 0 wherever y_0 = 0
+        return dataclasses.replace(
+            output,
+            psi=lambda y: -(y[0] * y[0]),
+            psi_grad=lambda y: [-2.0 * y[0]] + [0.0 * y[i] for i in range(1, output.p)],
+        )
+    if variant == "wrong psi_grad":
+        return dataclasses.replace(output, psi_grad=lambda y: [1.5 * v for v in output.psi_grad(y)])
+    return output
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+def test_batched_checks_equal_the_loop_on_the_assumption_states(plant, request):
+    scenario = request.getfixturevalue(plant)
+    _assert_batches_equal_the_loop(scenario, scenario.output, scenario.assumption_states)
+
+
+@settings(derandomize=True, max_examples=40)
+@given(
+    plant=st.sampled_from(["pendulum", "bicycle"]),
+    variant=st.sampled_from(["published", "wrong ydot", "stationary psi", "wrong psi_grad"]),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 60),
+)
+def test_batched_checks_equal_the_per_state_loop(pendulum, bicycle, plant, variant, seed, count):
+    scenario = pendulum if plant == "pendulum" else bicycle
+    rng = np.random.default_rng(seed)
+    sampled = [scenario.sample_state(rng) for _ in range(20)]
+    if plant == "pendulum":
+        special = [[0.0, w] for w in (-1.0, 0.0, 2.5)]
+    else:
+        # standstill (v = 0) makes L_g L_f y rank-deficient
+        special = [[xi, eta, theta, 0.0] for xi in (0.0, 12.5) for eta in (-3.0, 0.0) for theta in (0.0, 0.4)]
+    pool = np.concatenate([scenario.assumption_states, sampled, special])
+    states = pool[rng.choice(len(pool), size=count, replace=False)]
+    # blocks of 7 states, so that a failure's state survives the block offsets
+    with mock.patch.object(ad, "BLOCK_NODES", 7):
+        _assert_batches_equal_the_loop(scenario, _output_variant(scenario.output, variant), states)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda out, sys, xs: check_relative_degree(out, sys, xs),
+        lambda out, sys, xs: check_constraint_regularity(out, xs),
+        lambda out, sys, xs: check_output_consistency(out, sys, xs),
+        lambda out, sys, xs: check_virtual_controller(LinearGain(1.0), out, LinearClassK(1.0), xs),
+    ],
+    ids=["relative degree", "regularity", "consistency", "virtual controller"],
+)
+def test_a_check_raises_the_error_of_the_first_state_that_fails_alone(pendulum, check):
+    def y(x):
+        root = ad.sqrt(x[1])  # an EvaluationError where omega < 0: states 3 and 4
+        beyond = ad.scalar(x[0]) > 10.0  # a DomainError at states 1 and 4
+        if ad.failed(beyond):
+            raise DomainError("phi beyond 10", ad.first(beyond))
+        return [x[0] + 0.0 * root]
+
+    output = dataclasses.replace(pendulum.output, y=y, ydot=lambda x: [x[1]])
+    states = [[0.5, 1.0], [11.0, 1.0], [0.2, 2.0], [0.3, -1.0], [12.0, -1.0]]
+    with pytest.raises(DomainError) as err:
+        check(output, pendulum.system, states)
+    assert err.value.index == 1
+    assert str(err.value) == "phi beyond 10 at state [11.  1.]"
+
+
+def test_a_nan_fails_every_check_it_reaches(pendulum, bicycle):
+    at_nan = [[math.nan, 0.0]]
+    # L_g y and L_g L_f y do not depend on phi, so they hold there
+    assert check_relative_degree(pendulum.output, pendulum.system, at_nan).ok
+    assert [m for _, m in check_constraint_regularity(pendulum.output, at_nan).failures] == [
+        "stationary output point with psi = nan <= 0"
+    ]
+    assert [m for _, m in check_output_consistency(pendulum.output, pendulum.system, at_nan).failures] == [
+        "ydot[0] = 0.0 but L_f y[0] = nan",
+        "psi_grad disagrees with grad(psi)",
+    ]
+    report = check_relative_degree(bicycle.output, bicycle.system, [[0.0, 0.0, 0.0, math.nan], [0.0, 0.0, math.nan, 1.0]])
+    assert [m for _, m in report.failures] == [
+        "L_g y nonzero (max |entry| nan)",
+        "L_g L_f y rank-deficient (sigma_min nan)",
+    ]
+
+
+@pytest.mark.parametrize("check", [check_relative_degree, check_output_consistency])
+def test_checks_refuse_states_of_the_wrong_width(pendulum, bicycle, check):
+    cases = [
+        (pendulum, [[0.1, 0.2, 0.3]], "states must hold 2 components each, got shape (1, 3)"),
+        (bicycle, [[1.0, 2.0]], "states must hold 4 components each, got shape (1, 2)"),
+        (bicycle, [], "states must hold 4 components each, got shape (0,)"),
+    ]
+    for scenario, states, message in cases:
+        with pytest.raises(ValueError) as err:
+            check(scenario.output, scenario.system, states)
+        assert str(err.value) == message
+
+
+def test_checks_refuse_an_output_that_works_one_state_at_a_time(pendulum):
+    clipped = dataclasses.replace(pendulum.output, psi=lambda y: max(0.0, 1.0 - y[0] * y[0]))
+    assert check_constraint_regularity(clipped, [[0.3, 0.0]]).ok
+    with pytest.raises(ValueError, match="psi must act elementwise"):
+        check_constraint_regularity(clipped, pendulum.assumption_states)
+
+
+def test_lie_derivatives_sum_in_index_order(bicycle, rng):
+    def field(x):
+        return x[0] * x[1] * ad.sin(x[2]) + x[3] * x[3] * x[0] - 0.3 * x[1] * x[3]
+
+    system = bicycle.system
+    for _ in range(200):
+        x = bicycle.sample_state(rng)
+        grad = ad.grad(field, x).tolist()
+        f, g = system.f_vec(x).tolist(), system.g_mat(x).tolist()
+        lf = grad[0] * f[0] + grad[1] * f[1] + grad[2] * f[2] + grad[3] * f[3]
+        lg = [grad[0] * g[0][j] + grad[1] * g[1][j] + grad[2] * g[2][j] + grad[3] * g[3][j] for j in range(2)]
+        assert np.float64(lie_f(field, system, x)).tobytes() == np.float64(lf).tobytes()
+        assert lie_g(field, system, x).tobytes() == np.array(lg).tobytes()
+        _, lf_both, lg_both = lie_derivatives(field, system, x)
+        assert np.float64(lf_both).tobytes() == np.float64(lf).tobytes()
+        assert lg_both.tobytes() == np.array(lg).tobytes()
