@@ -105,13 +105,13 @@ class CbfInstance:
             raise ValueError(f"{self.kind} CBF has no virtual controller / switching function")
         out = self.output
         yv = out.y(x)
-        dv = out.ydot(x)
-        gv = out.psi_grad(yv)
+        return directional(out.psi_grad(yv), self._velocity_error(x, yv))
+
+    def _velocity_error(self, x, yv):
+        """ydot - kappa(y), componentwise."""
+        dv = self.output.ydot(x)
         kv = self.kappa(yv)
-        s = gv[0] * (dv[0] - kv[0])
-        for i in range(1, out.p):
-            s = s + gv[i] * (dv[i] - kv[i])
-        return s
+        return [dv[i] - kv[i] for i in range(self.output.p)]
 
     def value(self, x):
         """h(x); accepts floats or Duals componentwise, each for one state or a batch."""
@@ -123,13 +123,8 @@ class CbfInstance:
         if self.kind == RECBF:
             return psi - self.theta(self.epsilon - self.residual(x))
         if self.kind == BACKSTEPPING:
-            yv = out.y(x)
-            dv = out.ydot(x)
-            kv = self.kappa(yv)
-            penalty = (dv[0] - kv[0]) * (dv[0] - kv[0])
-            for i in range(1, out.p):
-                penalty = penalty + (dv[i] - kv[i]) * (dv[i] - kv[i])
-            return psi - penalty / (2.0 * self.mu)
+            error = self._velocity_error(x, out.y(x))
+            return psi - directional(error, error) / (2.0 * self.mu)
         return psi - self.theta(-self.switching(x))
 
     def value_and_gradient(self, x):

@@ -225,7 +225,7 @@ def cmd_validate(args) -> int:
     rel = check_relative_degree(scenario.output, scenario.system, scenario.assumption_states)
     lines.append(str(rel))
     ok &= rel.ok
-    reg = check_constraint_regularity(scenario.output, scenario.assumption_states)
+    reg = check_constraint_regularity(scenario.output, scenario.system, scenario.assumption_states)
     lines.append(str(reg))
     ok &= reg.ok
 

@@ -10,7 +10,7 @@ repeated ``--set key=value`` flags) overrides them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from .cbf import CBF_KINDS
@@ -256,20 +256,20 @@ class ScenarioConfig:
         return scenario
 
     def _scenario(self) -> Scenario:
-        given = {"x0": self.x0, "window": self.window, "resolution": self.resolution}
+        given = {
+            "x0": self.x0,
+            "horizon": self.horizon,
+            "dt": self.dt,
+            "window": self.window,
+            "resolution": self.resolution,
+        }
         kwargs = {name: value for name, value in given.items() if value is not None}
         if self.scenario == "pendulum":
-            scenario = pendulum_scenario(params=PendulumParams(**self.param_overrides), **kwargs)
-        else:
-            params = BicycleParams(**self.param_overrides)
-            if self.scan_slice:
-                kwargs["scan_slice"] = {"theta": 0.0, "v": params.v_desired, **self.scan_slice}
-            scenario = bicycle_scenario(params=params, **kwargs)
-        if self.dt is not None:
-            scenario = replace(scenario, dt=self.dt)
-        if self.horizon is not None:
-            scenario = replace(scenario, horizon=self.horizon)
-        return scenario
+            return pendulum_scenario(params=PendulumParams(**self.param_overrides), **kwargs)
+        params = BicycleParams(**self.param_overrides)
+        if self.scan_slice:
+            kwargs["scan_slice"] = {"theta": 0.0, "v": params.v_desired, **self.scan_slice}
+        return bicycle_scenario(params=params, **kwargs)
 
     # -- serialization --------------------------------------------------
 

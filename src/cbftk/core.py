@@ -240,12 +240,7 @@ class RelDeg2Output:
     def psi_dot(self, x):
         """d/dt psi(y(x)) along the drift: psi_grad(y) . ydot."""
         yv = self.y(x)
-        dv = self.ydot(x)
-        gv = self.psi_grad(yv)
-        total = gv[0] * dv[0]
-        for i in range(1, self.p):
-            total = total + gv[i] * dv[i]
-        return total
+        return directional(self.psi_grad(yv), self.ydot(x))
 
 
 # -- Lie derivatives --------------------------------------------------------
@@ -332,12 +327,14 @@ def check_relative_degree(
 
 def check_constraint_regularity(
     output: RelDeg2Output,
+    system: ControlAffineSystem,
     states,
     grad_tol: float = 1e-10,
 ) -> AssumptionReport:
     """Sampled regularity check: psi_grad = 0 only where psi > 0.  Batched as
-    :func:`check_relative_degree`, with ``psi`` and ``psi_grad`` elementwise; a NaN fails."""
-    rows = np.atleast_2d(np.asarray(states, dtype=float))
+    :func:`check_relative_degree`, with ``psi`` and ``psi_grad`` elementwise;
+    ``states`` must hold ``system.n`` components per row; a NaN fails."""
+    rows = _states(states, system.n)
 
     def evaluate(xs):
         y = per_node(output.y, xs, "y", (output.p,))

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import AssumptionReport, DomainError, LinearClassK, directional, per_node, sampled
+from .core import AssumptionReport, DomainError, LinearClassK, _states, directional, per_node, sampled
 
 __all__ = [
     "lambda_exact",
@@ -164,12 +164,8 @@ class SmoothFilter(VirtualController):
     def __call__(self, y):
         b = self.psi_grad(y)
         kd = self.kappa_d(y)
-        a = b[0] * kd[0]
-        bb = b[0] * b[0]
-        for i in range(1, self.p):
-            a = a + b[i] * kd[i]
-            bb = bb + b[i] * b[i]
-        a = a + self.alpha_hat(self.psi(y))
+        a = directional(b, kd) + self.alpha_hat(self.psi(y))
+        bb = directional(b, b)
         singular = (ad.scalar(bb) < 1e-20) & (ad.scalar(a) < 0.0)
         if ad.failed(singular):
             raise DomainError(
@@ -189,6 +185,7 @@ def virtual_kappa(vc: VirtualController, y) -> np.ndarray:
 def check_virtual_controller(
     vc: VirtualController,
     output,
+    system,
     alpha: LinearClassK,
     states,
     margin: float = 1e-10,
@@ -196,8 +193,10 @@ def check_virtual_controller(
     """Sampled single-integrator safety: psi_dot(y, kappa(y)) > -alpha(psi(y)).
 
     Returns a :class:`cbftk.core.AssumptionReport`.  Batched as
-    :func:`cbftk.core.check_relative_degree`, with ``vc`` elementwise.
+    :func:`cbftk.core.check_relative_degree`, with ``vc`` elementwise;
+    ``states`` must hold ``system.n`` components per row.
     """
+    rows = _states(states, system.n)
 
     def evaluate(xs):
         y = per_node(output.y, xs, "y", (output.p,))
@@ -208,5 +207,4 @@ def check_virtual_controller(
         failed = np.flatnonzero(~(psidot > bound + margin))
         return [(j, f"psi_dot(y, kappa) = {psidot[j]:.6e} <= {bound[j]:.6e}") for j in failed]
 
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    return AssumptionReport("virtual controller safety", len(states), sampled(evaluate, states))
+    return AssumptionReport("virtual controller safety", len(rows), sampled(evaluate, rows))

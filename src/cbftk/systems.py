@@ -1,8 +1,10 @@
 """The two concrete plants: inverted pendulum and kinematic bicycle.
 
-Each scenario bundles dynamics, the relative-degree-two output with its
-constraint, the desired controller, default parameters and CBF factories.
-Its ``scan`` method is :func:`cbftk.analysis.grid_scan` of the scenario's
+Each scenario is built from its parameters alone: ``params`` gives the
+dynamics, the relative-degree-two output with its constraint, the desired
+controller, the filter's weights and gain and the CBF factories, so a
+scenario with other parameters is ``dataclasses.replace(scenario,
+params=...)``.  Its ``scan`` method is :func:`cbftk.analysis.grid_scan` of the scenario's
 own construction, system, window and gain.  Its ``simulate`` method runs
 the published constructions on the scalar simulation kernels, and is
 the only caller of :mod:`cbftk.kernels` in the library.  The dynamics and
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from . import cbf as cbf_mod
 from . import kernels
 from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, CbfInstance
 from .core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
-from .safety_filter import LinearGain, SafetyFilterSpec, SmoothFilter
+from .safety_filter import LinearGain, SafetyFilterSpec, SmoothFilter, VirtualController
 from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _initial_state, _n_steps
 
 __all__ = [
@@ -120,6 +122,9 @@ class BicycleParams:
     def alpha_outer(self) -> float:
         return self.alpha_c if self.alpha_outer_c is None else self.alpha_outer_c
 
+    def mu_for(self, kind: str) -> float:
+        return self.mu
+
 
 # -- desired controller ------------------------------------------------------
 
@@ -139,32 +144,66 @@ def lane_keeping_desired(x, params: BicycleParams = BicycleParams()) -> np.ndarr
 
 @dataclass(frozen=True)
 class Scenario:
-    """A plant with its output, desired controller and defaults.
+    """A plant built from its parameters, with its run and scan defaults.
 
-    ``_built`` holds the ``system``, ``output`` and ``desired`` objects the
-    factory built; ``dataclasses.replace`` carries it along, so that
-    :meth:`simulate` can tell a replaced one.
+    The init fields are the scenario's inputs: ``params``, the initial
+    state, horizon and step, and the scan's window, resolution and slice.
+    ``system``, ``output``, ``desired``, ``gamma``, ``alpha_outer`` and
+    ``assumption_states`` are built from ``params`` and the window in
+    ``__post_init__``, so ``dataclasses.replace(scenario, params=...)``
+    rebuilds them and ``replace`` refuses to set one of them.
     """
 
-    name: str
-    system: ControlAffineSystem
-    output: RelDeg2Output
-    desired: Callable[[np.ndarray], np.ndarray]
-    gamma: np.ndarray
-    alpha_outer: LinearClassK
+    name: ClassVar[str]
+
+    params: object
     x0: np.ndarray
     horizon: float
     dt: float
     window: tuple
     resolution: tuple
     scan_slice: dict
-    params: object
-    assumption_states: np.ndarray
-    sample_state: Callable
-    _built: Optional[tuple] = field(default=None, repr=False, compare=False)
+    system: ControlAffineSystem = field(init=False, repr=False, compare=False)
+    output: RelDeg2Output = field(init=False, repr=False, compare=False)
+    desired: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha_outer: LinearClassK = field(init=False, repr=False, compare=False)
+    assumption_states: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inputs = dict(
+            x0=np.asarray(self.x0, dtype=float),
+            window=tuple(tuple(w) for w in self.window),
+            resolution=tuple(self.resolution),
+            scan_slice=dict(self.scan_slice),
+        )
+        for name, value in inputs.items():
+            object.__setattr__(self, name, value)
+        built = dict(self._build(), alpha_outer=LinearClassK(self.params.alpha_outer))
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+
+    def _build(self) -> dict:
+        """``system``, ``output``, ``desired``, ``gamma`` and ``assumption_states``."""
+        raise NotImplementedError
+
+    def _kappa(self) -> VirtualController:
+        """The virtual controller of the backstepping constructions."""
+        raise NotImplementedError
 
     def make_cbf(self, kind: str) -> CbfInstance:
-        raise NotImplementedError
+        if kind not in CBF_KINDS:
+            raise ValueError(f"unknown CBF kind {kind!r}")
+        p = self.params
+        alpha = LinearClassK(p.alpha_c)
+        if kind == HOCBF:
+            return cbf_mod.hocbf(self.output, alpha)
+        mu = p.mu_for(kind)
+        if kind == RECBF:
+            return cbf_mod.recbf(self.output, alpha, ReQUActivation(mu), p.epsilon)
+        if kind == BACKSTEPPING:
+            return cbf_mod.backstepping(self.output, alpha, self._kappa(), mu)
+        return cbf_mod.abc(self.output, alpha, self._kappa(), ReQUActivation(mu))
 
     def kernel_params_for(self, kind: str) -> tuple:
         """The kernel's parameter vector for ``kind``, as Python floats."""
@@ -172,6 +211,10 @@ class Scenario:
 
     def filter_spec(self) -> SafetyFilterSpec:
         return SafetyFilterSpec(desired=self.desired, gamma=self.gamma, alpha=self.alpha_outer)
+
+    def sample_state(self, rng: np.random.Generator) -> np.ndarray:
+        """A state drawn from the scenario's sampling region."""
+        raise NotImplementedError
 
     def simulate(
         self,
@@ -185,12 +228,11 @@ class Scenario:
         the scalar kernels.
 
         The same run as :func:`cbftk.sim.simulate` with those arguments, on
-        the scenario kernel in plain Python, which reads the construction, the filter and
-        the plant from ``self.params`` alone.  A scenario whose ``gamma`` or
-        ``alpha_outer`` differs from what ``params`` gives, or whose
-        ``system``, ``output`` or ``desired`` is not the object its factory
-        built, is refused with a ValueError naming the field.  ``x0``,
-        ``horizon`` and ``dt`` default to the scenario's own.
+        the scenario kernel in plain Python, which reads the construction,
+        the filter and the plant from ``self.params``, as the scenario's own
+        fields are built.  A kind, parameters or filter weights that
+        ``make_cbf`` or ``filter_spec`` refuse are refused here too.
+        ``x0``, ``horizon`` and ``dt`` default to the scenario's own.
 
         The kernel gets ``x0``, ``dt``, the threshold and the parameters as
         Python floats, whatever number types the caller gave: on numpy
@@ -199,8 +241,6 @@ class Scenario:
         """
         self.make_cbf(kind)  # refuses the kinds and parameters the reference refuses
         self.filter_spec()  # and the filter's weights, which the kernel divides by
-        self._check_built()
-        self._check_filter_from_params()
         code, params = kernels.KIND_CODES[kind], self.kernel_params_for(kind)
         x0 = _initial_state(self.x0 if x0 is None else x0, self.system.n).tolist()
         dt = float(self.dt if dt is None else dt)
@@ -219,36 +259,6 @@ class Scenario:
             exit_reason=kernels.EXIT_REASONS[exit_code],
             evaluation="kernel",
         )
-
-    def _check_built(self):
-        built = self._built or (None, None, None)
-        for name, original in zip(("system", "output", "desired"), built):
-            if getattr(self, name) is not original:
-                raise ValueError(
-                    f"Scenario.simulate runs the kernel of params, but this scenario's "
-                    f"{name} is not the one its factory built; run cbftk.sim.simulate "
-                    f"with make_cbf(kind) and filter_spec()"
-                )
-
-    def _check_filter_from_params(self):
-        gamma, alpha_outer = self._filter_from_params(self.params)
-        given = np.asarray(self.gamma, dtype=float)
-        if not np.array_equal(given, gamma):
-            given, field = given.tolist(), "gamma"
-        elif self.alpha_outer != alpha_outer:
-            given, field = self.alpha_outer, "alpha_outer"
-        else:
-            return
-        raise ValueError(
-            f"Scenario.simulate reads the filter from params, but this scenario's "
-            f"{field} ({given}) differs from what params gives; change params, "
-            f"or run cbftk.sim.simulate with filter_spec()"
-        )
-
-    @staticmethod
-    def _filter_from_params(params):
-        """(gamma, alpha_outer) of the safety filter that ``params`` gives."""
-        raise NotImplementedError
 
     def scan(self, kind: str) -> analysis.GridScan:
         """Grid scan of ``make_cbf(kind)`` over the scenario's window.
@@ -274,11 +284,40 @@ class Scenario:
         raise NotImplementedError
 
 
+def _no_torque(x):
+    return np.zeros(1)
+
+
 @dataclass(frozen=True)
 class PendulumScenario(Scenario):
-    @staticmethod
-    def _filter_from_params(params: PendulumParams):
-        return np.asarray([params.gamma], dtype=float), LinearClassK(params.alpha_outer)
+    name: ClassVar[str] = "pendulum"
+
+    def _build(self) -> dict:
+        system = ControlAffineSystem(
+            n=2,
+            m=1,
+            f=lambda x: [x[1], ad.sin(x[0])],
+            g=lambda x: [[0.0], [1.0]],
+        )
+        output = RelDeg2Output(
+            p=1,
+            y=lambda x: [x[0]],
+            ydot=lambda x: [x[1]],
+            psi=lambda y: HALF_PI_SQ - y[0] * y[0],
+            psi_grad=lambda y: [-2.0 * y[0]],
+        )
+        phis = np.linspace(*self.window[0], 9)
+        omegas = np.linspace(*self.window[1], 9)
+        return dict(
+            system=system,
+            output=output,
+            desired=_no_torque,
+            gamma=np.asarray([self.params.gamma], dtype=float),
+            assumption_states=np.array([(a, b) for a in phis for b in omegas]),
+        )
+
+    def _kappa(self) -> VirtualController:
+        return LinearGain(self.params.K, p=1)
 
     def kernel_params_for(self, kind: str) -> tuple:
         p: PendulumParams = self.params
@@ -286,19 +325,9 @@ class PendulumScenario(Scenario):
             float(v) for v in (p.alpha_c, p.alpha_outer, p.K, p.mu_for(kind), p.epsilon, p.gamma)
         )
 
-    def make_cbf(self, kind: str) -> CbfInstance:
-        if kind not in CBF_KINDS:
-            raise ValueError(f"unknown CBF kind {kind!r}")
-        p: PendulumParams = self.params
-        alpha = LinearClassK(p.alpha_c)
-        if kind == HOCBF:
-            return cbf_mod.hocbf(self.output, alpha)
-        if kind == RECBF:
-            return cbf_mod.recbf(self.output, alpha, ReQUActivation(p.mu_recbf), p.epsilon)
-        kappa = LinearGain(p.K, p=1)
-        if kind == BACKSTEPPING:
-            return cbf_mod.backstepping(self.output, alpha, kappa, p.mu_backstepping)
-        return cbf_mod.abc(self.output, alpha, kappa, ReQUActivation(p.mu_abc))
+    def sample_state(self, rng: np.random.Generator) -> np.ndarray:
+        (phi_lo, phi_hi), (omega_lo, omega_hi) = self.window
+        return np.asarray([rng.uniform(phi_lo, phi_hi), rng.uniform(omega_lo, omega_hi)])
 
     def state_from_axes(self, axis_values) -> np.ndarray:
         return np.asarray(axis_values, dtype=float)
@@ -307,11 +336,75 @@ class PendulumScenario(Scenario):
         return kernels.pend_simulate(code, x0[0], x0[1], n_steps, dt, params, blow_up_threshold)
 
 
+def _clear_of_obstacle(p: BicycleParams, xi, eta) -> bool:
+    """More than 0.5 m from the obstacle centre, where the checks sample."""
+    dx = xi - p.obstacle_xi
+    dy = eta - p.obstacle_eta
+    return dx * dx + dy * dy > 0.25
+
+
 @dataclass(frozen=True)
 class BicycleScenario(Scenario):
-    @staticmethod
-    def _filter_from_params(params: BicycleParams):
-        return np.asarray([params.gamma1, params.gamma2], dtype=float), LinearClassK(params.alpha_outer)
+    name: ClassVar[str] = "bicycle"
+
+    def _build(self) -> dict:
+        p: BicycleParams = self.params
+        system = ControlAffineSystem(
+            n=4,
+            m=2,
+            f=lambda x: [x[3] * ad.cos(x[2]), x[3] * ad.sin(x[2]), 0.0 * x[0], 0.0 * x[0]],
+            g=lambda x: [
+                [0.0, 0.0],
+                [0.0, 0.0],
+                [ad.scalar(x[3]) / p.wheelbase, 0.0],
+                [0.0, 1.0],
+            ],
+        )
+
+        def in_extended_set(x):
+            dx = x[0] - p.obstacle_xi
+            dy = x[1] - p.obstacle_eta
+            return dx * dx + dy * dy >= 1e-18
+
+        output = RelDeg2Output(
+            p=2,
+            y=lambda x: [x[0], x[1]],
+            ydot=lambda x: [x[3] * ad.cos(x[2]), x[3] * ad.sin(x[2])],
+            psi=lambda y: (y[0] - p.obstacle_xi) * (y[0] - p.obstacle_xi)
+            + (y[1] - p.obstacle_eta) * (y[1] - p.obstacle_eta)
+            - p.obstacle_radius**2,
+            psi_grad=lambda y: [
+                2.0 * (y[0] - p.obstacle_xi),
+                2.0 * (y[1] - p.obstacle_eta),
+            ],
+            in_extended_set=in_extended_set,
+        )
+        assumption_states = [
+            (a, b, c, d)
+            for a in np.linspace(0.0, 40.0, 5)
+            for b in np.linspace(-6.0, 6.0, 5)
+            for c in (-0.5, 0.0, 0.5)
+            for d in (0.1, 1.0, 5.0, 10.0)
+            if _clear_of_obstacle(p, a, b)
+        ]
+        return dict(
+            system=system,
+            output=output,
+            desired=lambda x: lane_keeping_desired(x, p),
+            gamma=np.asarray([p.gamma1, p.gamma2], dtype=float),
+            assumption_states=np.array(assumption_states),
+        )
+
+    def _kappa(self) -> VirtualController:
+        p: BicycleParams = self.params
+        return SmoothFilter(
+            kappa_d=lambda y, vh=p.v_hat: [vh, 0.0 * y[1]],
+            psi=self.output.psi,
+            psi_grad=self.output.psi_grad,
+            alpha_hat=LinearClassK(p.alpha_hat_c),
+            sigma_hat=p.sigma_hat,
+            p=2,
+        )
 
     def kernel_params_for(self, kind: str) -> tuple:
         p: BicycleParams = self.params
@@ -338,26 +431,18 @@ class BicycleScenario(Scenario):
             )
         )
 
-    def make_cbf(self, kind: str) -> CbfInstance:
-        if kind not in CBF_KINDS:
-            raise ValueError(f"unknown CBF kind {kind!r}")
-        p: BicycleParams = self.params
-        alpha = LinearClassK(p.alpha_c)
-        if kind == HOCBF:
-            return cbf_mod.hocbf(self.output, alpha)
-        if kind == RECBF:
-            return cbf_mod.recbf(self.output, alpha, ReQUActivation(p.mu), p.epsilon)
-        kappa = SmoothFilter(
-            kappa_d=lambda y, vh=p.v_hat: [vh, 0.0 * y[1]],
-            psi=self.output.psi,
-            psi_grad=self.output.psi_grad,
-            alpha_hat=LinearClassK(p.alpha_hat_c),
-            sigma_hat=p.sigma_hat,
-            p=2,
-        )
-        if kind == BACKSTEPPING:
-            return cbf_mod.backstepping(self.output, alpha, kappa, p.mu)
-        return cbf_mod.abc(self.output, alpha, kappa, ReQUActivation(p.mu))
+    def sample_state(self, rng: np.random.Generator) -> np.ndarray:
+        while True:
+            x = np.asarray(
+                [
+                    rng.uniform(0.0, 40.0),
+                    rng.uniform(-8.0, 8.0),
+                    rng.uniform(-0.8, 0.8),
+                    rng.uniform(0.5, 13.0),
+                ]
+            )
+            if _clear_of_obstacle(self.params, x[0], x[1]):
+                return x
 
     def state_from_axes(self, axis_values):
         return [axis_values[0], axis_values[1], self.scan_slice["theta"], self.scan_slice["v"]]
@@ -382,54 +467,7 @@ def pendulum_scenario(
     four constructions' safe sets (the published phase plots do not state
     numerical initial conditions).
     """
-    system = ControlAffineSystem(
-        n=2,
-        m=1,
-        f=lambda x: [x[1], ad.sin(x[0])],
-        g=lambda x: [[0.0], [1.0]],
-    )
-    output = RelDeg2Output(
-        p=1,
-        y=lambda x: [x[0]],
-        ydot=lambda x: [x[1]],
-        psi=lambda y: HALF_PI_SQ - y[0] * y[0],
-        psi_grad=lambda y: [-2.0 * y[0]],
-    )
-    phis = np.linspace(window[0][0], window[0][1], 9)
-    omegas = np.linspace(window[1][0], window[1][1], 9)
-    assumption_states = np.array([(a, b) for a in phis for b in omegas])
-
-    def sample_state(rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(
-            [
-                rng.uniform(window[0][0], window[0][1]),
-                rng.uniform(window[1][0], window[1][1]),
-            ]
-        )
-
-    gamma, alpha_outer = PendulumScenario._filter_from_params(params)
-
-    def desired(x):
-        return np.zeros(1)
-
-    return PendulumScenario(
-        name="pendulum",
-        system=system,
-        output=output,
-        desired=desired,
-        gamma=gamma,
-        alpha_outer=alpha_outer,
-        x0=np.asarray(x0, dtype=float),
-        horizon=horizon,
-        dt=dt,
-        window=tuple(tuple(w) for w in window),
-        resolution=tuple(resolution),
-        scan_slice={},
-        params=params,
-        assumption_states=assumption_states,
-        sample_state=sample_state,
-        _built=(system, output, desired),
-    )
+    return PendulumScenario(params, x0, horizon, dt, window, resolution, scan_slice={})
 
 
 def bicycle_scenario(
@@ -448,92 +486,11 @@ def bicycle_scenario(
     output velocity is initially no less safe than the virtual
     controller's (so h = psi during the approach), and offset enough that
     the closed loop clears the obstacle and recovers the lane rather than
-    braking to a standstill in front of it.
+    braking to a standstill in front of it.  The scan slice defaults to
+    heading 0 at the desired speed.
     """
-    p = params
-    system = ControlAffineSystem(
-        n=4,
-        m=2,
-        f=lambda x: [x[3] * ad.cos(x[2]), x[3] * ad.sin(x[2]), 0.0 * x[0], 0.0 * x[0]],
-        g=lambda x: [
-            [0.0, 0.0],
-            [0.0, 0.0],
-            [ad.scalar(x[3]) / p.wheelbase, 0.0],
-            [0.0, 1.0],
-        ],
-    )
-
-    def in_extended_set(x):
-        dx = x[0] - p.obstacle_xi
-        dy = x[1] - p.obstacle_eta
-        return dx * dx + dy * dy >= 1e-18
-
-    output = RelDeg2Output(
-        p=2,
-        y=lambda x: [x[0], x[1]],
-        ydot=lambda x: [x[3] * ad.cos(x[2]), x[3] * ad.sin(x[2])],
-        psi=lambda y: (y[0] - p.obstacle_xi) * (y[0] - p.obstacle_xi)
-        + (y[1] - p.obstacle_eta) * (y[1] - p.obstacle_eta)
-        - p.obstacle_radius**2,
-        psi_grad=lambda y: [
-            2.0 * (y[0] - p.obstacle_xi),
-            2.0 * (y[1] - p.obstacle_eta),
-        ],
-        in_extended_set=in_extended_set,
-    )
-    xis = np.linspace(0.0, 40.0, 5)
-    etas = np.linspace(-6.0, 6.0, 5)
-    thetas = (-0.5, 0.0, 0.5)
-    vs = (0.1, 1.0, 5.0, 10.0)
-    assumption_states = np.array(
-        [
-            (a, b, c, d)
-            for a in xis
-            for b in etas
-            for c in thetas
-            for d in vs
-            if (a - p.obstacle_xi) ** 2 + (b - p.obstacle_eta) ** 2 > 0.25
-        ]
-    )
-
-    def sample_state(rng: np.random.Generator) -> np.ndarray:
-        while True:
-            x = np.asarray(
-                [
-                    rng.uniform(0.0, 40.0),
-                    rng.uniform(-8.0, 8.0),
-                    rng.uniform(-0.8, 0.8),
-                    rng.uniform(0.5, 13.0),
-                ]
-            )
-            dx = x[0] - p.obstacle_xi
-            dy = x[1] - p.obstacle_eta
-            if dx * dx + dy * dy > 0.25:
-                return x
-
-    gamma, alpha_outer = BicycleScenario._filter_from_params(p)
-
-    def desired(x):
-        return lane_keeping_desired(x, p)
-
-    return BicycleScenario(
-        name="bicycle",
-        system=system,
-        output=output,
-        desired=desired,
-        gamma=gamma,
-        alpha_outer=alpha_outer,
-        x0=np.asarray(x0, dtype=float),
-        horizon=horizon,
-        dt=dt,
-        window=tuple(tuple(w) for w in window),
-        resolution=tuple(resolution),
-        scan_slice=dict(scan_slice or {"theta": 0.0, "v": p.v_desired}),
-        params=params,
-        assumption_states=assumption_states,
-        sample_state=sample_state,
-        _built=(system, output, desired),
-    )
+    scan_slice = scan_slice or {"theta": 0.0, "v": params.v_desired}
+    return BicycleScenario(params, x0, horizon, dt, window, resolution, scan_slice)
 
 
 def scenario_by_name(name: str, **kwargs) -> Scenario:

@@ -215,7 +215,8 @@ def test_bicycle_obstacle_centre_node_is_nan_in_every_column():
 
 
 def test_scenario_scan_honours_a_replaced_alpha_outer(pendulum):
-    scenario = dataclasses.replace(pendulum, alpha_outer=LinearClassK(3.0), resolution=(5, 5))
+    scenario = dataclasses.replace(pendulum, params=PendulumParams(alpha_outer_c=3.0), resolution=(5, 5))
+    assert scenario.alpha_outer == LinearClassK(3.0)
     scan = scenario.scan(ABC)
     expected = grid_scan(
         scenario.make_cbf(ABC),

@@ -102,11 +102,11 @@ def test_bicycle_rank_fails_at_standstill(bicycle):
 
 
 def test_constraint_regularity_checks_pass(pendulum, bicycle):
-    assert check_constraint_regularity(pendulum.output, pendulum.assumption_states).ok
-    assert check_constraint_regularity(bicycle.output, bicycle.assumption_states).ok
+    assert check_constraint_regularity(pendulum.output, pendulum.system, pendulum.assumption_states).ok
+    assert check_constraint_regularity(bicycle.output, bicycle.system, bicycle.assumption_states).ok
 
 
-def test_constraint_regularity_detects_bad_constraint():
+def test_constraint_regularity_detects_bad_constraint(pendulum):
     # psi = -(y^2) is stationary at the origin with psi = 0: not regular
     bad = RelDeg2Output(
         p=1,
@@ -115,7 +115,7 @@ def test_constraint_regularity_detects_bad_constraint():
         psi=lambda y: -(y[0] * y[0]),
         psi_grad=lambda y: [-2.0 * y[0]],
     )
-    assert not check_constraint_regularity(bad, [[0.0, 1.0]]).ok
+    assert not check_constraint_regularity(bad, pendulum.system, [[0.0, 1.0]]).ok
 
 
 def test_output_consistency_validates_declared_fields(pendulum, bicycle):
@@ -246,9 +246,9 @@ def _loop_reports(output, system, vc, alpha, states):
 def _batched_reports(output, system, vc, alpha, states):
     return [
         check_relative_degree(output, system, states),
-        check_constraint_regularity(output, states),
+        check_constraint_regularity(output, system, states),
         check_output_consistency(output, system, states),
-        check_virtual_controller(vc, output, alpha, states),
+        check_virtual_controller(vc, output, system, alpha, states),
     ]
 
 
@@ -306,16 +306,15 @@ def test_batched_checks_equal_the_per_state_loop(pendulum, bicycle, plant, varia
         _assert_batches_equal_the_loop(scenario, _output_variant(scenario.output, variant), states)
 
 
-@pytest.mark.parametrize(
-    "check",
-    [
-        lambda out, sys, xs: check_relative_degree(out, sys, xs),
-        lambda out, sys, xs: check_constraint_regularity(out, xs),
-        lambda out, sys, xs: check_output_consistency(out, sys, xs),
-        lambda out, sys, xs: check_virtual_controller(LinearGain(1.0), out, LinearClassK(1.0), xs),
-    ],
-    ids=["relative degree", "regularity", "consistency", "virtual controller"],
-)
+def check_unit_gain_controller(output, system, states):
+    return check_virtual_controller(LinearGain(1.0), output, system, LinearClassK(1.0), states)
+
+
+# each check as (output, system, states) -> report
+CHECKS = [check_relative_degree, check_constraint_regularity, check_output_consistency, check_unit_gain_controller]
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=["relative degree", "regularity", "consistency", "virtual controller"])
 def test_a_check_raises_the_error_of_the_first_state_that_fails_alone(pendulum, check):
     def y(x):
         root = ad.sqrt(x[1])  # an EvaluationError where omega < 0: states 3 and 4
@@ -336,7 +335,7 @@ def test_a_nan_fails_every_check_it_reaches(pendulum, bicycle):
     at_nan = [[math.nan, 0.0]]
     # L_g y and L_g L_f y do not depend on phi, so they hold there
     assert check_relative_degree(pendulum.output, pendulum.system, at_nan).ok
-    assert [m for _, m in check_constraint_regularity(pendulum.output, at_nan).failures] == [
+    assert [m for _, m in check_constraint_regularity(pendulum.output, pendulum.system, at_nan).failures] == [
         "stationary output point with psi = nan <= 0"
     ]
     assert [m for _, m in check_output_consistency(pendulum.output, pendulum.system, at_nan).failures] == [
@@ -350,7 +349,7 @@ def test_a_nan_fails_every_check_it_reaches(pendulum, bicycle):
     ]
 
 
-@pytest.mark.parametrize("check", [check_relative_degree, check_output_consistency])
+@pytest.mark.parametrize("check", CHECKS)
 def test_checks_refuse_states_of_the_wrong_width(pendulum, bicycle, check):
     cases = [
         (pendulum, [[0.1, 0.2, 0.3]], "states must hold 2 components each, got shape (1, 3)"),
@@ -365,9 +364,9 @@ def test_checks_refuse_states_of_the_wrong_width(pendulum, bicycle, check):
 
 def test_checks_refuse_an_output_that_works_one_state_at_a_time(pendulum):
     clipped = dataclasses.replace(pendulum.output, psi=lambda y: max(0.0, 1.0 - y[0] * y[0]))
-    assert check_constraint_regularity(clipped, [[0.3, 0.0]]).ok
+    assert check_constraint_regularity(clipped, pendulum.system, [[0.3, 0.0]]).ok
     with pytest.raises(ValueError, match="psi must act elementwise"):
-        check_constraint_regularity(clipped, pendulum.assumption_states)
+        check_constraint_regularity(clipped, pendulum.system, pendulum.assumption_states)
 
 
 def test_lie_derivatives_sum_in_index_order(bicycle, rng):

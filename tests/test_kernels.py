@@ -165,6 +165,14 @@ def test_kernel_scan_matches_generic_path(pendulum, bicycle):
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
+def test_scenario_simulate_runs_the_plant_of_replaced_params(kind, pendulum, bicycle):
+    # with the output of the published obstacle (xi = 20) the reference
+    # would end abc at psi = 116.5, the kernel at 255.6
+    _assert_runs_match(replace(bicycle, params=BicycleParams(obstacle_xi=25.0)), kind, 2.0)
+    _assert_runs_match(replace(pendulum, params=PendulumParams(alpha_outer_c=3.0, gamma=2.0)), kind, 1.0)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
 @settings(max_examples=8, derandomize=True)
 @given(params=pendulum_params)
 def test_pendulum_kernels_match_reference_at_random_parameters(kind, params):

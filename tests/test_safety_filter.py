@@ -335,7 +335,7 @@ def test_smooth_filter_domain_error_at_obstacle_center(bicycle):
 def test_virtual_controller_condition_pendulum(pendulum):
     vc = LinearGain(pendulum.params.K, p=1)
     report = check_virtual_controller(
-        vc, pendulum.output, LinearClassK(pendulum.params.alpha_c), pendulum.assumption_states
+        vc, pendulum.output, pendulum.system, LinearClassK(pendulum.params.alpha_c), pendulum.assumption_states
     )
     assert report.ok
 
@@ -345,11 +345,12 @@ def test_virtual_controller_condition_bicycle(bicycle):
     # the obstacle only the filter's own (smaller) gain is guaranteed
     vc = bicycle.make_cbf(ABC).kappa
     states = [x for x in bicycle.assumption_states if bicycle.output.psi_of_state(x) >= 0.0]
-    report = check_virtual_controller(vc, bicycle.output, bicycle.alpha_outer, states)
+    report = check_virtual_controller(vc, bicycle.output, bicycle.system, bicycle.alpha_outer, states)
     assert report.ok
     report_hat = check_virtual_controller(
         vc,
         bicycle.output,
+        bicycle.system,
         LinearClassK(bicycle.params.alpha_hat_c),
         bicycle.assumption_states,
         margin=0.0,

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from cbftk.core import LinearClassK
 from cbftk.systems import (
     BicycleParams,
     PendulumParams,
+    Scenario,
     bicycle_scenario,
     lane_keeping_desired,
     pendulum_scenario,
@@ -116,3 +118,33 @@ def test_a_non_positive_wheelbase_is_refused(wheelbase):
         BicycleParams(wheelbase=wheelbase)
     with pytest.raises(ValueError, match="wheelbase must be positive"):
         dataclasses.replace(BicycleParams(), wheelbase=wheelbase)
+
+
+def test_a_scenario_holds_its_inputs_and_builds_the_rest_from_params(pendulum, bicycle):
+    inputs = ["params", "x0", "horizon", "dt", "window", "resolution", "scan_slice"]
+    derived = ["system", "output", "desired", "gamma", "alpha_outer", "assumption_states"]
+    for scenario in (Scenario, pendulum, bicycle):
+        assert [f.name for f in dataclasses.fields(scenario) if f.init] == inputs
+        assert [f.name for f in dataclasses.fields(scenario) if not f.init] == derived
+    for scenario in (pendulum, bicycle):
+        for name in derived:
+            with pytest.raises(ValueError, match=f"^field {name} is declared with init=False"):
+                dataclasses.replace(scenario, **{name: getattr(scenario, name)})
+
+
+def test_replacing_params_rebuilds_the_plant(pendulum, bicycle):
+    params = PendulumParams(gamma=2.0, alpha_outer_c=3.0)
+    rebuilt = dataclasses.replace(pendulum, params=params)
+    assert (rebuilt.gamma.tolist(), rebuilt.alpha_outer) == ([2.0], LinearClassK(3.0))
+    assert rebuilt.make_cbf("abc").kappa == pendulum_scenario(params=params).make_cbf("abc").kappa
+    params = BicycleParams(obstacle_xi=25.0, gamma1=2.0, wheelbase=3.0)
+    rebuilt = dataclasses.replace(bicycle, params=params)
+    fresh = bicycle_scenario(params=params)
+    assert rebuilt.output.psi_of_state([25.0, -0.1, 0.0, 1.0]) == -16.0
+    assert rebuilt.gamma.tolist() == [2.0, 0.15]
+    assert np.array_equal(rebuilt.assumption_states, fresh.assumption_states)
+    assert not np.array_equal(rebuilt.assumption_states, bicycle.assumption_states)
+    x, u = [1.0, 2.0, 0.3, 6.0], [0.2, 0.5]
+    assert np.array_equal(dynamics(rebuilt, x, u), dynamics(fresh, x, u))
+    assert not np.array_equal(dynamics(rebuilt, x, u), dynamics(bicycle, x, u))
+    assert np.array_equal(rebuilt.desired(np.asarray(x)), lane_keeping_desired(x, params))
