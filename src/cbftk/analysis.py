@@ -7,6 +7,10 @@ the activated construction) the switching value s.  A candidate CBF is
 valid when every singular node (L_g h = 0) has positive margin; the
 validity report also checks the safe-set inclusion S within C where the
 construction claims it.
+
+Blocks of nodes after the first run as numpy lanes of one trace of the
+per-state evaluation, the trace-once, run-per-batch approach of JAX
+(Frostig, Johnson & Leary, SysML 2018), with the bits of batched Duals.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ SINGULAR_TOL = 1e-10
 
 @dataclass
 class GridScan:
-    """Row-major (from the axis lows) scan of one construction."""
+    """Row-major (from the axis lows) scan of one construction.
+
+    ``evaluation`` is ``"lanes"`` when every block after the first ran as
+    lanes, else ``"dual: <reason>"`` with the first block's reason to run
+    on Duals: a guard that fired, an output not finite, or the trace's.
+    """
 
     kind: str
     axes: tuple
@@ -48,6 +57,7 @@ class GridScan:
     margin: np.ndarray
     s: Optional[np.ndarray]
     excluded: np.ndarray
+    evaluation: str = "lanes"
 
     def __len__(self) -> int:
         return self.h.size
@@ -100,13 +110,18 @@ def grid_scan(
     The nodes outside the extended set are excluded (NaN in every value
     column), from one call of ``in_extended_set`` on the node array.  The
     others are evaluated in blocks of :data:`cbftk.autodiff.BLOCK_NODES`
-    nodes: one batched call of ``instance.value`` gives h and its gradient,
-    and L_f h, L_g h, ``||L_g h||``, the margin, psi and s follow on whole
-    arrays.  The system's ``f``/``g`` and the output's callables must
-    therefore act elementwise on per-component arrays (see
+    nodes.  The first block runs on batched Duals: one batched call of
+    ``instance.value`` gives h and its gradient, and L_f h, L_g h, psi and
+    s follow on whole arrays.  The system's ``f``/``g`` and the output's
+    callables must therefore act elementwise on per-component arrays (see
     :class:`cbftk.core.ControlAffineSystem`); one that does not is refused
-    with a ValueError where :func:`cbftk.core.per_node` can tell.  An error
-    at a node is the one the first failing node of its block raises alone,
+    with a ValueError where :func:`cbftk.core.per_node` can tell.  Later
+    blocks run as lanes of :func:`_scan_outputs`, traced once per
+    (instance, system); a block where a guard fires or an output is not
+    finite runs again on Duals, as does every block when the trace failed,
+    so each block gives the Duals' values, errors and warnings.
+    ``||L_g h||`` and the margin follow on whole arrays.  An error at a
+    node is the one the first failing node of its block raises alone,
     naming its state (:func:`cbftk.core.first_failure`).
     """
     axes = _grid_axes(window, resolution)
@@ -131,11 +146,21 @@ def grid_scan(
         switching = None if s is None else per_node(instance.switching, xs, "switching")
         return value, lfh, lgh, psi, switching
 
+    first, reason = True, None
     for block in ad.blocks(count):
         kept = block.start + np.flatnonzero(~excluded[block])
         if kept.size == 0:
             continue
-        value, lfh, lgh, psi[kept], switching = first_failure(evaluate, nodes[kept].T)
+        xs = nodes[kept].T
+        if first:
+            # on Duals, where per_node refuses the callables that do not act elementwise
+            found, first = first_failure(evaluate, xs), False
+        else:
+            found = _by_lanes(_scan_trace(instance, system), xs, system.m)
+            if found.__class__ is str:
+                reason = reason or found
+                found = first_failure(evaluate, xs)
+        value, lfh, lgh, psi[kept], switching = found
         h[kept] = value
         if s is not None:
             s[kept] = switching
@@ -151,7 +176,52 @@ def grid_scan(
         margin=margin,
         s=s,
         excluded=excluded,
+        evaluation="lanes" if reason is None else f"dual: {reason}",
     )
+
+
+def _scan_trace(instance: CbfInstance, system: ControlAffineSystem) -> ad.Traced:
+    """:func:`_scan_outputs` as generated code, cached on ``instance`` by the
+    identity of ``system``, which the cache keeps alive."""
+    traces = instance.__dict__.setdefault("_scan_traces", {})
+    if id(system) not in traces:
+        traced = ad.Traced(lambda x: _scan_outputs(instance, system, np.array(x, dtype=object)), system.n)
+        traces[id(system)] = (system, traced)
+    return traces[id(system)][1]
+
+
+def _scan_outputs(instance, system, x) -> list:
+    """h, L_f h, the m entries of L_g h, psi and, for the activated
+    construction, s at one state, as the batched evaluation of
+    :func:`grid_scan` makes them."""
+    value, hgrad = ad.value_and_grad(instance.value, x)
+    outputs = [value, directional(hgrad, system.f_vec(x)), *directional(hgrad, system.g_mat(x))]
+    outputs.append(instance.output.psi_of_state(x))
+    if instance.kind == ABC:
+        outputs.append(instance.switching(x))
+    return outputs
+
+
+def _by_lanes(traced: ad.Traced, xs, m: int):
+    """The batched evaluation of :func:`grid_scan` at the states ``xs``, one
+    per column, run as lanes of ``traced``; or a string saying why it must
+    run on Duals: the trace failed, a guard fired, or an output is not
+    finite."""
+    found = traced.lanes(*xs)
+    if found.__class__ is str:
+        return found
+    bad, outputs = found
+    if np.any(bad):
+        state = xs[:, int(np.argmax(bad))]
+        said = traced(*state.tolist())
+        return f"{said if said.__class__ is str else 'a guard fired'} at state {state}"
+    finite = np.ones(xs.shape[1], dtype=bool)
+    for v in outputs:
+        finite &= np.isfinite(v)
+    if not finite.all():
+        return f"non-finite output at state {xs[:, int(np.argmax(~finite))]}"
+    value, lfh, *rest = outputs
+    return value, lfh, rest[:m], rest[m], rest[m + 1] if len(rest) > m + 1 else None
 
 
 def _node_array(axes, state_from_axes, n: int) -> np.ndarray:

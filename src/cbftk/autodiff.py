@@ -32,7 +32,11 @@ floats: forward-mode AD by source transformation (Griewank & Walther).
 The generated code makes the same float operations as the traced
 function, so it gives the same bits.  That includes the dot products:
 :func:`dot` sums in index order on floats and traced alike, where numpy's
-``@`` would give the bits of whichever BLAS kernel it loads.
+``@`` would give the bits of whichever BLAS kernel it loads.  The same
+record also renders as numpy code over arrays of states, one lane per
+element (:meth:`Traced.lanes`): each conditional expression becomes
+``np.where`` and each guard a mask of the lanes it sends back.  The grid
+scans run their blocks that way, in place of batched Duals.
 """
 
 from __future__ import annotations
@@ -591,6 +595,7 @@ class _Trace:
         self.syms = {}
         self.constants = {}
         self.guards = set()
+        self.nested = False  # whether the trace calls other generated code
 
     def emit(self, expression) -> Sym:
         sym = self.syms.get(expression)
@@ -643,13 +648,14 @@ class Traced:
     was traced instead: a guard fired, the code raised, or ``function``
     could not be traced, which ``reason`` then says (a ``float()``,
     ``math.*`` or ``np.*`` call or a Python ``if`` on a traced value, for
-    example).
+    example).  :meth:`lanes` runs the same record over arrays.
     """
 
     def __init__(self, function, arity: int):
         self.reason = None
         self.source = None
         self.outputs = 0
+        self._lanes = None
         try:
             self._run = self._compile(function, arity)
         except _Untraced as exc:
@@ -675,13 +681,14 @@ class Traced:
         args = [f"x{i}" for i in range(arity)]
         outputs = [trace.text(v) for v in function([Sym(trace, a) for a in args])]
         self.outputs = len(outputs)
-        lines = _inlined([*trace.lines, f"return ({''.join(f'{v}, ' for v in outputs)})"])
-        self.source = f"def generated({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
-        namespace = {f: getattr(math, f) for f in ("sin", "cos", "sqrt")}
-        namespace.update(trace.constants)
+        returned = f"({''.join(f'{v}, ' for v in outputs)})"
+        self.source = _function_source(args, _inlined([*trace.lines, f"return {returned}"]))
         trace.syms.clear()  # each Sym refers to the trace: free them now, not at a collection
-        exec(compile(self.source, "<generated>", "exec"), namespace)
-        return namespace["generated"]
+        run = _compiled(self.source, dict(trace.constants, **{f: getattr(math, f) for f in _NUMPY_MATH}))
+        if not trace.nested:
+            lines = _inlined(["bad = False", *map(_lane_line, trace.lines), f"return (bad, {returned})"])
+            self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
+        return run
 
     def __call__(self, *args):
         if self._run is None:
@@ -691,6 +698,26 @@ class Traced:
         except Exception as exc:  # the traced path gives the reference answer or error
             return f"generated code raised {type(exc).__name__}: {exc}"
         return out if out.__class__ is tuple else f"{out} guard fired"
+
+    def lanes(self, *arrays):
+        """This code as numpy code over ``arrays``, one lane per element:
+        ``(bad, outputs)``, with ``bad`` the mask of the lanes where a guard
+        fired (or False).
+
+        Each conditional expression selects with ``np.where`` and each guard
+        ORs its condition into ``bad``, so each lane makes the float
+        operations of a call at its elements, numpy's ``sin``, ``cos`` and
+        ``sqrt`` in place of ``math``'s, with floating-point warnings off.
+        A string says why it did not run: the code was not traced, calls
+        other generated code (:meth:`call`), or raised.
+        """
+        if self._lanes is None:
+            return self.reason or "not run as lanes: the trace calls other generated code"
+        try:
+            with np.errstate(all="ignore"):
+                return self._lanes(*arrays)
+        except Exception as exc:  # the traced path gives the reference answer or error
+            return f"lanes raised {type(exc).__name__}: {exc}"
 
     def call(self, args) -> list:
         """This code called at the traced ``args`` from inside another trace:
@@ -702,14 +729,40 @@ class Traced:
         if self._run is None:
             raise _Untraced(self.reason)
         trace = next(v.trace for v in args if v.__class__ is Sym)
+        trace.nested = True
         result = trace.emit(f"{trace.global_name(self._run)}({', '.join(trace.text(v) for v in args)})")
         trace.guard(f"{result.name}.__class__ is str", None, returned=result.name)
         return [trace.emit(f"{result.name}[{i}]") for i in range(self.outputs)]
 
 
+_NUMPY_MATH = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_CONDITIONAL = re.compile(r"(t\d+) = (\S+) if (\S+) else (\S+)")
+_GUARD = re.compile(r"if (not )?(t\d+): return .*")
 _ASSIGNMENT = re.compile(r"(t\d+) = (.*)")
 _VARIABLE = re.compile(r"\bt\d+\b")
 _CALL = re.compile(r"\b(sin|cos|sqrt|k\d+)\(")
+
+
+def _function_source(args, lines) -> str:
+    return f"def generated({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _compiled(source, namespace):
+    exec(compile(source, "<generated>", "exec"), namespace)
+    return namespace["generated"]
+
+
+def _lane_line(line) -> str:
+    """One line of a trace as numpy code over lanes: a conditional
+    expression becomes ``np.where``, a guard ORs its condition into ``bad``."""
+    conditional = _CONDITIONAL.fullmatch(line)
+    if conditional:
+        name, a, mask, b = conditional.groups()
+        return f"{name} = np.where({mask}, {a}, {b})"
+    guard = _GUARD.fullmatch(line)
+    if guard:
+        return f"bad = bad | {f'np.logical_not({guard[2]})' if guard[1] else guard[2]}"
+    return line
 
 
 def _inlined(lines) -> list:

@@ -266,10 +266,7 @@ class ScenarioConfig:
         kwargs = {name: value for name, value in given.items() if value is not None}
         if self.scenario == "pendulum":
             return pendulum_scenario(params=PendulumParams(**self.param_overrides), **kwargs)
-        params = BicycleParams(**self.param_overrides)
-        if self.scan_slice:
-            kwargs["scan_slice"] = {"theta": 0.0, "v": params.v_desired, **self.scan_slice}
-        return bicycle_scenario(params=params, **kwargs)
+        return bicycle_scenario(params=BicycleParams(**self.param_overrides), scan_slice=self.scan_slice, **kwargs)
 
     # -- serialization --------------------------------------------------
 
@@ -294,6 +291,6 @@ class ScenarioConfig:
                 lines.append(f"{key} = {float(value)!r}")
         if self.scenario == "bicycle":
             lines.append(f"filter.gamma = {params.gamma1!r},{params.gamma2!r}")
-            lines.append(f"scan.theta = {scenario.scan_slice['theta']!r}")
-            lines.append(f"scan.v = {scenario.scan_slice['v']!r}")
+            lines.append(f"scan.theta = {scenario.resolved_slice['theta']!r}")
+            lines.append(f"scan.v = {scenario.resolved_slice['v']!r}")
         return "\n".join(lines) + "\n"

@@ -275,6 +275,13 @@ class Scenario:
             alpha_outer=self.alpha_outer,
         )
 
+    @property
+    def resolved_slice(self) -> dict:
+        """The fixed coordinates of the scan: ``scan_slice`` over the
+        defaults of the coordinates it leaves out, resolved from ``params``
+        when read, so that a replaced ``params`` moves the defaults."""
+        return dict(self.scan_slice)
+
     def state_from_axes(self, axis_values):
         """Full state for scan nodes (fills fixed slice coordinates).
 
@@ -444,8 +451,14 @@ class BicycleScenario(Scenario):
             if _clear_of_obstacle(self.params, x[0], x[1]):
                 return x
 
+    @property
+    def resolved_slice(self) -> dict:
+        """``scan_slice`` over heading 0 at ``params.v_desired``."""
+        return {"theta": 0.0, "v": self.params.v_desired, **self.scan_slice}
+
     def state_from_axes(self, axis_values):
-        return [axis_values[0], axis_values[1], self.scan_slice["theta"], self.scan_slice["v"]]
+        fixed = self.resolved_slice
+        return [axis_values[0], axis_values[1], fixed["theta"], fixed["v"]]
 
     def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
         return kernels.bike_simulate(
@@ -487,10 +500,9 @@ def bicycle_scenario(
     controller's (so h = psi during the approach), and offset enough that
     the closed loop clears the obstacle and recovers the lane rather than
     braking to a standstill in front of it.  The scan slice defaults to
-    heading 0 at the desired speed.
+    heading 0 at the desired speed (:attr:`BicycleScenario.resolved_slice`).
     """
-    scan_slice = scan_slice or {"theta": 0.0, "v": params.v_desired}
-    return BicycleScenario(params, x0, horizon, dt, window, resolution, scan_slice)
+    return BicycleScenario(params, x0, horizon, dt, window, resolution, scan_slice or {})
 
 
 def scenario_by_name(name: str, **kwargs) -> Scenario:

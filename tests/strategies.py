@@ -2,7 +2,13 @@
 
 from hypothesis import strategies as st
 
+from cbftk import autodiff as ad
 from cbftk.systems import BicycleParams, PendulumParams
+
+# 2107 nodes: the first block ends 41 nodes into row 41
+ROW_SPLITTING = (43, 49)
+assert ad.BLOCK_NODES < ROW_SPLITTING[0] * ROW_SPLITTING[1]
+assert ad.BLOCK_NODES % ROW_SPLITTING[1]
 
 gains = st.floats(0.2, 3.0)
 

@@ -1,15 +1,19 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbftk import analysis
 from cbftk import autodiff as ad
 from cbftk.analysis import SINGULAR_TOL, abc_equivalence_check, grid_scan, validity_report
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF
 from cbftk.core import ControlAffineSystem, DomainError, LinearClassK, ReQUActivation
-from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
+from cbftk.systems import HALF_PI_SQ, BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
+from strategies import ROW_SPLITTING, bicycle_params, pendulum_params
 
 
 def scan_pendulum(scenario, kind, resolution=(101, 101)):
@@ -342,3 +346,125 @@ def test_grid_scan_names_a_kept_singular_state(bicycle):
         grid_scan(inst, bicycle.system, window, (3, 3), state_from_axes=bicycle.state_from_axes)
     assert err.value.index == 4
     assert str(err.value).endswith(f"at state {np.array([p.obstacle_xi, p.obstacle_eta, 0.0, p.v_desired])}")
+
+
+def test_replaced_bicycle_params_move_the_default_scan_slice(bicycle):
+    # the default slice is heading 0 at the desired speed of the params scanned
+    replaced = dataclasses.replace(bicycle, params=BicycleParams(v_desired=5.0), resolution=(3, 3))
+    built = bicycle_scenario(params=BicycleParams(v_desired=5.0), resolution=(3, 3))
+    assert replaced.resolved_slice == built.resolved_slice == {"theta": 0.0, "v": 5.0}
+    # at (0, -8): psi = 446.41 and psi_dot = -40 v, so h = 2032.05 at v = 5 (1832.05 at 10)
+    assert replaced.scan(HOCBF).h[0] == built.scan(HOCBF).h[0] == pytest.approx(2032.05)
+    pinned = dataclasses.replace(bicycle, scan_slice={"v": 10.0}, resolution=(3, 3))
+    assert dataclasses.replace(pinned, params=BicycleParams(v_desired=5.0)).scan(HOCBF).h[0] == pytest.approx(1832.05)
+
+
+# -- lanes: the scan's blocks after the first run as numpy code of one trace ------
+
+
+def _dual_scan(*args, **kwargs):
+    """``grid_scan`` with every block on batched Duals."""
+    untraceable = ad.Traced(lambda xs: [float(xs[0])], 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_scan_trace", lambda *_: untraceable)
+        return grid_scan(*args, **kwargs)
+
+
+def _scan_both_ways(*args, **kwargs):
+    """The scan, and the same scan on batched Duals, which must agree byte for byte."""
+    scan, reference = grid_scan(*args, **kwargs), _dual_scan(*args, **kwargs)
+    assert reference.evaluation.startswith("dual: not traced")
+    for column in ("x", "h", "psi", "lgh_norm", "margin", "s", "excluded"):
+        got, expected = getattr(scan, column), getattr(reference, column)
+        assert (got is None) == (expected is None), column
+        if got is not None:
+            assert got.tobytes() == expected.tobytes(), column
+    return scan
+
+
+def _assert_scan_equals_dual(scenario, kind, resolution):
+    inst = scenario.make_cbf(kind)
+    window, lift = scenario.window, scenario.state_from_axes
+    scan = _scan_both_ways(inst, scenario.system, window, resolution, lift, scenario.alpha_outer)
+    assert scan.evaluation == "lanes"
+
+
+# at least two blocks, so that the lanes run
+lane_resolutions = st.tuples(st.integers(46, 90), st.integers(46, 90))
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=4, derandomize=True)
+@given(params=pendulum_params, resolution=lane_resolutions)
+@example(params=PendulumParams(), resolution=ROW_SPLITTING)
+def test_pendulum_scan_equals_dual_at_random_parameters(kind, params, resolution):
+    _assert_scan_equals_dual(pendulum_scenario(params=params), kind, resolution)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=4, derandomize=True)
+@given(params=bicycle_params, resolution=lane_resolutions)
+@example(params=BicycleParams(), resolution=ROW_SPLITTING)
+def test_bicycle_scan_equals_dual_at_random_parameters(kind, params, resolution):
+    _assert_scan_equals_dual(bicycle_scenario(params=params), kind, resolution)
+
+
+def test_a_guard_in_a_later_block_raises_the_dual_error(bicycle):
+    # 65 x 65 nodes around the obstacle centre, node 2112: the second block's 65th
+    output = dataclasses.replace(bicycle.output, in_extended_set=lambda x: True)
+    inst = dataclasses.replace(bicycle.make_cbf(ABC), output=output)
+    p = bicycle.params
+    window = ((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0))
+    args = (inst, bicycle.system, window, (65, 65), bicycle.state_from_axes)
+    with pytest.raises(DomainError) as lanes:
+        grid_scan(*args)
+    with pytest.raises(DomainError) as dual:
+        _dual_scan(*args)
+    assert (lanes.value.index, str(lanes.value)) == (dual.value.index, str(dual.value))
+    assert lanes.value.index == 64
+    assert str(lanes.value).endswith(f"at state {np.array([p.obstacle_xi, p.obstacle_eta, 0.0, p.v_desired])}")
+
+
+def test_a_masked_division_by_zero_in_the_lanes_warns_nothing(pendulum):
+    # sin(phi) / phi is 0 / 0 at phi = 0, row 32 of 65, which the second block holds
+    sinc = ControlAffineSystem(
+        n=2, m=1, f=lambda x: [x[1], ad.where(x[0] != 0.0, ad.sin(x[0]) / x[0], 1.0)], g=lambda x: [[0.0], [1.0]]
+    )
+    args = (pendulum.make_cbf(ABC), sinc, ((-1.0, 1.0), (-4.0, 4.0)), (65, 65))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = grid_scan(*args)
+    assert scan.evaluation == "lanes"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reference = _dual_scan(*args)
+    assert scan.margin.tobytes() == reference.margin.tobytes()
+
+
+def test_a_replaced_instance_or_another_system_gets_its_own_trace(pendulum):
+    inst = pendulum.make_cbf(RECBF)
+    window, resolution = pendulum.window, (50, 50)
+    first = _scan_both_ways(inst, pendulum.system, window, resolution)
+    replaced = dataclasses.replace(inst, epsilon=0.5, theta=ReQUActivation(1.0))
+    assert not np.array_equal(_scan_both_ways(replaced, pendulum.system, window, resolution).h, first.h)
+    doubled = _pendulum_system_with_g(lambda x: [[0.0], [2.0]])
+    assert not np.array_equal(_scan_both_ways(inst, doubled, window, resolution).lgh_norm, first.lgh_norm)
+    assert _scan_both_ways(inst, pendulum.system, window, resolution).lgh_norm.tobytes() == first.lgh_norm.tobytes()
+
+
+def test_evaluation_names_why_blocks_ran_on_duals(pendulum):
+    window, resolution = pendulum.window, (50, 50)
+    # a Dual and a plain operand of one where: a guard sends the Dual's side to Duals
+    capped = dataclasses.replace(pendulum.output, psi=lambda y: ad.minimum(HALF_PI_SQ - y[0] * y[0], 1.0))
+    inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=capped)
+    evaluation = _scan_both_ways(inst, pendulum.system, window, resolution).evaluation
+    assert evaluation.startswith("dual: where guard fired at state [")
+    # a callable the trace cannot follow: the reason names its line
+    wobbly = dataclasses.replace(pendulum.output, psi=lambda y: HALF_PI_SQ - y[0] * y[0] + 0.0 * np.sin(ad.scalar(y[0])))
+    inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=wobbly)
+    evaluation = _scan_both_ways(inst, pendulum.system, window, resolution).evaluation
+    assert evaluation.startswith("dual: not traced") and "test_analysis.py:" in evaluation
+    # an infinite state
+    lift = lambda v: [v[0], np.where(v[1] > 3.9, np.inf, v[1])]
+    with np.errstate(invalid="ignore"):
+        evaluation = grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, window, resolution, lift).evaluation
+    assert evaluation.startswith("dual: non-finite output at state [")

@@ -280,7 +280,7 @@ def test_config_round_trip():
     assert np.array_equal(first.x0, second.x0)
     assert first.dt == second.dt and first.horizon == second.horizon
     assert first.window == second.window and first.resolution == second.resolution
-    assert first.scan_slice == second.scan_slice
+    assert first.resolved_slice == second.resolved_slice
     # serialization is canonical: a second round trip is textually stable
     assert reparsed.to_text() == text
 

@@ -65,7 +65,7 @@ def test_parse_to_text_parse_is_a_fixed_point(text):
     assert a.params == b.params
     assert np.array_equal(a.x0, b.x0)
     assert a.window == b.window and a.resolution == b.resolution
-    assert a.scan_slice == b.scan_slice
+    assert a.resolved_slice == b.resolved_slice
     assert a.dt == b.dt and a.horizon == b.horizon
     assert second.cbfs == first.cbfs and second.blow_up_threshold == first.blow_up_threshold
 

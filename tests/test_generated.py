@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
+from cbftk import sim
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, hocbf
 from cbftk.core import LinearClassK, RelDeg2Output
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
@@ -57,12 +58,25 @@ def _traced_equals_dual(run, field, x):
     return out
 
 
+def _assert_lanes_equal_calls(run, states):
+    """The lanes of ``run`` over ``states`` give the bytes of each call that
+    runs the code, and flag none of those states."""
+    flagged, outputs = run.lanes(*np.array(states, dtype=float).T)
+    columns = [np.broadcast_to(v, (len(states),)) for v in (flagged, *outputs)]
+    for j, x in enumerate(states):
+        out = run(*x)
+        if out.__class__ is tuple:
+            assert not columns[0][j], x
+            assert np.array([c[j] for c in columns[1:]]).tobytes() == np.array(out, dtype=float).tobytes(), x
+
+
 def _assert_bit_identical(inst, states, generated=True):
     """h and its gradient traced from ``inst.value`` give the Dual path's
-    bytes at each state; ``generated`` says whether every state must run
-    the code, else every state must be left to the Dual path, whose
-    reasons are returned."""
+    bytes at each state, alone and as lanes; ``generated`` says whether
+    every state must run the code, else every state must be left to the
+    Dual path, whose reasons are returned."""
     run = _traced(inst.value, len(states[0]))
+    _assert_lanes_equal_calls(run, states)
     reasons = []
     for x in states:
         out = _traced_equals_dual(run, inst.value, x)
@@ -282,3 +296,8 @@ def test_an_untraceable_field_names_the_operation(field, operation):
     assert run.source is None
     assert run.reason.startswith("not traced") and operation in run.reason
     assert run(0.4, 1.0) == run.reason
+
+
+def test_a_trace_that_calls_generated_code_runs_no_lanes(pendulum):
+    step = sim._generated_step(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec())
+    assert step.lanes(np.zeros(3), np.zeros(3), np.full(3, 1e-3)) == "not run as lanes: the trace calls other generated code"

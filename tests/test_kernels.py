@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cbftk
-from cbftk import autodiff as ad
 from cbftk import kernels
 from cbftk.analysis import grid_scan
 from cbftk.cbf import ABC, CBF_KINDS, CbfInstance
@@ -20,7 +19,7 @@ from cbftk.kernels import KIND_CODES
 from cbftk.safety_filter import SafetyFilterSpec
 from cbftk.sim import simulate
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
-from strategies import bicycle_params, pendulum_params
+from strategies import ROW_SPLITTING, bicycle_params, pendulum_params
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
@@ -94,7 +93,7 @@ def _kernel_scan(scenario, kind, axes):
     if scenario.name == "pendulum":
         h, psi, lgh_norm, margin, s = kernels.pend_scan(code, axes[0], axes[1], P)
         return h, psi, lgh_norm, margin, s, np.zeros(h.size, dtype=bool)
-    theta, v = scenario.scan_slice["theta"], scenario.scan_slice["v"]
+    theta, v = scenario.resolved_slice["theta"], scenario.resolved_slice["v"]
     return kernels.bike_scan(code, axes[0], axes[1], theta, v, P)
 
 
@@ -189,10 +188,6 @@ def test_bicycle_kernels_match_reference_at_random_parameters(kind, params):
 # at most about three blocks; a block boundary falls inside a row unless the
 # row length divides the block size
 resolutions = st.tuples(st.integers(2, 80), st.integers(2, 80))
-# 2107 nodes: the first block ends 41 nodes into row 41
-ROW_SPLITTING = (43, 49)
-assert ad.BLOCK_NODES < ROW_SPLITTING[0] * ROW_SPLITTING[1]
-assert ad.BLOCK_NODES % ROW_SPLITTING[1]
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
