@@ -8,9 +8,10 @@ valid when every singular node (L_g h = 0) has positive margin; the
 validity report also checks the safe-set inclusion S within C where the
 construction claims it.
 
-Blocks of nodes after the first run as numpy lanes of one trace of the
-per-state evaluation, the trace-once, run-per-batch approach of JAX
-(Frostig, Johnson & Leary, SysML 2018), with the bits of batched Duals.
+The nodes run in blocks as numpy lanes of one trace of the per-state
+evaluation, the trace-once, run-per-batch approach of JAX (Frostig,
+Johnson & Leary, SysML 2018); a node the lanes flag runs on the per-state
+evaluation itself, which is the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .cbf import ABC, HOCBF, CbfInstance
-from .core import ControlAffineSystem, directional, first_failure, per_node
+from .core import ControlAffineSystem, by_lanes, directional, per_node
 
 __all__ = [
     "SINGULAR_TOL",
@@ -43,9 +44,10 @@ SINGULAR_TOL = 1e-10
 class GridScan:
     """Row-major (from the axis lows) scan of one construction.
 
-    ``evaluation`` is ``"lanes"`` when every block after the first ran as
-    lanes, else ``"dual: <reason>"`` with the first block's reason to run
-    on Duals: a guard that fired, an output not finite, or the trace's.
+    ``evaluation`` is ``"lanes"`` when every node ran as lanes, else
+    ``"per state: <reason>"`` with the first reason a node ran on the
+    per-state evaluation: a guard that fired, an output not finite, or the
+    trace's.
     """
 
     kind: str
@@ -102,27 +104,22 @@ def grid_scan(
 
     ``state_from_axes`` lifts grid nodes to full states (identity by
     default; the bicycle fills its fixed slice coordinates); every node is
-    evaluated at the lifted state.  Like ``f`` and ``g`` it acts
-    elementwise: it gets the axis values as arrays over the nodes and
-    returns the ``system.n`` state components (see :func:`_node_array`).
-    ``alpha_outer`` defaults to the construction's own class-K gain.
+    evaluated at the lifted state.  It acts elementwise: it gets the axis
+    values as arrays over the nodes and returns the ``system.n`` state
+    components (see :func:`_node_array`).  ``alpha_outer`` defaults to the
+    construction's own class-K gain.
 
     The nodes outside the extended set are excluded (NaN in every value
     column), from one call of ``in_extended_set`` on the node array.  The
-    others are evaluated in blocks of :data:`cbftk.autodiff.BLOCK_NODES`
-    nodes.  The first block runs on batched Duals: one batched call of
-    ``instance.value`` gives h and its gradient, and L_f h, L_g h, psi and
-    s follow on whole arrays.  The system's ``f``/``g`` and the output's
-    callables must therefore act elementwise on per-component arrays (see
-    :class:`cbftk.core.ControlAffineSystem`); one that does not is refused
-    with a ValueError where :func:`cbftk.core.per_node` can tell.  Later
-    blocks run as lanes of :func:`_scan_outputs`, traced once per
-    (instance, system); a block where a guard fires or an output is not
-    finite runs again on Duals, as does every block when the trace failed,
-    so each block gives the Duals' values, errors and warnings.
-    ``||L_g h||`` and the margin follow on whole arrays.  An error at a
-    node is the one the first failing node of its block raises alone,
-    naming its state (:func:`cbftk.core.first_failure`).
+    others run in blocks of :data:`cbftk.autodiff.BLOCK_NODES` nodes as
+    lanes of :func:`_scan_outputs`, traced once per (instance, system), and
+    a node the lanes flag (a guard that fired, an output not finite) runs
+    on :func:`_scan_outputs` at its floats, as does every node when the
+    trace failed (:func:`cbftk.core.by_lanes`).  So the system's ``f`` and
+    ``g`` and the output's callables need only work at one state.
+    ``||L_g h||`` and the margin follow on whole arrays.  An error is the
+    one the first failing node raises, with ``index`` its row of ``x`` and
+    its state named.
     """
     axes = _grid_axes(window, resolution)
     if state_from_axes is None:
@@ -137,33 +134,20 @@ def grid_scan(
     lgh_norm = np.full(count, np.nan)
     margin = np.full(count, np.nan)
     s = np.full(count, np.nan) if instance.kind == ABC else None
-
-    def evaluate(xs):
-        value, hgrad = ad.value_and_grad(instance.value, xs)
-        lfh = directional(hgrad, system.f_batch(xs))
-        lgh = directional(hgrad, system.g_batch(xs))
-        psi = per_node(instance.output.psi_of_state, xs, "psi")
-        switching = None if s is None else per_node(instance.switching, xs, "switching")
-        return value, lfh, lgh, psi, switching
-
-    first, reason = True, None
+    m = system.m
+    traced = _scan_trace(instance, system)
+    reason = None
     for block in ad.blocks(count):
         kept = block.start + np.flatnonzero(~excluded[block])
         if kept.size == 0:
             continue
-        xs = nodes[kept].T
-        if first:
-            # on Duals, where per_node refuses the callables that do not act elementwise
-            found, first = first_failure(evaluate, xs), False
-        else:
-            found = _by_lanes(_scan_trace(instance, system), xs, system.m)
-            if found.__class__ is str:
-                reason = reason or found
-                found = first_failure(evaluate, xs)
-        value, lfh, lgh, psi[kept], switching = found
+        outputs, said = by_lanes(traced, nodes[kept].T, kept)
+        reason = reason or said
+        value, lfh, lgh = outputs[0], outputs[1], outputs[2 : 2 + m]
         h[kept] = value
+        psi[kept] = outputs[2 + m]
         if s is not None:
-            s[kept] = switching
+            s[kept] = outputs[3 + m]
         lgh_norm[kept] = np.sqrt(directional(lgh, lgh))
         margin[kept] = lfh + alpha(value)
     return GridScan(
@@ -176,7 +160,7 @@ def grid_scan(
         margin=margin,
         s=s,
         excluded=excluded,
-        evaluation="lanes" if reason is None else f"dual: {reason}",
+        evaluation="lanes" if reason is None else f"per state: {reason}",
     )
 
 
@@ -192,36 +176,13 @@ def _scan_trace(instance: CbfInstance, system: ControlAffineSystem) -> ad.Traced
 
 def _scan_outputs(instance, system, x) -> list:
     """h, L_f h, the m entries of L_g h, psi and, for the activated
-    construction, s at one state, as the batched evaluation of
-    :func:`grid_scan` makes them."""
+    construction, s at one state: the reference of :func:`grid_scan`."""
     value, hgrad = ad.value_and_grad(instance.value, x)
     outputs = [value, directional(hgrad, system.f_vec(x)), *directional(hgrad, system.g_mat(x))]
     outputs.append(instance.output.psi_of_state(x))
     if instance.kind == ABC:
         outputs.append(instance.switching(x))
     return outputs
-
-
-def _by_lanes(traced: ad.Traced, xs, m: int):
-    """The batched evaluation of :func:`grid_scan` at the states ``xs``, one
-    per column, run as lanes of ``traced``; or a string saying why it must
-    run on Duals: the trace failed, a guard fired, or an output is not
-    finite."""
-    found = traced.lanes(*xs)
-    if found.__class__ is str:
-        return found
-    bad, outputs = found
-    if np.any(bad):
-        state = xs[:, int(np.argmax(bad))]
-        said = traced(*state.tolist())
-        return f"{said if said.__class__ is str else 'a guard fired'} at state {state}"
-    finite = np.ones(xs.shape[1], dtype=bool)
-    for v in outputs:
-        finite &= np.isfinite(v)
-    if not finite.all():
-        return f"non-finite output at state {xs[:, int(np.argmax(~finite))]}"
-    value, lfh, *rest = outputs
-    return value, lfh, rest[:m], rest[m], rest[m + 1] if len(rest) > m + 1 else None
 
 
 def _node_array(axes, state_from_axes, n: int) -> np.ndarray:

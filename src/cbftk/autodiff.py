@@ -1,42 +1,32 @@
-"""Forward-mode automatic differentiation, on one state or on a batch.
+"""Forward-mode automatic differentiation at one state.
 
 A :class:`Dual` carries a value together with the partial derivatives with
 respect to the seed variables.  Scalar fields built from the primitives
 below (arithmetic, ``sin``/``cos``/``sqrt``, the rectifiers and
 ``minimum``/``maximum``) can be differentiated exactly with :func:`grad`;
-there is no tape and no higher-order machinery.
-
-The value is a float, or a 1-D array of shape (N,) when N states are
-evaluated in one call (vector-mode forward AD in the sense of Griewank &
-Walther, *Evaluating Derivatives*); the partials then have shape (n,) or
-(n, N).  Arithmetic is the same for both.  Only the branching primitives
-differ: on a float they branch, on a batch they select elementwise through
-:func:`where`.  A branch that could raise is evaluated on a safe substitute
-where it is masked out, so only an element that would raise on its own
-raises, with the same :class:`EvaluationError`.  A batch raises at the
-first primitive that fails for any element; ``index`` names the first
-element failing there, which need not be the first element that fails at
-all (see :func:`cbftk.core.first_failure`).
+there is no tape and no higher-order machinery.  The value is a float and
+the partials have shape (n,); a primitive that cannot be evaluated raises
+:class:`EvaluationError`.
 
 State dimensions here are tiny (n <= 4), so every dual number carries the
-full partials vector.  All helpers accept plain floats and arrays as well,
-which lets the same field definitions be evaluated with or without
-derivatives.
+full partials vector.  All helpers accept plain floats as well, which lets
+the same field definitions be evaluated with or without derivatives.
 
-For one state, :class:`Traced` runs a function of floats once on symbolic
-floats (:class:`Sym`) and emits the float operations it records, in
-evaluation order, as one straight-line Python function (the trace-once
-approach of Tapenade and of JAX's jaxprs).  Dual code traces too, on Duals
-whose values are Syms and whose partials are object arrays of Syms and
-floats: forward-mode AD by source transformation (Griewank & Walther).
-The generated code makes the same float operations as the traced
-function, so it gives the same bits.  That includes the dot products:
-:func:`dot` sums in index order on floats and traced alike, where numpy's
-``@`` would give the bits of whichever BLAS kernel it loads.  The same
-record also renders as numpy code over arrays of states, one lane per
-element (:meth:`Traced.lanes`): each conditional expression becomes
-``np.where`` and each guard a mask of the lanes it sends back.  The grid
-scans run their blocks that way, in place of batched Duals.
+:class:`Traced` runs a function of floats once on symbolic floats
+(:class:`Sym`) and records the float operations it makes, in evaluation
+order (the trace-once approach of Tapenade and of JAX's jaxprs).  Dual code
+traces too, on Duals whose values are Syms and whose partials are object
+arrays of Syms and floats: forward-mode AD by source transformation
+(Griewank & Walther, *Evaluating Derivatives*).  The record renders as one
+straight-line Python function of floats, with the traced function's bits;
+that includes the dot products, since :func:`dot` sums in index order on
+floats and traced alike, where numpy's ``@`` would give the bits of
+whichever BLAS kernel it loads.  It also renders as numpy code over arrays
+of states, one lane per element (:meth:`Traced.lanes`): each conditional
+expression becomes ``np.where`` and each guard a mask of the lanes it
+sends back.  Each form is rendered on its first use.  The grid scans and
+the sampled checks run their states as lanes, and the states the lanes
+flag on the traced function itself (:func:`cbftk.core.by_lanes`).
 """
 
 from __future__ import annotations
@@ -62,7 +52,6 @@ __all__ = [
     "directional",
     "dot",
     "failed",
-    "first",
     "holds",
     "grad",
     "value_and_grad",
@@ -77,41 +66,35 @@ __all__ = [
     "maximum",
 ]
 
-# states per batched evaluation in the scans: bounds the partials held at
-# once (n x BLOCK_NODES floats per Dual)
+# states per call of the lanes in the scans and checks: bounds the arrays
+# held at once (one of BLOCK_NODES floats per operation of the trace)
 BLOCK_NODES = 2048
 
 
 class EvaluationError(ArithmeticError):
     """A primitive could not be evaluated (e.g. 1/0 or sqrt of a negative).
 
-    ``primitive`` names the offending operation; ``index`` is the first
-    element of a batch that fails at it, and None for a single state.
-    ``reason`` is the message without the batch element.
+    ``primitive`` names the offending operation and ``reason`` is the
+    message.  ``index`` is None, or the position of the state among those
+    evaluated together, where :func:`cbftk.core.by_lanes` raises it.
     """
 
-    def __init__(self, primitive: str, message: str, index=None):
+    def __init__(self, primitive: str, message: str):
         self.primitive = primitive
-        self.index = index
+        self.index = None
         self.reason = f"{primitive}: {message}"
-        super().__init__(self.reason if index is None else f"{self.reason} (batch element {index})")
+        super().__init__(self.reason)
 
 
 def _as_float(x):
-    if isinstance(x, numbers.Real):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.astype(float, copy=False)
-    return None
+    return float(x) if isinstance(x, numbers.Real) else None
 
 
 def failed(bad) -> bool:
-    """Whether a check fails: ``bad`` is a bool, or a mask over a batch.
+    """Whether a check on one state fails.
 
     In a trace the check becomes a guard of the generated code and passes.
     """
-    if isinstance(bad, np.ndarray):
-        return bool(bad.any())
     if bad.__class__ is Sym:
         bad.trace.guard(bad.name, "check")
         return False
@@ -130,27 +113,16 @@ def holds(ok, label="check") -> bool:
     return bool(ok)
 
 
-def first(bad):
-    """Index of the first failing element of a batch mask; None for a bool."""
-    return int(np.argmax(bad)) if isinstance(bad, np.ndarray) else None
-
-
-def _refuse(bad, primitive, message, values=None):
+def _refuse(bad, primitive, message, value=None):
     """Raise EvaluationError where the check ``bad`` fails.
 
-    ``message`` is a string, or a callable of the offending element of
-    ``values``; a batch error names that element's index.  In a trace the
+    ``message`` is a string, or a callable of ``value``.  In a trace the
     check becomes a guard named after ``primitive``.
     """
     if bad.__class__ is Sym:
         bad.trace.guard(bad.name, primitive)
-        return
-    if not failed(bad):
-        return
-    index = first(bad)
-    if callable(message):
-        message = message(values if index is None else values[index])
-    raise EvaluationError(primitive, message, index)
+    elif bad:
+        raise EvaluationError(primitive, message(value) if callable(message) else message)
 
 
 class Dual:
@@ -166,7 +138,7 @@ class Dual:
         # the class tests keep the float path as cheap as a bare float();
         # a traced Dual keeps its Sym value and object array of partials
         cls = value.__class__
-        self.value = value if cls is float or cls is np.ndarray or cls is Sym else float(value)
+        self.value = value if cls is float or cls is Sym else float(value)
         if getattr(partials, "dtype", None) is not _OBJECT:
             partials = np.asarray(partials, dtype=float)
         self.partials = partials
@@ -249,7 +221,7 @@ class Dual:
     def __pos__(self):
         return self
 
-    # -- comparisons compare values (elementwise on a batch) -----------
+    # -- comparisons compare values ------------------------------------
 
     def _cmp_value(self, other):
         if isinstance(other, Dual):
@@ -278,10 +250,10 @@ class Dual:
             return NotImplemented
 
     def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
+        try:
+            return self.value != self._cmp_value(other)
+        except TypeError:
             return NotImplemented
-        return ~eq if isinstance(eq, np.ndarray) else not eq
 
     __hash__ = None
 
@@ -296,41 +268,29 @@ def _pow_failure(value) -> str:
 
 
 def scalar(x):
-    """Value of ``x``, whether it is a Dual, an array of values, a traced
-    value or a plain number."""
+    """Value of ``x``, whether it is a Dual, a traced value or a plain number."""
     if isinstance(x, Dual):
         return x.value
-    return x if isinstance(x, np.ndarray) or x.__class__ is Sym else float(x)
+    return x if x.__class__ is Sym else float(x)
 
 
 def where(mask, a, b):
     """``a`` where ``mask`` holds, else ``b``.
 
-    A bool mask branches.  A batch mask selects values, and partials where
-    either operand is a Dual, elementwise; a float or array operand counts
-    as a constant.  Both operands of a batch select are already evaluated,
-    so a branch that could raise must be built on a safe substitute first.
-    A traced mask selects in the generated code (:meth:`Sym.select`).
+    Both operands are evaluated before the select, so a branch that could
+    raise must be built on a safe substitute first.  A traced mask selects
+    in the generated code (:meth:`Sym.select`).
     """
     if mask.__class__ is Sym:
         return mask.select(a, b)
-    if not isinstance(mask, np.ndarray):
-        return a if mask else b
-    value = np.where(mask, scalar(a), scalar(b))
-    if not (isinstance(a, Dual) or isinstance(b, Dual)):
-        return value
-    partials_a = a.partials if isinstance(a, Dual) else 0.0
-    partials_b = b.partials if isinstance(b, Dual) else 0.0
-    return Dual(value, np.where(mask, partials_a, partials_b))
+    return a if mask else b
 
 
 # -- smooth primitives ----------------------------------------------------
 
 
 def _lib(v):
-    """The sin/cos/sqrt for a value: numpy on a batch, the trace on a Sym."""
-    if isinstance(v, np.ndarray):
-        return np
+    """The sin/cos/sqrt for a value: ``math``'s, or the trace's on a Sym."""
     return _TRACED_MATH if v.__class__ is Sym else math
 
 
@@ -416,33 +376,20 @@ def array(values) -> np.ndarray:
 
 
 def seed(x) -> list:
-    """Dual variables for the components of ``x``, seeded with unit vectors.
-
-    ``x`` is one state of shape (n,), or a batch of shape (n, N) holding
-    one state per column; a batch seeds partials of shape (n, N).
-    """
+    """Dual variables for the components of the state ``x``, seeded with unit vectors."""
     x = array(x)
-    eye = np.eye(x.shape[0])
-    if x.ndim == 1:
-        units = eye.astype(x.dtype)
-        return [Dual(x[i], units[i]) for i in range(x.size)]
-    return [Dual(x[i], np.repeat(eye[i][:, None], x.shape[1], axis=1)) for i in range(x.shape[0])]
+    units = np.eye(x.size).astype(x.dtype)
+    return [Dual(x[i], units[i]) for i in range(x.size)]
 
 
 def value_and_grad(field, x):
-    """Evaluate a scalar field and its exact gradient at ``x``.
-
-    For a batch ``x`` of shape (n, N) the value has shape (N,) and the
-    gradient (n, N), one column per state.
-    """
+    """Evaluate a scalar field and its exact gradient at the state ``x``."""
     x = array(x)
     out = field(seed(x))
     if isinstance(out, Dual):
         return out.value, out.partials.copy()
     # field did not depend on x at all
-    if x.ndim == 1:
-        return float(out), np.zeros(x.size)
-    return np.broadcast_to(np.asarray(out, dtype=float), x.shape[1:]).copy(), np.zeros(x.shape)
+    return float(out), np.zeros(x.size)
 
 
 def grad(field, x) -> np.ndarray:
@@ -462,9 +409,9 @@ def blocks(count: int):
 def directional(grad, field):
     """Sum of grad[i] * field[i] over the leading axis, in index order.
 
-    The reduction of the scans, the safety filter and the stage derivative:
-    per state of a batch, ``grad`` of shape (n, N) and ``field`` (n, N) or
-    (n, m, N) give (N,) or (m, N); on one state it sums :func:`dot`.
+    The reduction of the safety filter, the stage derivative and the Lie
+    derivatives (:func:`dot`) at one state; the scans and checks also sum
+    rows of lanes with it, one array over the states per component.
     """
     total = grad[0] * field[0]
     for i in range(1, len(grad)):
@@ -640,31 +587,30 @@ class Traced:
 
     ``function`` takes a list of traced floats (:class:`Sym`) and returns a
     sequence of traced floats and constants.  The float operations it makes
-    on them are recorded in evaluation order and compiled into one Python
-    function.  Each :func:`where` on a traced mask becomes a conditional
-    expression, and each check (:func:`failed`, :func:`holds`, a refused
-    primitive) a guard.  Calling it with floats returns the tuple of
-    outputs, or a string saying why these arguments must take the path that
-    was traced instead: a guard fired, the code raised, or ``function``
-    could not be traced, which ``reason`` then says (a ``float()``,
-    ``math.*`` or ``np.*`` call or a Python ``if`` on a traced value, for
-    example).  :meth:`lanes` runs the same record over arrays.
+    on them are recorded in evaluation order; the record renders as one
+    Python function of floats on the first call (:attr:`source`) and as
+    numpy code on the first :meth:`lanes`.  Each :func:`where` on a traced
+    mask becomes a conditional expression, and each check (:func:`failed`,
+    :func:`holds`, a refused primitive) a guard.  Calling it with floats
+    returns the tuple of outputs, or a string saying why these arguments
+    must take ``function`` itself on floats instead: a guard fired, the
+    code raised, or ``function`` could not be traced, which ``reason`` then
+    says (a ``float()``, ``math.*`` or ``np.*`` call or a Python ``if`` on
+    a traced value, for example).
     """
 
     def __init__(self, function, arity: int):
+        self.function = function
         self.reason = None
-        self.source = None
         self.outputs = 0
-        self._lanes = None
+        self._record = self._source = self._run = self._lanes = None
         try:
-            self._run = self._compile(function, arity)
+            self._record = self._recorded(function, arity)
         except _Untraced as exc:
-            self._run = None
             self.reason = str(exc)
         except Exception as exc:  # anything the trace cannot follow takes the traced path
             import traceback  # only here, to keep it out of the import time
 
-            self._run = None
             self.reason = f"not traced, {type(exc).__name__}: {exc}"
             # name the caller's line, not this module's or numpy's
             frames = [
@@ -676,22 +622,26 @@ class Traced:
                 f = frames[-1]
                 self.reason += f" in {os.path.basename(f.filename)}:{f.lineno}: {f.line}"
 
-    def _compile(self, function, arity):
+    def _recorded(self, function, arity):
+        """The arguments, the trace and the returned tuple of ``function``."""
         trace = _Trace()
         args = [f"x{i}" for i in range(arity)]
         outputs = [trace.text(v) for v in function([Sym(trace, a) for a in args])]
         self.outputs = len(outputs)
-        returned = f"({''.join(f'{v}, ' for v in outputs)})"
-        self.source = _function_source(args, _inlined([*trace.lines, f"return {returned}"]))
         trace.syms.clear()  # each Sym refers to the trace: free them now, not at a collection
-        run = _compiled(self.source, dict(trace.constants, **{f: getattr(math, f) for f in _NUMPY_MATH}))
-        if not trace.nested:
-            lines = _inlined(["bad = False", *map(_lane_line, trace.lines), f"return (bad, {returned})"])
-            self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
-        return run
+        return args, trace, f"({''.join(f'{v}, ' for v in outputs)})"
+
+    @property
+    def source(self):
+        """The code on floats, rendered on first use; None where not traced."""
+        if self._run is None and self._record is not None:
+            args, trace, returned = self._record
+            self._source = _function_source(args, _inlined([*trace.lines, f"return {returned}"]))
+            self._run = _compiled(self._source, dict(trace.constants, **{f: getattr(math, f) for f in _NUMPY_MATH}))
+        return self._source
 
     def __call__(self, *args):
-        if self._run is None:
+        if self._run is None and self.source is None:
             return self.reason
         try:
             out = self._run(*args)
@@ -712,7 +662,11 @@ class Traced:
         other generated code (:meth:`call`), or raised.
         """
         if self._lanes is None:
-            return self.reason or "not run as lanes: the trace calls other generated code"
+            if self._record is None or self._record[1].nested:
+                return self.reason or "not run as lanes: the trace calls other generated code"
+            args, trace, returned = self._record
+            lines = _inlined(["bad = False", *map(_lane_line, trace.lines), f"return (bad, {returned})"])
+            self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
         try:
             with np.errstate(all="ignore"):
                 return self._lanes(*arrays)
@@ -726,7 +680,7 @@ class Traced:
         Where the called code returns a reason, the caller returns it.
         Refused with Untraceable where this code was not traced.
         """
-        if self._run is None:
+        if self.source is None:
             raise _Untraced(self.reason)
         trace = next(v.trace for v in args if v.__class__ is Sym)
         trace.nested = True

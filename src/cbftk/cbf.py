@@ -14,8 +14,9 @@ the output currently evolves at least as safely as the virtual controller
 kappa; wherever s >= 0 the activated construction coincides with psi
 exactly and its input direction L_g h vanishes.
 
-Values and gradients are evaluated through the forward-mode AD layer, so
-they remain exact through kappa and the activations.
+Values and gradients are evaluated at one state through the forward-mode
+AD layer, so they remain exact through kappa and the activations; the
+scans and checks run the same definitions as lanes of their traces.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .core import (
     LinearClassK,
     RelDeg2Output,
     ReQUActivation,
+    _states,
+    at_states,
     directional,
-    per_node,
-    sampled,
+    lie_g,
 )
 from .safety_filter import VirtualController
 
@@ -85,14 +87,9 @@ class CbfInstance:
     # -- scalar field --------------------------------------------------
 
     def _check_domain(self, x):
-        xv = ad.array(x if isinstance(x, np.ndarray) else [ad.scalar(v) for v in x])
-        if xv.ndim == 1:
-            if not ad.holds(self.output.in_extended_set(xv), "domain"):
-                raise DomainError(f"state {xv} is outside the extended set")
-            return
-        outside = ~self.output.in_extended_set_batch(xv)
-        if outside.any():
-            raise DomainError("state is outside the extended set", int(np.argmax(outside)))
+        xv = ad.array([ad.scalar(v) for v in x])
+        if not ad.holds(self.output.in_extended_set(xv), "domain"):
+            raise DomainError(f"state {xv} is outside the extended set")
 
     def residual(self, x):
         """r = psi_dot + alpha(psi); the high-order construction's value."""
@@ -114,7 +111,7 @@ class CbfInstance:
         return [dv[i] - kv[i] for i in range(self.output.p)]
 
     def value(self, x):
-        """h(x); accepts floats or Duals componentwise, each for one state or a batch."""
+        """h(x) at one state; accepts floats or Duals componentwise."""
         self._check_domain(x)
         out = self.output
         if self.kind == HOCBF:
@@ -128,8 +125,8 @@ class CbfInstance:
         return psi - self.theta(-self.switching(x))
 
     def value_and_gradient(self, x):
-        """h and its exact gradient at one state (n,) or a batch (n, N),
-        on Duals: :func:`cbftk.autodiff.value_and_grad` of :meth:`value`.
+        """h and its exact gradient at one state (n,), on Duals:
+        :func:`cbftk.autodiff.value_and_grad` of :meth:`value`.
 
         A traced state (see :class:`cbftk.autodiff.Traced`) runs on traced
         Duals, which is how the generated step of :func:`cbftk.sim.simulate`
@@ -200,19 +197,16 @@ def recbf_validity_condition(
 ) -> ValidityConditionReport:
     """Check L_g L_f psi = 0  =>  psi_dot + alpha(psi) >= epsilon over a grid.
 
-    The states are evaluated in batches of :data:`cbftk.autodiff.BLOCK_NODES`;
+    ``states`` must hold ``system.n`` components per row.  L_g L_f psi and,
+    where it vanishes, the residual run as lanes (:func:`cbftk.core.at_states`);
     witnesses keep the order of ``states``.
     """
     if instance.kind != RECBF:
         raise ValueError("validity condition applies to rectified CBFs")
-    out = instance.output
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-
-    def evaluate(xs):
-        # the residual only where the coupling vanishes
-        coupling = directional(ad.grad(out.psi_dot, xs), system.g_batch(xs))
-        uncoupled = np.flatnonzero(np.max(np.abs(coupling), axis=0) < coupling_tol)
-        r = per_node(instance.residual, xs[:, uncoupled], "residual")
-        return [(i, float(ri)) for i, ri in zip(uncoupled, r) if ri < instance.epsilon]
-
-    return ValidityConditionReport(instance.epsilon, len(states), sampled(evaluate, states))
+    rows = _states(states, system.n)
+    coupling = at_states(lambda x: lie_g(instance.output.psi_dot, system, x), rows).reshape(system.m, -1)
+    # the residual only where the coupling vanishes
+    uncoupled = np.flatnonzero(np.max(np.abs(coupling), axis=0) < coupling_tol)
+    r = at_states(lambda x: [instance.residual(x)], rows[uncoupled], uncoupled).reshape(-1)
+    witnesses = [(rows[i].copy(), float(ri)) for i, ri in zip(uncoupled, r) if ri < instance.epsilon]
+    return ValidityConditionReport(instance.epsilon, len(rows), witnesses)

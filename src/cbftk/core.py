@@ -4,7 +4,10 @@ and Lie-derivative helpers.
 
 The sampled assumption checks here are validation aids, not proofs: they
 run the relative-degree and constraint-regularity conditions over
-scenario-declared state sets.
+scenario-declared state sets.  Each spells out its quantities at one
+state; :func:`at_states` traces them once and runs the states as numpy
+lanes of the trace, with the states the lanes flag on the quantities
+themselves (:func:`by_lanes`, which the grid scans use too).
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ __all__ = [
     "ControlAffineSystem",
     "RelDeg2Output",
     "DomainError",
-    "first_failure",
+    "at_states",
+    "by_lanes",
     "per_node",
-    "sampled",
     "directional",
     "lie_f",
     "lie_g",
@@ -41,8 +44,9 @@ __all__ = [
 class DomainError(ValueError):
     """A state (or output point) lies outside the declared domain.
 
-    ``index`` is the first offending element of a batch, and None for a
-    single state; ``reason`` is the message without the batch element.
+    ``index`` is None, or the position of the state among those evaluated
+    together, where :func:`by_lanes` raises it; ``reason`` is the message
+    without the state.
     """
 
     def __init__(self, message: str, index=None):
@@ -51,38 +55,61 @@ class DomainError(ValueError):
         super().__init__(message if index is None else f"{message} (batch element {index})")
 
 
-def first_failure(evaluate, states):
-    """``evaluate(states)``; an error names the first state that fails alone.
+def by_lanes(traced: ad.Traced, states, index):
+    """The outputs of ``traced`` at the states ``states`` (shape (n, K), one
+    per column), shape (k, K), and None or the reason the first node ran on
+    ``traced.function``.
 
-    ``states`` holds one state per column.  A batch raises at the first
-    primitive that fails for any of its states, which need not be the first
-    state that fails, nor fail the same way.  So on a :class:`DomainError`
-    or :class:`cbftk.autodiff.EvaluationError` the states are evaluated
-    again one at a time, in order, and the first that fails raises the
-    error it raises alone, with ``index`` its column and its state named.
+    The states run as lanes of ``traced`` (:meth:`cbftk.autodiff.Traced.lanes`).
+    A node whose lane has a guard that fired or an output that is not
+    finite runs on ``traced.function`` at its floats instead, the reference
+    path, and so does every node where the lanes did not run.  Lanes are
+    independent, so the other nodes keep their lane outputs.  The nodes on
+    the reference path run in order; the first that raises a
+    :class:`DomainError` or :class:`cbftk.autodiff.EvaluationError` raises
+    it, with ``index`` its entry of ``index`` and its state named.
     """
-    try:
-        return evaluate(states)
-    except (DomainError, ad.EvaluationError) as exc:
-        failure = exc
-    for i in range(states.shape[1]):
+    count = states.shape[1]
+    found = traced.lanes(*states)
+    outputs, flagged, reason = None, range(count), found
+    if found.__class__ is not str:
+        bad, lanes = found
+        outputs = np.empty((len(lanes), count))
+        for row, lane in zip(outputs, lanes):
+            row[...] = lane
+        flagged = np.flatnonzero(bad | ~np.isfinite(outputs).all(axis=0))
+        reason = None
+        if flagged.size:
+            state = states[:, flagged[0]]
+            said = traced(*state.tolist())
+            reason = f"{said if said.__class__ is str else 'non-finite output'} at state {state}"
+    for j in flagged:
+        state = states[:, j]
         try:
-            evaluate(states[:, i : i + 1])
+            alone = traced.function(state.tolist())
         except (DomainError, ad.EvaluationError) as exc:
-            exc.index = i
-            exc.args = (f"{exc.reason} at state {states[:, i]}",)
+            exc.index = int(index[j])
+            exc.args = (f"{exc.reason} at state {state}",)
             raise
-    raise failure
+        if outputs is None:
+            outputs = np.empty((len(alone), count))
+        outputs[:, j] = alone
+    return np.empty((0, count)) if outputs is None else outputs, reason
 
 
-def sampled(evaluate, states) -> list:
-    """``(state, item)`` for each ``(column, item)`` that ``evaluate`` returns on blocks of
-    :data:`cbftk.autodiff.BLOCK_NODES` rows of ``states``, one per column; errors as :func:`first_failure`."""
-    found = []
-    for block in ad.blocks(len(states)):
-        rows = states[block]
-        found += [(rows[j].copy(), item) for j, item in first_failure(evaluate, rows.T)]
-    return found
+def at_states(quantities, states, index=None) -> np.ndarray:
+    """``quantities`` at each row of ``states`` (shape (N, n)), shape (k, N).
+
+    ``quantities`` maps the components of one state, an object array, to k
+    floats.  It is traced once and run over blocks of
+    :data:`cbftk.autodiff.BLOCK_NODES` states by :func:`by_lanes`; an error
+    names the row's entry of ``index`` (the row itself by default).  Where
+    no state runs and the trace failed, k is 0.
+    """
+    traced = ad.Traced(lambda x: quantities(np.array(x, dtype=object)), states.shape[1])
+    index = np.arange(len(states)) if index is None else index
+    found = [by_lanes(traced, states[block].T, index[block])[0] for block in ad.blocks(len(states))]
+    return np.concatenate(found, axis=1) if found else np.empty((traced.outputs, 0))
 
 
 def per_node(func, states, name, shape=(), dtype=float) -> np.ndarray:
@@ -97,7 +124,9 @@ def per_node(func, states, name, shape=(), dtype=float) -> np.ndarray:
     value may come from a reduction over the batch (``np.all``, ``np.sum``,
     a norm), so it is checked against ``func`` on the first, middle and
     last state alone, and refused where they differ; a plain Python number
-    is taken as a constant.
+    is taken as a constant.  Only ``in_extended_set`` and a scan's
+    ``state_from_axes`` are evaluated this way: a reduction that agrees with
+    those three states, or one wrapped in ``float()``, still passes.
     """
     count = states.shape[1]
     out = np.empty((*shape, count), dtype=dtype)
@@ -176,11 +205,8 @@ class ReQUActivation:
 class ControlAffineSystem:
     """Dynamics xdot = f(x) + g(x) u with AD-traceable drift and input map.
 
-    ``f`` maps a state (sequence of scalars or Duals) to a length-n
-    sequence; ``g`` maps a state to an n x m nested sequence.  Both act
-    elementwise on per-component arrays: given the components of N states
-    as arrays of shape (N,), each entry is a float or an array over the N
-    states (see :meth:`f_batch` and :meth:`g_batch`).
+    ``f`` maps one state (a sequence of floats, Duals or traced floats) to a
+    length-n sequence; ``g`` maps it to an n x m nested sequence.
     """
 
     n: int
@@ -193,14 +219,6 @@ class ControlAffineSystem:
 
     def g_mat(self, x) -> np.ndarray:
         return ad.array(self.g(x)).reshape(self.n, self.m)
-
-    def f_batch(self, states) -> np.ndarray:
-        """f at the N states of ``states`` (shape (n, N)), shape (n, N)."""
-        return per_node(self.f, states, "f", (self.n,))
-
-    def g_batch(self, states) -> np.ndarray:
-        """g at the N states of ``states`` (shape (n, N)), shape (n, m, N)."""
-        return per_node(self.g, states, "g", (self.n, self.m))
 
 
 @dataclass(frozen=True)
@@ -215,12 +233,11 @@ class RelDeg2Output:
     :func:`check_output_consistency` validates them against AD.
 
     ``in_extended_set`` is the predicate for the open set E on which the
-    relative-degree and regularity assumptions are declared.  It acts
-    elementwise on per-component arrays: given the components of N states
-    as arrays of shape (N,), it returns one flag per state (see
-    :meth:`in_extended_set_batch`).  The other callables take such arrays,
-    or batched Duals, as well: the grid scans and the sampled assumption
-    checks evaluate them over many states at once.
+    relative-degree and regularity assumptions are declared.  It is the one
+    callable here that acts elementwise on per-component arrays: given the
+    components of N states as arrays of shape (N,), it returns one flag per
+    state (see :meth:`in_extended_set_batch`).  The others need only work
+    at one state.
     """
 
     p: int
@@ -289,11 +306,6 @@ def _states(states, n: int) -> np.ndarray:
     return rows
 
 
-def _lie_rows(field, p: int, vector_field, xs) -> np.ndarray:
-    """L_f (or L_g) of the p components of ``field`` at ``xs``, shape (p, N) (or (p, m, N))."""
-    return np.array([directional(ad.grad(lambda v, i=i: field(v)[i], xs), vector_field) for i in range(p)])
-
-
 def check_relative_degree(
     output: RelDeg2Output,
     system: ControlAffineSystem,
@@ -303,26 +315,26 @@ def check_relative_degree(
 ) -> AssumptionReport:
     """Sampled relative-degree-two check: L_g y = 0 and L_g L_f y full rank.
 
-    ``states`` must hold ``system.n`` components per row.  They are checked
-    in batches (:func:`sampled`), so ``y``, ``ydot`` and ``g`` must act
-    elementwise.  L_g L_f y is evaluated only where L_g y = 0; its rank is
-    the smallest singular value of the p x m matrix.  A NaN fails.
+    ``states`` must hold ``system.n`` components per row; they run as lanes
+    (:func:`at_states`).  L_g L_f y is evaluated only where L_g y = 0; its
+    rank is the smallest singular value of the p x m matrix.  A NaN fails.
     """
     rows = _states(states, system.n)
+    p, m = output.p, system.m
 
-    def evaluate(xs):
-        g = system.g_batch(xs)
-        lgy = np.max(np.abs(_lie_rows(output.y, output.p, g, xs)), axis=(0, 1))
-        passed = np.flatnonzero(lgy < lgy_tol)
-        lglfy = np.moveaxis(_lie_rows(output.ydot, output.p, g[..., passed], xs[:, passed]), -1, 0)
-        finite = np.isfinite(lglfy).all(axis=(1, 2))
-        smin = np.full(passed.size, np.nan)
-        smin[finite] = np.linalg.svd(lglfy[finite], compute_uv=False)[:, -1]
-        failures = [(j, f"L_g y nonzero (max |entry| {lgy[j]:.3e})") for j in np.flatnonzero(~(lgy < lgy_tol))]
-        failures += [(j, f"L_g L_f y rank-deficient (sigma_min {s:.3e})") for j, s in zip(passed, smin) if not s > rank_tol]
-        return sorted(failures)
+    def lie_g_rows(field):
+        """L_g of the p components of ``field`` at one state, p x m entries."""
+        return lambda x: [v for i in range(p) for v in lie_g(lambda z: field(z)[i], system, x)]
 
-    return AssumptionReport("relative degree two", len(rows), sampled(evaluate, rows))
+    lgy = np.max(np.abs(at_states(lie_g_rows(output.y), rows).reshape(p * m, -1)), axis=0)
+    passed = np.flatnonzero(lgy < lgy_tol)
+    lglfy = at_states(lie_g_rows(output.ydot), rows[passed], passed).T.reshape(-1, p, m)
+    finite = np.isfinite(lglfy).all(axis=(1, 2))
+    smin = np.full(passed.size, np.nan)
+    smin[finite] = np.linalg.svd(lglfy[finite], compute_uv=False)[:, -1]
+    failures = [(j, f"L_g y nonzero (max |entry| {lgy[j]:.3e})") for j in np.flatnonzero(~(lgy < lgy_tol))]
+    failures += [(j, f"L_g L_f y rank-deficient (sigma_min {s:.3e})") for j, s in zip(passed, smin) if not s > rank_tol]
+    return AssumptionReport("relative degree two", len(rows), _failures(rows, failures))
 
 
 def check_constraint_regularity(
@@ -331,19 +343,21 @@ def check_constraint_regularity(
     states,
     grad_tol: float = 1e-10,
 ) -> AssumptionReport:
-    """Sampled regularity check: psi_grad = 0 only where psi > 0.  Batched as
-    :func:`check_relative_degree`, with ``psi`` and ``psi_grad`` elementwise;
-    ``states`` must hold ``system.n`` components per row; a NaN fails."""
+    """Sampled regularity check: psi_grad = 0 only where psi > 0.  The states
+    run as in :func:`check_relative_degree`; ``states`` must hold
+    ``system.n`` components per row; a NaN fails."""
     rows = _states(states, system.n)
+    p = output.p
 
-    def evaluate(xs):
-        y = per_node(output.y, xs, "y", (output.p,))
-        grad = per_node(output.psi_grad, y, "psi_grad", (output.p,))
-        psi = per_node(output.psi, y, "psi")
-        stationary = ~(np.sqrt(directional(grad, grad)) >= grad_tol) & ~(psi > 0.0)
-        return [(j, f"stationary output point with psi = {psi[j]:.3e} <= 0") for j in np.flatnonzero(stationary)]
+    def quantities(x):
+        y = output.y(x)
+        grad = output.psi_grad(y)
+        return [output.psi(y), *(grad[i] for i in range(p))]
 
-    return AssumptionReport("constraint regularity", len(rows), sampled(evaluate, rows))
+    psi, *grad = at_states(quantities, rows).reshape(1 + p, -1)
+    stationary = ~(np.sqrt(directional(grad, grad)) >= grad_tol) & ~(psi > 0.0)
+    failures = [(j, f"stationary output point with psi = {psi[j]:.3e} <= 0") for j in np.flatnonzero(stationary)]
+    return AssumptionReport("constraint regularity", len(rows), _failures(rows, failures))
 
 
 def check_output_consistency(
@@ -355,22 +369,30 @@ def check_output_consistency(
     """Validate the explicit ydot and psi_grad fields against AD.
 
     ydot must equal L_f y componentwise and psi_grad must equal the AD
-    gradient of psi at the sampled states.  Batched as
-    :func:`check_relative_degree`, with ``f`` in place of ``g``; a NaN fails.
+    gradient of psi at the sampled states.  The states run as in
+    :func:`check_relative_degree`; a NaN fails.
     """
     rows = _states(states, system.n)
+    p = output.p
 
-    def evaluate(xs):
-        lf = _lie_rows(output.y, output.p, system.f_batch(xs), xs)
-        declared = per_node(output.ydot, xs, "ydot", (output.p,))
-        wrong = ~(np.abs(lf - declared) <= tol * (1.0 + np.abs(lf)))
-        y = per_node(output.y, xs, "y", (output.p,))
-        auto_g = ad.grad(output.psi, y)
-        error_g = np.abs(per_node(output.psi_grad, y, "psi_grad", (output.p,)) - auto_g)
-        wrong_g = ~(np.max(error_g, axis=0) <= tol * (1.0 + np.max(np.abs(auto_g), axis=0)))
-        # per state: its ydot components in order, then psi_grad
-        failures = [(j, i, f"ydot[{i}] = {declared[i, j]} but L_f y[{i}] = {lf[i, j]}") for i, j in np.argwhere(wrong)]
-        failures += [(j, output.p, "psi_grad disagrees with grad(psi)") for j in np.flatnonzero(wrong_g)]
-        return [(j, message) for j, _, message in sorted(failures)]
+    def quantities(x):
+        f = system.f_vec(x)
+        lf = [ad.dot(ad.grad(lambda z: output.y(z)[i], x), f) for i in range(p)]
+        declared, y = output.ydot(x), output.y(x)
+        declared_grad = output.psi_grad(y)
+        return [*lf, *(declared[i] for i in range(p)), *ad.grad(output.psi, y), *(declared_grad[i] for i in range(p))]
 
-    return AssumptionReport("output consistency", len(rows), sampled(evaluate, rows))
+    found = at_states(quantities, rows).reshape(4, p, -1)
+    lf, declared, auto_g, declared_grad = found
+    wrong = ~(np.abs(lf - declared) <= tol * (1.0 + np.abs(lf)))
+    error_g = np.abs(declared_grad - auto_g)
+    wrong_g = ~(np.max(error_g, axis=0) <= tol * (1.0 + np.max(np.abs(auto_g), axis=0)))
+    # per state: its ydot components in order, then psi_grad
+    failures = [(j, i, f"ydot[{i}] = {declared[i, j]} but L_f y[{i}] = {lf[i, j]}") for i, j in np.argwhere(wrong)]
+    failures += [(j, p, "psi_grad disagrees with grad(psi)") for j in np.flatnonzero(wrong_g)]
+    return AssumptionReport("output consistency", len(rows), _failures(rows, [(j, m) for j, _, m in sorted(failures)]))
+
+
+def _failures(rows, failures) -> list:
+    """``(state, message)`` for each ``(row, message)`` of ``failures``, in row order."""
+    return [(rows[j].copy(), message) for j, message in sorted(failures, key=lambda f: f[0])]

@@ -8,9 +8,8 @@ dual-number rules of :mod:`cbftk.autodiff`; the test suite pins these
 kernels against the AD reference path at random states and parameters.
 Within the library only :meth:`cbftk.systems.Scenario.simulate` calls them.
 Phase-plane scans need no kernel: :func:`cbftk.analysis.grid_scan`
-evaluates whole blocks of nodes, the first on batched dual numbers and the
-others as numpy lanes of one traced per-state evaluation, and
-:meth:`cbftk.systems.Scenario.scan` calls it.  The scan kernels
+runs blocks of nodes as numpy lanes of one traced per-state evaluation,
+and :meth:`cbftk.systems.Scenario.scan` calls it.  The scan kernels
 :func:`pend_scan` and :func:`bike_scan` are no longer called by the
 library; they stay only because the benchmark's span tracer
 (``perfbench/tracing.py``) still lists them as targets, and go with those

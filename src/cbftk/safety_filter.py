@@ -11,6 +11,9 @@ closed form:
 with ``lambda_exact`` the exact multiplier, which the outer control loop
 always uses.  Its smooth strict over-approximation ``lambda_half_sontag``
 builds the smooth virtual controller kappa for the single integrator.
+Everything here is defined at one state; the sampled check of a virtual
+controller runs its states as lanes of one trace
+(:func:`cbftk.core.at_states`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .core import AssumptionReport, DomainError, LinearClassK, _states, directional, per_node, sampled
+from .core import AssumptionReport, DomainError, LinearClassK, _failures, _states, at_states, directional
 
 __all__ = [
     "lambda_exact",
@@ -51,9 +54,8 @@ def lambda_half_sontag(a, b, sigma: float):
 
     Smooth in (a, b) away from b = 0 and strictly feasible: a + lambda*b > 0
     whenever b > 0.  Recovers :func:`lambda_exact` as sigma -> 0.  Accepts
-    Dual operands so it can sit inside differentiated fields, and batches,
-    where b = 1 stands in for the elements with b = 0 before they are
-    replaced by 0.
+    Dual operands so it can sit inside differentiated fields; b = 1 stands
+    in for a b = 0 that is then not used, so that the formula can be traced.
     """
     if not sigma > 0.0:
         raise ValueError(f"half-Sontag smoothing sigma must be positive, got {sigma}")
@@ -146,8 +148,7 @@ class SmoothFilter(VirtualController):
     kappa(y) = kappa_d(y) + lambda(a, ||b||^2) b  with  b = psi_grad(y) and
     a = psi_grad(y) . kappa_d(y) + alpha_hat(psi(y)); unit weights.
     Undefined at constrained singular points (psi_grad = 0 with a < 0),
-    e.g. the obstacle center, where it raises :class:`DomainError` (naming
-    the first such element of a batch).
+    e.g. the obstacle center, where it raises :class:`DomainError`.
     """
 
     kappa_d: Callable[[Sequence], Sequence]
@@ -170,8 +171,7 @@ class SmoothFilter(VirtualController):
         if ad.failed(singular):
             raise DomainError(
                 "virtual controller is undefined at a constrained singular point "
-                "(psi_grad = 0 with negative margin; e.g. the obstacle center)",
-                ad.first(singular),
+                "(psi_grad = 0 with negative margin; e.g. the obstacle center)"
             )
         lam = lambda_half_sontag(a, bb, self.sigma_hat)
         return [kd[i] + lam * b[i] for i in range(self.p)]
@@ -192,19 +192,20 @@ def check_virtual_controller(
 ):
     """Sampled single-integrator safety: psi_dot(y, kappa(y)) > -alpha(psi(y)).
 
-    Returns a :class:`cbftk.core.AssumptionReport`.  Batched as
-    :func:`cbftk.core.check_relative_degree`, with ``vc`` elementwise;
-    ``states`` must hold ``system.n`` components per row.
+    Returns a :class:`cbftk.core.AssumptionReport`.  The states run as in
+    :func:`cbftk.core.check_relative_degree`; ``states`` must hold
+    ``system.n`` components per row.
     """
     rows = _states(states, system.n)
 
-    def evaluate(xs):
-        y = per_node(output.y, xs, "y", (output.p,))
-        kv = per_node(vc, y, "virtual controller", (output.p,))
-        # summed from 0.0, so that a total of -0.0 reads 0.0 in a message
-        psidot = 0.0 + directional(per_node(output.psi_grad, y, "psi_grad", (output.p,)), kv)
-        bound = -alpha(per_node(output.psi, y, "psi"))
-        failed = np.flatnonzero(~(psidot > bound + margin))
-        return [(j, f"psi_dot(y, kappa) = {psidot[j]:.6e} <= {bound[j]:.6e}") for j in failed]
+    def quantities(x):
+        y = output.y(x)
+        return [ad.dot(output.psi_grad(y), vc(y)), output.psi(y)]
 
-    return AssumptionReport("virtual controller safety", len(rows), sampled(evaluate, rows))
+    psidot, psi = at_states(quantities, rows).reshape(2, -1)
+    # summed from 0.0, so that a total of -0.0 reads 0.0 in a message
+    psidot = 0.0 + psidot
+    bound = -alpha(psi)
+    failed = np.flatnonzero(~(psidot > bound + margin))
+    failures = [(j, f"psi_dot(y, kappa) = {psidot[j]:.6e} <= {bound[j]:.6e}") for j in failed]
+    return AssumptionReport("virtual controller safety", len(rows), _failures(rows, failures))

@@ -8,8 +8,8 @@ params=...)``.  Its ``scan`` method is :func:`cbftk.analysis.grid_scan` of the s
 own construction, system, window and gain.  Its ``simulate`` method runs
 the published constructions on the scalar simulation kernels, and is
 the only caller of :mod:`cbftk.kernels` in the library.  The dynamics and
-outputs act elementwise on per-component arrays, so the scans evaluate
-whole blocks of nodes at once.
+outputs are defined at one state; the scans and checks run them as lanes
+of their traces.
 
 Pendulum: state (phi [rad], omega [rad/s]), torque input; the constraint
 keeps the pendulum above the horizontal, psi(phi) = pi^2/4 - phi^2.
@@ -285,8 +285,8 @@ class Scenario:
     def state_from_axes(self, axis_values):
         """Full state for scan nodes (fills fixed slice coordinates).
 
-        Elementwise like ``system.f``: given the axis values as arrays over
-        the nodes, it returns one entry per state component.
+        Elementwise, like ``output.in_extended_set``: given the axis values
+        as arrays over the nodes, it returns one entry per state component.
         """
         raise NotImplementedError
 

@@ -1,5 +1,10 @@
+import contextlib
 import dataclasses
+import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -251,19 +256,31 @@ def _pendulum_system_with_g(g):
     return ControlAffineSystem(n=2, m=1, f=lambda x: [x[1], ad.sin(x[0])], g=g)
 
 
-def test_grid_scan_refuses_a_g_that_does_not_act_elementwise(pendulum):
+def test_grid_scan_gives_the_per_state_answer_for_one_state_callables(pendulum):
+    # float(), np.sum of a component and Python's max cannot be traced, so
+    # every node runs on the per-state evaluation, with its answer
     inst = pendulum.make_cbf(ABC)
-    scalar_only = _pendulum_system_with_g(lambda x: [[0.0], [float(x[0]) * 0.0 + 1.0]])
-    with pytest.raises(ValueError, match="g must act elementwise"):
-        grid_scan(inst, scalar_only, pendulum.window, (5, 5))
-    wrong_shape = _pendulum_system_with_g(lambda x: [[0.0], [np.ones(3)]])
-    with pytest.raises(ValueError, match="g must act elementwise"):
-        grid_scan(inst, wrong_shape, pendulum.window, (5, 5))
-    # constants broadcast to every node
-    assert np.array_equal(
-        grid_scan(inst, _pendulum_system_with_g(lambda x: [[0.0], [1.0]]), pendulum.window, (5, 5)).margin,
-        grid_scan(inst, pendulum.system, pendulum.window, (5, 5)).margin,
+    window = pendulum.window
+    reference = grid_scan(inst, pendulum.system, window, (5, 5))
+    one_state = ControlAffineSystem(
+        n=2, m=1, f=lambda x: [x[1], np.sum(ad.sin(x[0]))], g=lambda x: [[0.0], [float(x[0]) * 0.0 + 1.0]]
     )
+    scan = grid_scan(inst, one_state, window, (5, 5))
+    assert scan.evaluation.startswith("per state: not traced")
+    for column in ("h", "psi", "lgh_norm", "margin", "s"):
+        assert getattr(scan, column).tobytes() == getattr(reference, column).tobytes(), column
+    clipped = dataclasses.replace(pendulum.output, psi=lambda y: max(0.0, 1.0 - y[0] * y[0]))
+    for kind in CBF_KINDS:
+        inst = dataclasses.replace(pendulum.make_cbf(kind), output=clipped)
+        scan = grid_scan(inst, pendulum.system, window, (5, 5))
+        assert scan.evaluation.startswith("per state: not traced")
+        assert np.array_equal(scan.h, [inst.value(x) for x in scan.x])
+        if kind == ABC:
+            assert np.array_equal(scan.s, [inst.switching(x) for x in scan.x])
+    # a g of the wrong shape is refused at the first node
+    wrong_shape = _pendulum_system_with_g(lambda x: [[0.0], [np.ones(3)]])
+    with pytest.raises(ValueError):
+        grid_scan(pendulum.make_cbf(ABC), wrong_shape, window, (5, 5))
 
 
 def test_grid_scan_refuses_an_extended_set_that_does_not_act_elementwise(pendulum):
@@ -280,9 +297,6 @@ def test_grid_scan_refuses_reductions_over_the_batch(pendulum, bicycle):
         output = dataclasses.replace(pendulum.output, in_extended_set=predicate)
         with pytest.raises(ValueError, match="in_extended_set must act elementwise"):
             grid_scan(dataclasses.replace(inst, output=output), pendulum.system, pendulum.window, (5, 5))
-    summed = ControlAffineSystem(n=2, m=1, f=lambda x: [x[1], np.sum(ad.sin(x[0]))], g=lambda x: [[0.0], [1.0]])
-    with pytest.raises(ValueError, match="f must act elementwise"):
-        grid_scan(inst, summed, pendulum.window, (5, 5))
     p = bicycle.params
     output = dataclasses.replace(
         bicycle.output,
@@ -315,7 +329,7 @@ def test_grid_scan_error_names_the_first_offending_state(pendulum):
 
 def test_grid_scan_raises_the_first_failing_node_not_the_first_failing_primitive(pendulum):
     # phi = 0 fails at the divide in psi, phi = 1 at the sqrt in psi_grad,
-    # which the batch evaluates first; the scalar path met phi = 0 first
+    # which the evaluation meets first; the scan raises phi = 0's error
     output = dataclasses.replace(
         pendulum.output,
         psi=lambda y: 1.0 / y[0],
@@ -323,9 +337,9 @@ def test_grid_scan_raises_the_first_failing_node_not_the_first_failing_primitive
     )
     inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=output)
     window = ((-1.0, 1.0), (0.0, 1.0))
-    with pytest.raises(ad.EvaluationError) as batch:
-        inst.value_and_gradient(np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
-    assert (batch.value.primitive, batch.value.index) == ("sqrt", 2)
+    with pytest.raises(ad.EvaluationError) as later:
+        inst.value_and_gradient(np.array([1.0, 0.0]))
+    assert later.value.primitive == "sqrt"
     with pytest.raises(ad.EvaluationError) as err:
         grid_scan(inst, pendulum.system, window, (3, 2))
     assert (err.value.primitive, err.value.index) == ("divide", 2)
@@ -359,21 +373,78 @@ def test_replaced_bicycle_params_move_the_default_scan_slice(bicycle):
     assert dataclasses.replace(pinned, params=BicycleParams(v_desired=5.0)).scan(HOCBF).h[0] == pytest.approx(1832.05)
 
 
-# -- lanes: the scan's blocks after the first run as numpy code of one trace ------
+# -- the per-node oracle: each node evaluated on its own, by another route ------
 
 
-def _dual_scan(*args, **kwargs):
-    """``grid_scan`` with every block on batched Duals."""
-    untraceable = ad.Traced(lambda xs: [float(xs[0])], 1)
+def _assert_scan_matches_per_node_oracle(scenario, kind, resolution):
+    """grid_scan equals the scalar AD evaluation of each node on its own."""
+    inst = scenario.make_cbf(kind)
+    system = scenario.system
+    scan = grid_scan(
+        inst,
+        system,
+        scenario.window,
+        resolution,
+        state_from_axes=scenario.state_from_axes,
+        alpha_outer=scenario.alpha_outer,
+    )
+    assert len(scan) == resolution[0] * resolution[1]
+    assert (scan.s is None) == (kind != ABC)
+    columns = [scan.h, scan.psi, scan.lgh_norm, scan.margin] + ([scan.s] if kind == ABC else [])
+    expected = np.full((len(columns), len(scan)), np.nan)
+    for i, x in enumerate(scan.x):
+        assert scan.excluded[i] == (not scenario.output.in_extended_set(x))
+        if scan.excluded[i]:
+            continue
+        value, grad = inst.value_and_gradient(x)
+        expected[:4, i] = (
+            value,
+            inst.output.psi_of_state(x),
+            np.linalg.norm(grad @ system.g_mat(x)),
+            float(grad @ system.f_vec(x)) + scenario.alpha_outer(value),
+        )
+        if kind == ABC:
+            expected[4, i] = inst.switching(x)
+    for got, want in zip(columns, expected):
+        # the component sums run in index order, the oracle's in BLAS order
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# at most about three blocks; a block boundary falls inside a row unless the
+# row length divides the block size
+resolutions = st.tuples(st.integers(2, 80), st.integers(2, 80))
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=6, derandomize=True)
+@given(params=pendulum_params, resolution=resolutions)
+@example(params=PendulumParams(), resolution=ROW_SPLITTING)
+def test_pendulum_grid_scan_matches_per_node_oracle(kind, params, resolution):
+    _assert_scan_matches_per_node_oracle(pendulum_scenario(params=params), kind, resolution)
+
+
+@pytest.mark.parametrize("kind", CBF_KINDS)
+@settings(max_examples=6, derandomize=True)
+@given(params=bicycle_params, resolution=resolutions)
+@example(params=BicycleParams(), resolution=ROW_SPLITTING)
+def test_bicycle_grid_scan_matches_per_node_oracle(kind, params, resolution):
+    _assert_scan_matches_per_node_oracle(bicycle_scenario(params=params), kind, resolution)
+
+
+# -- lanes: the scan's nodes run as numpy code of one trace -------------------------
+
+
+def _per_state_scan(*args, **kwargs):
+    """``grid_scan`` with every node on the per-state evaluation on Duals."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_scan_trace", lambda *_: untraceable)
+        patch.setattr(ad.Traced, "lanes", lambda self, *arrays: "lanes off")
         return grid_scan(*args, **kwargs)
 
 
 def _scan_both_ways(*args, **kwargs):
-    """The scan, and the same scan on batched Duals, which must agree byte for byte."""
-    scan, reference = grid_scan(*args, **kwargs), _dual_scan(*args, **kwargs)
-    assert reference.evaluation.startswith("dual: not traced")
+    """The scan, and the same scan on the per-state evaluation, which must agree byte for byte."""
+    scan, reference = grid_scan(*args, **kwargs), _per_state_scan(*args, **kwargs)
+    assert reference.evaluation == "per state: lanes off"
     for column in ("x", "h", "psi", "lgh_norm", "margin", "s", "excluded"):
         got, expected = getattr(scan, column), getattr(reference, column)
         assert (got is None) == (expected is None), column
@@ -382,15 +453,15 @@ def _scan_both_ways(*args, **kwargs):
     return scan
 
 
-def _assert_scan_equals_dual(scenario, kind, resolution):
+def _assert_scan_equals_per_state(scenario, kind, resolution):
     inst = scenario.make_cbf(kind)
     window, lift = scenario.window, scenario.state_from_axes
     scan = _scan_both_ways(inst, scenario.system, window, resolution, lift, scenario.alpha_outer)
     assert scan.evaluation == "lanes"
 
 
-# at least two blocks, so that the lanes run
-lane_resolutions = st.tuples(st.integers(46, 90), st.integers(46, 90))
+# small enough for the per-state reference; ROW_SPLITTING gives two blocks
+lane_resolutions = st.tuples(st.integers(2, 24), st.integers(2, 24))
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
@@ -398,7 +469,7 @@ lane_resolutions = st.tuples(st.integers(46, 90), st.integers(46, 90))
 @given(params=pendulum_params, resolution=lane_resolutions)
 @example(params=PendulumParams(), resolution=ROW_SPLITTING)
 def test_pendulum_scan_equals_dual_at_random_parameters(kind, params, resolution):
-    _assert_scan_equals_dual(pendulum_scenario(params=params), kind, resolution)
+    _assert_scan_equals_per_state(pendulum_scenario(params=params), kind, resolution)
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
@@ -406,7 +477,7 @@ def test_pendulum_scan_equals_dual_at_random_parameters(kind, params, resolution
 @given(params=bicycle_params, resolution=lane_resolutions)
 @example(params=BicycleParams(), resolution=ROW_SPLITTING)
 def test_bicycle_scan_equals_dual_at_random_parameters(kind, params, resolution):
-    _assert_scan_equals_dual(bicycle_scenario(params=params), kind, resolution)
+    _assert_scan_equals_per_state(bicycle_scenario(params=params), kind, resolution)
 
 
 def test_a_guard_in_a_later_block_raises_the_dual_error(bicycle):
@@ -419,9 +490,9 @@ def test_a_guard_in_a_later_block_raises_the_dual_error(bicycle):
     with pytest.raises(DomainError) as lanes:
         grid_scan(*args)
     with pytest.raises(DomainError) as dual:
-        _dual_scan(*args)
+        _per_state_scan(*args)
     assert (lanes.value.index, str(lanes.value)) == (dual.value.index, str(dual.value))
-    assert lanes.value.index == 64
+    assert lanes.value.index == 2112
     assert str(lanes.value).endswith(f"at state {np.array([p.obstacle_xi, p.obstacle_eta, 0.0, p.v_desired])}")
 
 
@@ -430,13 +501,19 @@ def test_a_masked_division_by_zero_in_the_lanes_warns_nothing(pendulum):
     sinc = ControlAffineSystem(
         n=2, m=1, f=lambda x: [x[1], ad.where(x[0] != 0.0, ad.sin(x[0]) / x[0], 1.0)], g=lambda x: [[0.0], [1.0]]
     )
-    args = (pendulum.make_cbf(ABC), sinc, ((-1.0, 1.0), (-4.0, 4.0)), (65, 65))
+    window = ((-1.0, 1.0), (-4.0, 4.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = grid_scan(*args)
+        scan = grid_scan(pendulum.make_cbf(ABC), sinc, window, (65, 65))
     assert scan.evaluation == "lanes"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reference = _dual_scan(*args)
+    # one state at a time the float division raises, so the reference divides by a safe substitute
+    safe = ControlAffineSystem(
+        n=2,
+        m=1,
+        f=lambda x: [x[1], ad.where(x[0] != 0.0, ad.sin(x[0]) / ad.where(x[0] != 0.0, x[0], 1.0), 1.0)],
+        g=lambda x: [[0.0], [1.0]],
+    )
+    reference = _per_state_scan(pendulum.make_cbf(ABC), safe, window, (65, 65))
     assert scan.margin.tobytes() == reference.margin.tobytes()
 
 
@@ -453,18 +530,54 @@ def test_a_replaced_instance_or_another_system_gets_its_own_trace(pendulum):
 
 def test_evaluation_names_why_blocks_ran_on_duals(pendulum):
     window, resolution = pendulum.window, (50, 50)
-    # a Dual and a plain operand of one where: a guard sends the Dual's side to Duals
+    # a Dual and a plain operand of one where: a guard sends the plain side to the per-state evaluation
     capped = dataclasses.replace(pendulum.output, psi=lambda y: ad.minimum(HALF_PI_SQ - y[0] * y[0], 1.0))
     inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=capped)
     evaluation = _scan_both_ways(inst, pendulum.system, window, resolution).evaluation
-    assert evaluation.startswith("dual: where guard fired at state [")
+    assert evaluation.startswith("per state: where guard fired at state [")
     # a callable the trace cannot follow: the reason names its line
     wobbly = dataclasses.replace(pendulum.output, psi=lambda y: HALF_PI_SQ - y[0] * y[0] + 0.0 * np.sin(ad.scalar(y[0])))
     inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=wobbly)
     evaluation = _scan_both_ways(inst, pendulum.system, window, resolution).evaluation
-    assert evaluation.startswith("dual: not traced") and "test_analysis.py:" in evaluation
+    assert evaluation.startswith("per state: not traced") and "test_analysis.py:" in evaluation
     # an infinite state
     lift = lambda v: [v[0], np.where(v[1] > 3.9, np.inf, v[1])]
     with np.errstate(invalid="ignore"):
         evaluation = grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, window, resolution, lift).evaluation
-    assert evaluation.startswith("dual: non-finite output at state [")
+    assert evaluation.startswith("per state: non-finite output at state [")
+
+
+# the eight published 401 x 401 scans: one line per scan, a sha256 per column
+PUBLISHED_SCAN_DIGESTS = """
+import hashlib
+from cbftk.cbf import CBF_KINDS
+from cbftk.systems import bicycle_scenario, pendulum_scenario
+for scenario in (pendulum_scenario(), bicycle_scenario()):
+    for kind in CBF_KINDS:
+        scan = scenario.scan(kind)
+        columns = (scan.x, scan.h, scan.psi, scan.lgh_norm, scan.margin, scan.s, scan.excluded)
+        digests = [hashlib.sha256(c.tobytes()).hexdigest() for c in columns if c is not None]
+        print(scenario.name, kind, scan.evaluation, *digests)
+"""
+
+
+def test_published_scans_keep_their_bytes_under_another_numpy_simd_dispatch():
+    # numpy's AVX2 and AVX-512 loops masked: its sin, cos and sqrt then run
+    # other code, which must give the lanes the same bits, as math's does
+    # at the nodes the lanes flag
+    paths = [os.path.dirname(os.path.dirname(analysis.__file__)), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+        "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", PUBLISHED_SCAN_DIGESTS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(PUBLISHED_SCAN_DIGESTS, {})
+    lines = here.getvalue().splitlines()
+    assert len(lines) == 8 and all(line.split()[2] == "lanes" for line in lines)
+    assert done.stdout.splitlines() == lines

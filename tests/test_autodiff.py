@@ -152,86 +152,6 @@ def test_comparisons_branch_on_value():
     assert d == 0.5
 
 
-# -- batches: one call evaluates many states ------------------------------------
-
-
-def _every_primitive(x):
-    """A field through every primitive, defined everywhere."""
-    a = x[0] * x[1] - 2.0 / (x[2] * x[2] + 1.0) + ad.sin(x[0]) * ad.cos(x[1])
-    b = ad.sqrt(x[2] * x[2] + 0.5) / (1.0 + x[0] * x[0]) + (x[1] * x[1] + 1.0) ** 1.5
-    c = ad.requ(x[0] - x[1]) + ad.relu(x[2]) - ad.minimum(x[0], x[2]) + ad.maximum(x[1], 0.25)
-    return a * b - c + 3.0 - x[0] / 4.0
-
-
-# values on the kinks and ties (0, equal components) as well as generic ones
-component = st.sampled_from([0.0, -0.0, 0.25, -1.5]) | st.floats(-3.0, 3.0)
-
-
-@given(states=st.lists(st.tuples(component, component, component), min_size=1, max_size=12))
-def test_batch_equals_each_state(states):
-    batch = np.array(states, dtype=float).T
-    value, grad = ad.value_and_grad(_every_primitive, batch)
-    assert value.shape == (len(states),) and grad.shape == (3, len(states))
-    for i, x in enumerate(np.array(states, dtype=float)):
-        want_value, want_grad = ad.value_and_grad(_every_primitive, x)
-        # np.sin/np.cos may differ from math.sin/math.cos in the last bit on some hosts
-        assert value[i] == pytest.approx(want_value, rel=1e-14, abs=1e-14)
-        np.testing.assert_allclose(grad[:, i], want_grad, rtol=1e-14, atol=1e-14)
-
-
-def test_batch_branches_select_per_element():
-    x = ad.Dual(np.array([-1.0, 0.0, 2.0]), np.array([[1.0, -1.0, 1.0], [-2.0, 3.0, 0.5]]))
-    for primitive in (ad.requ, ad.relu):
-        out = primitive(x)
-        for i in range(3):
-            alone = primitive(ad.Dual(x.value[i], x.partials[:, i]))
-            assert out.value[i] == alone.value
-            # the sign of a zero partial survives the select
-            assert np.array_equal(np.signbit(out.partials[:, i]), np.signbit(alone.partials))
-            assert np.array_equal(out.partials[:, i], alone.partials)
-    other = ad.Dual(np.array([0.0, 0.0, 0.0]), np.zeros((2, 3)))
-    low = ad.minimum(x, other)
-    assert np.array_equal(low.value, [-1.0, 0.0, 0.0])
-    # a tie resolves to the first operand, partials included
-    assert np.array_equal(low.partials[:, 1], x.partials[:, 1])
-    assert np.array_equal(ad.maximum(x, 1.0).value, [1.0, 1.0, 2.0])
-    assert np.array_equal(ad.maximum(x, 1.0).partials[:, :2], np.zeros((2, 2)))
-    assert np.array_equal(x != 0.0, [True, False, True])
-    assert np.array_equal(x > 0.0, [False, False, True])
-    assert ad.where(True, x, other) is x
-
-
-def test_batch_raises_at_the_first_element_that_raises_alone():
-    values = np.array([1.0, 0.0, -2.0, 4.0])
-    x = ad.Dual(values, np.ones((1, 4)))
-    with pytest.raises(ad.EvaluationError) as err:
-        ad.sqrt(x)
-    assert (err.value.primitive, err.value.index) == ("sqrt", 1)
-    assert "not differentiable at 0" in str(err.value)
-    with pytest.raises(ad.EvaluationError) as err:
-        ad.sqrt(x + 0.5)
-    assert err.value.index == 2 and "-1.5" in str(err.value)
-    with pytest.raises(ad.EvaluationError) as err:
-        1.0 / x
-    assert (err.value.primitive, err.value.index) == ("divide", 1)
-    with pytest.raises(ad.EvaluationError) as err:
-        x**0.5
-    assert (err.value.primitive, err.value.index) == ("pow", 1)
-    with pytest.raises(ad.EvaluationError) as err:
-        ad.sqrt(values - 0.5)
-    assert err.value.index == 1
-    # a single state keeps the scalar error, without an index
-    with pytest.raises(ad.EvaluationError) as err:
-        ad.sqrt(ad.Dual(-2.0, np.ones(1)))
-    assert err.value.index is None and str(err.value) == "sqrt: sqrt of negative value -2.0"
-
-
-def test_constant_field_over_a_batch():
-    value, g = ad.value_and_grad(lambda x: 7.5, np.ones((3, 4)))
-    assert np.array_equal(value, np.full(4, 7.5))
-    assert np.array_equal(g, np.zeros((3, 4)))
-
-
 def test_blocks_cover_the_range_in_order():
     count = 2 * ad.BLOCK_NODES + 5
     blocks = list(ad.blocks(count))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from cbftk import autodiff as ad
 from cbftk.analysis import _grid_axes, _node_array
-from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, recbf_validity_condition
-from cbftk.core import DomainError
+from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, recbf, recbf_validity_condition
+from cbftk.core import ControlAffineSystem, DomainError, LinearClassK, ReQUActivation
 from cbftk.systems import PendulumParams, bicycle_scenario, pendulum_scenario
 from conftest import central_difference
 
@@ -258,12 +259,9 @@ def test_abc_safe_set_has_more_nodes_than_backstepping(instances):
 def test_domain_error_outside_extended_set(bicycle):
     inst = bicycle.make_cbf(ABC)
     center = [bicycle.params.obstacle_xi, bicycle.params.obstacle_eta, 0.0, 1.0]
-    with pytest.raises(DomainError):
-        inst.value(center)
-    batch = np.array([[10.0, 0.0, 0.0, 1.0], center, center]).T
     with pytest.raises(DomainError) as err:
-        inst.value(batch)
-    assert err.value.index == 1
+        inst.value(center)
+    assert err.value.index is None
 
 
 def _validity_oracle(instance, system, states, coupling_tol=1e-8):
@@ -301,3 +299,14 @@ def test_recbf_validity_condition_matches_per_state_oracle(plant):
     for (x, r), (x_want, r_want) in zip(report.witnesses, expected):
         assert np.array_equal(x, x_want)
         assert r == r_want
+
+
+def test_recbf_validity_condition_gives_the_per_state_answer_for_one_state_callables(pendulum):
+    # Python's max and float() cannot be traced: every state runs on its own
+    output = dataclasses.replace(pendulum.output, psi=lambda y: max(HALF_PI_SQ - y[0] * y[0], -1.0))
+    system = ControlAffineSystem(n=2, m=1, f=pendulum.system.f, g=lambda x: [[0.0], [float(x[0]) * 0.0 + 1.0]])
+    inst = recbf(output, LinearClassK(1.0), ReQUActivation(5.0), 4.0)
+    states = pendulum.assumption_states
+    report = recbf_validity_condition(inst, system, states)
+    expected = _validity_oracle(inst, system, states)
+    assert expected and [(x.tolist(), r) for x, r in report.witnesses] == [(x.tolist(), r) for x, r in expected]

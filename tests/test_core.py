@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
-from cbftk.cbf import ABC
+from cbftk.cbf import ABC, recbf, recbf_validity_condition
 from cbftk.core import (
     ControlAffineSystem,
     DomainError,
@@ -252,11 +252,12 @@ def _batched_reports(output, system, vc, alpha, states):
     ]
 
 
-def _assert_batches_equal_the_loop(scenario, output, states):
+def _assert_batches_equal_the_loop(scenario, output, states, system=None):
     vc = scenario.make_cbf(ABC).kappa
     alpha = scenario.alpha_outer
-    expected = _loop_reports(output, scenario.system, vc, alpha, states)
-    for report, failures in zip(_batched_reports(output, scenario.system, vc, alpha, states), expected):
+    system = system or scenario.system
+    expected = _loop_reports(output, system, vc, alpha, states)
+    for report, failures in zip(_batched_reports(output, system, vc, alpha, states), expected):
         assert report.n_checked == len(states)
         assert report.ok == (not failures)
         assert [(x.tolist(), m) for x, m in report.failures] == [(x.tolist(), m) for x, m in failures], report.name
@@ -310,17 +311,28 @@ def check_unit_gain_controller(output, system, states):
     return check_virtual_controller(LinearGain(1.0), output, system, LinearClassK(1.0), states)
 
 
+def check_rectified_validity(output, system, states):
+    return recbf_validity_condition(recbf(output, LinearClassK(1.0), ReQUActivation(1.0), 0.5), system, states)
+
+
 # each check as (output, system, states) -> report
-CHECKS = [check_relative_degree, check_constraint_regularity, check_output_consistency, check_unit_gain_controller]
+CHECKS = [
+    check_relative_degree,
+    check_constraint_regularity,
+    check_output_consistency,
+    check_unit_gain_controller,
+    check_rectified_validity,
+]
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=["relative degree", "regularity", "consistency", "virtual controller"])
+@pytest.mark.parametrize(
+    "check", CHECKS, ids=["relative degree", "regularity", "consistency", "virtual controller", "rectified validity"]
+)
 def test_a_check_raises_the_error_of_the_first_state_that_fails_alone(pendulum, check):
     def y(x):
         root = ad.sqrt(x[1])  # an EvaluationError where omega < 0: states 3 and 4
-        beyond = ad.scalar(x[0]) > 10.0  # a DomainError at states 1 and 4
-        if ad.failed(beyond):
-            raise DomainError("phi beyond 10", ad.first(beyond))
+        if ad.failed(x[0] > 10.0):  # a DomainError at states 1 and 4
+            raise DomainError("phi beyond 10")
         return [x[0] + 0.0 * root]
 
     output = dataclasses.replace(pendulum.output, y=y, ydot=lambda x: [x[1]])
@@ -362,11 +374,23 @@ def test_checks_refuse_states_of_the_wrong_width(pendulum, bicycle, check):
         assert str(err.value) == message
 
 
-def test_checks_refuse_an_output_that_works_one_state_at_a_time(pendulum):
+def test_checks_give_the_per_state_answer_for_one_state_callables(pendulum, bicycle):
+    # Python's max, float() and np.sum of a component cannot be traced, so
+    # those checks run their states one at a time, as the loop does
     clipped = dataclasses.replace(pendulum.output, psi=lambda y: max(0.0, 1.0 - y[0] * y[0]))
-    assert check_constraint_regularity(clipped, pendulum.system, [[0.3, 0.0]]).ok
-    with pytest.raises(ValueError, match="psi must act elementwise"):
-        check_constraint_regularity(clipped, pendulum.system, pendulum.assumption_states)
+    floats = dataclasses.replace(pendulum.output, psi_grad=lambda y: [-2.0 * float(y[0])])
+    summed = ControlAffineSystem(
+        n=2, m=1, f=lambda x: [x[1], np.sum(ad.sin(x[0]))], g=lambda x: [[0.0], [float(x[0]) * 0.0 + 1.0]]
+    )
+    for output, system in ((clipped, pendulum.system), (floats, pendulum.system), (pendulum.output, summed)):
+        _assert_batches_equal_the_loop(pendulum, output, pendulum.assumption_states, system)
+    assert not check_output_consistency(clipped, pendulum.system, pendulum.assumption_states).ok
+    bumped = dataclasses.replace(
+        bicycle.output,
+        psi=lambda y: max(bicycle.output.psi(y), -1.0),
+        psi_grad=lambda y: [float(v) for v in bicycle.output.psi_grad(y)],
+    )
+    _assert_batches_equal_the_loop(bicycle, bumped, bicycle.assumption_states[::3])
 
 
 def test_lie_derivatives_sum_in_index_order(bicycle, rng):

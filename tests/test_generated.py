@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
 from cbftk import sim
+from cbftk.analysis import grid_scan
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, hocbf
 from cbftk.core import LinearClassK, RelDeg2Output
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
@@ -301,3 +302,22 @@ def test_an_untraceable_field_names_the_operation(field, operation):
 def test_a_trace_that_calls_generated_code_runs_no_lanes(pendulum):
     step = sim._generated_step(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec())
     assert step.lanes(np.zeros(3), np.zeros(3), np.full(3, 1e-3)) == "not run as lanes: the trace calls other generated code"
+
+
+def test_each_form_of_a_trace_is_rendered_on_first_use(pendulum, monkeypatch):
+    # a clean scan renders only lanes, and a run only code on floats
+    rendered = []
+    compiled = ad._compiled
+
+    def recording(source, namespace):
+        rendered.append(source)
+        return compiled(source, namespace)
+
+    monkeypatch.setattr(ad, "_compiled", recording)
+    scan = grid_scan(pendulum.make_cbf(ABC), pendulum.system, pendulum.window, (50, 50))
+    assert scan.evaluation == "lanes"
+    assert len(rendered) == 1 and "return (bad, " in rendered[0]
+    rendered.clear()
+    traj = sim.simulate(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3)
+    assert traj.evaluation == "generated"
+    assert len(rendered) == 2 and not any("bad" in source for source in rendered)

@@ -1,5 +1,4 @@
-"""The scalar kernels must agree with the AD reference path, and the
-batched grid scan with a per-node scalar evaluation."""
+"""The scalar kernels must agree with the AD reference path."""
 
 import ast
 import math
@@ -8,18 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import cbftk
 from cbftk import kernels
-from cbftk.analysis import grid_scan
 from cbftk.cbf import ABC, CBF_KINDS, CbfInstance
 from cbftk.kernels import KIND_CODES
 from cbftk.safety_filter import SafetyFilterSpec
 from cbftk.sim import simulate
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
-from strategies import ROW_SPLITTING, bicycle_params, pendulum_params
+from strategies import bicycle_params, pendulum_params
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
@@ -113,40 +110,6 @@ def _assert_kernel_scan_matches(scenario, kind, resolution):
         assert np.allclose(s[keep], scan.s[keep], atol=1e-12)
 
 
-def _assert_scan_matches_per_node_oracle(scenario, kind, resolution):
-    """grid_scan equals the scalar AD evaluation of each node on its own."""
-    inst = scenario.make_cbf(kind)
-    system = scenario.system
-    scan = grid_scan(
-        inst,
-        system,
-        scenario.window,
-        resolution,
-        state_from_axes=scenario.state_from_axes,
-        alpha_outer=scenario.alpha_outer,
-    )
-    assert len(scan) == resolution[0] * resolution[1]
-    assert (scan.s is None) == (kind != ABC)
-    columns = [scan.h, scan.psi, scan.lgh_norm, scan.margin] + ([scan.s] if kind == ABC else [])
-    expected = np.full((len(columns), len(scan)), np.nan)
-    for i, x in enumerate(scan.x):
-        assert scan.excluded[i] == (not scenario.output.in_extended_set(x))
-        if scan.excluded[i]:
-            continue
-        value, grad = inst.value_and_gradient(x)
-        expected[:4, i] = (
-            value,
-            inst.output.psi_of_state(x),
-            np.linalg.norm(grad @ system.g_mat(x)),
-            float(grad @ system.f_vec(x)) + scenario.alpha_outer(value),
-        )
-        if kind == ABC:
-            expected[4, i] = inst.switching(x)
-    for got, want in zip(columns, expected):
-        # the component sums run in index order, the oracle's in BLAS order
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("scenario_name", ["pendulum", "bicycle"])
 @pytest.mark.parametrize("kind", CBF_KINDS)
 def test_kernel_trajectories_match_generic_path(scenario_name, kind, pendulum, bicycle):
@@ -183,27 +146,6 @@ def test_pendulum_kernels_match_reference_at_random_parameters(kind, params):
 @given(params=bicycle_params)
 def test_bicycle_kernels_match_reference_at_random_parameters(kind, params):
     _assert_runs_match(bicycle_scenario(params=params), kind, 0.2)
-
-
-# at most about three blocks; a block boundary falls inside a row unless the
-# row length divides the block size
-resolutions = st.tuples(st.integers(2, 80), st.integers(2, 80))
-
-
-@pytest.mark.parametrize("kind", CBF_KINDS)
-@settings(max_examples=6, derandomize=True)
-@given(params=pendulum_params, resolution=resolutions)
-@example(params=PendulumParams(), resolution=ROW_SPLITTING)
-def test_pendulum_grid_scan_matches_per_node_oracle(kind, params, resolution):
-    _assert_scan_matches_per_node_oracle(pendulum_scenario(params=params), kind, resolution)
-
-
-@pytest.mark.parametrize("kind", CBF_KINDS)
-@settings(max_examples=6, derandomize=True)
-@given(params=bicycle_params, resolution=resolutions)
-@example(params=BicycleParams(), resolution=ROW_SPLITTING)
-def test_bicycle_grid_scan_matches_per_node_oracle(kind, params, resolution):
-    _assert_scan_matches_per_node_oracle(bicycle_scenario(params=params), kind, resolution)
 
 
 def _imports_kernels(node) -> bool:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbftk import autodiff as ad
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS
 from cbftk.core import DomainError, LinearClassK
 from cbftk.safety_filter import (
@@ -379,29 +378,16 @@ def test_single_integrator_closed_loop_stays_safe(bicycle, rng):
         assert worst >= -1e-6
 
 
-def test_half_sontag_batch_skips_the_zero_elements():
-    a = np.array([-1.0, 2.0, 0.0, -3.0])
-    b = np.array([0.0, 1.5, 0.0, 4.0])
-    lam = lambda_half_sontag(a, b, 0.01)
-    for i in range(4):
-        assert lam[i] == lambda_half_sontag(a[i], b[i], 0.01)
-    # with derivatives: the b = 0 elements get zero partials, as alone
-    da = ad.Dual(a, np.ones((2, 4)))
-    db = ad.Dual(b, np.array([[1.0, 0.0, -1.0, 2.0], [0.5, 1.0, 1.0, 1.0]]))
-    out = lambda_half_sontag(da, db, 0.01)
-    for i in range(4):
-        alone = lambda_half_sontag(ad.Dual(a[i], da.partials[:, i]), ad.Dual(b[i], db.partials[:, i]), 0.01)
-        assert out.value[i] == alone.value
-        assert np.array_equal(out.partials[:, i], alone.partials)
-
-
 def test_smooth_filter_batch_names_the_first_singular_point(bicycle):
+    # a check over a batch of states raises the error of its first singular one
     kappa = bicycle.make_cbf(ABC).kappa
     p = bicycle.params
-    xi = np.array([10.0, p.obstacle_xi, p.obstacle_xi])
-    eta = np.array([1.0, p.obstacle_eta, p.obstacle_eta])
+    centre = [p.obstacle_xi, p.obstacle_eta, 0.0, 1.0]
+    states = [[10.0, 1.0, 0.0, 1.0], centre, centre]
     with pytest.raises(DomainError) as err:
-        kappa([xi, eta])
+        check_virtual_controller(kappa, bicycle.output, bicycle.system, LinearClassK(1.0), states)
     assert err.value.index == 1
-    k = kappa([xi[:1], eta[:1]])
-    assert k[0][0] == pytest.approx(virtual_kappa(kappa, [10.0, 1.0])[0], rel=1e-15)
+    assert str(err.value).endswith(f"at state {np.array(centre)}")
+    with pytest.raises(DomainError) as alone:
+        kappa(centre[:2])
+    assert alone.value.index is None
