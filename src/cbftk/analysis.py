@@ -11,11 +11,14 @@ construction claims it.
 The nodes run in blocks as numpy lanes of one trace of the per-state
 evaluation, the trace-once, run-per-batch approach of JAX (Frostig,
 Johnson & Leary, SysML 2018); a node the lanes flag runs on the per-state
-evaluation itself, which is the reference.
+evaluation itself, which is the reference.  The node states are held as
+one C-contiguous array with a row per component, so a block that
+excludes no node runs on views of it and writes each column by slice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,13 +85,18 @@ class GridScan:
 
 
 def _grid_axes(window, resolution):
+    """The node values of each axis; refuses bounds that are not finite and
+    counts that are not whole numbers of at least 2, naming the axis."""
     if len(window) != len(resolution):
         raise ValueError("window and resolution must have matching lengths")
     axes = []
-    for (lo, hi), count in zip(window, resolution):
-        if count < 2:
-            raise ValueError("scan resolution must be at least 2 per axis")
-        axes.append(np.linspace(float(lo), float(hi), int(count)))
+    for axis, ((lo, hi), count) in enumerate(zip(window, resolution)):
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"scan window of axis {axis} must have finite bounds, got ({lo!r}, {hi!r})")
+        if not (float(count).is_integer() and count >= 2):
+            raise ValueError(f"scan resolution of axis {axis} must be a whole number of at least 2, got {count!r}")
+        axes.append(np.linspace(lo, hi, int(count)))
     return tuple(axes)
 
 
@@ -117,43 +125,52 @@ def grid_scan(
     on :func:`_scan_outputs` at its floats, as does every node when the
     trace failed (:func:`cbftk.core.by_lanes`).  So the system's ``f`` and
     ``g`` and the output's callables need only work at one state.
-    ``||L_g h||`` and the margin follow on whole arrays.  An error is the
+    ``||L_g h||`` and the margin follow per block, from the block's L_f h
+    and L_g h.  A block that excludes no node (every block, where no node
+    is excluded) hands the lanes views of its slice of the node components
+    and writes its slice of each column; a block that excludes some
+    gathers the nodes it keeps and scatters their values.  An error is the
     one the first failing node raises, with ``index`` its row of ``x`` and
     its state named.
     """
     axes = _grid_axes(window, resolution)
     if state_from_axes is None:
         state_from_axes = lambda vals: np.asarray(vals, dtype=float)
-    nodes = _node_array(axes, state_from_axes, system.n)
+    comps = _node_array(axes, state_from_axes, system.n)
     alpha = alpha_outer if alpha_outer is not None else instance.alpha
     # the mask first: the predicate's temporaries are freed before the columns exist
-    excluded = ~instance.output.in_extended_set_batch(nodes.T)
-    count = nodes.shape[0]
-    h = np.full(count, np.nan)
-    psi = np.full(count, np.nan)
-    lgh_norm = np.full(count, np.nan)
-    margin = np.full(count, np.nan)
-    s = np.full(count, np.nan) if instance.kind == ABC else None
+    excluded = ~instance.output.in_extended_set_batch(comps)
+    count = comps.shape[1]
+    clean = not excluded.any()
+
+    def column():
+        return np.empty(count) if clean else np.full(count, np.nan)
+
+    h, psi, lgh_norm, margin = column(), column(), column(), column()
+    s = column() if instance.kind == ABC else None
     m = system.m
     traced = _scan_trace(instance, system)
     reason = None
     for block in ad.blocks(count):
-        kept = block.start + np.flatnonzero(~excluded[block])
-        if kept.size == 0:
-            continue
-        outputs, said = by_lanes(traced, nodes[kept].T, kept)
+        if clean or not excluded[block].any():
+            rows, index = block, range(block.start, block.stop)
+        else:
+            rows = index = block.start + np.flatnonzero(~excluded[block])
+            if rows.size == 0:
+                continue
+        outputs, said = by_lanes(traced, comps[:, rows], index)
         reason = reason or said
         value, lfh, lgh = outputs[0], outputs[1], outputs[2 : 2 + m]
-        h[kept] = value
-        psi[kept] = outputs[2 + m]
+        h[rows] = value
+        psi[rows] = outputs[2 + m]
         if s is not None:
-            s[kept] = outputs[3 + m]
-        lgh_norm[kept] = np.sqrt(directional(lgh, lgh))
-        margin[kept] = lfh + alpha(value)
+            s[rows] = outputs[3 + m]
+        lgh_norm[rows] = np.sqrt(directional(lgh, lgh))
+        margin[rows] = lfh + alpha(value)
     return GridScan(
         kind=instance.kind,
         axes=axes,
-        x=nodes,
+        x=comps.T,
         h=h,
         psi=psi,
         lgh_norm=lgh_norm,
@@ -186,7 +203,9 @@ def _scan_outputs(instance, system, x) -> list:
 
 
 def _node_array(axes, state_from_axes, n: int) -> np.ndarray:
-    """Row-major node states, shape (nodes, n), from one call of the lift.
+    """Node states as components, shape (n, nodes), C-contiguous, from one
+    call of the lift; the nodes are row-major from the axis lows, and the
+    transpose holds one state per row.
 
     ``state_from_axes`` gets the axis values as arrays over all nodes and
     must return ``n`` components, each an array over the nodes or a value
@@ -195,7 +214,7 @@ def _node_array(axes, state_from_axes, n: int) -> np.ndarray:
     """
     grids = np.meshgrid(*axes, indexing="ij", copy=False)
     axis_arrays = np.array(grids).reshape(len(axes), -1)
-    return per_node(state_from_axes, axis_arrays, "state_from_axes", (n,)).T
+    return per_node(state_from_axes, axis_arrays, "state_from_axes", (n,))
 
 
 @dataclass

@@ -658,6 +658,9 @@ class Traced:
         ORs its condition into ``bad``, so each lane makes the float
         operations of a call at its elements, numpy's ``sin``, ``cos`` and
         ``sqrt`` in place of ``math``'s, with floating-point warnings off.
+        A lane is bad too where a call would raise on an operation whose
+        result a ``where`` may discard: a division by a traced zero, or a
+        ``sin``/``cos`` of an infinity (``sqrt`` is guarded where traced).
         A string says why it did not run: the code was not traced, calls
         other generated code (:meth:`call`), or raised.
         """
@@ -665,7 +668,7 @@ class Traced:
             if self._record is None or self._record[1].nested:
                 return self.reason or "not run as lanes: the trace calls other generated code"
             args, trace, returned = self._record
-            lines = _inlined(["bad = False", *map(_lane_line, trace.lines), f"return (bad, {returned})"])
+            lines = _inlined(["bad = False", *map(_lane_line, _checked(trace.lines)), f"return (bad, {returned})"])
             self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
         try:
             with np.errstate(all="ignore"):
@@ -695,6 +698,11 @@ _GUARD = re.compile(r"if (not )?(t\d+): return .*")
 _ASSIGNMENT = re.compile(r"(t\d+) = (.*)")
 _VARIABLE = re.compile(r"\bt\d+\b")
 _CALL = re.compile(r"\b(sin|cos|sqrt|k\d+)\(")
+# a division by a traced value, and sin/cos: float operations that raise on
+# Python floats (a zero divisor, an infinite argument) where numpy gives a
+# value that a where may discard; sqrt needs no check, since ad.sqrt guards
+# its argument before each traced sqrt
+_RAISING = re.compile(r"t\d+ = (?:\S+ / ([tx]\d+)|(?:sin|cos)\((\S+)\))")
 
 
 def _function_source(args, lines) -> str:
@@ -717,6 +725,22 @@ def _lane_line(line) -> str:
     if guard:
         return f"bad = bad | {f'np.logical_not({guard[2]})' if guard[1] else guard[2]}"
     return line
+
+
+def _checked(lines):
+    """``lines`` with a line before each float operation that can raise on
+    Python floats, ORing into ``bad`` the condition under which it raises;
+    each condition once."""
+    checked = set()
+    for line in lines:
+        raising = _RAISING.fullmatch(line)
+        if raising:
+            divisor, argument = raising.groups()
+            check = f"{divisor} == 0.0" if divisor else f"np.isinf({argument})"
+            if check not in checked:
+                checked.add(check)
+                yield f"bad = bad | ({check})"
+        yield line
 
 
 def _inlined(lines) -> list:

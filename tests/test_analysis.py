@@ -137,8 +137,29 @@ def test_abc_equivalence_requires_switching_data(pendulum):
 
 
 def test_resolution_must_be_at_least_two(pendulum):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resolution of axis 0 must be a whole number of at least 2, got 1"):
         scan_pendulum(pendulum, ABC, (1, 11))
+
+
+@pytest.mark.parametrize(
+    "window, resolution, message",
+    [
+        (((-1.0, 1.0), (-4.0, 4.0)), (10.7, 3.2), r"resolution of axis 0 must be a whole number .*, got 10.7"),
+        (((-1.0, 1.0), (-4.0, 4.0)), (10, 3.2), r"resolution of axis 1 must be a whole number .*, got 3.2"),
+        (((-1.0, math.nan), (-4.0, 4.0)), (10, 10), r"window of axis 0 must have finite bounds, got \(-1.0, nan\)"),
+        (((-1.0, 1.0), (-math.inf, 4.0)), (10, 10), r"window of axis 1 must have finite bounds, got \(-inf, 4.0\)"),
+    ],
+)
+def test_a_scan_refuses_a_fractional_count_or_a_bound_that_is_not_finite(pendulum, window, resolution, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, window, resolution)
+
+
+def test_a_whole_count_given_as_a_float_is_taken(pendulum):
+    scan = grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, pendulum.window, (11.0, np.int64(7)))
+    assert [len(axis) for axis in scan.axes] == [11, 7] and len(scan) == 77
 
 
 def test_bicycle_scan_excludes_obstacle_center(bicycle):
@@ -496,25 +517,87 @@ def test_a_guard_in_a_later_block_raises_the_dual_error(bicycle):
     assert str(lanes.value).endswith(f"at state {np.array([p.obstacle_xi, p.obstacle_eta, 0.0, p.v_desired])}")
 
 
-def test_a_masked_division_by_zero_in_the_lanes_warns_nothing(pendulum):
-    # sin(phi) / phi is 0 / 0 at phi = 0, row 32 of 65, which the second block holds
+def test_a_masked_division_by_zero_raises_as_on_the_per_state_evaluation(pendulum):
+    # sin(phi) / phi is 0 / 0 at phi = 0, row 32 of 65, which the second block
+    # holds: one state at a time the float division raises though the where
+    # discards it, so the lanes flag the node and it raises the same error
     sinc = ControlAffineSystem(
         n=2, m=1, f=lambda x: [x[1], ad.where(x[0] != 0.0, ad.sin(x[0]) / x[0], 1.0)], g=lambda x: [[0.0], [1.0]]
     )
     window = ((-1.0, 1.0), (-4.0, 4.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = grid_scan(pendulum.make_cbf(ABC), sinc, window, (65, 65))
-    assert scan.evaluation == "lanes"
-    # one state at a time the float division raises, so the reference divides by a safe substitute
+        with pytest.raises(ZeroDivisionError) as lanes:
+            grid_scan(pendulum.make_cbf(ABC), sinc, window, (65, 65))
+        with pytest.raises(ZeroDivisionError) as per_state:
+            _per_state_scan(pendulum.make_cbf(ABC), sinc, window, (65, 65))
+    assert str(lanes.value) == str(per_state.value) == "float division by zero"
+    # a safe substitute for the divisor raises nowhere, and every node stays on the lanes
     safe = ControlAffineSystem(
         n=2,
         m=1,
         f=lambda x: [x[1], ad.where(x[0] != 0.0, ad.sin(x[0]) / ad.where(x[0] != 0.0, x[0], 1.0), 1.0)],
         g=lambda x: [[0.0], [1.0]],
     )
-    reference = _per_state_scan(pendulum.make_cbf(ABC), safe, window, (65, 65))
-    assert scan.margin.tobytes() == reference.margin.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scan_both_ways(pendulum.make_cbf(ABC), safe, window, (65, 65)).evaluation == "lanes"
+
+
+def _recording_lanes(patch):
+    """Record the arrays each call of ``Traced.lanes`` gets, in call order."""
+    calls, lanes = [], ad.Traced.lanes
+
+    def recorded(self, *arrays):
+        calls.append(arrays)
+        return lanes(self, *arrays)
+
+    patch.setattr(ad.Traced, "lanes", recorded)
+    return calls
+
+
+def test_clean_mixed_and_excluded_blocks_equal_the_per_state_evaluation(bicycle, monkeypatch):
+    # 65 x 65 nodes around the obstacle centre, node 2112, in blocks [0, 2048),
+    # [2048, 4096) and [4096, 4225): the set drops rows 0-31 (nodes 0-2079),
+    # so the first block is excluded whole, the second in part, the third not
+    p = bicycle.params
+    window = ((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0))
+    right_of_row_31 = lambda x: x[0] > p.obstacle_xi - 0.02
+    in_set = lambda x: right_of_row_31(x) & bicycle.output.in_extended_set(x)
+    inst = dataclasses.replace(bicycle.make_cbf(ABC), output=dataclasses.replace(bicycle.output, in_extended_set=in_set))
+    args = (inst, bicycle.system, window, (65, 65), bicycle.state_from_axes, bicycle.alpha_outer)
+    calls = _recording_lanes(monkeypatch)
+    scan = grid_scan(*args)
+    monkeypatch.undo()
+    assert np.array_equal(np.flatnonzero(scan.excluded), [*range(2080), 2112])
+    assert scan.evaluation == "lanes"
+    assert np.isnan(scan.h[scan.excluded]).all() and not np.isnan(scan.h[~scan.excluded]).any()
+    # the excluded block runs no lanes, the mixed one a gathered copy, the clean one views of x
+    mixed, clean = calls
+    assert [len(a) for a in mixed[:2]] == [4096 - 2080 - 1] * 2 and len(clean[0]) == 4225 - 4096
+    assert not any(np.shares_memory(a, scan.x) for a in mixed)
+    assert all(np.shares_memory(a, scan.x) for a in clean)
+    assert _scan_both_ways(*args).evaluation == "lanes"
+    # with the centre kept, it raises in the mixed block, as its row of x on both paths
+    output = dataclasses.replace(bicycle.output, in_extended_set=right_of_row_31)
+    args = (dataclasses.replace(inst, output=output), *args[1:])
+    with pytest.raises(DomainError) as lanes:
+        grid_scan(*args)
+    with pytest.raises(DomainError) as per_state:
+        _per_state_scan(*args)
+    assert (lanes.value.index, str(lanes.value)) == (per_state.value.index, str(per_state.value))
+    assert lanes.value.index == 2112
+    centre = np.array([p.obstacle_xi, p.obstacle_eta, 0.0, p.v_desired])
+    assert str(lanes.value).endswith(f"at state {centre}")
+
+
+def test_a_scan_without_exclusions_hands_the_lanes_views_of_its_nodes(pendulum, monkeypatch):
+    calls = _recording_lanes(monkeypatch)
+    scan = grid_scan(pendulum.make_cbf(RECBF), pendulum.system, pendulum.window, ROW_SPLITTING)
+    monkeypatch.undo()
+    assert not scan.excluded.any() and len(calls) == 2
+    assert all(np.shares_memory(a, scan.x) for arrays in calls for a in arrays)
+    assert scan.x.T.flags.c_contiguous
 
 
 def test_a_replaced_instance_or_another_system_gets_its_own_trace(pendulum):

@@ -273,6 +273,35 @@ def test_both_branches_of_a_where_are_evaluated_first():
     assert run(-1.0, math.inf) == "generated code raised ValueError: math domain error"
 
 
+def test_the_lanes_flag_each_state_where_a_discarded_operation_raises_on_floats():
+    # each operand of a where is evaluated on floats, so 0 / 0, cos(inf) and
+    # sqrt(-1) raise there though the where discards them; the lanes must
+    # flag exactly those states, and give the other states' bytes
+    def function(x):
+        return [
+            ad.where(x[0] != 0.0, ad.sin(x[0]) / x[0], 1.0),
+            ad.where(abs(x[1]) < 1e300, ad.cos(x[1]), 0.0),
+            ad.where(x[2] >= 0.0, ad.sqrt(x[2]), 0.0),
+        ]
+
+    run = ad.Traced(function, 3)
+    states = [
+        [0.5, 0.5, 0.5],
+        [0.0, 0.5, 0.5],
+        [-0.0, 0.5, 0.5],
+        [0.5, math.inf, 0.5],
+        [0.5, -math.inf, 0.5],
+        [0.5, 0.5, -1.0],
+        [math.nan, math.nan, math.nan],
+        [math.inf, 0.5, 0.5],
+    ]
+    bad, _ = run.lanes(*np.array(states).T)
+    raises = [run(*x).__class__ is str for x in states]
+    assert raises == [False, True, True, True, True, True, False, True]
+    assert bad.tolist() == raises
+    _assert_lanes_equal_calls(run, states)
+
+
 def test_a_where_between_a_dual_and_a_constant_is_guarded():
     # one state gets the Dual or the constant; the latter is left to Dual
     def field(x):
