@@ -11,9 +11,11 @@ construction claims it.
 The nodes run in blocks as numpy lanes of one trace of the per-state
 evaluation, the trace-once, run-per-batch approach of JAX (Frostig,
 Johnson & Leary, SysML 2018); a node the lanes flag runs on the per-state
-evaluation itself, which is the reference.  The node states are held as
-one C-contiguous array with a row per component, so a block that
-excludes no node runs on views of it and writes each column by slice.
+evaluation itself, which is the reference.  The node states and the mask
+of the nodes outside the extended set come the same way, from one trace
+of the lift and the predicate.  The node states are held as one
+C-contiguous array with a row per component, so a block that excludes no
+node runs on views of it and writes each column by slice.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .cbf import ABC, HOCBF, CbfInstance
-from .core import ControlAffineSystem, by_lanes, directional, per_node
+from .core import ControlAffineSystem, by_lanes, directional
 
 __all__ = [
     "SINGULAR_TOL",
@@ -85,8 +87,9 @@ class GridScan:
 
 
 def _grid_axes(window, resolution):
-    """The node values of each axis; refuses bounds that are not finite and
-    counts that are not whole numbers of at least 2, naming the axis."""
+    """The node values of each axis; refuses bounds that are not finite or
+    not increasing and counts that are not whole numbers of at least 2,
+    naming the axis."""
     if len(window) != len(resolution):
         raise ValueError("window and resolution must have matching lengths")
     axes = []
@@ -94,6 +97,8 @@ def _grid_axes(window, resolution):
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"scan window of axis {axis} must have finite bounds, got ({lo!r}, {hi!r})")
+        if not lo < hi:
+            raise ValueError(f"scan window of axis {axis} is an empty range, got ({lo!r}, {hi!r})")
         if not (float(count).is_integer() and count >= 2):
             raise ValueError(f"scan resolution of axis {axis} must be a whole number of at least 2, got {count!r}")
         axes.append(np.linspace(lo, hi, int(count)))
@@ -112,34 +117,29 @@ def grid_scan(
 
     ``state_from_axes`` lifts grid nodes to full states (identity by
     default; the bicycle fills its fixed slice coordinates); every node is
-    evaluated at the lifted state.  It acts elementwise: it gets the axis
-    values as arrays over the nodes and returns the ``system.n`` state
-    components (see :func:`_node_array`).  ``alpha_outer`` defaults to the
+    evaluated at the lifted state.  Like every plant callable it works at
+    one state: it gets the axis values of one node and returns the
+    ``system.n`` state components.  ``alpha_outer`` defaults to the
     construction's own class-K gain.
 
     The nodes outside the extended set are excluded (NaN in every value
-    column), from one call of ``in_extended_set`` on the node array.  The
-    others run in blocks of :data:`cbftk.autodiff.BLOCK_NODES` nodes as
-    lanes of :func:`_scan_outputs`, traced once per (instance, system), and
-    a node the lanes flag (a guard that fired, an output not finite) runs
-    on :func:`_scan_outputs` at its floats, as does every node when the
-    trace failed (:func:`cbftk.core.by_lanes`).  So the system's ``f`` and
-    ``g`` and the output's callables need only work at one state.
-    ``||L_g h||`` and the margin follow per block, from the block's L_f h
-    and L_g h.  A block that excludes no node (every block, where no node
-    is excluded) hands the lanes views of its slice of the node components
-    and writes its slice of each column; a block that excludes some
-    gathers the nodes it keeps and scatters their values.  An error is the
-    one the first failing node raises, with ``index`` its row of ``x`` and
-    its state named.
+    column); the lift and ``in_extended_set`` run as lanes of one trace
+    (:func:`_node_array`).  The others run in blocks of
+    :data:`cbftk.autodiff.BLOCK_NODES` nodes as lanes of
+    :func:`_scan_outputs`, traced once per (instance, system), and a node
+    the lanes flag (a guard that fired, an output not finite) runs on
+    :func:`_scan_outputs` at its floats, as does every node when the trace
+    failed (:func:`cbftk.core.by_lanes`).  ``||L_g h||`` and the margin
+    follow per block, from the block's L_f h and L_g h.  A block that
+    excludes no node (every block, where no node is excluded) hands the
+    lanes views of its slice of the node components and writes its slice
+    of each column; a block that excludes some gathers the nodes it keeps
+    and scatters their values.  An error is the one the first failing node
+    raises, with ``index`` its row of ``x`` and its state named.
     """
     axes = _grid_axes(window, resolution)
-    if state_from_axes is None:
-        state_from_axes = lambda vals: np.asarray(vals, dtype=float)
-    comps = _node_array(axes, state_from_axes, system.n)
+    comps, excluded, reason = _node_array(axes, state_from_axes or list, instance.output, system.n)
     alpha = alpha_outer if alpha_outer is not None else instance.alpha
-    # the mask first: the predicate's temporaries are freed before the columns exist
-    excluded = ~instance.output.in_extended_set_batch(comps)
     count = comps.shape[1]
     clean = not excluded.any()
 
@@ -150,7 +150,6 @@ def grid_scan(
     s = column() if instance.kind == ABC else None
     m = system.m
     traced = _scan_trace(instance, system)
-    reason = None
     for block in ad.blocks(count):
         if clean or not excluded[block].any():
             rows, index = block, range(block.start, block.stop)
@@ -202,19 +201,36 @@ def _scan_outputs(instance, system, x) -> list:
     return outputs
 
 
-def _node_array(axes, state_from_axes, n: int) -> np.ndarray:
-    """Node states as components, shape (n, nodes), C-contiguous, from one
-    call of the lift; the nodes are row-major from the axis lows, and the
-    transpose holds one state per row.
+def _node_array(axes, state_from_axes, output, n: int):
+    """The node states as components, shape (n, nodes), C-contiguous, the
+    mask of the nodes outside ``output``'s extended set, and None or the
+    reason the first node ran on the per-state evaluation.
 
-    ``state_from_axes`` gets the axis values as arrays over all nodes and
-    must return ``n`` components, each an array over the nodes or a value
-    for all of them; :func:`cbftk.core.per_node` refuses any other result
-    with a ValueError naming ``state_from_axes``.
+    The nodes are row-major from the axis lows, so the transpose of the
+    components holds one state per row.  The lift and the predicate run as
+    lanes of one trace over the sparse grid of the axes, so the first write
+    of a value per node is the node array's (:func:`cbftk.core.by_lanes`);
+    at one node they give ``[*state_from_axes(a), in_extended_set(x)]``,
+    the predicate read as a truth value, as
+    :meth:`cbftk.cbf.CbfInstance.value` reads it, so 0 marks an excluded
+    node.  The trace is cached on ``output`` for the last lift it was
+    made with.  A lift that does not give ``n`` components is refused with
+    a ValueError naming ``state_from_axes``.
     """
-    grids = np.meshgrid(*axes, indexing="ij", copy=False)
-    axis_arrays = np.array(grids).reshape(len(axes), -1)
-    return per_node(state_from_axes, axis_arrays, "state_from_axes", (n,))
+    key = (state_from_axes, n, len(axes))
+    last = output.__dict__.get("_lift_trace")
+    if last is None or last[0] != key:
+
+        def lifted(a):
+            x = state_from_axes(a)
+            if len(x) != n:
+                raise ValueError(f"state_from_axes must give a state of shape ({n},), got {len(x)} components")
+            return [*x, ad.where(output.in_extended_set(ad.array(x)), 1.0, 0.0)]
+
+        last = output.__dict__["_lift_trace"] = (key, ad.Traced(lifted, len(axes)))
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    nodes, reason = by_lanes(last[1], grids, range(math.prod(map(len, axes))))
+    return nodes[:n], nodes[n] == 0.0, reason
 
 
 @dataclass

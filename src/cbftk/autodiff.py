@@ -659,8 +659,9 @@ class Traced:
         operations of a call at its elements, numpy's ``sin``, ``cos`` and
         ``sqrt`` in place of ``math``'s, with floating-point warnings off.
         A lane is bad too where a call would raise on an operation whose
-        result a ``where`` may discard: a division by a traced zero, or a
-        ``sin``/``cos`` of an infinity (``sqrt`` is guarded where traced).
+        result a ``where`` may discard: a division by a traced zero, a
+        ``sin``/``cos`` of an infinity, or a ``**`` that gives an infinity
+        from finite operands (``sqrt`` is guarded where traced).
         A string says why it did not run: the code was not traced, calls
         other generated code (:meth:`call`), or raised.
         """
@@ -703,6 +704,9 @@ _CALL = re.compile(r"\b(sin|cos|sqrt|k\d+)\(")
 # value that a where may discard; sqrt needs no check, since ad.sqrt guards
 # its argument before each traced sqrt
 _RAISING = re.compile(r"t\d+ = (?:\S+ / ([tx]\d+)|(?:sin|cos)\((\S+)\))")
+# a power, which raises on Python floats where numpy gives an infinity from
+# finite operands (0.0 ** -1.0, 1e200 ** 2.0)
+_POWER = re.compile(r"(t\d+) = (\S+) \*\* (\S+)")
 
 
 def _function_source(args, lines) -> str:
@@ -728,9 +732,10 @@ def _lane_line(line) -> str:
 
 
 def _checked(lines):
-    """``lines`` with a line before each float operation that can raise on
-    Python floats, ORing into ``bad`` the condition under which it raises;
-    each condition once."""
+    """``lines`` with a line next to each float operation that can raise on
+    Python floats, ORing into ``bad`` the condition under which it raises:
+    before a division or ``sin``/``cos`` (each condition once), after a
+    power, whose result it reads."""
     checked = set()
     for line in lines:
         raising = _RAISING.fullmatch(line)
@@ -741,6 +746,10 @@ def _checked(lines):
                 checked.add(check)
                 yield f"bad = bad | ({check})"
         yield line
+        power = _POWER.fullmatch(line)
+        if power:
+            result, base, exponent = power.groups()
+            yield f"bad = bad | (np.isinf({result}) & np.isfinite({base}) & np.isfinite({exponent}))"
 
 
 def _inlined(lines) -> list:

@@ -231,7 +231,7 @@ def cmd_validate(args) -> int:
 
     if kind == RECBF:
         axes = _grid_axes(scenario.window, (101, 101))
-        nodes = _node_array(axes, scenario.state_from_axes, scenario.system.n).T
+        nodes = _node_array(axes, scenario.state_from_axes, scenario.output, scenario.system.n)[0].T
         condition = recbf_validity_condition(instance, scenario.system, nodes)
         lines.append(str(condition))
         ok &= condition.ok

@@ -29,7 +29,6 @@ __all__ = [
     "DomainError",
     "at_states",
     "by_lanes",
-    "per_node",
     "directional",
     "lie_f",
     "lie_g",
@@ -45,51 +44,53 @@ class DomainError(ValueError):
     """A state (or output point) lies outside the declared domain.
 
     ``index`` is None, or the position of the state among those evaluated
-    together, where :func:`by_lanes` raises it; ``reason`` is the message
-    without the state.
+    together, where :func:`by_lanes` raises it.
     """
 
-    def __init__(self, message: str, index=None):
-        self.index = index
-        self.reason = message
-        super().__init__(message if index is None else f"{message} (batch element {index})")
+    index = None
 
 
 def by_lanes(traced: ad.Traced, states, index):
-    """The outputs of ``traced`` at the states ``states`` (shape (n, K), one
-    per column), shape (k, K), and None or the reason the first node ran on
-    ``traced.function``.
+    """The outputs of ``traced`` at K states, shape (k, K), and None or the
+    reason the first node ran on ``traced.function``.
 
-    The states run as lanes of ``traced`` (:meth:`cbftk.autodiff.Traced.lanes`).
+    ``states`` holds the components of the states: an array of shape
+    (n, K), one state per column, or n arrays that broadcast to a shape of
+    K elements, such as a sparse grid, with the states in its C order.
+    They run as lanes of ``traced`` (:meth:`cbftk.autodiff.Traced.lanes`).
     A node whose lane has a guard that fired or an output that is not
     finite runs on ``traced.function`` at its floats instead, the reference
     path, and so does every node where the lanes did not run.  Lanes are
     independent, so the other nodes keep their lane outputs.  The nodes on
-    the reference path run in order; the first that raises a
-    :class:`DomainError` or :class:`cbftk.autodiff.EvaluationError` raises
-    it, with ``index`` its entry of ``index`` and its state named.
+    the reference path run in order; the first that raises raises its
+    exception, of its own type, with ``index`` its entry of ``index`` and
+    its state named.
     """
-    count = states.shape[1]
+    shape = states.shape[1:] if isinstance(states, np.ndarray) else np.broadcast(*states).shape
+    count = math.prod(shape)
     found = traced.lanes(*states)
     outputs, flagged, reason = None, range(count), found
     if found.__class__ is not str:
         bad, lanes = found
-        outputs = np.empty((len(lanes), count))
+        outputs = np.empty((len(lanes), *shape))
         for row, lane in zip(outputs, lanes):
             row[...] = lane
-        flagged = np.flatnonzero(bad | ~np.isfinite(outputs).all(axis=0))
+        outputs = outputs.reshape(len(lanes), count)
+        flagged = np.flatnonzero(bad | ~np.isfinite(outputs).all(axis=0).reshape(shape))
         reason = None
-        if flagged.size:
-            state = states[:, flagged[0]]
+    if len(flagged):
+        nodes = np.array(np.broadcast_arrays(*states)).reshape(len(states), count)
+        if reason is None:
+            state = nodes[:, flagged[0]]
             said = traced(*state.tolist())
             reason = f"{said if said.__class__ is str else 'non-finite output'} at state {state}"
     for j in flagged:
-        state = states[:, j]
+        state = nodes[:, j]
         try:
             alone = traced.function(state.tolist())
-        except (DomainError, ad.EvaluationError) as exc:
+        except Exception as exc:
             exc.index = int(index[j])
-            exc.args = (f"{exc.reason} at state {state}",)
+            exc.args = (f"{exc} at state {state}",)
             raise
         if outputs is None:
             outputs = np.empty((len(alone), count))
@@ -110,59 +111,6 @@ def at_states(quantities, states, index=None) -> np.ndarray:
     index = np.arange(len(states)) if index is None else index
     found = [by_lanes(traced, states[block].T, index[block])[0] for block in ad.blocks(len(states))]
     return np.concatenate(found, axis=1) if found else np.empty((traced.outputs, 0))
-
-
-def per_node(func, states, name, shape=(), dtype=float) -> np.ndarray:
-    """``func(states)`` as an array of shape ``shape + (N,)``.
-
-    ``states`` holds N states, one per column, so that ``states[i]`` is the
-    array of component i; ``name`` names ``func`` in errors.  ``func``
-    returns a nested sequence of ``shape`` whose entries are arrays over
-    the N states, or single values that count for every state.  A result
-    that cannot be broadcast to that shape is refused with a ValueError, as
-    is a ``func`` that cannot take component arrays at all.  A single numpy
-    value may come from a reduction over the batch (``np.all``, ``np.sum``,
-    a norm), so it is checked against ``func`` on the first, middle and
-    last state alone, and refused where they differ; a plain Python number
-    is taken as a constant.  Only ``in_extended_set`` and a scan's
-    ``state_from_axes`` are evaluated this way: a reduction that agrees with
-    those three states, or one wrapped in ``float()``, still passes.
-    """
-    count = states.shape[1]
-    out = np.empty((*shape, count), dtype=dtype)
-    spread = []
-    try:
-        entries = [func(states)]
-        for _ in shape:
-            entries = [item for entry in entries for item in entry]
-        if len(entries) != math.prod(shape):
-            raise ValueError(f"{len(entries)} entries where {math.prod(shape)} were expected")
-        for index, entry in zip(np.ndindex(*shape), entries):
-            out[index] = entry
-            if isinstance(entry, (np.generic, np.ndarray)) and np.ndim(entry) == 0:
-                spread.append(index)
-    except DomainError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise _not_elementwise(name, shape, count, exc) from exc
-    if spread and count > 1:
-        for i in (0, count // 2, count - 1):
-            alone = np.asarray(func(states[:, i]), dtype=dtype).reshape(shape)
-            for index in spread:
-                if not np.array_equal(alone[index], out[index][i], equal_nan=True):
-                    raise _not_elementwise(
-                        name, shape, count,
-                        f"one value {out[index][i]} for the batch, but {alone[index]} "
-                        f"for state {states[:, i]} alone",
-                    )
-    return out
-
-
-def _not_elementwise(name, shape, count, reason) -> ValueError:
-    return ValueError(
-        f"{name} must act elementwise on per-component arrays and give shape "
-        f"{shape} for a batch of {count} states: {reason}"
-    )
 
 
 @dataclass(frozen=True)
@@ -233,11 +181,9 @@ class RelDeg2Output:
     :func:`check_output_consistency` validates them against AD.
 
     ``in_extended_set`` is the predicate for the open set E on which the
-    relative-degree and regularity assumptions are declared.  It is the one
-    callable here that acts elementwise on per-component arrays: given the
-    components of N states as arrays of shape (N,), it returns one flag per
-    state (see :meth:`in_extended_set_batch`).  The others need only work
-    at one state.
+    relative-degree and regularity assumptions are declared: given one
+    state as an array, its truth value says whether the state is in E.
+    Like the other callables it need only work at one state.
     """
 
     p: int
@@ -246,10 +192,6 @@ class RelDeg2Output:
     psi: Callable[[Sequence], object]
     psi_grad: Callable[[Sequence], Sequence]
     in_extended_set: Callable[[np.ndarray], bool] = field(default=lambda x: True)
-
-    def in_extended_set_batch(self, states) -> np.ndarray:
-        """Membership flags of the N states of ``states`` (shape (n, N))."""
-        return per_node(self.in_extended_set, states, "in_extended_set", dtype=bool)
 
     def psi_of_state(self, x):
         return self.psi(self.y(x))

@@ -283,11 +283,8 @@ class Scenario:
         return dict(self.scan_slice)
 
     def state_from_axes(self, axis_values):
-        """Full state for scan nodes (fills fixed slice coordinates).
-
-        Elementwise, like ``output.in_extended_set``: given the axis values
-        as arrays over the nodes, it returns one entry per state component.
-        """
+        """Full state of one scan node (fills fixed slice coordinates): given
+        the node's axis values, one entry per state component."""
         raise NotImplementedError
 
 
@@ -336,8 +333,8 @@ class PendulumScenario(Scenario):
         (phi_lo, phi_hi), (omega_lo, omega_hi) = self.window
         return np.asarray([rng.uniform(phi_lo, phi_hi), rng.uniform(omega_lo, omega_hi)])
 
-    def state_from_axes(self, axis_values) -> np.ndarray:
-        return np.asarray(axis_values, dtype=float)
+    def state_from_axes(self, axis_values):
+        return list(axis_values)
 
     def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
         return kernels.pend_simulate(code, x0[0], x0[1], n_steps, dt, params, blow_up_threshold)

@@ -157,6 +157,15 @@ def test_a_scan_refuses_a_fractional_count_or_a_bound_that_is_not_finite(pendulu
             grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, window, resolution)
 
 
+@pytest.mark.parametrize("window", [((1.0, 1.0), (-4.0, 4.0)), ((-1.0, 1.0), (4.0, -4.0))], ids=["empty", "reversed"])
+def test_a_scan_refuses_an_empty_or_reversed_window(pendulum, window):
+    # the nodes run from the axis lows, so lo < hi, as the CLI's scan.window requires
+    axis = 0 if window[0][0] == window[0][1] else 1
+    lo, hi = window[axis]
+    with pytest.raises(ValueError, match=rf"window of axis {axis} is an empty range, got \({lo}, {hi}\)"):
+        grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, window, (3, 3))
+
+
 def test_a_whole_count_given_as_a_float_is_taken(pendulum):
     scan = grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, pendulum.window, (11.0, np.int64(7)))
     assert [len(axis) for axis in scan.axes] == [11, 7] and len(scan) == 77
@@ -217,10 +226,19 @@ def test_grid_scan_evaluates_the_lifted_nodes(pendulum):
     assert np.array_equal(scan.h, [inst.value(x) for x in scan.x])
 
 
+def test_a_guard_in_the_lift_sends_its_nodes_to_the_per_state_lift(pendulum):
+    # the lift runs on the sparse grid of the axes: a guard on omega alone
+    # flags the nodes of its columns, which take the per-state lift
+    lift = lambda v: [v[0], v[1] if ad.holds(v[1] < 3.0) else 3.0]
+    scan = _scan_both_ways(pendulum.make_cbf(ABC), pendulum.system, pendulum.window, (5, 9), lift)
+    assert scan.evaluation == f"per state: check guard fired at state {np.array([-math.pi / 2.0, 3.0])}"
+    assert np.array_equal(scan.x[:, 1], np.tile([-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 3.0], 5))
+
+
 @pytest.mark.parametrize("lift", [lambda v: [v[0], v[1], v[1]], lambda v: [v[0]]], ids=["three", "one"])
 def test_grid_scan_refuses_a_lift_of_the_wrong_length(pendulum, lift):
     # the pendulum state has two components; a bare IndexError named neither
-    with pytest.raises(ValueError, match=r"^state_from_axes must act elementwise .* shape \(2,\)"):
+    with pytest.raises(ValueError, match=r"^state_from_axes must give a state of shape \(2,\)"):
         grid_scan(pendulum.make_cbf(ABC), pendulum.system, pendulum.window, (5, 5), state_from_axes=lift)
 
 
@@ -304,33 +322,37 @@ def test_grid_scan_gives_the_per_state_answer_for_one_state_callables(pendulum):
         grid_scan(pendulum.make_cbf(ABC), wrong_shape, window, (5, 5))
 
 
-def test_grid_scan_refuses_an_extended_set_that_does_not_act_elementwise(pendulum):
-    output = dataclasses.replace(pendulum.output, in_extended_set=lambda x: float(x[0]) < 10.0)
+def test_grid_scan_gives_the_per_state_mask_of_an_extended_set_that_needs_floats(pendulum):
+    # float() cannot be traced: the mask runs on the per-state evaluation
+    predicate = lambda x: float(x[0]) < 0.5
+    output = dataclasses.replace(pendulum.output, in_extended_set=predicate)
     inst = dataclasses.replace(pendulum.make_cbf(HOCBF), output=output)
-    with pytest.raises(ValueError, match="in_extended_set must act elementwise"):
-        grid_scan(inst, pendulum.system, pendulum.window, (5, 5))
+    scan = _scan_both_ways(inst, pendulum.system, pendulum.window, (5, 5))
+    assert scan.evaluation.startswith("per state: not traced") and "test_analysis.py:" in scan.evaluation
+    assert scan.excluded.tolist() == [not predicate(x) for x in scan.x] and scan.excluded.sum() == 10
 
 
-def test_grid_scan_refuses_reductions_over_the_batch(pendulum, bicycle):
-    # np.all and a norm over the batch give one value for every node
+def test_grid_scan_gives_the_per_state_mask_of_reductions_in_the_extended_set(pendulum, bicycle):
+    # np.all and a norm of one state's components cannot be traced either
     inst = pendulum.make_cbf(HOCBF)
     for predicate in (lambda x: np.all(np.abs(x) < 1.0), lambda x: np.linalg.norm(x[:2]) > 1.0):
         output = dataclasses.replace(pendulum.output, in_extended_set=predicate)
-        with pytest.raises(ValueError, match="in_extended_set must act elementwise"):
-            grid_scan(dataclasses.replace(inst, output=output), pendulum.system, pendulum.window, (5, 5))
+        scan = _scan_both_ways(dataclasses.replace(inst, output=output), pendulum.system, pendulum.window, (5, 5))
+        assert scan.evaluation.startswith("per state: not traced")
+        assert scan.excluded.tolist() == [not predicate(x) for x in scan.x] and 0 < scan.excluded.sum() < 25
     p = bicycle.params
     output = dataclasses.replace(
         bicycle.output,
         in_extended_set=lambda x: np.linalg.norm([x[0] - p.obstacle_xi, x[1] - p.obstacle_eta]) > 1e-9,
     )
-    with pytest.raises(ValueError, match="in_extended_set must act elementwise"):
-        grid_scan(
-            dataclasses.replace(bicycle.make_cbf(ABC), output=output),
-            bicycle.system,
-            ((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0)),
-            (3, 3),
-            state_from_axes=bicycle.state_from_axes,
-        )
+    scan = _scan_both_ways(
+        dataclasses.replace(bicycle.make_cbf(ABC), output=output),
+        bicycle.system,
+        ((p.obstacle_xi - 1.0, p.obstacle_xi + 1.0), (p.obstacle_eta - 1.0, p.obstacle_eta + 1.0)),
+        (3, 3),
+        state_from_axes=bicycle.state_from_axes,
+    )
+    assert np.flatnonzero(scan.excluded).tolist() == [4]
 
 
 def test_grid_scan_error_names_the_first_offending_state(pendulum):
@@ -531,7 +553,10 @@ def test_a_masked_division_by_zero_raises_as_on_the_per_state_evaluation(pendulu
             grid_scan(pendulum.make_cbf(ABC), sinc, window, (65, 65))
         with pytest.raises(ZeroDivisionError) as per_state:
             _per_state_scan(pendulum.make_cbf(ABC), sinc, window, (65, 65))
-    assert str(lanes.value) == str(per_state.value) == "float division by zero"
+    # both paths name the node, row 32 at omega = -4
+    assert (lanes.value.index, str(lanes.value)) == (per_state.value.index, str(per_state.value))
+    assert lanes.value.index == 2080
+    assert str(lanes.value) == f"float division by zero at state {np.array([0.0, -4.0])}"
     # a safe substitute for the divisor raises nowhere, and every node stays on the lanes
     safe = ControlAffineSystem(
         n=2,
@@ -545,15 +570,21 @@ def test_a_masked_division_by_zero_raises_as_on_the_per_state_evaluation(pendulu
 
 
 def _recording_lanes(patch):
-    """Record the arrays each call of ``Traced.lanes`` gets, in call order."""
+    """Record the trace and the arrays of each call of ``Traced.lanes``, in call order."""
     calls, lanes = [], ad.Traced.lanes
 
     def recorded(self, *arrays):
-        calls.append(arrays)
+        calls.append((self, arrays))
         return lanes(self, *arrays)
 
     patch.setattr(ad.Traced, "lanes", recorded)
     return calls
+
+
+def _scan_calls(calls, instance, system):
+    """The arrays of the recorded calls of the scan trace of (``instance``, ``system``)."""
+    traced = analysis._scan_trace(instance, system)
+    return [arrays for called, arrays in calls if called is traced]
 
 
 def test_clean_mixed_and_excluded_blocks_equal_the_per_state_evaluation(bicycle, monkeypatch):
@@ -573,7 +604,7 @@ def test_clean_mixed_and_excluded_blocks_equal_the_per_state_evaluation(bicycle,
     assert scan.evaluation == "lanes"
     assert np.isnan(scan.h[scan.excluded]).all() and not np.isnan(scan.h[~scan.excluded]).any()
     # the excluded block runs no lanes, the mixed one a gathered copy, the clean one views of x
-    mixed, clean = calls
+    mixed, clean = _scan_calls(calls, inst, bicycle.system)
     assert [len(a) for a in mixed[:2]] == [4096 - 2080 - 1] * 2 and len(clean[0]) == 4225 - 4096
     assert not any(np.shares_memory(a, scan.x) for a in mixed)
     assert all(np.shares_memory(a, scan.x) for a in clean)
@@ -592,9 +623,11 @@ def test_clean_mixed_and_excluded_blocks_equal_the_per_state_evaluation(bicycle,
 
 
 def test_a_scan_without_exclusions_hands_the_lanes_views_of_its_nodes(pendulum, monkeypatch):
+    inst = pendulum.make_cbf(RECBF)
     calls = _recording_lanes(monkeypatch)
-    scan = grid_scan(pendulum.make_cbf(RECBF), pendulum.system, pendulum.window, ROW_SPLITTING)
+    scan = grid_scan(inst, pendulum.system, pendulum.window, ROW_SPLITTING)
     monkeypatch.undo()
+    calls = _scan_calls(calls, inst, pendulum.system)
     assert not scan.excluded.any() and len(calls) == 2
     assert all(np.shares_memory(a, scan.x) for arrays in calls for a in arrays)
     assert scan.x.T.flags.c_contiguous
@@ -624,7 +657,7 @@ def test_evaluation_names_why_blocks_ran_on_duals(pendulum):
     evaluation = _scan_both_ways(inst, pendulum.system, window, resolution).evaluation
     assert evaluation.startswith("per state: not traced") and "test_analysis.py:" in evaluation
     # an infinite state
-    lift = lambda v: [v[0], np.where(v[1] > 3.9, np.inf, v[1])]
+    lift = lambda v: [v[0], ad.where(v[1] > 3.9, math.inf, v[1])]
     with np.errstate(invalid="ignore"):
         evaluation = grid_scan(pendulum.make_cbf(HOCBF), pendulum.system, window, resolution, lift).evaluation
     assert evaluation.startswith("per state: non-finite output at state [")

@@ -289,7 +289,8 @@ def test_recbf_validity_condition_matches_per_state_oracle(plant):
         extra = [[xi, p.obstacle_eta, 0.0, 10.0] for xi in np.linspace(10.0, 30.0, 9)]
     # 61 x 61 nodes: more than one block, split inside a row
     axes = _grid_axes(scenario.window, (61, 61))
-    states = np.vstack([_node_array(axes, scenario.state_from_axes, scenario.system.n).T, extra])
+    nodes = _node_array(axes, scenario.state_from_axes, scenario.output, scenario.system.n)[0]
+    states = np.vstack([nodes.T, extra])
     assert ad.BLOCK_NODES < len(states) and ad.BLOCK_NODES % 61
     inst = scenario.make_cbf(RECBF)
     report = recbf_validity_condition(inst, scenario.system, states)

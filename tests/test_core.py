@@ -21,7 +21,6 @@ from cbftk.core import (
     lie_derivatives,
     lie_f,
     lie_g,
-    per_node,
 )
 from cbftk.safety_filter import LinearGain, check_virtual_controller
 
@@ -166,41 +165,6 @@ def test_lie_derivatives_single_evaluation(pendulum):
     assert value == pytest.approx(HALF_PI_SQ - 0.64)
     assert lfh == pytest.approx(-2.0 * 0.8 * -1.3)
     assert np.array_equal(lgh, [0.0])
-
-
-def test_per_node_broadcasts_entries_and_refuses_other_shapes():
-    states = np.arange(6.0).reshape(2, 3)
-    out = per_node(lambda x: [[x[0], 1.0], [0.0, x[1] * 2.0]], states, "g", (2, 2))
-    assert out.shape == (2, 2, 3)
-    assert np.array_equal(out[0, 0], states[0]) and np.array_equal(out[0, 1], np.ones(3))
-    assert np.array_equal(out[1, 1], 2.0 * states[1])
-    for bad in (lambda x: [[x[0]], [1.0]], lambda x: [[np.ones(2), 1.0], [0.0, 0.0]], lambda x: [[float(x[0]), 1.0], [0.0, 0.0]]):
-        with pytest.raises(ValueError, match="g must act elementwise"):
-            per_node(bad, states, "g", (2, 2))
-
-
-def test_per_node_refuses_one_value_that_differs_from_single_states():
-    states = np.array([[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="in_extended_set must act elementwise.*for state"):
-        per_node(lambda x: np.all(np.abs(x) < 1.0), states, "in_extended_set", dtype=bool)
-    with pytest.raises(ValueError, match="f must act elementwise"):
-        per_node(lambda x: [x[1], np.sum(x[0])], states, "f", (2,))
-    # constants, NaN included, count for every state
-    for constant in (np.nan, np.float64(np.nan)):
-        out = per_node(lambda x: [x[1], constant], states, "f", (2,))
-        assert np.isnan(out[1]).all()
-    assert np.array_equal(per_node(lambda x: [x[1], np.float64(2.0)], states, "f", (2,))[1], [2.0] * 3)
-    assert per_node(lambda x: True, states, "in_extended_set", dtype=bool).all()
-
-
-def test_per_node_keeps_a_domain_error():
-    def undefined(x):
-        raise DomainError("outside", 1)
-
-    with pytest.raises(DomainError) as err:
-        per_node(undefined, np.zeros((2, 3)), "psi")
-    assert err.value.index == 1
-
 
 
 # -- batched assumption checks -------------------------------------------------

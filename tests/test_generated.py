@@ -302,6 +302,18 @@ def test_the_lanes_flag_each_state_where_a_discarded_operation_raises_on_floats(
     _assert_lanes_equal_calls(run, states)
 
 
+def test_the_lanes_flag_each_state_where_a_discarded_power_raises_on_floats():
+    # 1e200 ** 2.0 overflows on floats and 0.0 ** -1.0 divides by zero, where
+    # numpy gives an infinity; from an infinite operand it raises nothing
+    run = ad.Traced(lambda x: [ad.where(x[0] < 1e100, x[0] ** 2.0, 0.0), ad.where(x[1] != 0.0, x[1] ** -1.0, 0.0)], 2)
+    states = [[1e200, 1.0], [1.0, 0.0], [1.0, -0.0], [1.0, 1e-310], [math.inf, 1.0], [3.0, math.inf], [1e100, 1e-300]]
+    bad, _ = run.lanes(*np.array(states).T)
+    raises = [run(*x).__class__ is str for x in states]
+    assert raises == [True, True, True, True, False, False, False]
+    assert bad.tolist() == raises
+    _assert_lanes_equal_calls(run, states)
+
+
 def test_a_where_between_a_dual_and_a_constant_is_guarded():
     # one state gets the Dual or the constant; the latter is left to Dual
     def field(x):
@@ -333,8 +345,10 @@ def test_a_trace_that_calls_generated_code_runs_no_lanes(pendulum):
     assert step.lanes(np.zeros(3), np.zeros(3), np.full(3, 1e-3)) == "not run as lanes: the trace calls other generated code"
 
 
-def test_each_form_of_a_trace_is_rendered_on_first_use(pendulum, monkeypatch):
-    # a clean scan renders only lanes, and a run only code on floats
+def test_each_form_of_a_trace_is_rendered_on_first_use(monkeypatch):
+    # a clean scan of a new scenario renders only lanes (of its lift and of
+    # its evaluation), the same scan again nothing, and a run only code on floats
+    pendulum = pendulum_scenario()
     rendered = []
     compiled = ad._compiled
 
@@ -343,9 +357,11 @@ def test_each_form_of_a_trace_is_rendered_on_first_use(pendulum, monkeypatch):
         return compiled(source, namespace)
 
     monkeypatch.setattr(ad, "_compiled", recording)
-    scan = grid_scan(pendulum.make_cbf(ABC), pendulum.system, pendulum.window, (50, 50))
+    inst = pendulum.make_cbf(ABC)
+    scan = grid_scan(inst, pendulum.system, pendulum.window, (50, 50))
     assert scan.evaluation == "lanes"
-    assert len(rendered) == 1 and "return (bad, " in rendered[0]
+    assert len(rendered) == 2 and all("return (bad, " in source for source in rendered)
+    assert grid_scan(inst, pendulum.system, pendulum.window, (40, 60)).evaluation == "lanes" and len(rendered) == 2
     rendered.clear()
     traj = sim.simulate(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3)
     assert traj.evaluation == "generated"
