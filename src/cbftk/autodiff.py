@@ -24,9 +24,13 @@ floats and traced alike, where numpy's ``@`` would give the bits of
 whichever BLAS kernel it loads.  It also renders as numpy code over arrays
 of states, one lane per element (:meth:`Traced.lanes`): each conditional
 expression becomes ``np.where`` and each guard a mask of the lanes it
-sends back.  Each form is rendered on its first use.  The grid scans and
-the sampled checks run their states as lanes, and the states the lanes
-flag on the traced function itself (:func:`cbftk.core.by_lanes`).
+sends back.  And it renders as a loop that calls the code once per step,
+carrying some of its arguments from each step's outputs and appending
+each step's row to one float buffer (:meth:`Traced.loop`).  Each form is
+rendered on its first use.  The grid scans and the sampled checks run
+their states as lanes, and the states the lanes flag on the traced
+function itself (:func:`cbftk.core.by_lanes`); the closed-loop runs of
+:func:`cbftk.sim.simulate` run as the loop.
 """
 
 from __future__ import annotations
@@ -588,8 +592,9 @@ class Traced:
     ``function`` takes a list of traced floats (:class:`Sym`) and returns a
     sequence of traced floats and constants.  The float operations it makes
     on them are recorded in evaluation order; the record renders as one
-    Python function of floats on the first call (:attr:`source`) and as
-    numpy code on the first :meth:`lanes`.  Each :func:`where` on a traced
+    Python function of floats on the first call (:attr:`source`), as
+    numpy code on the first :meth:`lanes` and as a loop of steps on the
+    first :meth:`loop`.  Each :func:`where` on a traced
     mask becomes a conditional expression, and each check (:func:`failed`,
     :func:`holds`, a refused primitive) a guard.  Calling it with floats
     returns the tuple of outputs, or a string saying why these arguments
@@ -604,6 +609,7 @@ class Traced:
         self.reason = None
         self.outputs = 0
         self._record = self._source = self._run = self._lanes = None
+        self._loops = {}
         try:
             self._record = self._recorded(function, arity)
         except _Untraced as exc:
@@ -623,21 +629,21 @@ class Traced:
                 self.reason += f" in {os.path.basename(f.filename)}:{f.lineno}: {f.line}"
 
     def _recorded(self, function, arity):
-        """The arguments, the trace and the returned tuple of ``function``."""
+        """The arguments, the trace and the outputs of ``function``, as text."""
         trace = _Trace()
         args = [f"x{i}" for i in range(arity)]
         outputs = [trace.text(v) for v in function([Sym(trace, a) for a in args])]
         self.outputs = len(outputs)
         trace.syms.clear()  # each Sym refers to the trace: free them now, not at a collection
-        return args, trace, f"({''.join(f'{v}, ' for v in outputs)})"
+        return args, trace, outputs
 
     @property
     def source(self):
         """The code on floats, rendered on first use; None where not traced."""
         if self._run is None and self._record is not None:
-            args, trace, returned = self._record
-            self._source = _function_source(args, _inlined([*trace.lines, f"return {returned}"]))
-            self._run = _compiled(self._source, dict(trace.constants, **{f: getattr(math, f) for f in _NUMPY_MATH}))
+            args, trace, outputs = self._record
+            self._source = _function_source(args, _inlined([*trace.lines, f"return {_tuple(outputs)}"]))
+            self._run = _compiled(self._source, _float_namespace(trace))
         return self._source
 
     def __call__(self, *args):
@@ -646,8 +652,61 @@ class Traced:
         try:
             out = self._run(*args)
         except Exception as exc:  # the traced path gives the reference answer or error
-            return f"generated code raised {type(exc).__name__}: {exc}"
-        return out if out.__class__ is tuple else f"{out} guard fired"
+            return _stopped(exc)
+        return out if out.__class__ is tuple else _stopped(out)
+
+    def loop(self, args, steps: range, rows, carried: int, watched: range, bound: float):
+        """This code called once per step of ``steps``, carrying its first
+        ``carried`` arguments from each step into the next: ``(k, reason,
+        state)``.
+
+        Step k calls the code at ``args``, appends to the float buffer
+        ``rows`` (an ``array('d')``) its carried arguments and its outputs
+        after the first ``carried``, and then makes those first outputs the
+        carried arguments of step k + 1.  The loop is rendered once per
+        layout, on first use, from the record :attr:`source` and
+        :meth:`lanes` render, with the same lines, so each step makes the
+        float operations of a call.  ``reason`` is None where every step
+        ran (k is then ``steps.stop``) or where an output of ``watched``
+        exceeded ``bound`` in magnitude at step k, after its row.  Otherwise
+        step k did not run, and no row of it is in ``rows``: ``reason`` says
+        why, as a call would (a guard fired, the code raised, or it was not
+        traced), and ``state`` holds the carried arguments of step k.
+        """
+        if self._record is None:
+            return steps.start, self.reason, tuple(args[:carried])
+        key = (carried, watched)
+        if key not in self._loops:
+            self._loops[key] = self._rendered_loop(carried, watched)
+        k, reason, state = self._loops[key](*args, steps, rows.extend, bound)
+        return k, None if reason is None else _stopped(reason), state
+
+    def _rendered_loop(self, carried, watched):
+        """The loop of :meth:`loop` as one Python function, compiled."""
+        args, trace, outputs = self._record
+        state = _tuple(args[:carried])
+        body = []
+        for line in trace.lines:
+            condition, guarded, label = line.partition(": return ")
+            body.append(f"{condition}: return (k, {label}, {state})" if guarded else line)
+        # the carried outputs go to y0, y1, ... first, so that every float
+        # operation of a step comes before its row
+        body += [
+            *(f"y{i} = {v}" for i, v in enumerate(outputs[:carried])),
+            f"extend({_tuple([*args[:carried], *outputs[carried:]])})",
+            *(f"if abs({outputs[i]}) > bound: return (k, None, {state})" for i in watched),
+            *(f"{a} = y{i}" for i, a in enumerate(args[:carried])),
+        ]
+        lines = [
+            "try:",
+            "    for k in steps:",
+            *(f"        {line}" for line in _inlined(body)),
+            # without its traceback, which refers to this frame
+            "except Exception as exc:",
+            f"    return (k, exc.with_traceback(None), {state})",
+            f"return (steps.stop, None, {state})",
+        ]
+        return _compiled(_function_source([*args, "steps", "extend", "bound"], lines), _float_namespace(trace))
 
     def lanes(self, *arrays):
         """This code as numpy code over ``arrays``, one lane per element:
@@ -668,8 +727,8 @@ class Traced:
         if self._lanes is None:
             if self._record is None or self._record[1].nested:
                 return self.reason or "not run as lanes: the trace calls other generated code"
-            args, trace, returned = self._record
-            lines = _inlined(["bad = False", *map(_lane_line, _checked(trace.lines)), f"return (bad, {returned})"])
+            args, trace, outputs = self._record
+            lines = _inlined(["bad = False", *map(_lane_line, _checked(trace.lines)), f"return (bad, {_tuple(outputs)})"])
             self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
         try:
             with np.errstate(all="ignore"):
@@ -709,8 +768,26 @@ _RAISING = re.compile(r"t\d+ = (?:\S+ / ([tx]\d+)|(?:sin|cos)\((\S+)\))")
 _POWER = re.compile(r"(t\d+) = (\S+) \*\* (\S+)")
 
 
+def _tuple(texts) -> str:
+    """The text of a tuple of the expressions ``texts``."""
+    return f"({''.join(f'{v}, ' for v in texts)})"
+
+
+def _stopped(why) -> str:
+    """Why generated code left its arguments to the traced path: the label of
+    the guard that fired, or the exception it raised."""
+    if isinstance(why, Exception):
+        return f"generated code raised {type(why).__name__}: {why}"
+    return f"{why} guard fired"
+
+
 def _function_source(args, lines) -> str:
     return f"def generated({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _float_namespace(trace) -> dict:
+    """The globals of the trace's code on floats: its constants and ``math``'s functions."""
+    return dict(trace.constants, **{f: getattr(math, f) for f in _NUMPY_MATH})
 
 
 def _compiled(source, namespace):

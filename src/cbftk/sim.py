@@ -10,15 +10,19 @@ chatter metrics take differences of those logged values.
 Runs truncate (rather than abort) on input blow-up, on leaving the
 extended set, and on non-finite states, so comparative batches complete.
 
-:func:`simulate` runs each step as straight-line code traced once
-(:class:`cbftk.autodiff.Traced`) from the helpers its numpy step uses, and
-a step that code leaves to numpy on numpy, with the same bits.
+:func:`simulate` traces one step once (:class:`cbftk.autodiff.Traced`) from
+the helpers its numpy step uses, and runs the whole run as one generated
+loop around that step's code (:meth:`cbftk.autodiff.Traced.loop`), which
+appends each row to one float buffer.  A step the loop leaves to numpy runs
+on numpy, with the same bits, and the loop takes the run back at the next
+step.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,6 +127,14 @@ def _n_steps(horizon: float, dt: float) -> int:
     return int(math.floor(steps))
 
 
+def _blow_up_threshold(value) -> float:
+    """``value`` as a float; refuses it unless it is positive (``math.inf`` is)."""
+    threshold = float(value)
+    if not threshold > 0.0:
+        raise ValueError(f"blow_up_threshold must be positive, got {value!r}")
+    return threshold
+
+
 def _initial_state(x0, n: int) -> np.ndarray:
     """``x0`` as floats; refuses it unless it has the system's ``n`` components."""
     x0 = np.asarray(x0, dtype=float)
@@ -148,17 +160,23 @@ def simulate(
     plant, RK4 stages and logged fields, and cached on the instance.  It
     makes numpy's float operations in numpy's order; the filter's dot
     products sum in index order on both paths (:func:`cbftk.autodiff.dot`),
-    so it gives the same bits whatever BLAS numpy loads.  The step runs on
-    numpy instead, with the same bits or the same error, where the code
-    leaves it: a state that is not finite or not in the extended set, a
-    check of h's construction that fails, or an exception.  So does every
-    step when the step could not be traced (a callable that needs the
-    number behind a traced value).  A step on numpy evaluates h and its
-    gradient on Duals.
+    so it gives the same bits whatever BLAS numpy loads.  The steps run as
+    one generated loop around that code, which carries the state in its
+    locals, appends each row (x, u, h, psi and, for the activated
+    construction, s) to one ``array('d')`` and stops at the first input
+    past ``blow_up_threshold`` in magnitude; the columns are copied out of
+    that buffer at the end.  A step runs on numpy instead, with the same
+    bits or the same error, where the code leaves it: a state that is not
+    finite or not in the extended set, a check of h's construction that
+    fails, or an exception.  The loop then takes the run back at the next
+    step.  Every step runs on numpy when the step could not be traced (a
+    callable that needs the number behind a traced value).  A step on numpy
+    evaluates h and its gradient on Duals.
     ``evaluation`` of the result says which ran and why.  An ``x0`` without
     ``system.n`` components, or a ``horizon`` or ``dt`` that is not
-    positive and finite or gives more steps than an index holds, is
-    refused with a ValueError.  For the published
+    positive and finite or gives more steps than an index holds, or a
+    ``blow_up_threshold`` that is not positive (NaN among them; ``math.inf``
+    turns the check off), is refused with a ValueError.  For the published
     constructions of a built-in scenario,
     :meth:`cbftk.systems.Scenario.simulate` gives the run on the scalar
     kernels.
@@ -166,6 +184,7 @@ def simulate(
     n = system.n
     x0 = _initial_state(x0, n)
     n_steps = _n_steps(horizon, dt)
+    blow_up_threshold = _blow_up_threshold(blow_up_threshold)
     dt = float(dt)  # the generated step runs 1.7-2.8x slower on an np.float64 dt
     m = system.m
     want_s = instance.kind == ABC
@@ -175,29 +194,29 @@ def simulate(
         return _derivative(system, x, safety_filter(spec, instance, system, x))
 
     # each row: x, u, h, psi and, for the activated construction, s
-    rows = []
-    x = tuple(x0.tolist())
+    rows = array("d")
+    x, k = tuple(x0.tolist()), 0
     exit_reason = "completed"
     reason = None
-    for k in range(n_steps + 1):
-        out = step(*x, dt)
-        generated = out.__class__ is tuple
-        if generated:
-            logged = out[n:]
-        else:
-            if reason is None:
-                reason = out if step.source is None else f"{out} at state {np.array(x)}"
-            xa = np.array(x)
-            if not np.all(np.isfinite(xa)):
-                exit_reason = "non_finite"
-                break
-            if not instance.output.in_extended_set(xa):
-                exit_reason = "left_domain"
-                break
-            ua = safety_filter(spec, instance, system, xa)
-            logged = (*ua.tolist(), *_logged(instance, xa, want_s))
-        rows.append(x + logged)
-        u = logged[:m]
+    while True:
+        k, stopped, x = step.loop((*x, dt), range(k, n_steps + 1), rows, n, range(n, n + m), blow_up_threshold)
+        if stopped is None:
+            if k <= n_steps:
+                exit_reason = "blow_up"
+            break
+        # step k on numpy, then back to the generated loop
+        if reason is None:
+            reason = stopped if step.reason is not None else f"{stopped} at state {np.array(x)}"
+        xa = np.array(x)
+        if not np.all(np.isfinite(xa)):
+            exit_reason = "non_finite"
+            break
+        if not instance.output.in_extended_set(xa):
+            exit_reason = "left_domain"
+            break
+        ua = safety_filter(spec, instance, system, xa)
+        u = ua.tolist()
+        rows.extend((*x, *u, *_logged(instance, xa, want_s)))
         if not all(map(math.isfinite, u)):
             exit_reason = "non_finite"
             break
@@ -206,9 +225,6 @@ def simulate(
             break
         if k == n_steps:
             break
-        if generated:
-            x = out[:n]
-            continue
         # stage 1 reuses the logged input; later stages re-evaluate the
         # controller, mirroring the scalar kernels exactly
         try:
@@ -219,10 +235,11 @@ def simulate(
         except EvaluationError:
             exit_reason = "non_finite"
             break
-    table = np.array(rows, dtype=float).reshape(len(rows), n + m + 2 + want_s)
+        k += 1
+    table = np.frombuffer(rows).reshape(-1, n + m + 2 + want_s)
     return Trajectory(
         dt=dt,
-        t=dt * np.arange(len(rows)),
+        t=dt * np.arange(len(table)),
         x=table[:, :n].copy(),
         u=table[:, n : n + m].copy(),
         h=table[:, n + m].copy(),

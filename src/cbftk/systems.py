@@ -34,7 +34,7 @@ from . import kernels
 from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, CbfInstance
 from .core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from .safety_filter import LinearGain, SafetyFilterSpec, SmoothFilter, VirtualController
-from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _initial_state, _n_steps
+from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _blow_up_threshold, _initial_state, _n_steps
 
 __all__ = [
     "PendulumParams",
@@ -231,7 +231,9 @@ class Scenario:
         the scenario kernel in plain Python, which reads the construction,
         the filter and the plant from ``self.params``, as the scenario's own
         fields are built.  A kind, parameters or filter weights that
-        ``make_cbf`` or ``filter_spec`` refuse are refused here too.
+        ``make_cbf`` or ``filter_spec`` refuse are refused here too, and so
+        are the ``x0``, ``horizon``, ``dt`` and ``blow_up_threshold`` that
+        :func:`cbftk.sim.simulate` refuses.
         ``x0``, ``horizon`` and ``dt`` default to the scenario's own.
 
         The kernel gets ``x0``, ``dt``, the threshold and the parameters as
@@ -246,7 +248,7 @@ class Scenario:
         dt = float(self.dt if dt is None else dt)
         n_steps = _n_steps(self.horizon if horizon is None else horizon, dt)
         xs, us, hs, psis, ss, rows, exit_code = self._kernel_simulate(
-            code, x0, n_steps, dt, params, float(blow_up_threshold)
+            code, x0, n_steps, dt, params, _blow_up_threshold(blow_up_threshold)
         )
         return Trajectory(
             dt=dt,

@@ -189,3 +189,93 @@ def test_a_state_with_tiny_products_runs_generated(plant, kind, x0, pendulum, bi
     scenario = pendulum if plant == "pendulum" else bicycle
     traj = _assert_same_run(scenario.system, scenario.make_cbf(kind), scenario.filter_spec(), x0, 0.1)
     assert traj.evaluation == "generated"
+
+
+# -- the loop leaves a step to numpy and takes the run back -------------------
+# A cart drifting at unit speed: with dt = 0.25 its position takes exactly
+# the multiples of 0.25 at the steps, and 0.125 past them at the middle
+# stages of RK4.
+
+
+def _drifting_cart(desired):
+    system = ControlAffineSystem(n=2, m=1, f=lambda x: [1.0 + 0.0 * x[0], 0.0 * x[1]], g=lambda x: [[0.0], [1.0]])
+    output = RelDeg2Output(
+        p=1,
+        y=lambda x: [x[0]],
+        ydot=lambda x: [1.0 + 0.0 * x[0]],
+        psi=lambda y: 100.0 - y[0] * y[0],
+        psi_grad=lambda y: [-2.0 * y[0]],
+    )
+    calls = []
+
+    def counted(x):
+        if x[0].__class__ is not ad.Sym:
+            calls.append(x[0])
+        return desired(x)
+
+    spec = SafetyFilterSpec(desired=counted, gamma=np.ones(1), alpha=LinearClassK(1.0))
+    return system, hocbf(output, LinearClassK(1.0)), spec, calls
+
+
+def test_a_guard_that_fires_at_one_step_sends_only_that_step_to_numpy():
+    # only the middle stages of step 6 (from 0.5) reach 0.625
+    def desired(x):
+        return [1.0 if ad.failed((x[0] > 0.6) & (x[0] < 0.65)) else 0.0]
+
+    system, inst, spec, calls = _drifting_cart(desired)
+    traj = sim.simulate(system, inst, spec, [-1.0, 0.0], 2.0, 0.25)
+    # step 6 on numpy calls the controller at the state and at three stages
+    assert calls == [0.5, 0.625, 0.625, 0.75]
+    assert traj.evaluation == "numpy: check guard fired at state [0.5 0. ]"
+    assert _assert_same_run(system, inst, spec, [-1.0, 0.0], 2.0, 0.25).exit_reason == "completed"
+    # the middle stages of step 6 alone pushed the cart: 0.25 (2 + 2) / 6
+    assert traj.x[:, 1].tolist() == [0.0] * 7 + [traj.x[7, 1]] * 2 and 0.16 < traj.x[7, 1] < 0.17
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's 1 / 0.0, which the where discards
+def test_generated_code_that_raises_at_a_step_sends_only_that_step_to_numpy():
+    # 1 / x0 raises at 0.0: at the last stage of step 3 and at step 4
+    system, inst, spec, calls = _drifting_cart(lambda x: [ad.where(x[0] != 0.0, 1.0 / x[0], 0.0)])
+    traj = sim.simulate(system, inst, spec, [-1.0, 0.0], 2.0, 0.25)
+    assert calls == [-0.25, -0.125, -0.125, 0.0, 0.0, 0.125, 0.125, 0.25]
+    assert traj.evaluation.startswith(
+        "numpy: generated code raised ZeroDivisionError: float division by zero at state [-0.25 "
+    )
+    assert _assert_same_run(system, inst, spec, [-1.0, 0.0], 2.0, 0.25).exit_reason == "completed"
+    assert len(traj) == 9
+
+
+def test_a_blow_up_at_the_last_row_ends_the_run_as_a_blow_up(pendulum):
+    # the published high-order run blows up at row 327
+    system, inst, spec = pendulum.system, pendulum.make_cbf(HOCBF), pendulum.filter_spec()
+    traj = _assert_same_run(system, inst, spec, pendulum.x0, 0.327)
+    assert (traj.exit_reason, len(traj), traj.evaluation) == ("blow_up", 328, "generated")
+    assert abs(traj.u[-1, 0]) > sim.DEFAULT_BLOW_UP_THRESHOLD
+    before = _assert_same_run(system, inst, spec, pendulum.x0, 0.326)
+    assert (before.exit_reason, len(before), before.evaluation) == ("completed", 327, "generated")
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+def test_a_horizon_shorter_than_a_step_logs_one_row(plant, pendulum, bicycle):
+    scenario = pendulum if plant == "pendulum" else bicycle
+    inst, spec = scenario.make_cbf(ABC), scenario.filter_spec()
+    traj = _assert_same_run(scenario.system, inst, spec, scenario.x0, 1e-4)
+    assert (traj.exit_reason, len(traj), traj.evaluation) == ("completed", 1, "generated")
+    assert traj.x.tobytes() == np.asarray(scenario.x0, dtype=float).tobytes()
+
+
+def test_a_second_run_renders_and_compiles_nothing(pendulum, monkeypatch):
+    # the step is traced and its loop compiled once per (instance, system,
+    # spec); a run that stays generated renders neither the step's code on
+    # floats nor its lanes
+    compiled, compile = [], ad._compiled
+    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: compiled.append(source) or compile(source, namespace))
+    system, inst, spec = pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec()
+    first = sim.simulate(system, inst, spec, pendulum.x0, 0.1, 1e-3)
+    # the controller's code on floats, called by the step, and the loop
+    assert len(compiled) == 2 and "for k in steps:" in compiled[1]
+    second = sim.simulate(system, inst, spec, [0.2, 0.1], 0.2, 1e-3)
+    assert len(compiled) == 2
+    assert first.evaluation == second.evaluation == "generated"
+    step = sim._generated_step(system, inst, spec)
+    assert step._source is None and step._lanes is None

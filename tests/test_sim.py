@@ -277,6 +277,31 @@ def test_simulate_refuses_a_step_count_no_index_holds_before_running(pendulum, h
         pendulum.simulate(ABC, horizon=horizon, dt=dt)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0, -math.inf])
+def test_simulate_refuses_a_blow_up_threshold_that_is_not_positive(pendulum, threshold, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim, "_generated_step", unreachable)
+    monkeypatch.setattr(kernels, "pend_simulate", unreachable)
+    inst, spec = pendulum.make_cbf("hocbf"), pendulum.filter_spec()
+    refused = f"blow_up_threshold must be positive, got {threshold!r}"
+    with pytest.raises(ValueError, match=refused):
+        simulate(pendulum.system, inst, spec, [0.1, -2.0], 1.0, 1e-3, blow_up_threshold=threshold)
+    with pytest.raises(ValueError, match=refused):
+        pendulum.simulate("hocbf", x0=[0.1, -2.0], horizon=1.0, blow_up_threshold=threshold)
+
+
+def test_an_infinite_blow_up_threshold_turns_the_check_off(pendulum):
+    # the published high-order run blows up at row 327 under the default
+    inst, spec = pendulum.make_cbf("hocbf"), pendulum.filter_spec()
+    library = simulate(pendulum.system, inst, spec, pendulum.x0, 0.35, 1e-3, blow_up_threshold=math.inf)
+    kernel = pendulum.simulate("hocbf", horizon=0.35, blow_up_threshold=math.inf)
+    for traj in (library, kernel):
+        assert (traj.exit_reason, len(traj)) == ("completed", 351)
+        assert np.abs(traj.u).max() > 1e3
+
+
 # -- what the kernel scenario run refuses and what it reads ---------------------
 
 
