@@ -181,13 +181,13 @@ def grid_scan(
 
 
 def _scan_trace(instance: CbfInstance, system: ControlAffineSystem) -> ad.Traced:
-    """:func:`_scan_outputs` as generated code, cached on ``instance`` by the
-    identity of ``system``, which the cache keeps alive."""
-    traces = instance.__dict__.setdefault("_scan_traces", {})
-    if id(system) not in traces:
-        traced = ad.Traced(lambda x: _scan_outputs(instance, system, np.array(x, dtype=object)), system.n)
-        traces[id(system)] = (system, traced)
-    return traces[id(system)][1]
+    """:func:`_scan_outputs` as generated code, cached on ``instance`` for
+    ``system`` (:func:`cbftk.autodiff.cached`)."""
+
+    def traced():
+        return ad.Traced(lambda x: _scan_outputs(instance, system, np.array(x, dtype=object)), system.n)
+
+    return ad.cached(instance, (_scan_outputs, system), traced)
 
 
 def _scan_outputs(instance, system, x) -> list:

@@ -14,7 +14,8 @@ the same field definitions be evaluated with or without derivatives.
 
 :class:`Traced` runs a function of floats once on symbolic floats
 (:class:`Sym`) and records the float operations it makes, in evaluation
-order (the trace-once approach of Tapenade and of JAX's jaxprs).  Dual code
+order, each as a variable, a template and its operands, like an equation
+of a jaxpr (the trace-once approach of Tapenade and of JAX).  Dual code
 traces too, on Duals whose values are Syms and whose partials are object
 arrays of Syms and floats: forward-mode AD by source transformation
 (Griewank & Walther, *Evaluating Derivatives*).  The record renders as one
@@ -39,7 +40,6 @@ import collections
 import math
 import numbers
 import os
-import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,7 +100,7 @@ def failed(bad) -> bool:
     In a trace the check becomes a guard of the generated code and passes.
     """
     if bad.__class__ is Sym:
-        bad.trace.guard(bad.name, "check")
+        bad.trace.guard(_IF, bad.name, "'check'")
         return False
     return bool(bad)
 
@@ -112,7 +112,7 @@ def holds(ok, label="check") -> bool:
     ``label``, and holds.
     """
     if ok.__class__ is Sym:
-        ok.trace.guard(f"not {ok.name}", label)
+        ok.trace.guard(_IF_NOT, ok.name, repr(label))
         return True
     return bool(ok)
 
@@ -124,7 +124,7 @@ def _refuse(bad, primitive, message, value=None):
     check becomes a guard named after ``primitive``.
     """
     if bad.__class__ is Sym:
-        bad.trace.guard(bad.name, primitive)
+        bad.trace.guard(_IF, bad.name, repr(primitive))
     elif bad:
         raise EvaluationError(primitive, message(value) if callable(message) else message)
 
@@ -453,11 +453,12 @@ class _Untraced(Untraceable):
 class Sym:
     """A float of a traced field: a variable of the generated code.
 
-    Each operation with a float or another Sym appends one line to the
-    trace.  Only identities that hold bit for bit in IEEE 754 are folded
-    (``x * 1.0``, ``1.0 * x``, ``x / 1.0``, ``x - 0.0``); ``0.0 * x`` and
-    ``x + 0.0`` are not, since they change NaN, infinity or the sign of a
-    zero.
+    Each operation with a float or another Sym appends one record to the
+    trace (:class:`_Trace`): a new variable, a template such as
+    ``"{} + {}"`` and the texts of the operands.  Only identities that hold
+    bit for bit in IEEE 754 are folded (``x * 1.0``, ``1.0 * x``, ``x /
+    1.0``, ``x - 0.0``); ``0.0 * x`` and ``x + 0.0`` are not, since they
+    change NaN, infinity or the sign of a zero.
     """
 
     __slots__ = ("trace", "name")
@@ -466,31 +467,31 @@ class Sym:
         self.trace = trace
         self.name = name
 
-    def _op(self, other, op, reflected=False):
+    def _op(self, other, template, reflected=False):
         if other.__class__ is not Sym:
             if not isinstance(other, numbers.Real):
                 return NotImplemented
             other = float(other)
-            if op == "*" and other == 1.0 or op == "/" and not reflected and other == 1.0:
+            if template == "{} * {}" and other == 1.0 or template == "{} / {}" and not reflected and other == 1.0:
                 return self
-            if op == "-" and not reflected and other == 0.0 and math.copysign(1.0, other) > 0.0:
+            if template == "{} - {}" and not reflected and other == 0.0 and math.copysign(1.0, other) > 0.0:
                 return self
         a, b = self.name, self.trace.text(other)
-        return self.trace.emit(f"{b} {op} {a}" if reflected else f"{a} {op} {b}")
+        return self.trace.emit(template, (b, a) if reflected else (a, b))
 
-    def _logic(self, other, op):
+    def _logic(self, other, template):
         if other.__class__ is Sym:
-            return self.trace.emit(f"{self.name} {op} {other.name}")
+            return self.trace.emit(template, (self.name, other.name))
         if not isinstance(other, (bool, np.bool_)):
             return NotImplemented
         # x & True and x | False are x; x & False and x | True are constant
-        return self if bool(other) == (op == "&") else bool(other)
+        return self if bool(other) == (template == "{} & {}") else bool(other)
 
     def __neg__(self):
-        return self.trace.emit(f"-{self.name}")
+        return self.trace.emit("-{}", (self.name,))
 
     def __abs__(self):
-        return self.trace.emit(f"abs({self.name})")
+        return self.trace.emit("abs({})", (self.name,))
 
     def __bool__(self):
         raise Untraceable("a Python if, and, or or not on a traced value")
@@ -513,7 +514,7 @@ class Sym:
             pick = np.frompyfunc(self._pick, 2, 1)
             return Dual(self._pick(a.value, b.value), pick(a.partials, b.partials))
         if a_dual or b_dual:
-            self.trace.guard(self.name if b_dual else f"not {self.name}", "where")
+            self.trace.guard(_IF if b_dual else _IF_NOT, self.name, "'where'")
             return a if a_dual else b
         return self._pick(a, b)
 
@@ -521,25 +522,40 @@ class Sym:
         if a is b or a.__class__ is float and b.__class__ is float and a.hex() == b.hex() and a == b:
             return a
         text = self.trace.text
-        return self.trace.emit(f"{text(a)} if {self.name} else {text(b)}")
+        return self.trace.emit(_SELECT, (text(a), self.name, text(b)))
 
 
+# each operator's template is one string, which all its records share
 for _name, _op in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("pow", "**")):
-    setattr(Sym, f"__{_name}__", lambda self, other, op=_op: self._op(other, op))
-    setattr(Sym, f"__r{_name}__", lambda self, other, op=_op: self._op(other, op, True))
+    setattr(Sym, f"__{_name}__", lambda self, other, t=f"{{}} {_op} {{}}": self._op(other, t))
+    setattr(Sym, f"__r{_name}__", lambda self, other, t=f"{{}} {_op} {{}}": self._op(other, t, True))
 for _name, _op in (("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="), ("ne", "!=")):
-    setattr(Sym, f"__{_name}__", lambda self, other, op=_op: self._op(other, op))
+    setattr(Sym, f"__{_name}__", lambda self, other, t=f"{{}} {_op} {{}}": self._op(other, t))
 for _name, _op in (("and", "&"), ("or", "|")):
-    setattr(Sym, f"__{_name}__", lambda self, other, op=_op: self._logic(other, op))
-    setattr(Sym, f"__r{_name}__", lambda self, other, op=_op: self._logic(other, op))
+    setattr(Sym, f"__{_name}__", lambda self, other, t=f"{{}} {_op} {{}}": self._logic(other, t))
+    setattr(Sym, f"__r{_name}__", lambda self, other, t=f"{{}} {_op} {{}}": self._logic(other, t))
 
 _TRACED_MATH = SimpleNamespace(
-    **{name: (lambda v, name=name: v.trace.emit(f"{name}({v.name})")) for name in ("sin", "cos", "sqrt")}
+    **{name: (lambda v, t=f"{name}({{}})": v.trace.emit(t, (v.name,))) for name in ("sin", "cos", "sqrt")}
 )
 
 
+# templates the renderings pick out: a select, and the two forms of a guard,
+# which returns the text of its second operand where its condition holds
+_SELECT = "{} if {} else {}"
+_IF = "if {}: return {}"
+_IF_NOT = "if not {}: return {}"
+
+
 class _Trace:
-    """Lines of a generated function; a repeated operation or guard is emitted once."""
+    """The lines of a generated function as records ``(name, template,
+    operands)``, in order; a repeated operation or guard is recorded once.
+
+    A record is the line ``name = template.format(*operands)``, or
+    ``template.format(*operands)`` where ``name`` is None (a guard, or a
+    line a rendering adds).  Each operand is the text of a variable, a
+    literal or a constant (:meth:`text`).
+    """
 
     def __init__(self):
         self.lines = []
@@ -548,20 +564,21 @@ class _Trace:
         self.guards = set()
         self.nested = False  # whether the trace calls other generated code
 
-    def emit(self, expression) -> Sym:
-        sym = self.syms.get(expression)
+    def emit(self, template, operands) -> Sym:
+        """The variable of ``template`` on the texts ``operands``."""
+        sym = self.syms.get((template, operands))
         if sym is None:
-            sym = self.syms[expression] = Sym(self, f"t{len(self.syms)}")
-            self.lines.append(f"{sym.name} = {expression}")
+            sym = self.syms[template, operands] = Sym(self, f"t{len(self.syms)}")
+            self.lines.append((sym.name, template, operands))
         return sym
 
-    def guard(self, condition, label, returned=None):
-        """A line returning the string ``label``, or the variable ``returned``,
-        where ``condition`` holds."""
-        line = f"if {condition}: return {returned or repr(label)}"
-        if line not in self.guards:
-            self.guards.add(line)
-            self.lines.append(line)
+    def guard(self, template, condition, returned):
+        """A line returning the text ``returned`` (a label's ``repr`` or a
+        variable) where ``template`` on the variable ``condition`` holds."""
+        record = (None, template, (condition, returned))
+        if record not in self.guards:
+            self.guards.add(record)
+            self.lines.append(record)
 
     def global_name(self, value) -> str:
         """The name the generated function's globals bind to ``value``."""
@@ -642,7 +659,8 @@ class Traced:
         """The code on floats, rendered on first use; None where not traced."""
         if self._run is None and self._record is not None:
             args, trace, outputs = self._record
-            self._source = _function_source(args, _inlined([*trace.lines, f"return {_tuple(outputs)}"]))
+            returned = (None, f"return {_tuple(['{}'] * len(outputs))}", outputs)
+            self._source = _function_source(args, _inlined([*trace.lines, returned]))
             self._run = _compiled(self._source, _float_namespace(trace))
         return self._source
 
@@ -685,17 +703,17 @@ class Traced:
         """The loop of :meth:`loop` as one Python function, compiled."""
         args, trace, outputs = self._record
         state = _tuple(args[:carried])
-        body = []
-        for line in trace.lines:
-            condition, guarded, label = line.partition(": return ")
-            body.append(f"{condition}: return (k, {label}, {state})" if guarded else line)
+        # a guard returns (k, its label or reason, the state) instead
+        returned = f": return (k, {{}}, {state})"
+        body = [(name, template.replace(": return {}", returned), operands) for name, template, operands in trace.lines]
         # the carried outputs go to y0, y1, ... first, so that every float
         # operation of a step comes before its row
+        logged = (*args[:carried], *outputs[carried:])
         body += [
-            *(f"y{i} = {v}" for i, v in enumerate(outputs[:carried])),
-            f"extend({_tuple([*args[:carried], *outputs[carried:]])})",
-            *(f"if abs({outputs[i]}) > bound: return (k, None, {state})" for i in watched),
-            *(f"{a} = y{i}" for i, a in enumerate(args[:carried])),
+            *((None, f"y{i} = {{}}", (v,)) for i, v in enumerate(outputs[:carried])),
+            (None, f"extend({_tuple(['{}'] * len(logged))})", logged),
+            *((None, f"if abs({{}}) > bound: return (k, None, {state})", (outputs[i],)) for i in watched),
+            *((None, f"{a} = y{i}", ()) for i, a in enumerate(args[:carried])),
         ]
         lines = [
             "try:",
@@ -718,9 +736,9 @@ class Traced:
         operations of a call at its elements, numpy's ``sin``, ``cos`` and
         ``sqrt`` in place of ``math``'s, with floating-point warnings off.
         A lane is bad too where a call would raise on an operation whose
-        result a ``where`` may discard: a division by a traced zero, a
-        ``sin``/``cos`` of an infinity, or a ``**`` that gives an infinity
-        from finite operands (``sqrt`` is guarded where traced).
+        result a ``where`` may discard: a division by a traced or literal
+        zero, a ``sin``/``cos`` of an infinity, or a ``**`` that gives an
+        infinity from finite operands (``sqrt`` is guarded where traced).
         A string says why it did not run: the code was not traced, calls
         other generated code (:meth:`call`), or raised.
         """
@@ -728,7 +746,9 @@ class Traced:
             if self._record is None or self._record[1].nested:
                 return self.reason or "not run as lanes: the trace calls other generated code"
             args, trace, outputs = self._record
-            lines = _inlined(["bad = False", *map(_lane_line, _checked(trace.lines)), f"return (bad, {_tuple(outputs)})"])
+            returned = (None, f"return (bad, {_tuple(['{}'] * len(outputs))})", outputs)
+            records = [(None, "bad = False", ()), *_checked(trace.lines), returned]
+            lines = _inlined([(name, _LANES.get(template, template), operands) for name, template, operands in records])
             self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
         try:
             with np.errstate(all="ignore"):
@@ -747,25 +767,28 @@ class Traced:
             raise _Untraced(self.reason)
         trace = next(v.trace for v in args if v.__class__ is Sym)
         trace.nested = True
-        result = trace.emit(f"{trace.global_name(self._run)}({', '.join(trace.text(v) for v in args)})")
-        trace.guard(f"{result.name}.__class__ is str", None, returned=result.name)
-        return [trace.emit(f"{result.name}[{i}]") for i in range(self.outputs)]
+        called = (trace.global_name(self._run), *map(trace.text, args))
+        result = trace.emit(f"{{}}({', '.join(['{}'] * len(args))})", called)
+        trace.guard("if {}.__class__ is str: return {}", result.name, result.name)
+        return [trace.emit(f"{{}}[{i}]", (result.name,)) for i in range(self.outputs)]
+
+
+def cached(owner, keys: tuple, make):
+    """``make()``, made once per identities of ``keys`` and kept on ``owner``
+    with ``keys``, which the cache so keeps alive that no identity is reused."""
+    cache = owner.__dict__.setdefault("_cached", {})
+    key = tuple(map(id, keys))
+    if key not in cache:
+        cache[key] = (keys, make())
+    return cache[key][1]
 
 
 _NUMPY_MATH = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
-_CONDITIONAL = re.compile(r"(t\d+) = (\S+) if (\S+) else (\S+)")
-_GUARD = re.compile(r"if (not )?(t\d+): return .*")
-_ASSIGNMENT = re.compile(r"(t\d+) = (.*)")
-_VARIABLE = re.compile(r"\bt\d+\b")
-_CALL = re.compile(r"\b(sin|cos|sqrt|k\d+)\(")
-# a division by a traced value, and sin/cos: float operations that raise on
-# Python floats (a zero divisor, an infinite argument) where numpy gives a
-# value that a where may discard; sqrt needs no check, since ad.sqrt guards
-# its argument before each traced sqrt
-_RAISING = re.compile(r"t\d+ = (?:\S+ / ([tx]\d+)|(?:sin|cos)\((\S+)\))")
-# a power, which raises on Python floats where numpy gives an infinity from
-# finite operands (0.0 ** -1.0, 1e200 ** 2.0)
-_POWER = re.compile(r"(t\d+) = (\S+) \*\* (\S+)")
+# the templates the lanes write otherwise: a select by np.where, a guard as
+# the mask of the lanes it sends back
+_LANES = {_SELECT: "np.where({1}, {0}, {2})", _IF: "bad = bad | {}", _IF_NOT: "bad = bad | np.logical_not({})"}
+# templates that call a function, which may raise: kept though nothing reads them
+_CALLS = ("sin(", "cos(", "sqrt(", "{}(")
 
 
 def _tuple(texts) -> str:
@@ -795,43 +818,31 @@ def _compiled(source, namespace):
     return namespace["generated"]
 
 
-def _lane_line(line) -> str:
-    """One line of a trace as numpy code over lanes: a conditional
-    expression becomes ``np.where``, a guard ORs its condition into ``bad``."""
-    conditional = _CONDITIONAL.fullmatch(line)
-    if conditional:
-        name, a, mask, b = conditional.groups()
-        return f"{name} = np.where({mask}, {a}, {b})"
-    guard = _GUARD.fullmatch(line)
-    if guard:
-        return f"bad = bad | {f'np.logical_not({guard[2]})' if guard[1] else guard[2]}"
-    return line
-
-
-def _checked(lines):
-    """``lines`` with a line next to each float operation that can raise on
-    Python floats, ORing into ``bad`` the condition under which it raises:
-    before a division or ``sin``/``cos`` (each condition once), after a
-    power, whose result it reads."""
+def _checked(records):
+    """``records`` with a line ORing into ``bad`` the condition under which
+    an operation raises on floats where numpy's value may be discarded by a
+    ``where``: before a division by a variable (``t<i>``, ``x<i>``) or a
+    literal zero and a ``sin``/``cos`` (each condition once), after a power
+    (an infinity from finite operands).  :func:`sqrt` guards before it."""
     checked = set()
-    for line in lines:
-        raising = _RAISING.fullmatch(line)
-        if raising:
-            divisor, argument = raising.groups()
-            check = f"{divisor} == 0.0" if divisor else f"np.isinf({argument})"
-            if check not in checked:
-                checked.add(check)
-                yield f"bad = bad | ({check})"
-        yield line
-        power = _POWER.fullmatch(line)
-        if power:
-            result, base, exponent = power.groups()
-            yield f"bad = bad | (np.isinf({result}) & np.isfinite({base}) & np.isfinite({exponent}))"
+    for name, template, operands in records:
+        check = None
+        if template == "{} / {}" and (operands[1][0] in "tx" or operands[1] in ("0.0", "(-0.0)")):
+            check = ("bad = bad | ({} == 0.0)", operands[1:])
+        elif template in ("sin({})", "cos({})"):
+            check = ("bad = bad | (np.isinf({}))", operands)
+        if check and check not in checked:
+            checked.add(check)
+            yield (None, *check)
+        yield name, template, operands
+        if template == "{} ** {}":
+            yield (None, "bad = bad | (np.isinf({}) & np.isfinite({}) & np.isfinite({}))", (name, *operands))
 
 
-def _inlined(lines) -> list:
-    """``lines`` with each variable read once written into its reader, and
-    without the variables nothing reads, unless they call a function.
+def _inlined(records) -> list:
+    """The lines of ``records`` with each variable read once written into
+    its reader, and without the variables nothing reads, unless they call a
+    function.
 
     Every float operation kept keeps its operands; it only moves later,
     past guards, which leave the arguments to the traced path anyway.  A
@@ -839,33 +850,20 @@ def _inlined(lines) -> list:
     branches are evaluated first, as on the traced path, where ``math``
     functions raise.
     """
-    assignments = [_ASSIGNMENT.fullmatch(line) for line in lines]
-    live, kept_lines = set(), []
-    for line, assignment in zip(reversed(lines), reversed(assignments)):
-        if assignment is None or assignment[1] in live or _CALL.search(assignment[2]):
-            kept_lines.append((line, assignment))
-            live.update(_VARIABLE.findall(assignment[2] if assignment else line))
-    kept_lines.reverse()
-    reads, kept = collections.Counter(), set()
-    for line, assignment in kept_lines:
-        names = _VARIABLE.findall(assignment[2] if assignment else line)
-        reads.update(names)
-        if assignment and " if " in assignment[2]:
-            kept.update(names)
-    pending = {}
-
-    def substitute(text):
-        return _VARIABLE.sub(lambda v: f"({pending.pop(v[0])})" if v[0] in pending else v[0], text)
-
-    out = []
-    for line, assignment in kept_lines:
-        if assignment is None:
-            out.append(substitute(line))
-            continue
-        name, expression = assignment.groups()
-        if " if " not in expression:
-            expression = substitute(expression)
-        if reads[name] == 1 and name not in kept:
+    live, kept_records = set(), []
+    for name, template, operands in reversed(records):
+        if name is None or name in live or template.startswith(_CALLS):
+            kept_records.append((name, template, operands))
+            live.update(operands)
+    kept_records.reverse()
+    reads = collections.Counter(v for _, _, operands in kept_records for v in operands)
+    kept = {v for _, template, operands in kept_records if template == _SELECT for v in operands}
+    pending, out = {}, []
+    for name, template, operands in kept_records:
+        expression = template.format(*(f"({pending.pop(v)})" if v in pending else v for v in operands))
+        if name is None:
+            out.append(expression)
+        elif reads[name] == 1 and name not in kept:
             pending[name] = expression
         else:
             out.append(f"{name} = {expression}")

@@ -136,10 +136,12 @@ def _blow_up_threshold(value) -> float:
 
 
 def _initial_state(x0, n: int) -> np.ndarray:
-    """``x0`` as floats; refuses it unless it has the system's ``n`` components."""
+    """``x0`` as floats; refuses it unless it has ``n`` finite components."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have {n} components, got shape {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
     return x0
 
 
@@ -173,7 +175,7 @@ def simulate(
     callable that needs the number behind a traced value).  A step on numpy
     evaluates h and its gradient on Duals.
     ``evaluation`` of the result says which ran and why.  An ``x0`` without
-    ``system.n`` components, or a ``horizon`` or ``dt`` that is not
+    ``system.n`` finite components, or a ``horizon`` or ``dt`` that is not
     positive and finite or gives more steps than an index holds, or a
     ``blow_up_threshold`` that is not positive (NaN among them; ``math.inf``
     turns the check off), is refused with a ValueError.  For the published
@@ -272,15 +274,14 @@ def _logged(instance, x, want_s) -> list:
 
 
 def _generated_step(system, instance, spec) -> ad.Traced:
-    """:func:`_step` as straight-line code, cached on ``instance`` by the
-    identities of ``system`` and ``spec``, which the cache keeps alive."""
-    steps = instance.__dict__.setdefault("_steps", {})
-    key = (id(system), id(spec))
-    if key not in steps:
+    """:func:`_step` as straight-line code, cached on ``instance`` for
+    ``system`` and ``spec`` (:func:`cbftk.autodiff.cached`)."""
+
+    def traced():
         controller = ad.Traced(lambda x: _controlled(system, instance, spec, np.array(x, dtype=object)), system.n)
-        step = ad.Traced(lambda args: _step(system, instance, controller, args), system.n + 1)
-        steps[key] = (system, spec, step)
-    return steps[key][2]
+        return ad.Traced(lambda args: _step(system, instance, controller, args), system.n + 1)
+
+    return ad.cached(instance, (_step, system, spec), traced)
 
 
 def _controlled(system, instance, spec, x) -> list:

@@ -10,6 +10,7 @@ count.  A state the code leaves to the Dual path must get the reason.
 
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cbftk import autodiff as ad
 from cbftk import sim
 from cbftk.analysis import grid_scan
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, hocbf
-from cbftk.core import LinearClassK, RelDeg2Output
+from cbftk.core import LinearClassK, RelDeg2Output, by_lanes
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
 from strategies import bicycle_params, pendulum_params
 from test_generated_step import _assert_same_run
@@ -273,10 +274,14 @@ def test_both_branches_of_a_where_are_evaluated_first():
     assert run(-1.0, math.inf) == "generated code raised ValueError: math domain error"
 
 
+def _discarded_division_by_a_literal_zero(x):
+    return [ad.where(x[0] > 0.0, x[0] / 0.0, 1.0)]
+
+
 def test_the_lanes_flag_each_state_where_a_discarded_operation_raises_on_floats():
-    # each operand of a where is evaluated on floats, so 0 / 0, cos(inf) and
-    # sqrt(-1) raise there though the where discards them; the lanes must
-    # flag exactly those states, and give the other states' bytes
+    # each operand of a where is evaluated on floats, so 0 / 0, x / 0.0,
+    # cos(inf) and sqrt(-1) raise there though the where discards them; the
+    # lanes must flag exactly those states, and give the other states' bytes
     def function(x):
         return [
             ad.where(x[0] != 0.0, ad.sin(x[0]) / x[0], 1.0),
@@ -284,7 +289,6 @@ def test_the_lanes_flag_each_state_where_a_discarded_operation_raises_on_floats(
             ad.where(x[2] >= 0.0, ad.sqrt(x[2]), 0.0),
         ]
 
-    run = ad.Traced(function, 3)
     states = [
         [0.5, 0.5, 0.5],
         [0.0, 0.5, 0.5],
@@ -295,11 +299,26 @@ def test_the_lanes_flag_each_state_where_a_discarded_operation_raises_on_floats(
         [math.nan, math.nan, math.nan],
         [math.inf, 0.5, 0.5],
     ]
-    bad, _ = run.lanes(*np.array(states).T)
-    raises = [run(*x).__class__ is str for x in states]
-    assert raises == [False, True, True, True, True, True, False, True]
-    assert bad.tolist() == raises
-    _assert_lanes_equal_calls(run, states)
+    expected = [False, True, True, True, True, True, False, True]
+    cases = [(ad.Traced(function, 3), states, expected)]
+    # a division by a literal zero raises on floats at every state
+    literal = [[-1.0], [-0.5], [0.5], [math.nan]]
+    cases.append((ad.Traced(_discarded_division_by_a_literal_zero, 1), literal, [True] * 4))
+    for run, states, expected in cases:
+        bad, _ = run.lanes(*np.array(states).T)
+        raises = [run(*x).__class__ is str for x in states]
+        assert raises == expected
+        assert np.broadcast_to(bad, len(states)).tolist() == raises
+        _assert_lanes_equal_calls(run, states)
+
+
+@pytest.mark.parametrize("states", [[[-1.0, -0.5]], [[-1.0, 0.5]]])
+def test_lanes_of_a_division_by_a_literal_zero_raise_at_the_first_state(states):
+    # the where discards x / 0.0 at x <= 0, but on floats it raises there too
+    traced = ad.Traced(_discarded_division_by_a_literal_zero, 1)
+    with pytest.raises(ZeroDivisionError) as raised:
+        by_lanes(traced, np.array(states), range(2))
+    assert raised.value.index == 0
 
 
 def test_the_lanes_flag_each_state_where_a_discarded_power_raises_on_floats():
@@ -366,3 +385,120 @@ def test_each_form_of_a_trace_is_rendered_on_first_use(monkeypatch):
     traj = sim.simulate(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3)
     assert traj.evaluation == "generated"
     assert len(rendered) == 2 and not any("bad" in source for source in rendered)
+
+
+# -- the text of each template --------------------------------------------------
+
+
+def _every_template(x):
+    a, b = x
+    ad.failed((a > 1e6) | (b < -1e6))
+    ad.holds((b != 0.0) & (a >= -1e6), "nonzero")
+    y = ad.where(a <= 0.0, -a, abs(b))
+    z = ad.sin(a) / b + ad.cos(b) * (2.0 - a)
+    w = ad.where(a == 1.0, a / 0.0, ad.sqrt(y))
+    return [y * z, w**3.0, -1.5 * z, z < math.inf]
+
+
+def test_each_template_renders_its_pinned_text(monkeypatch):
+    # one trace with a select, both guard forms, divisions by a variable and
+    # by a literal zero, sin, cos, sqrt, ** and a constant, and one that
+    # calls its code (the call, its str guard and its items): the code on
+    # floats and the loop of each and the lanes of the first, text for text
+    rendered = []
+    compiled = ad._compiled
+    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: rendered.append(source) or compiled(source, namespace))
+    inner = ad.Traced(_every_template, 2)
+    outer = ad.Traced(inner.call, 2)  # renders the code on floats it calls
+    inner.lanes(np.zeros(1), np.zeros(1))
+    inner.loop((0.5, 2.0), range(1), array("d"), 2, range(2, 3), 1e3)
+    assert outer.source == OUTER_SOURCE
+    outer.loop((0.5, 2.0), range(1), array("d"), 2, range(2, 3), 1e3)
+    assert rendered == [INNER_SOURCE, INNER_LANES, INNER_LOOP, OUTER_SOURCE, OUTER_LOOP]
+
+
+INNER_SOURCE = """\
+def generated(x0, x1):
+    if ((x0 > 1000000.0) | (x1 < (-1000000.0))): return 'check'
+    if not ((x1 != 0.0) & (x0 >= (-1000000.0))): return 'nonzero'
+    t6 = x0 <= 0.0
+    t7 = -x0
+    t8 = abs(x1)
+    t9 = t7 if t6 else t8
+    t15 = ((sin(x0)) / x1) + ((cos(x1)) * (2.0 - x0))
+    t16 = x0 == 1.0
+    t17 = x0 / 0.0
+    if (t9 < 0.0): return 'sqrt'
+    t19 = sqrt(t9)
+    return ((t9 * t15), ((t17 if t16 else t19) ** 3.0), ((-1.5) * t15), (t15 < k0), )
+"""
+
+INNER_LANES = """\
+def generated(x0, x1):
+    bad = False
+    bad = bad | ((x0 > 1000000.0) | (x1 < (-1000000.0)))
+    bad = bad | np.logical_not(((x1 != 0.0) & (x0 >= (-1000000.0))))
+    t9 = np.where((x0 <= 0.0), (-x0), (abs(x1)))
+    bad = bad | (np.isinf(x0))
+    bad = bad | (x1 == 0.0)
+    bad = bad | (np.isinf(x1))
+    t15 = ((sin(x0)) / x1) + ((cos(x1)) * (2.0 - x0))
+    bad = bad | (0.0 == 0.0)
+    bad = bad | (t9 < 0.0)
+    t20 = np.where((x0 == 1.0), (x0 / 0.0), (sqrt(t9)))
+    t22 = t20 ** 3.0
+    bad = bad | (np.isinf(t22) & np.isfinite(t20) & np.isfinite(3.0))
+    return (bad, ((t9 * t15), t22, ((-1.5) * t15), (t15 < k0), ))
+"""
+
+INNER_LOOP = """\
+def generated(x0, x1, steps, extend, bound):
+    try:
+        for k in steps:
+            if ((x0 > 1000000.0) | (x1 < (-1000000.0))): return (k, 'check', (x0, x1, ))
+            if not ((x1 != 0.0) & (x0 >= (-1000000.0))): return (k, 'nonzero', (x0, x1, ))
+            t6 = x0 <= 0.0
+            t7 = -x0
+            t8 = abs(x1)
+            t9 = t7 if t6 else t8
+            t15 = ((sin(x0)) / x1) + ((cos(x1)) * (2.0 - x0))
+            t16 = x0 == 1.0
+            t17 = x0 / 0.0
+            if (t9 < 0.0): return (k, 'sqrt', (x0, x1, ))
+            t19 = sqrt(t9)
+            t23 = (-1.5) * t15
+            y0 = (t9 * t15)
+            y1 = ((t17 if t16 else t19) ** 3.0)
+            extend((x0, x1, t23, (t15 < k0), ))
+            if abs(t23) > bound: return (k, None, (x0, x1, ))
+            x0 = y0
+            x1 = y1
+    except Exception as exc:
+        return (k, exc.with_traceback(None), (x0, x1, ))
+    return (steps.stop, None, (x0, x1, ))
+"""
+
+OUTER_SOURCE = """\
+def generated(x0, x1):
+    t0 = k0(x0, x1)
+    if t0.__class__ is str: return t0
+    return ((t0[0]), (t0[1]), (t0[2]), (t0[3]), )
+"""
+
+OUTER_LOOP = """\
+def generated(x0, x1, steps, extend, bound):
+    try:
+        for k in steps:
+            t0 = k0(x0, x1)
+            if t0.__class__ is str: return (k, t0, (x0, x1, ))
+            t3 = t0[2]
+            y0 = (t0[0])
+            y1 = (t0[1])
+            extend((x0, x1, t3, (t0[3]), ))
+            if abs(t3) > bound: return (k, None, (x0, x1, ))
+            x0 = y0
+            x1 = y1
+    except Exception as exc:
+        return (k, exc.with_traceback(None), (x0, x1, ))
+    return (steps.stop, None, (x0, x1, ))
+"""

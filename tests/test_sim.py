@@ -243,6 +243,17 @@ def test_simulate_refuses_an_initial_state_of_another_size(pendulum, x0):
         pendulum.simulate(ABC, x0=x0, horizon=1.0)
 
 
+@pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, math.nan]])
+def test_simulate_refuses_an_initial_state_that_is_not_finite(pendulum, x0):
+    # a run from such a state would have no row, which compute_metrics
+    # cannot summarize
+    inst, spec = pendulum.make_cbf(ABC), pendulum.filter_spec()
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate(pendulum.system, inst, spec, x0, 1.0, 1e-3)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        pendulum.simulate(ABC, x0=x0, horizon=1.0)
+
+
 @pytest.mark.parametrize(
     "horizon, dt",
     [
