@@ -277,8 +277,9 @@ class ValidityReport:
         return "\n".join(lines)
 
 
-def validity_report(scan: GridScan, max_witnesses: int = 16) -> ValidityReport:
-    """Count barrier-condition violations and check S within C on a scan."""
+def validity_report(scan: GridScan) -> ValidityReport:
+    """Count barrier-condition violations and check S within C on a scan;
+    the first 16 violating states are kept."""
     if len(scan) == 0:
         raise ValueError("empty scan")
     violations = scan.validity_violation
@@ -293,20 +294,20 @@ def validity_report(scan: GridScan, max_witnesses: int = 16) -> ValidityReport:
         n_nodes=len(scan),
         n_excluded=int(np.count_nonzero(scan.excluded)),
         n_violations=int(idx.size),
-        violation_states=scan.x[idx[:max_witnesses]],
+        violation_states=scan.x[idx[:16]],
         inclusion_claimed=inclusion_claimed,
         n_inclusion_violations=n_incl,
     )
 
 
-def abc_equivalence_check(scan: GridScan, tol: float = SINGULAR_TOL) -> bool:
+def abc_equivalence_check(scan: GridScan) -> bool:
     """Node-wise biconditional: L_g h vanishes exactly where s >= 0.
 
-    Both sides are compared under the matched tolerance ``tol``.
+    Both sides are compared under the matched tolerance :data:`SINGULAR_TOL`.
     """
     if scan.kind != ABC or scan.s is None:
         raise ValueError("singular-set equivalence applies to activated backstepping scans")
     keep = ~scan.excluded
-    singular = scan.lgh_norm[keep] < tol
-    s_nonneg = scan.s[keep] >= -tol
+    singular = scan.lgh_norm[keep] < SINGULAR_TOL
+    s_nonneg = scan.s[keep] >= -SINGULAR_TOL
     return bool(np.all(singular == s_nonneg))

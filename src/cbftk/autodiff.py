@@ -23,15 +23,15 @@ straight-line Python function of floats, with the traced function's bits;
 that includes the dot products, since :func:`dot` sums in index order on
 floats and traced alike, where numpy's ``@`` would give the bits of
 whichever BLAS kernel it loads.  It also renders as numpy code over arrays
-of states, one lane per element (:meth:`Traced.lanes`): each conditional
-expression becomes ``np.where`` and each guard a mask of the lanes it
-sends back.  And it renders as a loop that calls the code once per step,
-carrying some of its arguments from each step's outputs and appending
-each step's row to one float buffer (:meth:`Traced.loop`).  Each form is
-rendered on its first use.  The grid scans and the sampled checks run
-their states as lanes, and the states the lanes flag on the traced
-function itself (:func:`cbftk.core.by_lanes`); the closed-loop runs of
-:func:`cbftk.sim.simulate` run as the loop.
+of states, one lane per element (:meth:`Traced.lanes`), and as a loop that
+calls the code once per step, carrying some of its arguments from each
+step's outputs and appending each step's row to one float buffer
+(:meth:`Traced.loop`).  Each form is a table of the templates it writes
+otherwise, rendered on first use.  An operation that may raise on floats
+records the lanes' check of it where traced, and is kept though unread.
+The scans and the sampled checks run their states as lanes, and the states
+the lanes flag on the traced function itself (:func:`cbftk.core.by_lanes`);
+the closed-loop runs of :func:`cbftk.sim.simulate` run as the loop.
 """
 
 from __future__ import annotations
@@ -458,7 +458,9 @@ class Sym:
     ``"{} + {}"`` and the texts of the operands.  Only identities that hold
     bit for bit in IEEE 754 are folded (``x * 1.0``, ``1.0 * x``, ``x /
     1.0``, ``x - 0.0``); ``0.0 * x`` and ``x + 0.0`` are not, since they
-    change NaN, infinity or the sign of a zero.
+    change NaN, infinity or the sign of a zero.  A division by a traced
+    value or a literal zero, a ``sin``, a ``cos`` and a ``**`` also record
+    the lanes' check of the case that raises on floats.
     """
 
     __slots__ = ("trace", "name")
@@ -477,7 +479,14 @@ class Sym:
             if template == "{} - {}" and not reflected and other == 0.0 and math.copysign(1.0, other) > 0.0:
                 return self
         a, b = self.name, self.trace.text(other)
-        return self.trace.emit(template, (b, a) if reflected else (a, b))
+        operands = (b, a) if reflected else (a, b)
+        # a float operation that raises records the lanes' check of it here
+        if template == "{} / {}" and (reflected or other.__class__ is Sym or other == 0.0):
+            self.trace.guard(_ZERO, operands[1])
+        result = self.trace.emit(template, operands)
+        if template == "{} ** {}":
+            self.trace.guard(_OVERFLOW, result.name, *operands)
+        return result
 
     def _logic(self, other, template):
         if other.__class__ is Sym:
@@ -535,16 +544,33 @@ for _name, _op in (("and", "&"), ("or", "|")):
     setattr(Sym, f"__{_name}__", lambda self, other, t=f"{{}} {_op} {{}}": self._logic(other, t))
     setattr(Sym, f"__r{_name}__", lambda self, other, t=f"{{}} {_op} {{}}": self._logic(other, t))
 
-_TRACED_MATH = SimpleNamespace(
-    **{name: (lambda v, t=f"{name}({{}})": v.trace.emit(t, (v.name,))) for name in ("sin", "cos", "sqrt")}
-)
+
+def _traced_math(name):
+    """``math.<name>`` on a Sym, after the lanes' check that the argument of
+    a sin or cos is finite (a sqrt is guarded where traced, :func:`sqrt`)."""
+    def traced(v, template=f"{name}({{}})"):
+        if name != "sqrt":
+            v.trace.guard(_INF, v.name)
+        return v.trace.emit(template, (v.name,))
+
+    return traced
 
 
-# templates the renderings pick out: a select, and the two forms of a guard,
-# which returns the text of its second operand where its condition holds
+_TRACED_MATH = SimpleNamespace(**{name: _traced_math(name) for name in ("sin", "cos", "sqrt")})
+
+# templates the renderings pick out: a select; the guards, each returning its
+# second operand's text where its condition holds (the last where called code
+# returned a reason); and the lanes' checks of operations that raise on floats
 _SELECT = "{} if {} else {}"
 _IF = "if {}: return {}"
 _IF_NOT = "if not {}: return {}"
+_IF_STR = "if {}.__class__ is str: return {}"
+_ZERO = "bad = bad | ({} == 0.0)"
+_INF = "bad = bad | (np.isinf({}))"
+_OVERFLOW = "bad = bad | (np.isinf({}) & np.isfinite({}) & np.isfinite({}))"
+# the operations that may raise on floats, kept though nothing reads them;
+# a call of other generated code is read by its guard
+_RAISING = frozenset(("{} / {}", "{} ** {}", "sin({})", "cos({})", "sqrt({})"))
 
 
 class _Trace:
@@ -552,9 +578,9 @@ class _Trace:
     operands)``, in order; a repeated operation or guard is recorded once.
 
     A record is the line ``name = template.format(*operands)``, or
-    ``template.format(*operands)`` where ``name`` is None (a guard, or a
-    line a rendering adds).  Each operand is the text of a variable, a
-    literal or a constant (:meth:`text`).
+    ``template.format(*operands)`` where ``name`` is None (a guard, a check
+    of the lanes, or a line a rendering adds).  Each operand is the text of
+    a variable, a literal or a constant (:meth:`text`).
     """
 
     def __init__(self):
@@ -562,7 +588,6 @@ class _Trace:
         self.syms = {}
         self.constants = {}
         self.guards = set()
-        self.nested = False  # whether the trace calls other generated code
 
     def emit(self, template, operands) -> Sym:
         """The variable of ``template`` on the texts ``operands``."""
@@ -572,10 +597,12 @@ class _Trace:
             self.lines.append((sym.name, template, operands))
         return sym
 
-    def guard(self, template, condition, returned):
-        """A line returning the text ``returned`` (a label's ``repr`` or a
-        variable) where ``template`` on the variable ``condition`` holds."""
-        record = (None, template, (condition, returned))
+    def guard(self, template, *operands):
+        """The line ``template`` on the texts ``operands``: a guard, which
+        returns its second operand (a label's ``repr`` or a variable) where
+        its condition, the first, holds; or a check that the lanes OR into
+        ``bad``, which a traced primitive records where it is traced."""
+        record = (None, template, operands)
         if record not in self.guards:
             self.guards.add(record)
             self.lines.append(record)
@@ -652,6 +679,7 @@ class Traced:
         outputs = [trace.text(v) for v in function([Sym(trace, a) for a in args])]
         self.outputs = len(outputs)
         trace.syms.clear()  # each Sym refers to the trace: free them now, not at a collection
+        trace.guards.clear()  # which only deduplicate while recording
         return args, trace, outputs
 
     @property
@@ -660,8 +688,8 @@ class Traced:
         if self._run is None and self._record is not None:
             args, trace, outputs = self._record
             returned = (None, f"return {_tuple(['{}'] * len(outputs))}", outputs)
-            self._source = _function_source(args, _inlined([*trace.lines, returned]))
-            self._run = _compiled(self._source, _float_namespace(trace))
+            self._source = _function_source(args, _inlined([*trace.lines, returned], _FLOATS))
+            self._run = _compiled(self._source, dict(trace.constants, **_FLOAT_MATH))
         return self._source
 
     def __call__(self, *args):
@@ -704,12 +732,12 @@ class Traced:
         args, trace, outputs = self._record
         state = _tuple(args[:carried])
         # a guard returns (k, its label or reason, the state) instead
-        returned = f": return (k, {{}}, {state})"
-        body = [(name, template.replace(": return {}", returned), operands) for name, template, operands in trace.lines]
+        table = dict(_FLOATS, **{t: t.replace("return {}", f"return (k, {{}}, {state})") for t in (_IF, _IF_NOT, _IF_STR)})
         # the carried outputs go to y0, y1, ... first, so that every float
         # operation of a step comes before its row
         logged = (*args[:carried], *outputs[carried:])
-        body += [
+        body = [
+            *trace.lines,
             *((None, f"y{i} = {{}}", (v,)) for i, v in enumerate(outputs[:carried])),
             (None, f"extend({_tuple(['{}'] * len(logged))})", logged),
             *((None, f"if abs({{}}) > bound: return (k, None, {state})", (outputs[i],)) for i in watched),
@@ -718,13 +746,13 @@ class Traced:
         lines = [
             "try:",
             "    for k in steps:",
-            *(f"        {line}" for line in _inlined(body)),
+            *(f"        {line}" for line in _inlined(body, table)),
             # without its traceback, which refers to this frame
             "except Exception as exc:",
             f"    return (k, exc.with_traceback(None), {state})",
             f"return (steps.stop, None, {state})",
         ]
-        return _compiled(_function_source([*args, "steps", "extend", "bound"], lines), _float_namespace(trace))
+        return _compiled(_function_source([*args, "steps", "extend", "bound"], lines), dict(trace.constants, **_FLOAT_MATH))
 
     def lanes(self, *arrays):
         """This code as numpy code over ``arrays``, one lane per element:
@@ -736,19 +764,16 @@ class Traced:
         operations of a call at its elements, numpy's ``sin``, ``cos`` and
         ``sqrt`` in place of ``math``'s, with floating-point warnings off.
         A lane is bad too where a call would raise on an operation whose
-        result a ``where`` may discard: a division by a traced or literal
-        zero, a ``sin``/``cos`` of an infinity, or a ``**`` that gives an
-        infinity from finite operands (``sqrt`` is guarded where traced).
-        A string says why it did not run: the code was not traced, calls
-        other generated code (:meth:`call`), or raised.
+        result a ``where`` may discard, by its check recorded where traced
+        (:class:`Sym`).  A string says why it did not run: the code was not
+        traced, calls other generated code (:meth:`call`), or raised.
         """
         if self._lanes is None:
-            if self._record is None or self._record[1].nested:
+            if self._record is None or any(template == _IF_STR for _, template, _ in self._record[1].lines):
                 return self.reason or "not run as lanes: the trace calls other generated code"
             args, trace, outputs = self._record
             returned = (None, f"return (bad, {_tuple(['{}'] * len(outputs))})", outputs)
-            records = [(None, "bad = False", ()), *_checked(trace.lines), returned]
-            lines = _inlined([(name, _LANES.get(template, template), operands) for name, template, operands in records])
+            lines = _inlined([(None, "bad = False", ()), *trace.lines, returned], _LANES)
             self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
         try:
             with np.errstate(all="ignore"):
@@ -766,10 +791,9 @@ class Traced:
         if self.source is None:
             raise _Untraced(self.reason)
         trace = next(v.trace for v in args if v.__class__ is Sym)
-        trace.nested = True
         called = (trace.global_name(self._run), *map(trace.text, args))
         result = trace.emit(f"{{}}({', '.join(['{}'] * len(args))})", called)
-        trace.guard("if {}.__class__ is str: return {}", result.name, result.name)
+        trace.guard(_IF_STR, result.name, result.name)
         return [trace.emit(f"{{}}[{i}]", (result.name,)) for i in range(self.outputs)]
 
 
@@ -783,12 +807,13 @@ def cached(owner, keys: tuple, make):
     return cache[key][1]
 
 
+_FLOAT_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 _NUMPY_MATH = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
-# the templates the lanes write otherwise: a select by np.where, a guard as
-# the mask of the lanes it sends back
+# a rendering's table maps a template to its text in that form, or to None to
+# leave the record out: the code on floats leaves out the lanes' checks, and
+# the lanes select by np.where and OR into ``bad`` the lanes each guard sends back
+_FLOATS = dict.fromkeys((_ZERO, _INF, _OVERFLOW))
 _LANES = {_SELECT: "np.where({1}, {0}, {2})", _IF: "bad = bad | {}", _IF_NOT: "bad = bad | np.logical_not({})"}
-# templates that call a function, which may raise: kept though nothing reads them
-_CALLS = ("sin(", "cos(", "sqrt(", "{}(")
 
 
 def _tuple(texts) -> str:
@@ -808,41 +833,15 @@ def _function_source(args, lines) -> str:
     return f"def generated({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
 
 
-def _float_namespace(trace) -> dict:
-    """The globals of the trace's code on floats: its constants and ``math``'s functions."""
-    return dict(trace.constants, **{f: getattr(math, f) for f in _NUMPY_MATH})
-
-
 def _compiled(source, namespace):
     exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["generated"]
 
 
-def _checked(records):
-    """``records`` with a line ORing into ``bad`` the condition under which
-    an operation raises on floats where numpy's value may be discarded by a
-    ``where``: before a division by a variable (``t<i>``, ``x<i>``) or a
-    literal zero and a ``sin``/``cos`` (each condition once), after a power
-    (an infinity from finite operands).  :func:`sqrt` guards before it."""
-    checked = set()
-    for name, template, operands in records:
-        check = None
-        if template == "{} / {}" and (operands[1][0] in "tx" or operands[1] in ("0.0", "(-0.0)")):
-            check = ("bad = bad | ({} == 0.0)", operands[1:])
-        elif template in ("sin({})", "cos({})"):
-            check = ("bad = bad | (np.isinf({}))", operands)
-        if check and check not in checked:
-            checked.add(check)
-            yield (None, *check)
-        yield name, template, operands
-        if template == "{} ** {}":
-            yield (None, "bad = bad | (np.isinf({}) & np.isfinite({}) & np.isfinite({}))", (name, *operands))
-
-
-def _inlined(records) -> list:
-    """The lines of ``records`` with each variable read once written into
-    its reader, and without the variables nothing reads, unless they call a
-    function.
+def _inlined(records, table) -> list:
+    """The lines of ``records`` in the form of ``table``, with each variable
+    read once written into its reader, and without the variables nothing
+    reads, unless their operation may raise on floats (:data:`_RAISING`).
 
     Every float operation kept keeps its operands; it only moves later,
     past guards, which leave the arguments to the traced path anyway.  A
@@ -852,8 +851,9 @@ def _inlined(records) -> list:
     """
     live, kept_records = set(), []
     for name, template, operands in reversed(records):
-        if name is None or name in live or template.startswith(_CALLS):
-            kept_records.append((name, template, operands))
+        text = table.get(template, template)
+        if text is not None and (name is None or name in live or template in _RAISING):
+            kept_records.append((name, text, operands))
             live.update(operands)
     kept_records.reverse()
     reads = collections.Counter(v for _, _, operands in kept_records for v in operands)

@@ -189,16 +189,12 @@ class ValidityConditionReport:
         )
 
 
-def recbf_validity_condition(
-    instance: CbfInstance,
-    system,
-    states,
-    coupling_tol: float = 1e-8,
-) -> ValidityConditionReport:
+def recbf_validity_condition(instance: CbfInstance, system, states) -> ValidityConditionReport:
     """Check L_g L_f psi = 0  =>  psi_dot + alpha(psi) >= epsilon over a grid.
 
-    ``states`` must hold ``system.n`` components per row.  L_g L_f psi and,
-    where it vanishes, the residual run as lanes (:func:`cbftk.core.at_states`);
+    L_g L_f psi = 0 where each entry is below 1e-8 in magnitude.  ``states``
+    must hold ``system.n`` components per row.  L_g L_f psi and, where it
+    vanishes, the residual run as lanes (:func:`cbftk.core.at_states`);
     witnesses keep the order of ``states``.
     """
     if instance.kind != RECBF:
@@ -206,7 +202,7 @@ def recbf_validity_condition(
     rows = _states(states, system.n)
     coupling = at_states(lambda x: lie_g(instance.output.psi_dot, system, x), rows).reshape(system.m, -1)
     # the residual only where the coupling vanishes
-    uncoupled = np.flatnonzero(np.max(np.abs(coupling), axis=0) < coupling_tol)
+    uncoupled = np.flatnonzero(np.max(np.abs(coupling), axis=0) < 1e-8)
     r = at_states(lambda x: [instance.residual(x)], rows[uncoupled], uncoupled).reshape(-1)
     witnesses = [(rows[i].copy(), float(ri)) for i, ri in zip(uncoupled, r) if ri < instance.epsilon]
     return ValidityConditionReport(instance.epsilon, len(rows), witnesses)

@@ -248,18 +248,13 @@ def _states(states, n: int) -> np.ndarray:
     return rows
 
 
-def check_relative_degree(
-    output: RelDeg2Output,
-    system: ControlAffineSystem,
-    states,
-    lgy_tol: float = 1e-10,
-    rank_tol: float = 1e-8,
-) -> AssumptionReport:
+def check_relative_degree(output: RelDeg2Output, system: ControlAffineSystem, states) -> AssumptionReport:
     """Sampled relative-degree-two check: L_g y = 0 and L_g L_f y full rank.
 
     ``states`` must hold ``system.n`` components per row; they run as lanes
-    (:func:`at_states`).  L_g L_f y is evaluated only where L_g y = 0; its
-    rank is the smallest singular value of the p x m matrix.  A NaN fails.
+    (:func:`at_states`).  L_g y = 0 where each entry is below 1e-10 in
+    magnitude, and only there is L_g L_f y evaluated; it has full rank where
+    the smallest singular value of the p x m matrix exceeds 1e-8.  A NaN fails.
     """
     rows = _states(states, system.n)
     p, m = output.p, system.m
@@ -269,25 +264,21 @@ def check_relative_degree(
         return lambda x: [v for i in range(p) for v in lie_g(lambda z: field(z)[i], system, x)]
 
     lgy = np.max(np.abs(at_states(lie_g_rows(output.y), rows).reshape(p * m, -1)), axis=0)
-    passed = np.flatnonzero(lgy < lgy_tol)
+    vanishes = lgy < 1e-10
+    passed = np.flatnonzero(vanishes)
     lglfy = at_states(lie_g_rows(output.ydot), rows[passed], passed).T.reshape(-1, p, m)
     finite = np.isfinite(lglfy).all(axis=(1, 2))
     smin = np.full(passed.size, np.nan)
     smin[finite] = np.linalg.svd(lglfy[finite], compute_uv=False)[:, -1]
-    failures = [(j, f"L_g y nonzero (max |entry| {lgy[j]:.3e})") for j in np.flatnonzero(~(lgy < lgy_tol))]
-    failures += [(j, f"L_g L_f y rank-deficient (sigma_min {s:.3e})") for j, s in zip(passed, smin) if not s > rank_tol]
+    failures = [(j, f"L_g y nonzero (max |entry| {lgy[j]:.3e})") for j in np.flatnonzero(~vanishes)]
+    failures += [(j, f"L_g L_f y rank-deficient (sigma_min {s:.3e})") for j, s in zip(passed, smin) if not s > 1e-8]
     return AssumptionReport("relative degree two", len(rows), _failures(rows, failures))
 
 
-def check_constraint_regularity(
-    output: RelDeg2Output,
-    system: ControlAffineSystem,
-    states,
-    grad_tol: float = 1e-10,
-) -> AssumptionReport:
-    """Sampled regularity check: psi_grad = 0 only where psi > 0.  The states
-    run as in :func:`check_relative_degree`; ``states`` must hold
-    ``system.n`` components per row; a NaN fails."""
+def check_constraint_regularity(output: RelDeg2Output, system: ControlAffineSystem, states) -> AssumptionReport:
+    """Sampled regularity check: psi_grad = 0 (a norm below 1e-10) only
+    where psi > 0.  The states run as in :func:`check_relative_degree`;
+    ``states`` must hold ``system.n`` components per row; a NaN fails."""
     rows = _states(states, system.n)
     p = output.p
 
@@ -297,21 +288,17 @@ def check_constraint_regularity(
         return [output.psi(y), *(grad[i] for i in range(p))]
 
     psi, *grad = at_states(quantities, rows).reshape(1 + p, -1)
-    stationary = ~(np.sqrt(directional(grad, grad)) >= grad_tol) & ~(psi > 0.0)
+    stationary = ~(np.sqrt(directional(grad, grad)) >= 1e-10) & ~(psi > 0.0)
     failures = [(j, f"stationary output point with psi = {psi[j]:.3e} <= 0") for j in np.flatnonzero(stationary)]
     return AssumptionReport("constraint regularity", len(rows), _failures(rows, failures))
 
 
-def check_output_consistency(
-    output: RelDeg2Output,
-    system: ControlAffineSystem,
-    states,
-    tol: float = 1e-9,
-) -> AssumptionReport:
+def check_output_consistency(output: RelDeg2Output, system: ControlAffineSystem, states) -> AssumptionReport:
     """Validate the explicit ydot and psi_grad fields against AD.
 
     ydot must equal L_f y componentwise and psi_grad must equal the AD
-    gradient of psi at the sampled states.  The states run as in
+    gradient of psi at the sampled states, each to 1e-9 times one plus the
+    magnitude of the AD value.  The states run as in
     :func:`check_relative_degree`; a NaN fails.
     """
     rows = _states(states, system.n)
@@ -325,6 +312,7 @@ def check_output_consistency(
         return [*lf, *(declared[i] for i in range(p)), *ad.grad(output.psi, y), *(declared_grad[i] for i in range(p))]
 
     found = at_states(quantities, rows).reshape(4, p, -1)
+    tol = 1e-9
     lf, declared, auto_g, declared_grad = found
     wrong = ~(np.abs(lf - declared) <= tol * (1.0 + np.abs(lf)))
     error_g = np.abs(declared_grad - auto_g)

@@ -182,15 +182,9 @@ def virtual_kappa(vc: VirtualController, y) -> np.ndarray:
     return np.asarray([ad.scalar(v) for v in vc(y)], dtype=float)
 
 
-def check_virtual_controller(
-    vc: VirtualController,
-    output,
-    system,
-    alpha: LinearClassK,
-    states,
-    margin: float = 1e-10,
-):
-    """Sampled single-integrator safety: psi_dot(y, kappa(y)) > -alpha(psi(y)).
+def check_virtual_controller(vc: VirtualController, output, system, alpha: LinearClassK, states):
+    """Sampled single-integrator safety: psi_dot(y, kappa(y)) > -alpha(psi(y)),
+    by a margin of 1e-10.
 
     Returns a :class:`cbftk.core.AssumptionReport`.  The states run as in
     :func:`cbftk.core.check_relative_degree`; ``states`` must hold
@@ -206,6 +200,6 @@ def check_virtual_controller(
     # summed from 0.0, so that a total of -0.0 reads 0.0 in a message
     psidot = 0.0 + psidot
     bound = -alpha(psi)
-    failed = np.flatnonzero(~(psidot > bound + margin))
+    failed = np.flatnonzero(~(psidot > bound + 1e-10))
     failures = [(j, f"psi_dot(y, kappa) = {psidot[j]:.6e} <= {bound[j]:.6e}") for j in failed]
     return AssumptionReport("virtual controller safety", len(rows), _failures(rows, failures))

@@ -333,6 +333,27 @@ def test_the_lanes_flag_each_state_where_a_discarded_power_raises_on_floats():
     _assert_lanes_equal_calls(run, states)
 
 
+@pytest.mark.parametrize(
+    "function, arity, x, error",
+    [
+        (lambda x: (x[0] / x[1], [x[0] + 1.0])[1], 2, (1.0, 0.0), ZeroDivisionError),
+        (lambda x: (x[0] ** 2.0, [x[0] + 1.0])[1], 1, (1e200,), OverflowError),
+    ],
+)
+def test_an_unread_operation_that_raises_on_floats_is_kept(function, arity, x, error):
+    # nothing reads x0 / x1 or x0 ** 2.0, but on floats they raise: a call
+    # and a step of the loop must leave these arguments to the reference
+    with pytest.raises(error) as raised:
+        function(list(x))
+    run = ad.Traced(function, arity)
+    assert run(*x) == f"generated code raised {error.__name__}: {raised.value}"
+    rows = array("d")
+    assert run.loop(x, range(3), rows, 1, range(0), 1e3) == (0, run(*x), x[:1])
+    assert len(rows) == 0
+    # where nothing raises, the unread operation changes no output
+    assert run(*(2.0,) * arity) == (3.0,)
+
+
 def test_a_where_between_a_dual_and_a_constant_is_guarded():
     # one state gets the Dual or the constant; the latter is left to Dual
     def field(x):

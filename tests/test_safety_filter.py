@@ -352,7 +352,6 @@ def test_virtual_controller_condition_bicycle(bicycle):
         bicycle.system,
         LinearClassK(bicycle.params.alpha_hat_c),
         bicycle.assumption_states,
-        margin=0.0,
     )
     assert report_hat.ok
 
