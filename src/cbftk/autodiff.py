@@ -5,19 +5,22 @@ respect to the seed variables.  Scalar fields built from the primitives
 below (arithmetic, ``sin``/``cos``/``sqrt``, the rectifiers and
 ``minimum``/``maximum``) can be differentiated exactly with :func:`grad`;
 there is no tape and no higher-order machinery.  The value is a float and
-the partials have shape (n,); a primitive that cannot be evaluated raises
+the partials a list of n; a primitive that cannot be evaluated raises
 :class:`EvaluationError`.
 
-State dimensions here are tiny (n <= 4), so every dual number carries the
-full partials vector.  All helpers accept plain floats as well, which lets
-the same field definitions be evaluated with or without derivatives.
+A partial that cannot depend on its seed (a seed's off-diagonal entries,
+and what only they reach) is a structural zero, which the arithmetic skips
+on floats and traced alike: the sparsity of forward mode (Griewank &
+Walther), so traced Dual code makes no product or sum of a seed's zeros.
+All helpers accept plain floats as well, which lets the same field
+definitions be evaluated with or without derivatives.
 
 :class:`Traced` runs a function of floats once on symbolic floats
 (:class:`Sym`) and records the float operations it makes, in evaluation
 order, each as a variable, a template and its operands, like an equation
 of a jaxpr (the trace-once approach of Tapenade and of JAX).  Dual code
-traces too, on Duals whose values are Syms and whose partials are object
-arrays of Syms and floats: forward-mode AD by source transformation
+traces too, on Duals whose values are Syms and whose partials are Syms,
+floats and structural zeros: forward-mode AD by source transformation
 (Griewank & Walther, *Evaluating Derivatives*).  The record renders as one
 straight-line Python function of floats, with the traced function's bits;
 that includes the dot products, since :func:`dot` sums in index order on
@@ -129,8 +132,27 @@ def _refuse(bad, primitive, message, value=None):
         raise EvaluationError(primitive, message(value) if callable(message) else message)
 
 
+class _Zero:
+    """A partial that is zero by construction (the module docstring):
+    ``Z + a = a``, ``a - Z = a``, ``Z - a = -a``, ``Z * a = Z``, ``Z / a =
+    Z`` and ``-Z = Z``, on floats and traced alike."""
+
+    __slots__ = ()
+    __add__ = __radd__ = __rsub__ = lambda self, other: other
+    __sub__ = lambda self, other: -other
+    __mul__ = __rmul__ = __truediv__ = lambda self, other: self
+    __neg__ = lambda self: self
+    __repr__ = lambda self: "0"
+
+
+_NIL = _Zero()  # the structural zero
+
+
 class Dual:
-    """Value plus partial derivatives with respect to the seed variables."""
+    """Value plus partial derivatives with respect to the seed variables, a
+    list of floats, traced values and the structural zeros (:class:`_Zero`)
+    of the seeds of :func:`value_and_grad`; an array of partials becomes a
+    list of floats."""
 
     __slots__ = ("value", "partials")
 
@@ -140,18 +162,16 @@ class Dual:
 
     def __init__(self, value, partials):
         # the class tests keep the float path as cheap as a bare float();
-        # a traced Dual keeps its Sym value and object array of partials
+        # a traced Dual keeps its Sym value, and the arithmetic passes lists
         cls = value.__class__
         self.value = value if cls is float or cls is Sym else float(value)
-        if getattr(partials, "dtype", None) is not _OBJECT:
-            partials = np.asarray(partials, dtype=float)
-        self.partials = partials
+        self.partials = partials if partials.__class__ is list else np.asarray(partials, dtype=float).tolist()
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.partials + other.partials)
+            return Dual(self.value + other.value, [a + b for a, b in zip(self.partials, other.partials)])
         c = _as_float(other)
         if c is None:
             return NotImplemented
@@ -161,7 +181,7 @@ class Dual:
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.partials - other.partials)
+            return Dual(self.value - other.value, [a - b for a, b in zip(self.partials, other.partials)])
         c = _as_float(other)
         if c is None:
             return NotImplemented
@@ -171,18 +191,16 @@ class Dual:
         c = _as_float(other)
         if c is None:
             return NotImplemented
-        return Dual(c - self.value, -self.partials)
+        return Dual(c - self.value, [-a for a in self.partials])
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            return Dual(
-                self.value * other.value,
-                self.value * other.partials + other.value * self.partials,
-            )
+            u, v = self.value, other.value
+            return Dual(u * v, [u * b + v * a for a, b in zip(self.partials, other.partials)])
         c = _as_float(other)
         if c is None:
             return NotImplemented
-        return Dual(self.value * c, self.partials * c)
+        return Dual(self.value * c, [a * c for a in self.partials])
 
     __rmul__ = __mul__
 
@@ -190,15 +208,13 @@ class Dual:
         if isinstance(other, Dual):
             _refuse(other.value == 0.0, "divide", "division by a zero-valued operand")
             inv = 1.0 / other.value
-            return Dual(
-                self.value * inv,
-                (self.partials - (self.value * inv) * other.partials) * inv,
-            )
+            q = self.value * inv
+            return Dual(q, [(a - q * b) * inv for a, b in zip(self.partials, other.partials)])
         c = _as_float(other)
         if c is None:
             return NotImplemented
         _refuse(c == 0.0, "divide", "division by zero")
-        return Dual(self.value / c, self.partials / c)
+        return Dual(self.value / c, [a / c for a in self.partials])
 
     def __rtruediv__(self, other):
         c = _as_float(other)
@@ -206,7 +222,7 @@ class Dual:
             return NotImplemented
         _refuse(self.value == 0.0, "divide", "division by a zero-valued operand")
         inv = 1.0 / self.value
-        return Dual(c * inv, -c * inv * inv * self.partials)
+        return Dual(c * inv, _scaled(-c * inv * inv, self))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, numbers.Real):
@@ -215,12 +231,10 @@ class Dual:
         # a zero base needs c >= 1, a negative one an integer c
         bad = (self.value == 0.0) & (c < 1.0) | (self.value < 0.0) & (not c.is_integer())
         _refuse(bad, "pow", _pow_failure, self.value)
-        return Dual(
-            self.value**c, c * self.value ** (c - 1.0) * self.partials
-        )
+        return Dual(self.value**c, _scaled(c * self.value ** (c - 1.0), self))
 
     def __neg__(self):
-        return Dual(-self.value, -self.partials)
+        return Dual(-self.value, [-a for a in self.partials])
 
     def __pos__(self):
         return self
@@ -283,11 +297,28 @@ def where(mask, a, b):
 
     Both operands are evaluated before the select, so a branch that could
     raise must be built on a safe substitute first.  A traced mask selects
-    in the generated code (:meth:`Sym.select`).
+    in the generated code (:meth:`Sym.select`).  Between two Duals, a
+    structural zero facing a partial of the other branch is a ``0.0``, as
+    the select renders it, whatever the mask.
     """
+    if isinstance(a, Dual) and isinstance(b, Dual):
+        a, b = _facing(a, b), _facing(b, a)
     if mask.__class__ is Sym:
         return mask.select(a, b)
     return a if mask else b
+
+
+def _facing(a, b):
+    """``a``, with ``0.0`` for each structural zero of its partials where
+    ``b``'s partial is not one."""
+    if not any(p is _NIL and q is not _NIL for p, q in zip(a.partials, b.partials)):
+        return a
+    return Dual(a.value, [0.0 if p is _NIL and q is not _NIL else p for p, q in zip(a.partials, b.partials)])
+
+
+def _scaled(k, x):
+    """The partials of the Dual ``x`` times ``k``, as ``k * p``."""
+    return [k * p for p in x.partials]
 
 
 # -- smooth primitives ----------------------------------------------------
@@ -301,14 +332,14 @@ def _lib(v):
 def sin(x):
     if isinstance(x, Dual):
         lib = _lib(x.value)
-        return Dual(lib.sin(x.value), lib.cos(x.value) * x.partials)
+        return Dual(lib.sin(x.value), _scaled(lib.cos(x.value), x))
     return _lib(x).sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         lib = _lib(x.value)
-        return Dual(lib.cos(x.value), -lib.sin(x.value) * x.partials)
+        return Dual(lib.cos(x.value), _scaled(-lib.sin(x.value), x))
     return _lib(x).cos(x)
 
 
@@ -323,7 +354,8 @@ def sqrt(x):
         v = x.value
         _refuse(v <= 0.0, "sqrt", _sqrt_failure, v)
         root = _lib(v).sqrt(v)
-        return Dual(root, x.partials / (2.0 * root))
+        twice = 2.0 * root
+        return Dual(root, [a / twice for a in x.partials])
     _refuse(x < 0.0, "sqrt", _sqrt_failure, x)
     return _lib(x).sqrt(x)
 
@@ -342,15 +374,15 @@ def requ(x):
         return where(x > 0.0, x * x, 0.0)
     return where(
         x.value > 0.0,
-        Dual(x.value * x.value, 2.0 * x.value * x.partials),
-        Dual(0.0, 0.0 * x.partials),
+        Dual(x.value * x.value, _scaled(2.0 * x.value, x)),
+        Dual(0.0, [_NIL] * len(x.partials)),
     )
 
 
 def relu(x):
     """Rectified linear unit: max(x, 0), subderivative 0 at the kink."""
     if isinstance(x, Dual):
-        return where(x.value > 0.0, x, Dual(0.0, 0.0 * x.partials))
+        return where(x.value > 0.0, x, Dual(0.0, [_NIL] * len(x.partials)))
     return where(x > 0.0, x, 0.0)
 
 
@@ -380,18 +412,19 @@ def array(values) -> np.ndarray:
 
 
 def seed(x) -> list:
-    """Dual variables for the components of the state ``x``, seeded with unit vectors."""
+    """Dual variables for the components of the state ``x``, seeded with unit
+    vectors of structural zeros off the diagonal."""
     x = array(x)
-    units = np.eye(x.size).astype(x.dtype)
-    return [Dual(x[i], units[i]) for i in range(x.size)]
+    return [Dual(x[i], [1.0 if j == i else _NIL for j in range(x.size)]) for i in range(x.size)]
 
 
 def value_and_grad(field, x):
-    """Evaluate a scalar field and its exact gradient at the state ``x``."""
+    """Evaluate a scalar field and its exact gradient at the state ``x``, an
+    array (:func:`array`) with ``+0.0`` for each structural zero."""
     x = array(x)
     out = field(seed(x))
     if isinstance(out, Dual):
-        return out.value, out.partials.copy()
+        return out.value, array([0.0 if p is _NIL else p for p in out.partials])
     # field did not depend on x at all
     return float(out), np.zeros(x.size)
 
@@ -438,9 +471,6 @@ def dot(a, b):
 
 
 # -- tracing into straight-line code -------------------------------------------
-
-_OBJECT = np.dtype(object)
-
 
 class Untraceable(TypeError):
     """A traced field needed the number behind a traced value."""
@@ -520,8 +550,7 @@ class Sym:
         """
         a_dual, b_dual = isinstance(a, Dual), isinstance(b, Dual)
         if a_dual and b_dual:
-            pick = np.frompyfunc(self._pick, 2, 1)
-            return Dual(self._pick(a.value, b.value), pick(a.partials, b.partials))
+            return Dual(self._pick(a.value, b.value), [self._pick(p, q) for p, q in zip(a.partials, b.partials)])
         if a_dual or b_dual:
             self.trace.guard(_IF if b_dual else _IF_NOT, self.name, "'where'")
             return a if a_dual else b

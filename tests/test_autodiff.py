@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cbftk
 from cbftk import autodiff as ad
 from conftest import central_difference
 
@@ -137,6 +138,16 @@ def test_minimum_maximum_away_from_ties():
     assert ad.minimum(a, b) is a
     assert ad.maximum(a, b) is b
     assert ad.minimum(3.0, 4.0) == 3.0
+
+
+def test_a_structural_zero_is_a_positive_float_zero_in_a_public_gradient():
+    # x1's partial of x0 * x0 is zero by construction: +0.0 whatever x1,
+    # and no product of the seed's zero in the traced gradient
+    g = cbftk.grad(lambda x: x[0] * x[0], [3.0, -1.0])
+    assert g.dtype == np.float64 and g.tobytes() == np.array([6.0, 0.0]).tobytes()
+    traced = ad.Traced(lambda x: ad.value_and_grad(lambda z: z[0] * z[0], np.array(x, dtype=object))[1], 2)
+    assert "* 0.0" not in traced.source and traced.source.endswith("return ((x0 + x0), 0.0, )\n")
+    assert np.array(traced(3.0, -1.0)).tobytes() == g.tobytes()
 
 
 def test_constant_field_has_zero_gradient():

@@ -244,12 +244,25 @@ def test_only_identities_exact_in_ieee_754_are_folded():
 
 
 def test_a_select_keeps_the_sign_of_constant_zero_partials():
-    # partials [0.0, 0.0] against [-0.0, -0.0]: not one constant
+    # partials [0.0, 0.0] against [-0.0, -0.0]: not one constant; each
+    # branch reaches both seeds, so no partial is a structural zero
     def field(x):
-        return ad.maximum(x[0] * 0.0 + 1.0, x[1] * -0.0 + 2.0)
+        return ad.maximum(x[0] * 0.0 + x[1] * 0.0 + 1.0, x[0] * -0.0 + x[1] * -0.0 + 2.0)
 
     _, (out,) = _generated_equals_dual(field, [[0.5, 0.5]])
     assert np.signbit(out[1:]).all()
+
+
+def test_a_where_gives_a_structural_zero_the_sign_its_select_renders():
+    # x1's partial of the 3 * x0 branch is a structural zero, which the
+    # traced select renders as 0.0; on floats the where must take 0.0 too,
+    # or -0.0 from x1 * -0.0 keeps its sign there: [3.0, -0.0] at (1, 5)
+    def field(x):
+        return ad.where(x[0] > 0.0, 3.0 * x[0], 2.0 * x[1]) + x[1] * -0.0
+
+    _, outcomes = _generated_equals_dual(field, [[1.0, 5.0], [-1.0, 5.0], *EDGE_STATES])
+    assert all(isinstance(out, tuple) for out in outcomes)
+    assert np.array(outcomes[0][1:]).tobytes() == np.array([3.0, 0.0]).tobytes()
 
 
 def test_smooth_primitives_and_branches_match():
