@@ -3,6 +3,8 @@
 Closed-loop stepping evaluates the filter at every RK4 stage of every
 step, one state at a time, so the per-state math for the pendulum and
 bicycle scenarios is spelled out here as scalar kernels in plain Python.
+The simulation kernels log as :func:`cbftk.sim.simulate` does, appending
+each row to the caller's ``array('d')`` and returning the exit reason.
 Derivatives are carried inline (value plus partials), mirroring the
 dual-number rules of :mod:`cbftk.autodiff`; the test suite pins these
 kernels against the AD reference path at random states and parameters.
@@ -34,7 +36,7 @@ bicycle ``P`` (17):  L, v_d, v_hat, xi_o, eta_o, r_o, k_eta, k_theta, k_v,
                      gamma1, gamma2, alpha_hat, sigma_hat, mu, alpha_in,
                      alpha_out, epsilon
 
-CBF kind codes: see :data:`KIND_CODES`.
+A kernel's ``kind`` is a name of :data:`cbftk.cbf.CBF_KINDS`.
 """
 
 from __future__ import annotations
@@ -43,21 +45,9 @@ import math
 
 import numpy as np
 
+from .cbf import ABC, BACKSTEPPING, HOCBF, RECBF
+
 HALF_PI_SQ = math.pi * math.pi / 4.0
-
-KIND_CODES = {"hocbf": 0, "recbf": 1, "backstepping": 2, "abc": 3}
-
-# exit codes, named as in cbftk.sim.Trajectory.exit_reason
-EXIT_COMPLETED = 0
-EXIT_BLOW_UP = 2
-EXIT_NON_FINITE = 3
-EXIT_LEFT_DOMAIN = 4
-EXIT_REASONS = {
-    EXIT_COMPLETED: "completed",
-    EXIT_BLOW_UP: "blow_up",
-    EXIT_NON_FINITE: "non_finite",
-    EXIT_LEFT_DOMAIN: "left_domain",
-}
 
 
 def _requ(z):
@@ -92,17 +82,17 @@ def pend_h_grad(kind, phi, om, P):
     mu = P[3]
     eps = P[4]
     psi = HALF_PI_SQ - phi * phi
-    if kind == 0:
+    if kind == HOCBF:
         h = -2.0 * phi * om + ai * psi
         return h, -2.0 * om - 2.0 * ai * phi, -2.0 * phi
-    if kind == 1:
+    if kind == RECBF:
         r = -2.0 * phi * om + ai * psi
         z = eps - r
         c = _requ_prime(z) / (2.0 * mu)
         h = psi - _requ(z) / (2.0 * mu)
         # grad z = -grad r = (2 om + 2 ai phi, 2 phi)
         return h, -2.0 * phi - c * (2.0 * om + 2.0 * ai * phi), -c * 2.0 * phi
-    if kind == 2:
+    if kind == BACKSTEPPING:
         q = om + K * phi
         h = psi - q * q / (2.0 * mu)
         return h, -2.0 * phi - q * K / mu, -q / mu
@@ -127,41 +117,28 @@ def pend_control(kind, phi, om, P):
     return lam * b, h
 
 
-def pend_simulate(kind, phi0, om0, n_steps, dt, P, blow_threshold):
+def pend_simulate(kind, phi0, om0, n_steps, dt, P, blow_threshold, rows):
     """Closed-loop RK4 with the controller evaluated at every stage point.
 
-    Returns (xs, us, hs, psis, ss, rows, exit_code); arrays are allocated
-    for the full horizon and valid up to ``rows``.
+    Appends each row (phi, omega, u, h, psi and, for ``abc``, s) to
+    ``rows``, an ``array('d')``, and returns the exit reason, named as in
+    :attr:`cbftk.sim.Trajectory.exit_reason`; a run that stops early holds
+    only the rows it logged.
     """
-    n_rows = n_steps + 1
-    xs = np.empty((n_rows, 2))
-    us = np.empty((n_rows, 1))
-    hs = np.empty(n_rows)
-    psis = np.empty(n_rows)
-    ss = np.empty(n_rows)
     K = P[2]
     phi = phi0
     om = om0
-    rows = 0
-    exit_code = EXIT_COMPLETED
-    for k in range(n_rows):
+    for k in range(n_steps + 1):
         if not (math.isfinite(phi) and math.isfinite(om)):
-            exit_code = EXIT_NON_FINITE
-            break
+            return "non_finite"
         u, h = pend_control(kind, phi, om, P)
-        xs[k, 0] = phi
-        xs[k, 1] = om
-        us[k, 0] = u
-        hs[k] = h
-        psis[k] = HALF_PI_SQ - phi * phi
-        ss[k] = pend_switching(phi, om, K)
-        rows = k + 1
+        rows.extend((phi, om, u, h, HALF_PI_SQ - phi * phi))
+        if kind == ABC:
+            rows.append(pend_switching(phi, om, K))
         if not math.isfinite(u):
-            exit_code = EXIT_NON_FINITE
-            break
+            return "non_finite"
         if abs(u) > blow_threshold:
-            exit_code = EXIT_BLOW_UP
-            break
+            return "blow_up"
         if k == n_steps:
             break
         d1p = om
@@ -183,7 +160,7 @@ def pend_simulate(kind, phi0, om0, n_steps, dt, P, blow_threshold):
         d4o = math.sin(p4) + u4
         phi = phi + dt / 6.0 * (d1p + 2.0 * d2p + 2.0 * d3p + d4p)
         om = om + dt / 6.0 * (d1o + 2.0 * d2o + 2.0 * d3o + d4o)
-    return xs, us, hs, psis, ss, rows, exit_code
+    return "completed"
 
 
 def pend_scan(kind, phis, oms, P):
@@ -206,7 +183,7 @@ def pend_scan(kind, phis, oms, P):
             psi_arr[idx] = HALF_PI_SQ - phi * phi
             lgh_arr[idx] = abs(g1)
             margin_arr[idx] = lfh + P[1] * h
-            s_arr[idx] = pend_switching(phi, om, K) if kind == 3 else np.nan
+            s_arr[idx] = pend_switching(phi, om, K) if kind == ABC else np.nan
             idx += 1
     return h_arr, psi_arr, lgh_arr, margin_arr, s_arr
 
@@ -285,10 +262,10 @@ def bike_h_grad(kind, xi, eta, th, v, P):
     # grad psidot = (2 yd1, 2 yd2, v (b2 cth - b1 sth), b1 cth + b2 sth)
     pd_th = v * (b2 * cth - b1 * sth)
     pd_v = b1 * cth + b2 * sth
-    if kind == 0:
+    if kind == HOCBF:
         h = psidot + ai * psi
         return h, 2.0 * yd1 + ai * b1, 2.0 * yd2 + ai * b2, pd_th, pd_v
-    if kind == 1:
+    if kind == RECBF:
         r = psidot + ai * psi
         z = eps - r
         c = _requ_prime(z) / (2.0 * mu)
@@ -304,7 +281,7 @@ def bike_h_grad(kind, xi, eta, th, v, P):
     k1, k2, k1x, k1e, k2x, k2e = bike_kappa_grad(xi, eta, P)
     e1 = yd1 - k1
     e2 = yd2 - k2
-    if kind == 2:
+    if kind == BACKSTEPPING:
         h = psi - (e1 * e1 + e2 * e2) / (2.0 * mu)
         return (
             h,
@@ -361,51 +338,27 @@ def _bike_rhs(kind, xi, eta, th, v, P):
     return v * math.cos(th), v * math.sin(th), v * u1 / P[0], u2
 
 
-def bike_simulate(kind, xi0, eta0, th0, v0, n_steps, dt, P, blow_threshold):
+def bike_simulate(kind, xi0, eta0, th0, v0, n_steps, dt, P, blow_threshold, rows):
     """Closed-loop RK4 with stage-evaluated control; see pend_simulate."""
-    n_rows = n_steps + 1
-    xs = np.empty((n_rows, 4))
-    us = np.empty((n_rows, 2))
-    hs = np.empty(n_rows)
-    psis = np.empty(n_rows)
-    ss = np.empty(n_rows)
     xi = xi0
     eta = eta0
     th = th0
     v = v0
-    rows = 0
-    exit_code = EXIT_COMPLETED
-    for k in range(n_rows):
-        if not (
-            math.isfinite(xi)
-            and math.isfinite(eta)
-            and math.isfinite(th)
-            and math.isfinite(v)
-        ):
-            exit_code = EXIT_NON_FINITE
-            break
+    for k in range(n_steps + 1):
+        if not (math.isfinite(xi) and math.isfinite(eta) and math.isfinite(th) and math.isfinite(v)):
+            return "non_finite"
         dxo = xi - P[3]
         dyo = eta - P[4]
         if dxo * dxo + dyo * dyo < 1e-18:
-            exit_code = EXIT_LEFT_DOMAIN
-            break
+            return "left_domain"
         u1, u2, h = bike_control(kind, xi, eta, th, v, P)
-        xs[k, 0] = xi
-        xs[k, 1] = eta
-        xs[k, 2] = th
-        xs[k, 3] = v
-        us[k, 0] = u1
-        us[k, 1] = u2
-        hs[k] = h
-        psis[k] = dxo * dxo + dyo * dyo - P[5] * P[5]
-        ss[k] = bike_switching(xi, eta, th, v, P) if kind == 3 else np.nan
-        rows = k + 1
+        rows.extend((xi, eta, th, v, u1, u2, h, dxo * dxo + dyo * dyo - P[5] * P[5]))
+        if kind == ABC:
+            rows.append(bike_switching(xi, eta, th, v, P))
         if not (math.isfinite(u1) and math.isfinite(u2)):
-            exit_code = EXIT_NON_FINITE
-            break
+            return "non_finite"
         if abs(u1) > blow_threshold or abs(u2) > blow_threshold:
-            exit_code = EXIT_BLOW_UP
-            break
+            return "blow_up"
         if k == n_steps:
             break
         d1 = v * math.cos(th), v * math.sin(th), v * u1 / P[0], u2
@@ -416,7 +369,7 @@ def bike_simulate(kind, xi0, eta0, th0, v0, n_steps, dt, P, blow_threshold):
         eta = eta + dt / 6.0 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
         th = th + dt / 6.0 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
         v = v + dt / 6.0 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
-    return xs, us, hs, psis, ss, rows, exit_code
+    return "completed"
 
 
 def bike_scan(kind, xis, etas, theta, v, P):
@@ -456,6 +409,6 @@ def bike_scan(kind, xis, etas, theta, v, P):
             h_arr[idx] = h
             lgh_arr[idx] = math.sqrt(lgh1 * lgh1 + lgh2 * lgh2)
             margin_arr[idx] = lfh + P[15] * h
-            s_arr[idx] = bike_switching(xi, eta, theta, v, P) if kind == 3 else np.nan
+            s_arr[idx] = bike_switching(xi, eta, theta, v, P) if kind == ABC else np.nan
             idx += 1
     return h_arr, psi_arr, lgh_arr, margin_arr, s_arr, excluded

@@ -65,6 +65,8 @@ class Trajectory:
     generated code; ``"numpy: <reason>"`` with the reason of the first step
     that ran on numpy instead, with h and its gradient on Duals; and
     ``"kernel"`` for a run of :meth:`cbftk.systems.Scenario.simulate`.
+    Both paths log each row into one float buffer and copy the columns out
+    of it (:func:`_trajectory`).
     """
 
     dt: float
@@ -174,14 +176,17 @@ def simulate(
     step.  Every step runs on numpy when the step could not be traced (a
     callable that needs the number behind a traced value).  A step on numpy
     evaluates h and its gradient on Duals.
-    ``evaluation`` of the result says which ran and why.  An ``x0`` without
+    ``evaluation`` of the result says which ran and why.  Memory grows with
+    the rows logged (8 bytes a value), not with the horizon: a run that
+    stops early holds only its rows, and one whose rows outgrow memory
+    raises ``MemoryError`` from the buffer.  An ``x0`` without
     ``system.n`` finite components, or a ``horizon`` or ``dt`` that is not
     positive and finite or gives more steps than an index holds, or a
     ``blow_up_threshold`` that is not positive (NaN among them; ``math.inf``
     turns the check off), is refused with a ValueError.  For the published
     constructions of a built-in scenario,
     :meth:`cbftk.systems.Scenario.simulate` gives the run on the scalar
-    kernels.
+    kernels, which log into the same row layout.
     """
     n = system.n
     x0 = _initial_state(x0, n)
@@ -238,6 +243,13 @@ def simulate(
             exit_reason = "non_finite"
             break
         k += 1
+    return _trajectory(rows, dt, n, m, want_s, exit_reason, "generated" if reason is None else f"numpy: {reason}")
+
+
+def _trajectory(rows, dt, n, m, want_s, exit_reason, evaluation) -> Trajectory:
+    """The :class:`Trajectory` of the rows in ``rows``, an ``array('d')``
+    holding each row's ``n`` states, ``m`` inputs, h, psi and, where
+    ``want_s``, s; the columns are copied out of the buffer."""
     table = np.frombuffer(rows).reshape(-1, n + m + 2 + want_s)
     return Trajectory(
         dt=dt,
@@ -248,7 +260,7 @@ def simulate(
         psi=table[:, n + m + 1].copy(),
         s=table[:, n + m + 2].copy() if want_s else None,
         exit_reason=exit_reason,
-        evaluation="generated" if reason is None else f"numpy: {reason}",
+        evaluation=evaluation,
     )
 
 

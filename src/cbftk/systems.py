@@ -22,6 +22,7 @@ outside a circular obstacle, psi = (xi - xi_o)^2 + (eta - eta_o)^2 - r_o^2.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
@@ -34,7 +35,7 @@ from . import kernels
 from .cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, CbfInstance
 from .core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from .safety_filter import LinearGain, SafetyFilterSpec, SmoothFilter, VirtualController
-from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _blow_up_threshold, _initial_state, _n_steps
+from .sim import DEFAULT_BLOW_UP_THRESHOLD, Trajectory, _blow_up_threshold, _initial_state, _n_steps, _trajectory
 
 __all__ = [
     "PendulumParams",
@@ -239,28 +240,22 @@ class Scenario:
         The kernel gets ``x0``, ``dt``, the threshold and the parameters as
         Python floats, whatever number types the caller gave: on numpy
         scalars each of its scalar operations would run as ``np.float64``
-        arithmetic, with the same bits at 2-3 times the cost per step.
+        arithmetic, with the same bits at 2-3 times the cost per step.  It
+        appends each row to one ``array('d')``, in :func:`cbftk.sim.simulate`'s
+        layout, and the result is built from that buffer as there, so memory
+        grows with the rows logged, not with the horizon; a run whose rows
+        outgrow memory raises ``MemoryError`` from the buffer.
         """
         self.make_cbf(kind)  # refuses the kinds and parameters the reference refuses
         self.filter_spec()  # and the filter's weights, which the kernel divides by
-        code, params = kernels.KIND_CODES[kind], self.kernel_params_for(kind)
         x0 = _initial_state(self.x0 if x0 is None else x0, self.system.n).tolist()
         dt = float(self.dt if dt is None else dt)
         n_steps = _n_steps(self.horizon if horizon is None else horizon, dt)
-        xs, us, hs, psis, ss, rows, exit_code = self._kernel_simulate(
-            code, x0, n_steps, dt, params, _blow_up_threshold(blow_up_threshold)
+        rows = array("d")
+        exit_reason = self._kernel_simulate(
+            kind, x0, n_steps, dt, self.kernel_params_for(kind), _blow_up_threshold(blow_up_threshold), rows
         )
-        return Trajectory(
-            dt=dt,
-            t=dt * np.arange(rows),
-            x=xs[:rows].copy(),
-            u=us[:rows].copy(),
-            h=hs[:rows].copy(),
-            psi=psis[:rows].copy(),
-            s=ss[:rows].copy() if kind == ABC else None,
-            exit_reason=kernels.EXIT_REASONS[exit_code],
-            evaluation="kernel",
-        )
+        return _trajectory(rows, dt, self.system.n, self.system.m, kind == ABC, exit_reason, "kernel")
 
     def scan(self, kind: str) -> analysis.GridScan:
         """Grid scan of ``make_cbf(kind)`` over the scenario's window.
@@ -338,8 +333,8 @@ class PendulumScenario(Scenario):
     def state_from_axes(self, axis_values):
         return list(axis_values)
 
-    def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
-        return kernels.pend_simulate(code, x0[0], x0[1], n_steps, dt, params, blow_up_threshold)
+    def _kernel_simulate(self, kind, x0, n_steps, dt, params, blow_up_threshold, rows):
+        return kernels.pend_simulate(kind, *x0, n_steps, dt, params, blow_up_threshold, rows)
 
 
 def _clear_of_obstacle(p: BicycleParams, xi, eta) -> bool:
@@ -358,7 +353,7 @@ class BicycleScenario(Scenario):
         system = ControlAffineSystem(
             n=4,
             m=2,
-            f=lambda x: [x[3] * ad.cos(x[2]), x[3] * ad.sin(x[2]), 0.0 * x[0], 0.0 * x[0]],
+            f=lambda x: [x[3] * ad.cos(x[2]), x[3] * ad.sin(x[2]), 0.0, 0.0],
             g=lambda x: [
                 [0.0, 0.0],
                 [0.0, 0.0],
@@ -404,7 +399,7 @@ class BicycleScenario(Scenario):
     def _kappa(self) -> VirtualController:
         p: BicycleParams = self.params
         return SmoothFilter(
-            kappa_d=lambda y, vh=p.v_hat: [vh, 0.0 * y[1]],
+            kappa_d=lambda y, vh=p.v_hat: [vh, 0.0],
             psi=self.output.psi,
             psi_grad=self.output.psi_grad,
             alpha_hat=LinearClassK(p.alpha_hat_c),
@@ -459,10 +454,8 @@ class BicycleScenario(Scenario):
         fixed = self.resolved_slice
         return [axis_values[0], axis_values[1], fixed["theta"], fixed["v"]]
 
-    def _kernel_simulate(self, code, x0, n_steps, dt, params, blow_up_threshold):
-        return kernels.bike_simulate(
-            code, x0[0], x0[1], x0[2], x0[3], n_steps, dt, params, blow_up_threshold
-        )
+    def _kernel_simulate(self, kind, x0, n_steps, dt, params, blow_up_threshold, rows):
+        return kernels.bike_simulate(kind, *x0, n_steps, dt, params, blow_up_threshold, rows)
 
 
 def pendulum_scenario(

@@ -2,6 +2,7 @@
 
 import ast
 import math
+from array import array
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 import cbftk
 from cbftk import kernels
 from cbftk.cbf import ABC, CBF_KINDS, CbfInstance
-from cbftk.kernels import KIND_CODES
 from cbftk.safety_filter import SafetyFilterSpec
 from cbftk.sim import simulate
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
@@ -22,11 +22,10 @@ from strategies import bicycle_params, pendulum_params
 @pytest.mark.parametrize("kind", CBF_KINDS)
 def test_pendulum_kernel_matches_ad(kind, pendulum, rng):
     inst = pendulum.make_cbf(kind)
-    code = KIND_CODES[kind]
     P = pendulum.kernel_params_for(kind)
     for _ in range(200):
         x = pendulum.sample_state(rng)
-        h, g0, g1 = kernels.pend_h_grad(code, x[0], x[1], P)
+        h, g0, g1 = kernels.pend_h_grad(kind, x[0], x[1], P)
         value, grad = inst.value_and_gradient(x)
         assert h == pytest.approx(value, rel=1e-13, abs=1e-13)
         assert np.allclose([g0, g1], grad, rtol=1e-12, atol=1e-12)
@@ -35,11 +34,10 @@ def test_pendulum_kernel_matches_ad(kind, pendulum, rng):
 @pytest.mark.parametrize("kind", CBF_KINDS)
 def test_bicycle_kernel_matches_ad(kind, bicycle, rng):
     inst = bicycle.make_cbf(kind)
-    code = KIND_CODES[kind]
     P = bicycle.kernel_params_for(kind)
     for _ in range(200):
         x = bicycle.sample_state(rng)
-        out = kernels.bike_h_grad(code, x[0], x[1], x[2], x[3], P)
+        out = kernels.bike_h_grad(kind, x[0], x[1], x[2], x[3], P)
         value, grad = inst.value_and_gradient(x)
         assert out[0] == pytest.approx(value, rel=1e-12, abs=1e-10)
         assert np.allclose(out[1:], grad, rtol=1e-10, atol=1e-9)
@@ -85,13 +83,12 @@ def _assert_runs_match(scenario, kind, horizon):
 
 def _kernel_scan(scenario, kind, axes):
     """The scan kernel of a scenario: h, psi, lgh_norm, margin, s, excluded."""
-    code = KIND_CODES[kind]
     P = scenario.kernel_params_for(kind)
     if scenario.name == "pendulum":
-        h, psi, lgh_norm, margin, s = kernels.pend_scan(code, axes[0], axes[1], P)
+        h, psi, lgh_norm, margin, s = kernels.pend_scan(kind, axes[0], axes[1], P)
         return h, psi, lgh_norm, margin, s, np.zeros(h.size, dtype=bool)
     theta, v = scenario.resolved_slice["theta"], scenario.resolved_slice["v"]
-    return kernels.bike_scan(code, axes[0], axes[1], theta, v, P)
+    return kernels.bike_scan(kind, axes[0], axes[1], theta, v, P)
 
 
 def _assert_kernel_scan_matches(scenario, kind, resolution):
@@ -173,10 +170,11 @@ def test_only_the_scenarios_reach_the_kernels():
 
 def test_blow_up_exit_code(pendulum):
     P = pendulum.kernel_params_for("hocbf")
-    _, us, *_rest, rows, code = kernels.pend_simulate(0, 0.1, -2.0, 5000, 1e-3, P, 1e3)
-    assert code == kernels.EXIT_BLOW_UP
-    assert rows < 5001
-    assert abs(us[rows - 1, 0]) > 1e3
+    rows = array("d")
+    assert kernels.pend_simulate("hocbf", 0.1, -2.0, 5000, 1e-3, P, 1e3, rows) == "blow_up"
+    table = np.frombuffer(rows).reshape(-1, 5)  # phi, omega, u, h, psi
+    assert len(table) < 5001
+    assert abs(table[-1, 2]) > 1e3
 
 
 def _recording(kernel, calls):
@@ -205,9 +203,9 @@ def test_the_kernels_get_python_floats(kind, monkeypatch):
             scenario.simulate(kind, x0=list(x0), horizon=0.01, dt=np.float32(1e-3))
             runs += 3
     assert len(calls) == runs
-    for code, *args in calls:
-        *scalars, n_steps, dt, P, blow_threshold = args
-        assert type(code) is int and type(n_steps) is int
+    for kind_name, *args in calls:
+        *scalars, n_steps, dt, P, blow_threshold, rows = args
+        assert kind_name == kind and type(n_steps) is int and type(rows) is array
         assert type(P) is tuple and len(P) in (6, 17)
         assert all(type(v) is float for v in (*scalars, dt, *P, blow_threshold))
 
@@ -222,14 +220,13 @@ def test_a_root_that_underflows_divides_as_numpy_does(v_hat, kind):
     x0 = (0.25, 0.0, 0.0, 1.0)
     floats = kernels.bike_kappa_grad(*x0[:2], P)
     assert floats[2] == math.copysign(math.inf, v_hat) and math.isnan(floats[3])
-    run = kernels.bike_simulate(KIND_CODES[kind], *x0, 10, 1e-3, P, 1e3)
+    rows, numpy_rows = array("d"), array("d")
+    reason = kernels.bike_simulate(kind, *x0, 10, 1e-3, P, 1e3, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         scalars = kernels.bike_kappa_grad(*map(np.float64, x0[:2]), np.array(P))
-        numpy_run = kernels.bike_simulate(
-            KIND_CODES[kind], *map(np.float64, x0), 10, np.float64(1e-3), np.array(P), 1e3
+        numpy_reason = kernels.bike_simulate(
+            kind, *map(np.float64, x0), 10, np.float64(1e-3), np.array(P), 1e3, numpy_rows
         )
     np.testing.assert_array_equal(floats, scalars)
-    rows = run[5]
-    assert (rows, run[6]) == numpy_run[5:]
-    for got, want in zip(run[:5], numpy_run[:5]):
-        np.testing.assert_array_equal(got[:rows], want[:rows])
+    assert reason == numpy_reason
+    np.testing.assert_array_equal(np.frombuffer(rows), np.frombuffer(numpy_rows))

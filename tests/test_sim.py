@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,30 @@ def test_an_infinite_blow_up_threshold_turns_the_check_off(pendulum):
     for traj in (library, kernel):
         assert (traj.exit_reason, len(traj)) == ("completed", 351)
         assert np.abs(traj.u).max() > 1e3
+
+
+def _peak_bytes(run):
+    """The result of ``run()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_that_stops_early_allocates_only_its_rows(pendulum):
+    # a million steps, of which the published high-order run logs 328
+    # before its input blows up: 13 KB of rows, against 48 MB for arrays
+    # sized to the horizon
+    inst, spec = pendulum.make_cbf("hocbf"), pendulum.filter_spec()
+    simulate(pendulum.system, inst, spec, pendulum.x0, 0.01, 1e-3)  # traces the step
+    for run in (
+        lambda: pendulum.simulate("hocbf", horizon=1000.0),
+        lambda: simulate(pendulum.system, inst, spec, pendulum.x0, 1000.0, 1e-3),
+    ):
+        traj, peak = _peak_bytes(run)
+        assert (traj.exit_reason, len(traj)) == ("blow_up", 328)
+        assert peak < 1e6
 
 
 # -- what the kernel scenario run refuses and what it reads ---------------------
