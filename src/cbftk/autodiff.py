@@ -476,10 +476,6 @@ class Untraceable(TypeError):
     """A traced field needed the number behind a traced value."""
 
 
-class _Untraced(Untraceable):
-    """Code called from a trace was not traced itself; the message is its reason."""
-
-
 class Sym:
     """A float of a traced field: a variable of the generated code.
 
@@ -588,17 +584,15 @@ def _traced_math(name):
 _TRACED_MATH = SimpleNamespace(**{name: _traced_math(name) for name in ("sin", "cos", "sqrt")})
 
 # templates the renderings pick out: a select; the guards, each returning its
-# second operand's text where its condition holds (the last where called code
-# returned a reason); and the lanes' checks of operations that raise on floats
+# second operand's text where its condition holds; and the lanes' checks of
+# operations that raise on floats
 _SELECT = "{} if {} else {}"
 _IF = "if {}: return {}"
 _IF_NOT = "if not {}: return {}"
-_IF_STR = "if {}.__class__ is str: return {}"
 _ZERO = "bad = bad | ({} == 0.0)"
 _INF = "bad = bad | (np.isinf({}))"
 _OVERFLOW = "bad = bad | (np.isinf({}) & np.isfinite({}) & np.isfinite({}))"
-# the operations that may raise on floats, kept though nothing reads them;
-# a call of other generated code is read by its guard
+# the operations that may raise on floats, kept though nothing reads them
 _RAISING = frozenset(("{} / {}", "{} ** {}", "sin({})", "cos({})", "sqrt({})"))
 
 
@@ -628,9 +622,9 @@ class _Trace:
 
     def guard(self, template, *operands):
         """The line ``template`` on the texts ``operands``: a guard, which
-        returns its second operand (a label's ``repr`` or a variable) where
-        its condition, the first, holds; or a check that the lanes OR into
-        ``bad``, which a traced primitive records where it is traced."""
+        returns its second operand (a label's ``repr``) where its condition,
+        the first, holds; or a check that the lanes OR into ``bad``, which
+        a traced primitive records where it is traced."""
         record = (None, template, operands)
         if record not in self.guards:
             self.guards.add(record)
@@ -664,17 +658,20 @@ class Traced:
 
     ``function`` takes a list of traced floats (:class:`Sym`) and returns a
     sequence of traced floats and constants.  The float operations it makes
-    on them are recorded in evaluation order; the record renders as one
-    Python function of floats on the first call (:attr:`source`), as
-    numpy code on the first :meth:`lanes` and as a loop of steps on the
-    first :meth:`loop`.  Each :func:`where` on a traced
-    mask becomes a conditional expression, and each check (:func:`failed`,
-    :func:`holds`, a refused primitive) a guard.  Calling it with floats
-    returns the tuple of outputs, or a string saying why these arguments
-    must take ``function`` itself on floats instead: a guard fired, the
-    code raised, or ``function`` could not be traced, which ``reason`` then
-    says (a ``float()``, ``math.*`` or ``np.*`` call or a Python ``if`` on
-    a traced value, for example).
+    on them are recorded in evaluation order, with whatever ``function``
+    calls inlined: a function it calls at several points (the filter at
+    each stage of an RK4 step) is recorded at each, one operation once
+    (:meth:`_Trace.emit`), so the record calls no other generated code and
+    every form renders it.  The record renders as one Python function of
+    floats on the first call (:attr:`source`), as numpy code on the first
+    :meth:`lanes` and as a loop of steps on the first :meth:`loop`.  Each
+    :func:`where` on a traced mask becomes a conditional expression, and
+    each check (:func:`failed`, :func:`holds`, a refused primitive) a
+    guard.  Calling it with floats returns the tuple of outputs, or a
+    string saying why these arguments must take ``function`` itself on
+    floats instead: a guard fired, the code raised, or ``function`` could
+    not be traced, which ``reason`` then says (a ``float()``, ``math.*`` or
+    ``np.*`` call or a Python ``if`` on a traced value, for example).
     """
 
     def __init__(self, function, arity: int):
@@ -685,8 +682,6 @@ class Traced:
         self._loops = {}
         try:
             self._record = self._recorded(function, arity)
-        except _Untraced as exc:
-            self.reason = str(exc)
         except Exception as exc:  # anything the trace cannot follow takes the traced path
             import traceback  # only here, to keep it out of the import time
 
@@ -760,8 +755,8 @@ class Traced:
         """The loop of :meth:`loop` as one Python function, compiled."""
         args, trace, outputs = self._record
         state = _tuple(args[:carried])
-        # a guard returns (k, its label or reason, the state) instead
-        table = dict(_FLOATS, **{t: t.replace("return {}", f"return (k, {{}}, {state})") for t in (_IF, _IF_NOT, _IF_STR)})
+        # a guard returns (k, its label, the state) instead
+        table = dict(_FLOATS, **{t: t.replace("return {}", f"return (k, {{}}, {state})") for t in (_IF, _IF_NOT)})
         # the carried outputs go to y0, y1, ... first, so that every float
         # operation of a step comes before its row
         logged = (*args[:carried], *outputs[carried:])
@@ -795,11 +790,11 @@ class Traced:
         A lane is bad too where a call would raise on an operation whose
         result a ``where`` may discard, by its check recorded where traced
         (:class:`Sym`).  A string says why it did not run: the code was not
-        traced, calls other generated code (:meth:`call`), or raised.
+        traced, or raised.
         """
         if self._lanes is None:
-            if self._record is None or any(template == _IF_STR for _, template, _ in self._record[1].lines):
-                return self.reason or "not run as lanes: the trace calls other generated code"
+            if self._record is None:
+                return self.reason
             args, trace, outputs = self._record
             returned = (None, f"return (bad, {_tuple(['{}'] * len(outputs))})", outputs)
             lines = _inlined([(None, "bad = False", ()), *trace.lines, returned], _LANES)
@@ -809,21 +804,6 @@ class Traced:
                 return self._lanes(*arrays)
         except Exception as exc:  # the traced path gives the reference answer or error
             return f"lanes raised {type(exc).__name__}: {exc}"
-
-    def call(self, args) -> list:
-        """This code called at the traced ``args`` from inside another trace:
-        one line calling it, then one traced value per output.
-
-        Where the called code returns a reason, the caller returns it.
-        Refused with Untraceable where this code was not traced.
-        """
-        if self.source is None:
-            raise _Untraced(self.reason)
-        trace = next(v.trace for v in args if v.__class__ is Sym)
-        called = (trace.global_name(self._run), *map(trace.text, args))
-        result = trace.emit(f"{{}}({', '.join(['{}'] * len(args))})", called)
-        trace.guard(_IF_STR, result.name, result.name)
-        return [trace.emit(f"{{}}[{i}]", (result.name,)) for i in range(self.outputs)]
 
 
 def cached(owner, keys: tuple, make):
@@ -871,6 +851,10 @@ def _inlined(records, table) -> list:
     """The lines of ``records`` in the form of ``table``, with each variable
     read once written into its reader, and without the variables nothing
     reads, unless their operation may raise on floats (:data:`_RAISING`).
+    A line without a variable (a guard, a check) whose text is already
+    written is left out: every variable is assigned once, so it would do
+    again what it did (in the lanes, a guard of a division and its check
+    of the zero divisor both render as ``bad = bad | (tN == 0.0)``).
 
     Every float operation kept keeps its operands; it only moves later,
     past guards, which leave the arguments to the traced path anyway.  A
@@ -887,11 +871,13 @@ def _inlined(records, table) -> list:
     kept_records.reverse()
     reads = collections.Counter(v for _, _, operands in kept_records for v in operands)
     kept = {v for _, template, operands in kept_records if template == _SELECT for v in operands}
-    pending, out = {}, []
+    pending, out, written = {}, [], set()
     for name, template, operands in kept_records:
         expression = template.format(*(f"({pending.pop(v)})" if v in pending else v for v in operands))
         if name is None:
-            out.append(expression)
+            if expression not in written:
+                written.add(expression)
+                out.append(expression)
         elif reads[name] == 1 and name not in kept:
             pending[name] = expression
         else:

@@ -42,10 +42,13 @@ def lambda_exact(a, b):
     """Exact QP multiplier: 0 if b <= 0, else max(0, -a/b).
 
     Selects with :func:`cbftk.autodiff.where`, so that it can be traced; 1
-    stands in for a b <= 0 that is then not used.
+    stands in for a b <= 0 that is then not used.  A ratio -a/b beyond the
+    floats is +-inf, on numpy scalars as on Python floats and in generated
+    code: that division alone runs with numpy's overflow warning off.
     """
     positive = b > 0.0
-    ratio = -a / ad.where(positive, b, 1.0)
+    with np.errstate(over="ignore"):
+        ratio = -a / ad.where(positive, b, 1.0)
     return ad.where(positive & (ratio > 0.0), ratio, 0.0)
 
 

@@ -11,9 +11,11 @@ Runs truncate (rather than abort) on input blow-up, on leaving the
 extended set, and on non-finite states, so comparative batches complete.
 
 :func:`simulate` traces one step once (:class:`cbftk.autodiff.Traced`) from
-the helpers its numpy step uses, and runs the whole run as one generated
-loop around that step's code (:meth:`cbftk.autodiff.Traced.loop`), which
-appends each row to one float buffer.  A step the loop leaves to numpy runs
+the helpers its numpy step uses, flat: the filter at each of the four RK4
+stages, the RK4 combination and the logged fields are one record, which
+calls no other generated code.  The whole run is one generated loop around
+that step's code (:meth:`cbftk.autodiff.Traced.loop`), which appends each
+row to one float buffer.  A step the loop leaves to numpy runs
 on numpy, with the same bits, and the loop takes the run back at the next
 step.
 """
@@ -161,7 +163,10 @@ def simulate(
     Every argument is honoured: the controller is ``safety_filter(spec,
     instance, system, x)``.  A step runs as straight-line code on Python
     floats, traced once per (instance, system, spec) from the same filter,
-    plant, RK4 stages and logged fields, and cached on the instance.  It
+    plant, RK4 stages and logged fields, with the filter inlined at each
+    stage, and cached on the instance: the first run of an instance pays
+    for the trace and for rendering and compiling its loop (a few ms, more
+    for the bicycle's larger filters), and later runs pay for neither.  It
     makes numpy's float operations in numpy's order; the filter's dot
     products sum in index order on both paths (:func:`cbftk.autodiff.dot`),
     so it gives the same bits whatever BLAS numpy loads.  The steps run as
@@ -287,11 +292,12 @@ def _logged(instance, x, want_s) -> list:
 
 def _generated_step(system, instance, spec) -> ad.Traced:
     """:func:`_step` as straight-line code, cached on ``instance`` for
-    ``system`` and ``spec`` (:func:`cbftk.autodiff.cached`)."""
+    ``system`` and ``spec`` (:func:`cbftk.autodiff.cached`): one flat trace
+    of the four filter evaluations, the RK4 combination and the logged
+    fields."""
 
     def traced():
-        controller = ad.Traced(lambda x: _controlled(system, instance, spec, np.array(x, dtype=object)), system.n)
-        return ad.Traced(lambda args: _step(system, instance, controller, args), system.n + 1)
+        return ad.Traced(lambda args: _step(system, instance, spec, args), system.n + 1)
 
     return ad.cached(instance, (_step, system, spec), traced)
 
@@ -302,14 +308,14 @@ def _controlled(system, instance, spec, x) -> list:
     return [*u, *_derivative(system, x, u)]
 
 
-def _step(system, instance, controller, args) -> list:
+def _step(system, instance, spec, args) -> list:
     """One step of :func:`simulate` from the traced state and step size in
     ``args``: the next state, then u, h, psi and, for the activated
     construction, s at the state.
 
-    ``controller`` is the code of :func:`_controlled`, called at the state
-    and at the three later stages.  Besides the guards of that code (the
-    extended set among them), a guard leaves the step to numpy where an
+    :func:`_controlled` runs on the traced state and on each of the three
+    later stage states, so its guards (the extended set among them) are
+    the step's.  Besides those, a guard leaves the step to numpy where an
     output is not finite: the state itself may not be, which the numpy
     step reports as the loop checks it, or a NaN may have gone through a
     sum, whose sign and payload Python's and numpy's arithmetic need not
@@ -319,9 +325,9 @@ def _step(system, instance, controller, args) -> list:
     m = system.m
 
     def controlled_derivative(z):
-        return np.array(controller.call(z)[m:], dtype=object)
+        return np.array(_controlled(system, instance, spec, z)[m:], dtype=object)
 
-    at_x = controller.call(x)
+    at_x = _controlled(system, instance, spec, x)
     k1 = np.array(at_x[m:], dtype=object)
     outputs = [*_next_state(controlled_derivative, x, k1, dt), *at_x[:m], *_logged(instance, x, instance.kind == ABC)]
     for v in outputs:

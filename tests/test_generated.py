@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
 from cbftk import sim
-from cbftk.analysis import grid_scan
+from cbftk.analysis import _scan_trace, grid_scan
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, hocbf
 from cbftk.core import LinearClassK, RelDeg2Output, by_lanes
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
@@ -393,14 +393,47 @@ def test_an_untraceable_field_names_the_operation(field, operation):
     assert run(0.4, 1.0) == run.reason
 
 
-def test_a_trace_that_calls_generated_code_runs_no_lanes(pendulum):
-    step = sim._generated_step(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec())
-    assert step.lanes(np.zeros(3), np.zeros(3), np.full(3, 1e-3)) == "not run as lanes: the trace calls other generated code"
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", CBF_KINDS)
+def test_the_step_runs_as_lanes_with_the_bits_of_its_loop(plant, kind, pendulum, bicycle):
+    # the step is one flat trace, so it runs as lanes: at sampled states of
+    # each published pair, every lane the lanes do not flag gives the next
+    # state and the logged row of a one-step loop from its state
+    scenario = pendulum if plant == "pendulum" else bicycle
+    system, dt = scenario.system, 1e-3
+    n = system.n
+    step = sim._generated_step(system, scenario.make_cbf(kind), scenario.filter_spec())
+    rng = np.random.default_rng(24)
+    states = [np.asarray(scenario.x0, dtype=float), *(scenario.sample_state(rng) for _ in range(40))]
+    flagged, outputs = step.lanes(*np.array(states).T, np.full(len(states), dt))
+    flagged = np.broadcast_to(flagged, (len(states),))
+    columns = np.array([np.broadcast_to(v, (len(states),)) for v in outputs])
+    assert np.count_nonzero(~flagged) >= len(states) // 2
+    for j in np.flatnonzero(~flagged):
+        x, rows = states[j].tolist(), array("d")
+        k, reason, state = step.loop((*x, dt), range(1), rows, n, range(n, n + system.m), math.inf)
+        assert (k, reason, rows[:n].tobytes()) == (1, None, np.array(x).tobytes()), x
+        assert columns[:, j].tobytes() == np.array([*state, *rows[n:]]).tobytes(), x
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", CBF_KINDS)
+def test_no_lanes_source_of_a_published_scan_repeats_a_line(plant, kind, pendulum, bicycle, monkeypatch):
+    # a division by a traced value records its guard and the lanes' check
+    # of its divisor, which render as one line; it is written once
+    scenario = pendulum if plant == "pendulum" else bicycle
+    rendered = []
+    compiled = ad._compiled
+    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: rendered.append(source) or compiled(source, namespace))
+    _scan_trace(scenario.make_cbf(kind), scenario.system).lanes(*np.zeros((scenario.system.n, 1)))
+    [source] = rendered
+    lines = source.splitlines()
+    assert len(set(lines)) == len(lines)
 
 
 def test_each_form_of_a_trace_is_rendered_on_first_use(monkeypatch):
     # a clean scan of a new scenario renders only lanes (of its lift and of
-    # its evaluation), the same scan again nothing, and a run only code on floats
+    # its evaluation), the same scan again nothing, and a run only its loop
     pendulum = pendulum_scenario()
     rendered = []
     compiled = ad._compiled
@@ -418,7 +451,7 @@ def test_each_form_of_a_trace_is_rendered_on_first_use(monkeypatch):
     rendered.clear()
     traj = sim.simulate(pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3)
     assert traj.evaluation == "generated"
-    assert len(rendered) == 2 and not any("bad" in source for source in rendered)
+    assert len(rendered) == 1 and "bad" not in rendered[0]
 
 
 # -- the text of each template --------------------------------------------------
@@ -436,19 +469,16 @@ def _every_template(x):
 
 def test_each_template_renders_its_pinned_text(monkeypatch):
     # one trace with a select, both guard forms, divisions by a variable and
-    # by a literal zero, sin, cos, sqrt, ** and a constant, and one that
-    # calls its code (the call, its str guard and its items): the code on
-    # floats and the loop of each and the lanes of the first, text for text
+    # by a literal zero, sin, cos, sqrt, ** and a constant: its code on
+    # floats, its lanes and its loop, text for text
     rendered = []
     compiled = ad._compiled
     monkeypatch.setattr(ad, "_compiled", lambda source, namespace: rendered.append(source) or compiled(source, namespace))
     inner = ad.Traced(_every_template, 2)
-    outer = ad.Traced(inner.call, 2)  # renders the code on floats it calls
+    assert inner.source == INNER_SOURCE
     inner.lanes(np.zeros(1), np.zeros(1))
     inner.loop((0.5, 2.0), range(1), array("d"), 2, range(2, 3), 1e3)
-    assert outer.source == OUTER_SOURCE
-    outer.loop((0.5, 2.0), range(1), array("d"), 2, range(2, 3), 1e3)
-    assert rendered == [INNER_SOURCE, INNER_LANES, INNER_LOOP, OUTER_SOURCE, OUTER_LOOP]
+    assert rendered == [INNER_SOURCE, INNER_LANES, INNER_LOOP]
 
 
 INNER_SOURCE = """\
@@ -505,31 +535,6 @@ def generated(x0, x1, steps, extend, bound):
             y1 = ((t17 if t16 else t19) ** 3.0)
             extend((x0, x1, t23, (t15 < k0), ))
             if abs(t23) > bound: return (k, None, (x0, x1, ))
-            x0 = y0
-            x1 = y1
-    except Exception as exc:
-        return (k, exc.with_traceback(None), (x0, x1, ))
-    return (steps.stop, None, (x0, x1, ))
-"""
-
-OUTER_SOURCE = """\
-def generated(x0, x1):
-    t0 = k0(x0, x1)
-    if t0.__class__ is str: return t0
-    return ((t0[0]), (t0[1]), (t0[2]), (t0[3]), )
-"""
-
-OUTER_LOOP = """\
-def generated(x0, x1, steps, extend, bound):
-    try:
-        for k in steps:
-            t0 = k0(x0, x1)
-            if t0.__class__ is str: return (k, t0, (x0, x1, ))
-            t3 = t0[2]
-            y0 = (t0[0])
-            y1 = (t0[1])
-            extend((x0, x1, t3, (t0[3]), ))
-            if abs(t3) > bound: return (k, None, (x0, x1, ))
             x0 = y0
             x1 = y1
     except Exception as exc:

@@ -17,7 +17,7 @@ from cbftk import autodiff as ad
 from cbftk import sim
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, abc, backstepping, hocbf, recbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
-from cbftk.safety_filter import LinearGain, SafetyFilterSpec
+from cbftk.safety_filter import LinearGain, SafetyFilterSpec, lambda_exact
 from cbftk.systems import bicycle_scenario, pendulum_scenario
 from strategies import bicycle_params, pendulum_params
 
@@ -191,6 +191,16 @@ def test_a_state_with_tiny_products_runs_generated(plant, kind, x0, pendulum, bi
     assert traj.evaluation == "generated"
 
 
+@pytest.mark.parametrize("kind", [HOCBF, BACKSTEPPING])
+def test_a_multiplier_beyond_the_floats_is_the_same_infinity_on_both_paths(kind, pendulum):
+    # ||b||^2_Gamma is about 4e-320 at (1e-160, 0), so -a / ||b||^2_Gamma
+    # leaves the floats: +-inf on numpy scalars, without a warning, as on
+    # Python floats
+    assert lambda_exact(np.float64(-1.0), np.float64(4e-320)) == math.inf
+    traj = _assert_same_run(pendulum.system, pendulum.make_cbf(kind), pendulum.filter_spec(), [1e-160, 0.0], 0.1)
+    assert (traj.exit_reason, len(traj), traj.evaluation) == ("completed", 101, "generated")
+
+
 # -- the loop leaves a step to numpy and takes the run back -------------------
 # A cart drifting at unit speed: with dt = 0.25 its position takes exactly
 # the multiples of 0.25 at the steps, and 0.125 past them at the middle
@@ -272,10 +282,10 @@ def test_a_second_run_renders_and_compiles_nothing(pendulum, monkeypatch):
     monkeypatch.setattr(ad, "_compiled", lambda source, namespace: compiled.append(source) or compile(source, namespace))
     system, inst, spec = pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec()
     first = sim.simulate(system, inst, spec, pendulum.x0, 0.1, 1e-3)
-    # the controller's code on floats, called by the step, and the loop
-    assert len(compiled) == 2 and "for k in steps:" in compiled[1]
+    # only the loop, with the filter of every stage inlined in its step
+    assert len(compiled) == 1 and "for k in steps:" in compiled[0]
     second = sim.simulate(system, inst, spec, [0.2, 0.1], 0.2, 1e-3)
-    assert len(compiled) == 2
+    assert len(compiled) == 1
     assert first.evaluation == second.evaluation == "generated"
     step = sim._generated_step(system, inst, spec)
     assert step._source is None and step._lanes is None
