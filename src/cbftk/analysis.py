@@ -182,12 +182,12 @@ def grid_scan(
 
 def _scan_trace(instance: CbfInstance, system: ControlAffineSystem) -> ad.Traced:
     """:func:`_scan_outputs` as generated code, cached on ``instance`` for
-    ``system`` (:func:`cbftk.autodiff.cached`)."""
+    the last ``system`` by value (:func:`cbftk.autodiff.cached`)."""
 
     def traced():
         return ad.Traced(lambda x: _scan_outputs(instance, system, np.array(x, dtype=object)), system.n)
 
-    return ad.cached(instance, (_scan_outputs, system), traced)
+    return ad.cached(instance, "_scan_trace", system, traced)
 
 
 def _scan_outputs(instance, system, x) -> list:
@@ -213,23 +213,21 @@ def _node_array(axes, state_from_axes, output, n: int):
     at one node they give ``[*state_from_axes(a), in_extended_set(x)]``,
     the predicate read as a truth value, as
     :meth:`cbftk.cbf.CbfInstance.value` reads it, so 0 marks an excluded
-    node.  The trace is cached on ``output`` for the last lift it was
-    made with.  A lift that does not give ``n`` components is refused with
-    a ValueError naming ``state_from_axes``.
+    node.  The trace is cached on ``output`` for the last ``(state_from_axes,
+    n, len(axes))`` by value (:func:`cbftk.autodiff.cached`).  A lift that
+    does not give ``n`` components is refused with a ValueError naming
+    ``state_from_axes``.
     """
-    key = (state_from_axes, n, len(axes))
-    last = output.__dict__.get("_lift_trace")
-    if last is None or last[0] != key:
 
-        def lifted(a):
-            x = state_from_axes(a)
-            if len(x) != n:
-                raise ValueError(f"state_from_axes must give a state of shape ({n},), got {len(x)} components")
-            return [*x, ad.where(output.in_extended_set(ad.array(x)), 1.0, 0.0)]
+    def lifted(a):
+        x = state_from_axes(a)
+        if len(x) != n:
+            raise ValueError(f"state_from_axes must give a state of shape ({n},), got {len(x)} components")
+        return [*x, ad.where(output.in_extended_set(ad.array(x)), 1.0, 0.0)]
 
-        last = output.__dict__["_lift_trace"] = (key, ad.Traced(lifted, len(axes)))
+    traced = ad.cached(output, "_lift_trace", (state_from_axes, n, len(axes)), lambda: ad.Traced(lifted, len(axes)))
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    nodes, reason = by_lanes(last[1], grids, range(math.prod(map(len, axes))))
+    nodes, reason = by_lanes(traced, grids, range(math.prod(map(len, axes))))
     return nodes[:n], nodes[n] == 0.0, reason
 
 

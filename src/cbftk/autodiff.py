@@ -21,24 +21,26 @@ order, each as a variable, a template and its operands, like an equation
 of a jaxpr (the trace-once approach of Tapenade and of JAX).  Dual code
 traces too, on Duals whose values are Syms and whose partials are Syms,
 floats and structural zeros: forward-mode AD by source transformation
-(Griewank & Walther, *Evaluating Derivatives*).  The record renders as one
-straight-line Python function of floats, with the traced function's bits;
-that includes the dot products, since :func:`dot` sums in index order on
-floats and traced alike, where numpy's ``@`` would give the bits of
-whichever BLAS kernel it loads.  It also renders as numpy code over arrays
-of states, one lane per element (:meth:`Traced.lanes`), and as a loop that
-calls the code once per step, carrying some of its arguments from each
-step's outputs and appending each step's row to one float buffer
-(:meth:`Traced.loop`).  Each form is a table of the templates it writes
-otherwise, rendered on first use.  An operation that may raise on floats
-records the lanes' check of it where traced, and is kept though unread.
-The scans and the sampled checks run their states as lanes, and the states
-the lanes flag on the traced function itself (:func:`cbftk.core.by_lanes`);
-the closed-loop runs of :func:`cbftk.sim.simulate` run as the loop.
+(Griewank & Walther, *Evaluating Derivatives*).  The record renders two
+ways, each with the traced function's bits (the dot products' too, since
+:func:`dot` sums in index order on floats and traced alike, where numpy's
+``@`` would give the bits of whichever BLAS kernel it loads): as numpy code
+over arrays of states, one lane per element (:meth:`Traced.lanes`), and as
+a loop on floats that runs the code once per step, carrying some of its
+arguments from each step's outputs and appending each step's row to one
+float buffer (:meth:`Traced.loop`); a call of the trace is one step of it.
+Each form is a table of the templates it writes otherwise, rendered on
+first use.  An operation that may raise on floats records the lanes' check
+of it where traced, and is kept though unread.  The scans and the sampled
+checks run their states as lanes, and the states the lanes flag on the
+traced function itself (:func:`cbftk.core.by_lanes`); the closed-loop runs
+of :func:`cbftk.sim.simulate` run as the loop.  Traces are kept by
+:func:`cached`.
 """
 
 from __future__ import annotations
 
+import array as _array
 import collections
 import math
 import numbers
@@ -662,15 +664,16 @@ class Traced:
     calls inlined: a function it calls at several points (the filter at
     each stage of an RK4 step) is recorded at each, one operation once
     (:meth:`_Trace.emit`), so the record calls no other generated code and
-    every form renders it.  The record renders as one Python function of
-    floats on the first call (:attr:`source`), as numpy code on the first
-    :meth:`lanes` and as a loop of steps on the first :meth:`loop`.  Each
+    both forms render it: numpy code on the first :meth:`lanes`, and a
+    loop of steps on the first :meth:`loop` of each layout.  Each
     :func:`where` on a traced mask becomes a conditional expression, and
     each check (:func:`failed`, :func:`holds`, a refused primitive) a
-    guard.  Calling it with floats returns the tuple of outputs, or a
-    string saying why these arguments must take ``function`` itself on
-    floats instead: a guard fired, the code raised, or ``function`` could
-    not be traced, which ``reason`` then says (a ``float()``, ``math.*`` or
+    guard.  Calling it with floats runs one step of :meth:`loop` that
+    carries nothing and returns the tuple of outputs, as floats from the
+    loop's row (a traced comparison reads ``1.0`` or ``0.0``), or a string
+    saying why these arguments must take ``function`` itself on floats
+    instead: a guard fired, the code raised, or ``function`` could not be
+    traced, which ``reason`` then says (a ``float()``, ``math.*`` or
     ``np.*`` call or a Python ``if`` on a traced value, for example).
     """
 
@@ -678,7 +681,7 @@ class Traced:
         self.function = function
         self.reason = None
         self.outputs = 0
-        self._record = self._source = self._run = self._lanes = None
+        self._record = self._lanes = None
         self._loops = {}
         try:
             self._record = self._recorded(function, arity)
@@ -706,24 +709,10 @@ class Traced:
         trace.guards.clear()  # which only deduplicate while recording
         return args, trace, outputs
 
-    @property
-    def source(self):
-        """The code on floats, rendered on first use; None where not traced."""
-        if self._run is None and self._record is not None:
-            args, trace, outputs = self._record
-            returned = (None, f"return {_tuple(['{}'] * len(outputs))}", outputs)
-            self._source = _function_source(args, _inlined([*trace.lines, returned], _FLOATS))
-            self._run = _compiled(self._source, dict(trace.constants, **_FLOAT_MATH))
-        return self._source
-
     def __call__(self, *args):
-        if self._run is None and self.source is None:
-            return self.reason
-        try:
-            out = self._run(*args)
-        except Exception as exc:  # the traced path gives the reference answer or error
-            return _stopped(exc)
-        return out if out.__class__ is tuple else _stopped(out)
+        rows = _array.array("d")
+        reason = self.loop(args, range(1), rows, 0, range(0), math.inf)[1]
+        return tuple(rows) if reason is None else reason
 
     def loop(self, args, steps: range, rows, carried: int, watched: range, bound: float):
         """This code called once per step of ``steps``, carrying its first
@@ -734,14 +723,13 @@ class Traced:
         ``rows`` (an ``array('d')``) its carried arguments and its outputs
         after the first ``carried``, and then makes those first outputs the
         carried arguments of step k + 1.  The loop is rendered once per
-        layout, on first use, from the record :attr:`source` and
-        :meth:`lanes` render, with the same lines, so each step makes the
-        float operations of a call.  ``reason`` is None where every step
-        ran (k is then ``steps.stop``) or where an output of ``watched``
-        exceeded ``bound`` in magnitude at step k, after its row.  Otherwise
-        step k did not run, and no row of it is in ``rows``: ``reason`` says
-        why, as a call would (a guard fired, the code raised, or it was not
-        traced), and ``state`` holds the carried arguments of step k.
+        layout, on first use, from the record that :meth:`lanes` renders
+        too.  ``reason`` is None where every step ran (k is then
+        ``steps.stop``) or where an output of ``watched`` exceeded
+        ``bound`` in magnitude at step k, after its row.  Otherwise step k
+        did not run, and no row of it is in ``rows``: ``reason`` says why
+        (a guard fired, the code raised, or it was not traced), and
+        ``state`` holds the carried arguments of step k.
         """
         if self._record is None:
             return steps.start, self.reason, tuple(args[:carried])
@@ -806,20 +794,20 @@ class Traced:
             return f"lanes raised {type(exc).__name__}: {exc}"
 
 
-def cached(owner, keys: tuple, make):
-    """``make()``, made once per identities of ``keys`` and kept on ``owner``
-    with ``keys``, which the cache so keeps alive that no identity is reused."""
-    cache = owner.__dict__.setdefault("_cached", {})
-    key = tuple(map(id, keys))
-    if key not in cache:
-        cache[key] = (keys, make())
-    return cache[key][1]
+def cached(owner, slot: str, key, make):
+    """``make()``, kept in ``owner``'s ``__dict__`` (a frozen dataclass's too)
+    as ``slot`` with ``key``, and made again for a ``key`` that does not
+    compare equal to it by value: the one cache, the last one per slot."""
+    kept = owner.__dict__.get(slot)
+    if kept is None or kept[0] != key:
+        kept = owner.__dict__[slot] = (key, make())
+    return kept[1]
 
 
 _FLOAT_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 _NUMPY_MATH = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
 # a rendering's table maps a template to its text in that form, or to None to
-# leave the record out: the code on floats leaves out the lanes' checks, and
+# leave the record out: the loop on floats leaves out the lanes' checks, and
 # the lanes select by np.where and OR into ``bad`` the lanes each guard sends back
 _FLOATS = dict.fromkeys((_ZERO, _INF, _OVERFLOW))
 _LANES = {_SELECT: "np.where({1}, {0}, {2})", _IF: "bad = bad | {}", _IF_NOT: "bad = bad | np.logical_not({})"}

@@ -67,13 +67,15 @@ def lambda_half_sontag(a, b, sigma: float):
     return ad.where(zero, 0.0 * b, (-a + ad.sqrt(a * a + sigma * (safe * safe))) / (2.0 * safe))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SafetyFilterSpec:
     """Desired controller and input weights of the exact-multiplier filter.
 
-    ``gamma`` is the positive diagonal of the input cost, a read-only copy
-    (the generated step of :func:`cbftk.sim.simulate` holds its values);
-    ``alpha`` the (outer) extended class-K gain enforcing hdot >= -alpha(h).
+    ``gamma`` is the positive diagonal of the input cost, a read-only
+    float64 copy (the generated step of :func:`cbftk.sim.simulate` holds
+    its values); ``alpha`` the (outer) extended class-K gain enforcing
+    hdot >= -alpha(h).  Specs of the same ``desired``, ``gamma`` bits and
+    ``alpha`` are equal and hash alike, and so share a generated step.
     """
 
     desired: Callable[[np.ndarray], Sequence]
@@ -86,6 +88,15 @@ class SafetyFilterSpec:
             raise ValueError("all Gamma weights must be positive")
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
+
+    def _value(self) -> tuple:
+        return self.desired, self.gamma.shape, self.gamma.tobytes(), self.alpha
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
 
 def safety_filter(spec: SafetyFilterSpec, instance, system, x) -> np.ndarray:

@@ -164,15 +164,17 @@ def simulate(
     instance, system, x)``.  A step runs as straight-line code on Python
     floats, traced once per (instance, system, spec) from the same filter,
     plant, RK4 stages and logged fields, with the filter inlined at each
-    stage, and cached on the instance: the first run of an instance pays
-    for the trace and for rendering and compiling its loop (a few ms, more
-    for the bicycle's larger filters), and later runs pay for neither.  It
-    makes numpy's float operations in numpy's order; the filter's dot
-    products sum in index order on both paths (:func:`cbftk.autodiff.dot`),
-    so it gives the same bits whatever BLAS numpy loads.  The steps run as
-    one generated loop around that code, which carries the state in its
-    locals, appends each row (x, u, h, psi and, for the activated
-    construction, s) to one ``array('d')`` and stops at the first input
+    stage, and cached on the instance for the last system and spec by value
+    (each :meth:`cbftk.systems.Scenario.filter_spec` is equal): the first
+    run pays for the trace and for rendering and compiling its loop (a few
+    ms, more for the bicycle's larger filters), and later runs pay for
+    neither.  It makes numpy's float operations in numpy's order; the
+    filter's dot products sum in index order on both paths
+    (:func:`cbftk.autodiff.dot`), so it gives the same bits whatever BLAS
+    numpy loads.  The steps run as one generated loop around that code,
+    which carries the state in its locals, appends each row (x, u, h, psi
+    and, for the activated construction, s) to one ``array('d')`` and
+    stops at the first input
     past ``blow_up_threshold`` in magnitude; the columns are copied out of
     that buffer at the end.  A step runs on numpy instead, with the same
     bits or the same error, where the code leaves it: a state that is not
@@ -291,15 +293,15 @@ def _logged(instance, x, want_s) -> list:
 
 
 def _generated_step(system, instance, spec) -> ad.Traced:
-    """:func:`_step` as straight-line code, cached on ``instance`` for
-    ``system`` and ``spec`` (:func:`cbftk.autodiff.cached`): one flat trace
-    of the four filter evaluations, the RK4 combination and the logged
-    fields."""
+    """:func:`_step` as straight-line code, cached on ``instance`` for the
+    last ``(system, spec)`` by value (:func:`cbftk.autodiff.cached`), so a
+    fresh spec equal to the last one traces nothing: one flat trace of the
+    four filter evaluations, the RK4 combination and the logged fields."""
 
     def traced():
         return ad.Traced(lambda args: _step(system, instance, spec, args), system.n + 1)
 
-    return ad.cached(instance, (_step, system, spec), traced)
+    return ad.cached(instance, "_step_trace", (system, spec), traced)
 
 
 def _controlled(system, instance, spec, x) -> list:

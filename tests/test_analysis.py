@@ -226,6 +226,18 @@ def test_grid_scan_evaluates_the_lifted_nodes(pendulum):
     assert np.array_equal(scan.h, [inst.value(x) for x in scan.x])
 
 
+def test_lifts_alternated_on_one_output_each_scan_their_own_nodes(pendulum):
+    # the output keeps the trace of its last lift: each change of lift
+    # traces afresh, so no scan runs on the other lift's nodes
+    inst = pendulum.make_cbf(ABC)
+    lifts = {1.0: lambda v: [v[0], v[1]], -1.0: lambda v: [v[0], -v[1]]}
+    omegas = np.linspace(*pendulum.window[1], 5)
+    for sign in (1.0, -1.0, 1.0, -1.0):
+        scan = grid_scan(inst, pendulum.system, pendulum.window, (5, 5), state_from_axes=lifts[sign])
+        assert scan.evaluation == "lanes" and np.array_equal(scan.x[:5, 1], sign * omegas)
+        assert scan.h.tobytes() == np.array([inst.value(x) for x in scan.x]).tobytes()
+
+
 def test_a_guard_in_the_lift_sends_its_nodes_to_the_per_state_lift(pendulum):
     # the lift runs on the sparse grid of the axes: a guard on omega alone
     # flags the nodes of its columns, which take the per-state lift

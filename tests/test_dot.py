@@ -179,16 +179,21 @@ def test_dot_does_not_give_numpys_fused_multiply_add():
     assert ad.dot([0.1, 0.7], [0.3, 0.9]) == 0.1 * 0.3 + 0.7 * 0.9
 
 
-def test_no_generated_source_emulates_a_fused_multiply_add(pendulum, bicycle):
-    sources = [traced.source for traced in TRACED.values()]
+def test_no_generated_source_emulates_a_fused_multiply_add(pendulum, bicycle, monkeypatch):
+    # the first call of each trace compiles its one-step loop on floats
+    sources, compiled = [], ad._compiled
+    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: sources.append(source) or compiled(source, namespace))
+    for shapes in SHAPES:
+        _traced_dot(*shapes)(*[1.0] * sum(math.prod(s) for s in shapes))
     for scenario in (pendulum, bicycle):
-        spec = scenario.filter_spec()
+        spec, x0 = scenario.filter_spec(), scenario.x0.tolist()
         for kind in CBF_KINDS:
             inst = scenario.make_cbf(kind)
             controller = ad.Traced(
                 lambda x: sim._controlled(scenario.system, inst, spec, np.array(x, dtype=object)), scenario.system.n
             )
-            sources += [controller.source, sim._generated_step(scenario.system, inst, spec).source]
-    assert all(sources)
+            controller(*x0)
+            sim._generated_step(scenario.system, inst, spec)(*x0, 1e-3)
+    assert len(sources) == len(SHAPES) + 2 * 2 * len(CBF_KINDS)
     for source in sources:
         assert "fsum(" not in source and "134217729.0" not in source

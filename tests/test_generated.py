@@ -231,16 +231,25 @@ EDGE_STATES = [
 ]
 
 
+def _recording(monkeypatch) -> list:
+    """The sources ``ad._compiled`` compiles from now on, in order."""
+    rendered, compiled = [], ad._compiled
+    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: rendered.append(source) or compiled(source, namespace))
+    return rendered
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_only_identities_exact_in_ieee_754_are_folded():
+def test_only_identities_exact_in_ieee_754_are_folded(monkeypatch):
     # Dual computes 0.0 * x as x * 0.0
     def field(x):
         return (x[0] * 1.0 - 0.0) * (0.0 * x[1]) + (x[1] + 0.0) + ad.requ(x[0]) * (1.0 * x[1])
 
-    run, outcomes = _generated_equals_dual(field, EDGE_STATES)
+    rendered = _recording(monkeypatch)
+    _, outcomes = _generated_equals_dual(field, EDGE_STATES)
     assert all(isinstance(out, tuple) for out in outcomes)
-    assert "* 1.0" not in run.source and "1.0 *" not in run.source and "- 0.0" not in run.source
-    assert "x1 * 0.0" in run.source and "x1 + 0.0" in run.source
+    [source] = rendered
+    assert "* 1.0" not in source and "1.0 *" not in source and "- 0.0" not in source
+    assert "x1 * 0.0" in source and "x1 + 0.0" in source
 
 
 def test_a_select_keeps_the_sign_of_constant_zero_partials():
@@ -386,11 +395,12 @@ def test_a_where_between_a_dual_and_a_constant_is_guarded():
         (lambda x: x[0] if x[0] > 0.0 else x[1], "Python if"),
     ],
 )
-def test_an_untraceable_field_names_the_operation(field, operation):
+def test_an_untraceable_field_names_the_operation(field, operation, monkeypatch):
+    rendered = _recording(monkeypatch)
     run = _traced(field, 2)
-    assert run.source is None
     assert run.reason.startswith("not traced") and operation in run.reason
-    assert run(0.4, 1.0) == run.reason
+    assert run(0.4, 1.0) == run.lanes(np.zeros(1), np.zeros(1)) == run.reason
+    assert rendered == []
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
@@ -422,9 +432,7 @@ def test_no_lanes_source_of_a_published_scan_repeats_a_line(plant, kind, pendulu
     # a division by a traced value records its guard and the lanes' check
     # of its divisor, which render as one line; it is written once
     scenario = pendulum if plant == "pendulum" else bicycle
-    rendered = []
-    compiled = ad._compiled
-    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: rendered.append(source) or compiled(source, namespace))
+    rendered = _recording(monkeypatch)
     _scan_trace(scenario.make_cbf(kind), scenario.system).lanes(*np.zeros((scenario.system.n, 1)))
     [source] = rendered
     lines = source.splitlines()
@@ -435,14 +443,7 @@ def test_each_form_of_a_trace_is_rendered_on_first_use(monkeypatch):
     # a clean scan of a new scenario renders only lanes (of its lift and of
     # its evaluation), the same scan again nothing, and a run only its loop
     pendulum = pendulum_scenario()
-    rendered = []
-    compiled = ad._compiled
-
-    def recording(source, namespace):
-        rendered.append(source)
-        return compiled(source, namespace)
-
-    monkeypatch.setattr(ad, "_compiled", recording)
+    rendered = _recording(monkeypatch)
     inst = pendulum.make_cbf(ABC)
     scan = grid_scan(inst, pendulum.system, pendulum.window, (50, 50))
     assert scan.evaluation == "lanes"
@@ -469,33 +470,14 @@ def _every_template(x):
 
 def test_each_template_renders_its_pinned_text(monkeypatch):
     # one trace with a select, both guard forms, divisions by a variable and
-    # by a literal zero, sin, cos, sqrt, ** and a constant: its code on
-    # floats, its lanes and its loop, text for text
-    rendered = []
-    compiled = ad._compiled
-    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: rendered.append(source) or compiled(source, namespace))
+    # by a literal zero, sin, cos, sqrt, ** and a constant: its lanes, its
+    # loop and the loop of one step that a call runs, text for text
+    rendered = _recording(monkeypatch)
     inner = ad.Traced(_every_template, 2)
-    assert inner.source == INNER_SOURCE
     inner.lanes(np.zeros(1), np.zeros(1))
     inner.loop((0.5, 2.0), range(1), array("d"), 2, range(2, 3), 1e3)
-    assert rendered == [INNER_SOURCE, INNER_LANES, INNER_LOOP]
-
-
-INNER_SOURCE = """\
-def generated(x0, x1):
-    if ((x0 > 1000000.0) | (x1 < (-1000000.0))): return 'check'
-    if not ((x1 != 0.0) & (x0 >= (-1000000.0))): return 'nonzero'
-    t6 = x0 <= 0.0
-    t7 = -x0
-    t8 = abs(x1)
-    t9 = t7 if t6 else t8
-    t15 = ((sin(x0)) / x1) + ((cos(x1)) * (2.0 - x0))
-    t16 = x0 == 1.0
-    t17 = x0 / 0.0
-    if (t9 < 0.0): return 'sqrt'
-    t19 = sqrt(t9)
-    return ((t9 * t15), ((t17 if t16 else t19) ** 3.0), ((-1.5) * t15), (t15 < k0), )
-"""
+    assert inner(0.5, 2.0) == "generated code raised ZeroDivisionError: float division by zero"
+    assert rendered == [INNER_LANES, INNER_LOOP, INNER_CALL]
 
 INNER_LANES = """\
 def generated(x0, x1):
@@ -540,4 +522,25 @@ def generated(x0, x1, steps, extend, bound):
     except Exception as exc:
         return (k, exc.with_traceback(None), (x0, x1, ))
     return (steps.stop, None, (x0, x1, ))
+"""
+
+INNER_CALL = """\
+def generated(x0, x1, steps, extend, bound):
+    try:
+        for k in steps:
+            if ((x0 > 1000000.0) | (x1 < (-1000000.0))): return (k, 'check', ())
+            if not ((x1 != 0.0) & (x0 >= (-1000000.0))): return (k, 'nonzero', ())
+            t6 = x0 <= 0.0
+            t7 = -x0
+            t8 = abs(x1)
+            t9 = t7 if t6 else t8
+            t15 = ((sin(x0)) / x1) + ((cos(x1)) * (2.0 - x0))
+            t16 = x0 == 1.0
+            t17 = x0 / 0.0
+            if (t9 < 0.0): return (k, 'sqrt', ())
+            t19 = sqrt(t9)
+            extend(((t9 * t15), ((t17 if t16 else t19) ** 3.0), ((-1.5) * t15), (t15 < k0), ))
+    except Exception as exc:
+        return (k, exc.with_traceback(None), ())
+    return (steps.stop, None, ())
 """

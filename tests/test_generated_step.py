@@ -6,6 +6,7 @@ compared with the same run made with every step on numpy: every logged
 column by ``tobytes()``, the exit reason and the row count.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -276,8 +277,7 @@ def test_a_horizon_shorter_than_a_step_logs_one_row(plant, pendulum, bicycle):
 
 def test_a_second_run_renders_and_compiles_nothing(pendulum, monkeypatch):
     # the step is traced and its loop compiled once per (instance, system,
-    # spec); a run that stays generated renders neither the step's code on
-    # floats nor its lanes
+    # spec); a run that stays generated renders no other loop and no lanes
     compiled, compile = [], ad._compiled
     monkeypatch.setattr(ad, "_compiled", lambda source, namespace: compiled.append(source) or compile(source, namespace))
     system, inst, spec = pendulum.system, pendulum.make_cbf(ABC), pendulum.filter_spec()
@@ -288,4 +288,46 @@ def test_a_second_run_renders_and_compiles_nothing(pendulum, monkeypatch):
     assert len(compiled) == 1
     assert first.evaluation == second.evaluation == "generated"
     step = sim._generated_step(system, inst, spec)
-    assert step._source is None and step._lanes is None
+    assert step._lanes is None
+
+
+def _traces_held(owner) -> list:
+    """The traces ``owner`` keeps, however its cache holds them."""
+    found, todo = [], list(vars(owner).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, ad.Traced):
+            found.append(value)
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif isinstance(value, dict):
+            todo.extend(value.values())
+    return found
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+def test_a_fresh_spec_of_equal_value_reuses_the_step(plant, pendulum, bicycle, monkeypatch):
+    # a scenario builds a new spec per filter_spec() call: runs with equal
+    # specs trace, render and compile the step once and keep one trace
+    scenario = pendulum if plant == "pendulum" else bicycle
+    compiled, compile = [], ad._compiled
+    monkeypatch.setattr(ad, "_compiled", lambda source, namespace: compiled.append(source) or compile(source, namespace))
+    system, inst = scenario.system, scenario.make_cbf(ABC)
+    runs = [sim.simulate(system, inst, scenario.filter_spec(), scenario.x0, 0.01, 1e-3) for _ in range(20)]
+    assert len(compiled) == 1 and len(_traces_held(inst)) == 1
+    assert {run.evaluation for run in runs} == {"generated"}
+    assert len({run.u.tobytes() for run in runs}) == 1
+    # a spec of other weights is another value: it traces afresh and gets
+    # the run of a fresh instance, and so does the first spec after it; from
+    # a state where the filter acts, the bicycle's two inputs then move
+    spec = scenario.filter_spec()
+    other_weights = dataclasses.replace(spec, gamma=spec.gamma * np.arange(2.0, system.m + 2.0))
+    x0 = [1.0, 3.3] if plant == "pendulum" else [15.0, 0.5, 0.0, 10.0]
+    inputs = []
+    for i, other in enumerate((other_weights, spec)):
+        got = sim.simulate(system, inst, other, x0, 0.01, 1e-3)
+        assert len(compiled) == 2 + 2 * i and len(_traces_held(inst)) == 1
+        fresh = sim.simulate(system, scenario.make_cbf(ABC), other, x0, 0.01, 1e-3)
+        assert got.u.tobytes() == fresh.u.tobytes() and got.h.tobytes() == fresh.h.tobytes()
+        inputs.append(got.u.tobytes())
+    assert (inputs[0] != inputs[1]) == (system.m > 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -277,6 +278,19 @@ def test_spec_gamma_is_a_read_only_copy():
         spec.gamma[0] = 2.0
     weights[0] = 2.0  # the caller's array stays writable and apart
     assert spec.gamma.tolist() == [1.0, 0.15]
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+def test_a_spec_is_a_value(plant, pendulum, bicycle):
+    # a scenario builds a new spec per call; equal ones key one generated step
+    scenario = pendulum if plant == "pendulum" else bicycle
+    spec, again = scenario.filter_spec(), scenario.filter_spec()
+    assert spec is not again and spec == again and hash(spec) == hash(again)
+    assert spec.gamma.dtype == np.float64 and not spec.gamma.flags.writeable
+    heavier = dataclasses.replace(spec, gamma=spec.gamma * 2.0)
+    assert heavier != spec and not heavier == spec
+    assert dataclasses.replace(spec, desired=lambda x: scenario.desired(x)) != spec
+    assert spec != (spec.desired, spec.gamma, spec.alpha)
 
 
 @pytest.mark.parametrize("kind", CBF_KINDS)
