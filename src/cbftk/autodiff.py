@@ -775,6 +775,9 @@ class Traced:
         ORs its condition into ``bad``, so each lane makes the float
         operations of a call at its elements, numpy's ``sin``, ``cos`` and
         ``sqrt`` in place of ``math``'s, with floating-point warnings off.
+        A ``**`` runs as Python's on the floats of each lane
+        (:func:`_float_pow`), since numpy's power, and its square and square
+        root for the exponents 2 and 0.5, round otherwise than glibc's pow.
         A lane is bad too where a call would raise on an operation whose
         result a ``where`` may discard, by its check recorded where traced
         (:class:`Sym`).  A string says why it did not run: the code was not
@@ -804,13 +807,25 @@ def cached(owner, slot: str, key, make):
     return kept[1]
 
 
+def _float_pow(base, exponent):
+    """``base ** exponent`` on floats, or inf where that raises (as the lanes'
+    check of an overflow reads it) and NaN where it is complex."""
+    try:
+        result = base**exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    return result if result.__class__ is float else math.nan
+
+
 _FLOAT_MATH = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
-_NUMPY_MATH = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_NUMPY_MATH = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "float_pow": np.frompyfunc(_float_pow, 2, 1)}
 # a rendering's table maps a template to its text in that form, or to None to
 # leave the record out: the loop on floats leaves out the lanes' checks, and
-# the lanes select by np.where and OR into ``bad`` the lanes each guard sends back
+# the lanes select by np.where, OR into ``bad`` the lanes each guard sends
+# back and take each ``**`` from Python's, lane by lane
 _FLOATS = dict.fromkeys((_ZERO, _INF, _OVERFLOW))
 _LANES = {_SELECT: "np.where({1}, {0}, {2})", _IF: "bad = bad | {}", _IF_NOT: "bad = bad | np.logical_not({})"}
+_LANES["{} ** {}"] = "np.asarray(float_pow({}, {}), dtype=float)"
 
 
 def _tuple(texts) -> str:

@@ -8,8 +8,10 @@ Subcommands:
 * ``compare``  -- one simulation per requested CBF kind, metrics CSV
 
 Exit codes: 0 success, 1 configuration error, 2 truncated run (blow-up or
-leaving the domain), 3 validation failure.  Floating-point CSV fields use
-nine significant digits; booleans are 0/1; the switching column ``s`` is
+leaving the domain), 3 validation failure.  Every floating-point CSV field
+is byte-identical to ``"%.9g" % v``: nine significant digits, formatted as
+numpy lanes, and a lane the lanes cannot decide runs ``"%.9g"`` itself
+(:func:`_decimal_cells`).  Booleans are 0/1; the switching column ``s`` is
 populated for the activated backstepping construction and empty otherwise.
 """
 
@@ -39,8 +41,6 @@ EXIT_VALIDATION = 3
 # rows formatted and written at a time: bounds the text held in memory
 _BLOCK_ROWS = 4096
 
-_BOOL_TEXT = np.array(["0", "1"], dtype=object)
-
 
 def _fmt(value: float) -> str:
     """Nine significant digits, plain decimal or exponent as needed."""
@@ -57,28 +57,118 @@ def _output(path):
             yield handle
 
 
-def _format_block(values):
-    """``"%.9g"`` text of each entry of a float64 array, as a list.
+# a float cell: its "%.9g" text padded with NULs, which the writer drops; the
+# longest such text, as "-1.23456789e-308", has 16 bytes
+_CELL = np.dtype("V16")
+# 10**0 .. 10**22, each exact in binary: a scaling by one rounds once
+_SCALE = 10.0 ** np.arange(23)
+# the 4 ASCII digits of each of 0 .. 9999 as one uint32, and its trailing zeros
+_DIGITS = (np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+_ZEROS = (np.arange(10000, dtype=np.uint16)[:, None] % np.uint16([10, 100, 1000, 10000]) == 0).sum(1)
 
-    Each distinct value is formatted once and its text gathered into every
-    cell that holds it.  Values are keyed by their bit pattern, not compared
-    with ``==``: ``-0.0 == 0.0`` although they print as ``-0`` and ``0``
-    (the kernel runs' ``u`` column holds both), and a NaN equals no value,
-    itself included; by bits, each NaN sign and payload is one key.  A block
-    without a repeated value, as most trajectory blocks are, is formatted
-    cell by cell, which skips the gather.
+
+def _layout(x: int, sign: str, kept: int) -> str:
+    """The text of a cell of decimal exponent x in -14 .. 8 (9 for a zero)
+    and sign whose nine digits keep the first ``kept``, each digit a ``d``."""
+    if x == 9:
+        return sign + "0"
+    if x < -4:
+        return sign + "d" + "." * (kept > 1) + "d" * (kept - 1) + f"e-{-x:02d}"
+    if x < 0:
+        return sign + "0." + "0" * (-x - 1) + "d" * kept
+    return sign + "d" * (x + 1) + "." * (kept > x + 1) + "d" * (kept - x - 1)
+
+
+def _layouts():
+    """Every :func:`_layout`, at ``9 * (2 * (x + 14) + sign) + zeros`` for
+    the number of trailing zeros of its nine digits: its constant bytes, and
+    for each shift s the mask of its bytes that digit ``j - s`` fills, the
+    digits sitting at bytes 0 .. 8."""
+    texts = [_layout(x, sign, 9 - zeros) for x in range(-14, 10) for sign in ("", "-") for zeros in range(9)]
+    layout = np.frombuffer("".join(t.ljust(16, "\0") for t in texts).encode("ascii"), np.uint8).reshape(-1, 16)
+    digit = layout == ord("d")
+    shift = np.arange(16) + 1 - np.cumsum(digit, axis=1)
+    masks = [np.where(digit & (shift == s), 255, 0).astype(np.uint8).view(_CELL).ravel() for s in range(7)]
+    return np.where(digit, 0, layout).astype(np.uint8).view(_CELL).ravel(), masks
+
+
+_TEXT, _MASKS = _layouts()
+
+
+def _decimal_cells(values):
+    """The cells of a float64 array, and the index of its lanes that
+    ``"%.9g"`` formats itself.
+
+    A lane of decimal exponent X in -14 .. 8 (``|v| >= 2**-46``, about
+    1.4e-14, and below 999999999.5) is laid out from its nine
+    digits, which one scaling gives, ``|v| * 10.0**(8 - X)``: the power is
+    exact, so the product rounds once, to within 1.2e-7 of the exact
+    mantissa, and decides its rounding unless its fraction is within 2.5e-7
+    of 0.5 (a tie, or too close to call).  ``"%.9g"``, the reference,
+    formats those lanes and every lane of another exponent or not finite.
+    """
+    a = np.abs(values)
+    zero = values == 0.0
+    decided = (a >= 2.0**-46) & (a < 999999999.5)
+    v = np.where(decided, a, 1.0)
+    # v is in [2**(e - 1), 2**e), so 10**k with k = 8 - floor((e - 1) log10 2)
+    # scales it to nine digits before the point, or to ten, which one
+    # comparison mends; k is then in 0 .. 22
+    k = 8 - np.floor((np.frexp(v)[1] - 1) * 0.3010299956639812).astype(np.intp)
+    k -= v * _SCALE.take(k) >= 1e9
+    s = v * _SCALE.take(k)
+    m = np.rint(s)
+    carry = m == 1e9
+    m -= carry * 9e8
+    decided = decided & (np.abs(s - np.floor(s) - 0.5) > 2.5e-7) | zero
+    # m's digits 0-3, 4-7 and 8, the last as "d000"
+    hi = np.floor(m / 1e5)
+    rest = m - hi * 1e5
+    mid = np.floor(rest / 10.0)
+    hi, mid, lo = hi.astype(np.intp), mid.astype(np.intp), (rest - mid * 10.0).astype(np.intp)
+    zeros = (lo == 0) * (1 + _ZEROS.take(mid) + (mid == 0) * _ZEROS.take(hi))
+    x = np.where(zero, 9, 8 - k + carry)
+    layout = np.where(decided, 9 * (2 * (x + 14) + np.signbit(values)) + zeros, 0)
+    digits = np.zeros((len(values), 4), np.uint32)
+    for j, group in enumerate((hi, mid, lo * 1000)):
+        digits[:, j] = _DIGITS.take(group)
+    flat = digits.view(np.uint8).ravel()
+    cells = _TEXT.take(layout)
+    bits = cells.view(np.uint64)
+    # the whole buffer shifts: no mask takes a byte across its cell
+    shifted = np.zeros_like(flat)
+    for shift, mask in enumerate(_MASKS):
+        shifted[shift:] = flat[: len(flat) - shift]
+        bits |= shifted.view(np.uint64) & mask.take(layout).view(np.uint64)
+    flagged = np.flatnonzero(~decided)
+    if len(flagged):
+        text = "".join(("%.9g" % v).ljust(16, "\0") for v in values[flagged].tolist())
+        cells[flagged] = np.frombuffer(text.encode("ascii"), _CELL)
+    return cells, flagged
+
+
+def _format_block(values):
+    """The cells of a float64 array (:func:`_decimal_cells`), each distinct
+    value formatted once and its cell gathered into every lane that holds it.
+
+    Values are keyed by their bit pattern, not compared with ``==``: ``-0.0
+    == 0.0`` although they print as ``-0`` and ``0`` (the kernel runs' ``u``
+    column holds both), and a NaN equals no value, itself included; by bits,
+    each NaN sign and payload is one key.  A block without a repeated value,
+    as most trajectory blocks are, is formatted as it is, which skips the
+    gather.
     """
     keys = values.view(np.int64)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
     if first.all():
-        return ["%.9g" % v for v in values.tolist()]
-    text = np.array(["%.9g" % v for v in values[order[first]].tolist()], dtype=object)
+        return _decimal_cells(values)[0]
     group = np.empty(len(keys), dtype=np.intp)
     group[order] = np.cumsum(first) - 1
-    return text[group].tolist()
+    return _decimal_cells(values[order[first]])[0].take(group)
 
 
 def _write_csv(handle, header, columns):
@@ -86,27 +176,32 @@ def _write_csv(handle, header, columns):
 
     A column is a numeric array (nine significant digits of its float64
     value), a bool array (0/1) or None (empty cells); the first column is an
-    array.  Each block of ``_BLOCK_ROWS`` rows is written as soon as it is
-    formatted, so the whole text is never held in memory; within a block,
-    each distinct float is formatted once (:func:`_format_block`).
+    array.  A block of ``_BLOCK_ROWS`` rows is one matrix of bytes: each
+    float a NUL-padded cell (:func:`_format_block`), each bool one digit,
+    each row's commas and newline in place.  It is written as soon as it is
+    filled, without its NULs, so the whole text is never held in memory.
     """
     columns = [
         column if column is None or column.dtype == bool else np.asarray(column, dtype=float)
         for column in columns
     ]
     rows = len(columns[0])
+    widths = [0 if column is None else 1 if column.dtype == bool else 16 for column in columns]
+    ends = np.cumsum(np.add(widths, 1))  # one past each cell's separator
+    matrix = np.zeros((min(rows, _BLOCK_ROWS), ends[-1]), np.uint8)
+    matrix[:, ends - 1] = ord(",")
+    matrix[:, -1] = ord("\n")
     handle.write(header + "\n")
     for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows)
-        cells = []
-        for column in columns:
-            if column is None:
-                cells.append([""] * (stop - start))
-            elif column.dtype == bool:
-                cells.append(_BOOL_TEXT[column[start:stop].view(np.uint8)].tolist())
-            else:
-                cells.append(_format_block(column[start:stop]))
-        handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        block = matrix[: rows - start]
+        stop = start + len(block)
+        for column, width, end in zip(columns, widths, ends):
+            cells = block[:, end - 1 - width : end - 1]
+            if width == 1:
+                cells[:, 0] = column[start:stop].view(np.uint8) + ord("0")
+            elif width:
+                cells.view(_CELL)[:, 0] = _format_block(column[start:stop])
+        handle.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _load_config(args, single_cbf: bool = True) -> ScenarioConfig:

@@ -581,6 +581,21 @@ def test_a_masked_division_by_zero_raises_as_on_the_per_state_evaluation(pendulu
         assert _scan_both_ways(pendulum.make_cbf(ABC), safe, window, (65, 65)).evaluation == "lanes"
 
 
+def test_a_traced_power_scans_with_the_bits_of_python_pow(pendulum):
+    # numpy's power, and its square for ** 2, round otherwise than glibc's pow,
+    # which ** calls on floats: on uniform draws they differ at 0.1-5% of
+    # states, so each lane must take Python's ** to match the per-state scan
+    system = ControlAffineSystem(
+        n=2,
+        m=1,
+        f=lambda x: [x[1], ad.sin(x[0]) - 0.1 * x[0] ** 2],
+        g=lambda x: [[0.0], [(1.0 + x[0] * x[0]) ** 1.5]],
+    )
+    for kind in CBF_KINDS:
+        scan = _scan_both_ways(pendulum.make_cbf(kind), system, pendulum.window, (41, 41))
+        assert scan.evaluation == "lanes"
+
+
 def _recording_lanes(patch):
     """Record the trace and the arrays of each call of ``Traced.lanes``, in call order."""
     calls, lanes = [], ad.Traced.lanes

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftk import svg as svg_mod
-from cbftk.cli import _BLOCK_ROWS, _output, _write_csv, _write_scan, main
+from cbftk.cli import _BLOCK_ROWS, _decimal_cells, _output, _write_csv, _write_scan, main
 from cbftk.config import ConfigError, ScenarioConfig
 
 KINDS = ("hocbf", "recbf", "backstepping", "abc")
@@ -475,12 +475,22 @@ def test_parameters_refused_by_the_constructors_exit_1(tmp_path, capsys, plant, 
 # -- the column writer against the per-cell layout ----------------------------
 
 # values whose nine-digit text is easy to get wrong: signed zero, the
-# non-finite values, subnormals, the extremes of the exponent range and the
-# points where %g switches between plain and exponent notation
+# non-finite values, subnormals, the extremes of the exponent range, the
+# points where %g switches between plain and exponent notation, exact ties
+# at the tenth digit (to even, either way, and 2**-14 = 6.103515625e-05),
+# roundings up across a power of ten, the edges of the values the digits
+# decide (2**-46, about 1.4e-14, and 999999999.5), and |v| below 1e-14 and
+# from 1e22, where 10**(8 - X) is not exact
 _AWKWARD = [
     np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
     1.7976931348623157e308, -1e300, 1e-300, 1e-5, 1e-4, 0.0001234567891,
     999999999.0, 999999999.5, 1e9, -123456789.123, 1.0 / 3.0,
+    100000000.5, 100000001.5, -12345678.25, 12345678.75, 1234567.125, 123456.0625,
+    12345.03125, 1234.015625, 123.0078125, 2.0**-14, -(2.0**-14),
+    9.99999999951e-5, 99999999.95, 0.999999999951, 9.99999999951e-6, -9.9999999996e-15,
+    np.nextafter(1e-14, 0.0), 1e-14, np.nextafter(1e-14, 1.0), 9.99999999e-15,
+    1e22, np.nextafter(1e22, np.inf), 1e23, -9.99999999e21,
+    np.nextafter(2.0**-46, 0.0), 2.0**-46, -np.nextafter(2.0**-46, 1.0), np.nextafter(999999999.5, 0.0),
 ]
 # NaNs with the sign bit set or other payload bits: distinct keys, one text
 _NANS = np.array(
@@ -556,6 +566,41 @@ def test_column_writer_formats_other_numeric_dtypes_as_floats():
     assert out.getvalue().splitlines()[4] == "9.00719925e+15,nan,2"
 
 
+def _assert_cells_are_percent_9g(values):
+    cells, flagged = _decimal_cells(values)
+    text = [bytes(cell).rstrip(b"\0").decode() for cell in cells.view(np.uint8).reshape(-1, 16)]
+    assert text == ["%.9g" % v for v in values.tolist()]
+    return flagged
+
+
+@settings(derandomize=True, max_examples=40)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2000), seed=st.integers(0, 2**32 - 1))
+def test_every_cell_is_the_percent_9g_text_of_its_bits(bits, seed):
+    # raw patterns hit every exponent, the subnormals and every NaN payload
+    more = np.random.default_rng(seed).integers(0, 2**64, 5000, dtype=np.uint64)
+    _assert_cells_are_percent_9g(np.concatenate([np.array(bits, dtype=np.uint64), more]).view(float))
+
+
+def test_every_cell_at_a_decision_boundary_is_the_percent_9g_text():
+    # the 50 doubles either side of each power of ten and of each point where
+    # nine digits round up to the next power, and exact ties at the tenth digit
+    powers = 10.0 ** np.arange(-16, 24)
+    edges = np.concatenate([powers, powers * (1.0 - 5e-10)])
+    near = (edges.view(np.int64)[:, None] + np.arange(-50, 51)).ravel().view(float)
+    # n + 1/2 = r * 5**k / 2 for an odd r makes a double of (n + 1/2) / 10**k,
+    # r / 2**(k + 1): a tie of the nine digits n for k = 0 .. 13
+    rng = np.random.default_rng(26)
+    k = rng.integers(0, 14, 4000)
+    five = 5**k
+    low, high = -(-(2 * 10**8 + 1) // five) // 2, ((2 * 10**9 - 1) // five - 1) // 2
+    r = 2 * (low + rng.integers(0, 2**62, 4000) % (high - low + 1)) + 1
+    ties = r / 2.0 ** (k + 1)
+    values = np.concatenate([near, -near, ties, -ties, _AWKWARD])
+    flagged = _assert_cells_are_percent_9g(values)
+    # a tie is not decided by the digits: "%.9g" formats it itself
+    assert np.isin(np.arange(len(near) * 2, len(near) * 2 + 2 * len(ties)), flagged).all()
+
+
 def _scenario(plant, kind):
     config = ScenarioConfig.from_assignments(
         {"scenario": plant, "cbf": kind, "scan.resolution": "21,21", "sim.horizon": "1.0"}
@@ -606,6 +651,20 @@ def test_simulate_csv_keeps_the_per_cell_layout(tmp_path, plant, kind):
     assert u1.count("-0") == negative_zeros
     if plant == "pendulum" and kind != "hocbf":
         assert negative_zeros > 0
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_few_scan_cells_take_the_per_value_formatting(plant, kind):
+    # a slow path that no output shows: "%.9g" formats only the lanes flagged
+    scenario = ScenarioConfig.from_assignments(
+        {"scenario": plant, "cbf": kind, "scan.resolution": "41,41"}
+    ).build_scenario()
+    scan = scenario.scan(kind)
+    columns = [*scan.x.T, scan.h, scan.psi, scan.lgh_norm, scan.margin]
+    columns += [] if scan.s is None else [scan.s]
+    flagged = sum(len(_decimal_cells(column)[1]) for column in columns)
+    assert flagged < 0.01 * sum(map(len, columns))
 
 
 def test_scan_writer_holds_less_than_half_the_file(tmp_path, pendulum):

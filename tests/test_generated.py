@@ -492,7 +492,7 @@ def generated(x0, x1):
     bad = bad | (0.0 == 0.0)
     bad = bad | (t9 < 0.0)
     t20 = np.where((x0 == 1.0), (x0 / 0.0), (sqrt(t9)))
-    t22 = t20 ** 3.0
+    t22 = np.asarray(float_pow(t20, 3.0), dtype=float)
     bad = bad | (np.isinf(t22) & np.isfinite(t20) & np.isfinite(3.0))
     return (bad, ((t9 * t15), t22, ((-1.5) * t15), (t15 < k0), ))
 """
