@@ -35,7 +35,9 @@ of it where traced, and is kept though unread.  The scans and the sampled
 checks run their states as lanes, and the states the lanes flag on the
 traced function itself (:func:`cbftk.core.by_lanes`); the closed-loop runs
 of :func:`cbftk.sim.simulate` run as the loop.  Traces are kept by
-:func:`cached`.
+:func:`cached`.  A NaN's sign and payload are not part of the contract: the
+lanes may give another sign than a call or a Dual, and no published byte
+depends on them, since ``"%.9g"`` writes ``nan`` for every NaN.
 """
 
 from __future__ import annotations

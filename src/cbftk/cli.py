@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 configuration error, 2 truncated run (blow-up or
 leaving the domain), 3 validation failure.  Every floating-point CSV field
 is byte-identical to ``"%.9g" % v``: nine significant digits, formatted as
 numpy lanes, and a lane the lanes cannot decide runs ``"%.9g"`` itself
-(:func:`_decimal_cells`).  Booleans are 0/1; the switching column ``s`` is
-populated for the activated backstepping construction and empty otherwise.
+(:func:`_decimal_cells`), each distinct value of a block once where the first
+block of its column repeats values (:func:`_write_csv`).  Booleans are 0/1;
+the switching column ``s`` is populated for the activated backstepping
+construction and empty otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ EXIT_VALIDATION = 3
 
 # rows formatted and written at a time: bounds the text held in memory
 _BLOCK_ROWS = 4096
+# a float column sorts every block if its first holds at most this share of
+# distinct values: the sort and gather cost what they save at about a quarter
+_DISTINCT_SHARE = 0.25
 
 
 def _fmt(value: float) -> str:
@@ -60,11 +65,13 @@ def _output(path):
 # a float cell: its "%.9g" text padded with NULs, which the writer drops; the
 # longest such text, as "-1.23456789e-308", has 16 bytes
 _CELL = np.dtype("V16")
+# a cell as two words, little-endian whatever the host's order
+_WORD = np.dtype("<u8")
 # 10**0 .. 10**22, each exact in binary: a scaling by one rounds once
 _SCALE = 10.0 ** np.arange(23)
-# the 4 ASCII digits of each of 0 .. 9999 as one uint32, and its trailing zeros
+# the 4 ASCII digits of each of 0 .. 9999, the first in the low byte, and its trailing zeros
 _DIGITS = (np.arange(10000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
-_DIGITS = _DIGITS.view(np.uint32).ravel()
+_DIGITS = _DIGITS.view("<u4").ravel().astype(np.uint64)
 _ZEROS = (np.arange(10000, dtype=np.uint16)[:, None] % np.uint16([10, 100, 1000, 10000]) == 0).sum(1)
 
 
@@ -82,18 +89,20 @@ def _layout(x: int, sign: str, kept: int) -> str:
 
 def _layouts():
     """Every :func:`_layout`, at ``9 * (2 * (x + 14) + sign) + zeros`` for
-    the number of trailing zeros of its nine digits: its constant bytes, and
-    for each shift s the mask of its bytes that digit ``j - s`` fills, the
-    digits sitting at bytes 0 .. 8."""
+    the number of trailing zeros of its nine digits: its constant bytes, the
+    bits ``a`` before its first digit, and the masks (low and high word) of
+    its bytes that the digits at bytes 0 .. 8 fill when moved ``a`` and
+    ``a + 8`` bits up; only a point comes between two digits."""
     texts = [_layout(x, sign, 9 - zeros) for x in range(-14, 10) for sign in ("", "-") for zeros in range(9)]
     layout = np.frombuffer("".join(t.ljust(16, "\0") for t in texts).encode("ascii"), np.uint8).reshape(-1, 16)
     digit = layout == ord("d")
-    shift = np.arange(16) + 1 - np.cumsum(digit, axis=1)
-    masks = [np.where(digit & (shift == s), 255, 0).astype(np.uint8).view(_CELL).ravel() for s in range(7)]
-    return np.where(digit, 0, layout).astype(np.uint8).view(_CELL).ravel(), masks
+    shift = np.arange(16) + 1 - np.cumsum(digit, axis=1)  # digit j's byte minus j
+    first = digit.argmax(axis=1)
+    masks = [((digit & (shift == first[:, None] + s)) * np.uint8(255)).view(_WORD).T.copy() for s in (0, 1)]
+    return np.where(digit, 0, layout).astype(np.uint8).view(_CELL).ravel(), 8 * first.astype(np.uint64), masks
 
 
-_TEXT, _MASKS = _layouts()
+_TEXT, _SHIFT, _MASKS = _layouts()
 
 
 def _decimal_cells(values):
@@ -130,17 +139,19 @@ def _decimal_cells(values):
     zeros = (lo == 0) * (1 + _ZEROS.take(mid) + (mid == 0) * _ZEROS.take(hi))
     x = np.where(zero, 9, 8 - k + carry)
     layout = np.where(decided, 9 * (2 * (x + 14) + np.signbit(values)) + zeros, 0)
-    digits = np.zeros((len(values), 4), np.uint32)
-    for j, group in enumerate((hi, mid, lo * 1000)):
-        digits[:, j] = _DIGITS.take(group)
-    flat = digits.view(np.uint8).ravel()
+    # the 128-bit word of m's digits: 0-3 and 4-7 in the low half, 8 in the high
+    low = _DIGITS.take(hi)
+    low |= _DIGITS.take(mid) << 32
+    high = (lo + 48).astype(np.uint64)
     cells = _TEXT.take(layout)
-    bits = cells.view(np.uint64)
-    # the whole buffer shifts: no mask takes a byte across its cell
-    shifted = np.zeros_like(flat)
-    for shift, mask in enumerate(_MASKS):
-        shifted[shift:] = flat[: len(flat) - shift]
-        bits |= shifted.view(np.uint64) & mask.take(layout).view(np.uint64)
+    # the word moves by a bits and then by 8 more, the high half taking what
+    # the low one shifts out; each move ORs in the digit bytes its masks keep
+    for move, masks in zip((_SHIFT.take(layout), 8), _MASKS):
+        high <<= move
+        high |= low >> (64 - move)
+        low <<= move
+        for word, mask, bits in zip((low, high), masks, cells.view(_WORD).reshape(-1, 2).T):
+            bits |= word & mask.take(layout)
     flagged = np.flatnonzero(~decided)
     if len(flagged):
         text = "".join(("%.9g" % v).ljust(16, "\0") for v in values[flagged].tolist())
@@ -148,27 +159,29 @@ def _decimal_cells(values):
     return cells, flagged
 
 
-def _format_block(values):
-    """The cells of a float64 array (:func:`_decimal_cells`), each distinct
-    value formatted once and its cell gathered into every lane that holds it.
+def _format_block(values, sort):
+    """The cells of a float64 array (:func:`_decimal_cells`), and whether it
+    holds few enough distinct values to sort the next blocks of its column.
 
-    Values are keyed by their bit pattern, not compared with ``==``: ``-0.0
-    == 0.0`` although they print as ``-0`` and ``0`` (the kernel runs' ``u``
-    column holds both), and a NaN equals no value, itself included; by bits,
-    each NaN sign and payload is one key.  A block without a repeated value,
-    as most trajectory blocks are, is formatted as it is, which skips the
-    gather.
+    With ``sort``, each distinct value is formatted once and its cell
+    gathered into every lane that holds it.  Values are keyed by their bit
+    pattern, not compared with ``==``: ``-0.0 == 0.0`` although they print
+    as ``-0`` and ``0`` (the kernel runs' ``u`` column holds both), and a NaN
+    equals no value, itself included; by bits, each NaN sign and payload is
+    one key.  A block without a repeated value skips the gather.
     """
-    keys = values.view(np.int64)
-    order = np.argsort(keys)
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
-    if first.all():
-        return _decimal_cells(values)[0]
-    group = np.empty(len(keys), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return _decimal_cells(values[order[first]])[0].take(group)
+    if sort:
+        keys = values.view(np.int64)
+        order = np.argsort(keys)
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
+        if not first.all():
+            group = np.empty(len(keys), dtype=np.intp)
+            group[order] = np.cumsum(first) - 1
+            repeats = np.count_nonzero(first) <= _DISTINCT_SHARE * len(keys)
+            return _decimal_cells(values[order[first]])[0].take(group), repeats
+    return _decimal_cells(values)[0], False
 
 
 def _write_csv(handle, header, columns):
@@ -178,8 +191,9 @@ def _write_csv(handle, header, columns):
     value), a bool array (0/1) or None (empty cells); the first column is an
     array.  A block of ``_BLOCK_ROWS`` rows is one matrix of bytes: each
     float a NUL-padded cell (:func:`_format_block`), each bool one digit,
-    each row's commas and newline in place.  It is written as soon as it is
-    filled, without its NULs, so the whole text is never held in memory.
+    each row's commas and newline in place.  A float column's first block
+    decides whether its blocks are sorted to find repeats or formatted whole.
+    Each block is written when filled, its NULs dropped by a mask.
     """
     columns = [
         column if column is None or column.dtype == bool else np.asarray(column, dtype=float)
@@ -191,17 +205,21 @@ def _write_csv(handle, header, columns):
     matrix = np.zeros((min(rows, _BLOCK_ROWS), ends[-1]), np.uint8)
     matrix[:, ends - 1] = ord(",")
     matrix[:, -1] = ord("\n")
+    sort = [True] * len(columns)
     handle.write(header + "\n")
     for start in range(0, rows, _BLOCK_ROWS):
         block = matrix[: rows - start]
         stop = start + len(block)
-        for column, width, end in zip(columns, widths, ends):
+        for i, (column, width, end) in enumerate(zip(columns, widths, ends)):
             cells = block[:, end - 1 - width : end - 1]
             if width == 1:
                 cells[:, 0] = column[start:stop].view(np.uint8) + ord("0")
             elif width:
-                cells.view(_CELL)[:, 0] = _format_block(column[start:stop])
-        handle.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+                cells.view(_CELL)[:, 0], repeats = _format_block(column[start:stop], sort[i])
+                if not start:
+                    sort[i] = repeats
+        text = block.reshape(-1)
+        handle.write(str(text[text != 0], "ascii"))
 
 
 def _load_config(args, single_cbf: bool = True) -> ScenarioConfig:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbftk import svg as svg_mod
-from cbftk.cli import _BLOCK_ROWS, _decimal_cells, _output, _write_csv, _write_scan, main
+from cbftk.cli import _BLOCK_ROWS, _MASKS, _TEXT, _decimal_cells, _layout, _output, _write_csv, _write_scan, main
 from cbftk.config import ConfigError, ScenarioConfig
 
 KINDS = ("hocbf", "recbf", "backstepping", "abc")
@@ -529,7 +529,7 @@ def _per_cell_lines(header, columns):
 def test_column_writer_matches_per_cell_formatting(pool, rows, kinds, seed):
     rng = np.random.default_rng(seed)
     values = np.concatenate([pool + _AWKWARD, _NANS])
-    # all distinct: every block is formatted cell by cell
+    # all distinct: every block is formatted whole
     distinct = rng.permutation(rows) / 7.0 - 100.0
     # the leading columns are strided views, as the state columns x.T are
     columns = [*rng.choice(values, (rows, 2)).T]
@@ -564,6 +564,80 @@ def test_column_writer_formats_other_numeric_dtypes_as_floats():
     _write_csv(out, "a,b,c", columns)
     assert out.getvalue() == _per_cell_lines("a,b,c", columns)
     assert out.getvalue().splitlines()[4] == "9.00719925e+15,nan,2"
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS])
+def test_blocks_sorted_or_formatted_whole_give_the_same_bytes(rows):
+    # a column's first block decides whether its later blocks are sorted to
+    # find repeats or formatted whole; the bytes must not depend on it
+    rng = np.random.default_rng(rows)
+    # signed zeros and NaNs of both signs and other payloads: distinct keys
+    special = np.concatenate([[0.0, -0.0], _NANS])
+    distinct = np.concatenate([special, rng.permutation(rows) / 7.0 - 100.0])[:rows]
+    repeats = rng.choice(np.concatenate([special, [1.5, -2.25, 1e-20]]), rows)
+    head = np.arange(rows) < _BLOCK_ROWS
+    columns = [
+        distinct,
+        repeats,
+        np.where(head, distinct, repeats),
+        np.where(head, repeats, distinct),
+        # two thirds distinct: sorted in the first block only
+        np.where(np.arange(rows) % 3 == 0, -0.0, distinct),
+        np.where(np.arange(rows) % 3 == 0, rng.choice(_NANS, rows), repeats),
+    ]
+    out = io.StringIO()
+    _write_csv(out, "a,b,c,d,e,f", columns)
+    assert out.getvalue() == _per_cell_lines("a,b,c,d,e,f", columns)
+
+
+def test_a_column_of_distinct_values_is_sorted_in_its_first_block_only(monkeypatch):
+    scenario = ScenarioConfig.from_assignments(
+        {"scenario": "pendulum", "cbf": "hocbf", "scan.resolution": "101,101"}
+    ).build_scenario()
+    scan = scenario.scan("hocbf")
+    sorted_keys = []
+    argsort = np.argsort
+
+    def recording(keys, *args, **kwargs):
+        sorted_keys.append(np.array(keys))
+        return argsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
+    _write_scan(io.StringIO(), scenario, scan)
+    monkeypatch.undo()
+    starts = range(0, len(scan), _BLOCK_ROWS)
+
+    def sorted_blocks(column):
+        blocks = [column[start : start + _BLOCK_ROWS].view(np.int64) for start in starts]
+        return sum(any(np.array_equal(keys, block) for keys in sorted_keys) for block in blocks)
+
+    assert len(starts) == 3
+    assert len(np.unique(scan.h[:_BLOCK_ROWS])) == _BLOCK_ROWS
+    assert sorted_blocks(scan.h) == 1
+    # a grid axis repeats: each of its blocks is sorted
+    assert sorted_blocks(scan.x[:, 0]) == len(starts)
+
+
+def test_two_shifts_place_the_digits_of_every_layout():
+    # each layout of a cell, x in -14 .. 9 (9 for a zero), either sign and
+    # 0 .. 8 trailing zeros, at its index in the tables
+    layouts = [(x, sign, zeros) for x in range(-14, 10) for sign in ("", "-") for zeros in range(9)]
+    masks = [np.ascontiguousarray(mask.T).view(np.uint8) for mask in _MASKS]
+    assert len(layouts) == len(_TEXT) == 432
+    values, texts = [], []
+    for index, (x, sign, zeros) in enumerate(layouts):
+        text = _layout(x, sign, 9 - zeros)
+        digit = np.frombuffer(text.ljust(16, "\0").encode(), np.uint8) == ord("d")
+        assert not (masks[0][index] & masks[1][index]).any()
+        assert ((masks[0][index] | masks[1][index]) == np.where(digit, 255, 0)).all()
+        # nine digits with these trailing zeros, from 9 so that x = -14 is laid out
+        digits = iter("987654321"[: 9 - zeros] + "0" * zeros)
+        texts.append("".join(next(digits) if c == "d" else c for c in text))
+        values.append(float(texts[-1]))
+    assert texts == ["%.9g" % v for v in values]
+    cells, flagged = _decimal_cells(np.array(values))
+    assert [bytes(cell).rstrip(b"\0").decode() for cell in cells.view(np.uint8).reshape(-1, 16)] == texts
+    assert len(flagged) == 0
 
 
 def _assert_cells_are_percent_9g(values):
