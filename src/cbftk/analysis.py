@@ -9,19 +9,21 @@ validity report also checks the safe-set inclusion S within C where the
 construction claims it.
 
 The nodes run in blocks as numpy lanes of one trace of the per-state
-evaluation, the trace-once, run-per-batch approach of JAX (Frostig,
-Johnson & Leary, SysML 2018); a node the lanes flag runs on the per-state
-evaluation itself, which is the reference.  The node states and the mask
-of the nodes outside the extended set come the same way, from one trace
-of the lift and the predicate.  The node states are held as one
-C-contiguous array with a row per component, so a block that excludes no
-node runs on views of it and writes each column by slice.
+evaluation of every column (so ``alpha_outer``, like every plant callable,
+works at one state): the trace-once, run-per-batch approach of JAX
+(Frostig, Johnson & Leary, SysML 2018); a node the lanes flag runs on the
+per-state evaluation itself, which is the reference.  The node states and
+the mask of the nodes outside the extended set come the same way, from one
+trace of the lift and the predicate.  The node states are one C-contiguous
+array with a row per component, so a block that excludes no node runs on
+views of it and writes each column by slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -117,39 +119,33 @@ def grid_scan(
 
     ``state_from_axes`` lifts grid nodes to full states (identity by
     default; the bicycle fills its fixed slice coordinates); every node is
-    evaluated at the lifted state.  Like every plant callable it works at
-    one state: it gets the axis values of one node and returns the
-    ``system.n`` state components.  ``alpha_outer`` defaults to the
-    construction's own class-K gain.
+    evaluated at the lifted state.  ``alpha_outer`` defaults to the
+    construction's own class-K gain.  Like every plant callable each works
+    at one state: the lift gets the axis values of one node and returns the
+    ``system.n`` state components, and ``alpha_outer`` gets h at one state.
 
     The nodes outside the extended set are excluded (NaN in every value
     column); the lift and ``in_extended_set`` run as lanes of one trace
     (:func:`_node_array`).  The others run in blocks of
     :data:`cbftk.autodiff.BLOCK_NODES` nodes as lanes of
-    :func:`_scan_outputs`, traced once per (instance, system), and a node
-    the lanes flag (a guard that fired, an output not finite) runs on
+    :func:`_scan_outputs`, every column at one state (||L_g h|| and the
+    margin too), traced once and cached for the last (system, alpha); a
+    node the lanes flag (a guard that fired, an output not finite) runs on
     :func:`_scan_outputs` at its floats, as does every node when the trace
-    failed (:func:`cbftk.core.by_lanes`).  ``||L_g h||`` and the margin
-    follow per block, from the block's L_f h and L_g h.  A block that
-    excludes no node (every block, where no node is excluded) hands the
-    lanes views of its slice of the node components and writes its slice
-    of each column; a block that excludes some gathers the nodes it keeps
-    and scatters their values.  An error is the one the first failing node
-    raises, with ``index`` its row of ``x`` and its state named.
+    failed (:func:`cbftk.core.by_lanes`).  A block that excludes no node
+    (every block, where no node is excluded) hands the lanes views of its
+    slice of the node components and writes its slice of each column; a
+    block that excludes some gathers the nodes it keeps and scatters their
+    values.  An error is the one the first failing node raises, with
+    ``index`` its row of ``x`` and its state named.
     """
     axes = _grid_axes(window, resolution)
     comps, excluded, reason = _node_array(axes, state_from_axes or list, instance.output, system.n)
     alpha = alpha_outer if alpha_outer is not None else instance.alpha
+    traced = _scan_trace(instance, system, alpha)
     count = comps.shape[1]
     clean = not excluded.any()
-
-    def column():
-        return np.empty(count) if clean else np.full(count, np.nan)
-
-    h, psi, lgh_norm, margin = column(), column(), column(), column()
-    s = column() if instance.kind == ABC else None
-    m = system.m
-    traced = _scan_trace(instance, system)
+    columns = [np.empty(count) if clean else np.full(count, np.nan) for _ in range(4 + (instance.kind == ABC))]
     for block in ad.blocks(count):
         if clean or not excluded[block].any():
             rows, index = block, range(block.start, block.stop)
@@ -158,14 +154,10 @@ def grid_scan(
             if rows.size == 0:
                 continue
         outputs, said = by_lanes(traced, comps[:, rows], index)
+        for column, values in zip(columns, outputs):
+            column[rows] = values
         reason = reason or said
-        value, lfh, lgh = outputs[0], outputs[1], outputs[2 : 2 + m]
-        h[rows] = value
-        psi[rows] = outputs[2 + m]
-        if s is not None:
-            s[rows] = outputs[3 + m]
-        lgh_norm[rows] = np.sqrt(directional(lgh, lgh))
-        margin[rows] = lfh + alpha(value)
+    h, psi, lgh_norm, margin, *s = columns
     return GridScan(
         kind=instance.kind,
         axes=axes,
@@ -174,28 +166,26 @@ def grid_scan(
         psi=psi,
         lgh_norm=lgh_norm,
         margin=margin,
-        s=s,
+        s=s[0] if s else None,
         excluded=excluded,
         evaluation="lanes" if reason is None else f"per state: {reason}",
     )
 
 
-def _scan_trace(instance: CbfInstance, system: ControlAffineSystem) -> ad.Traced:
+def _scan_trace(instance: CbfInstance, system: ControlAffineSystem, alpha) -> ad.Traced:
     """:func:`_scan_outputs` as generated code, cached on ``instance`` for
-    the last ``system`` by value (:func:`cbftk.autodiff.cached`)."""
-
-    def traced():
-        return ad.Traced(lambda x: _scan_outputs(instance, system, np.array(x, dtype=object)), system.n)
-
-    return ad.cached(instance, "_scan_trace", system, traced)
+    the last ``(system, alpha)`` by value (:func:`cbftk.autodiff.cached`)."""
+    outputs = partial(_scan_outputs, instance, system, alpha)
+    return ad.cached(instance, "_scan_trace", (system, alpha), lambda: ad.Traced(outputs, system.n))
 
 
-def _scan_outputs(instance, system, x) -> list:
-    """h, L_f h, the m entries of L_g h, psi and, for the activated
-    construction, s at one state: the reference of :func:`grid_scan`."""
+def _scan_outputs(instance, system, alpha, x) -> list:
+    """h, psi, ||L_g h||, L_f h + alpha(h) and (activated construction) s at
+    ``x``: the reference of :func:`grid_scan`, whose lanes trace it whole."""
+    x = np.array(x, dtype=object)
     value, hgrad = ad.value_and_grad(instance.value, x)
-    outputs = [value, directional(hgrad, system.f_vec(x)), *directional(hgrad, system.g_mat(x))]
-    outputs.append(instance.output.psi_of_state(x))
+    lfh, lgh = directional(hgrad, system.f_vec(x)), directional(hgrad, system.g_mat(x))
+    outputs = [value, instance.output.psi_of_state(x), ad.sqrt(directional(lgh, lgh)), lfh + alpha(value)]
     if instance.kind == ABC:
         outputs.append(instance.switching(x))
     return outputs

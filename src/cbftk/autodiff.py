@@ -98,6 +98,8 @@ class EvaluationError(ArithmeticError):
 
 
 def _as_float(x):
+    if x.__class__ is Sym:
+        return x
     return float(x) if isinstance(x, numbers.Real) else None
 
 
@@ -156,7 +158,8 @@ class Dual:
     """Value plus partial derivatives with respect to the seed variables, a
     list of floats, traced values and the structural zeros (:class:`_Zero`)
     of the seeds of :func:`value_and_grad`; an array of partials becomes a
-    list of floats."""
+    list of floats.  A traced value that is not a Dual (a :func:`where`
+    between two constants gives one) is an operand as a float is."""
 
     __slots__ = ("value", "partials")
 

@@ -73,16 +73,23 @@ def _parse_window(key, text):
     return tuple(axes)
 
 
-# keys valid for every scenario -> attribute on ScenarioConfig
+def _parse_cbfs(key, text):
+    kinds = tuple(part.strip() for part in text.split(","))
+    for kind in kinds:
+        if kind not in CBF_KINDS:
+            raise ConfigError(f"{key}: expected one of {', '.join(CBF_KINDS)}, got {kind!r}")
+    return kinds
+
+
+# keys valid for every scenario but "scenario" -> (parser, attribute on ScenarioConfig)
 _SHARED_KEYS = {
-    "scenario": ("str", "scenario"),
-    "cbf": ("cbf_list", "cbfs"),
-    "sim.dt": ("float", "dt"),
-    "sim.horizon": ("float", "horizon"),
-    "sim.blow_up": ("float", "blow_up_threshold"),
-    "init.x0": ("floats", "x0"),
-    "scan.window": ("window", "window"),
-    "scan.resolution": ("ints", "resolution"),
+    "cbf": (_parse_cbfs, "cbfs"),
+    "sim.dt": (_parse_float, "dt"),
+    "sim.horizon": (_parse_float, "horizon"),
+    "sim.blow_up": (_parse_float, "blow_up_threshold"),
+    "init.x0": (_parse_floats, "x0"),
+    "scan.window": (_parse_window, "window"),
+    "scan.resolution": (_parse_ints, "resolution"),
 }
 
 # scenario parameter keys -> field on the params dataclass
@@ -169,25 +176,8 @@ class ScenarioConfig:
             if key == "scenario":
                 continue
             if key in _SHARED_KEYS:
-                kind, attr = _SHARED_KEYS[key]
-                if kind == "float":
-                    setattr(config, attr, _parse_float(key, value))
-                elif kind == "floats":
-                    setattr(config, attr, _parse_floats(key, value))
-                elif kind == "ints":
-                    setattr(config, attr, _parse_ints(key, value))
-                elif kind == "window":
-                    setattr(config, attr, _parse_window(key, value))
-                elif kind == "cbf_list":
-                    kinds = tuple(part.strip() for part in value.split(","))
-                    for k in kinds:
-                        if k not in CBF_KINDS:
-                            raise ConfigError(
-                                f"cbf: expected one of {', '.join(CBF_KINDS)}, got {k!r}"
-                            )
-                    config.cbfs = kinds
-                else:
-                    setattr(config, attr, value)
+                parse, attr = _SHARED_KEYS[key]
+                setattr(config, attr, parse(key, value))
             elif key in param_keys:
                 config.param_overrides[param_keys[key]] = _parse_float(key, value)
             elif scenario == "bicycle" and key == "filter.gamma":

@@ -596,6 +596,40 @@ def test_a_traced_power_scans_with_the_bits_of_python_pow(pendulum):
         assert scan.evaluation == "lanes"
 
 
+@pytest.mark.parametrize(
+    "alpha", [lambda r: math.tanh(r), lambda r: r if r > 0 else 3.0 * r], ids=["tanh", "piecewise"]
+)
+def test_an_alpha_outer_of_one_state_scans_as_the_per_state_evaluation(pendulum, bicycle, alpha):
+    # math.tanh and a Python if need the float behind a traced h, so every
+    # node runs on the per-state evaluation, whose margin takes alpha at one state
+    for scenario in (bicycle, pendulum):
+        inst = scenario.make_cbf(ABC)
+        args = (inst, scenario.system, scenario.window, (9, 9), scenario.state_from_axes, alpha)
+        scan = _scan_both_ways(*args)
+        assert scan.evaluation.startswith("per state: not traced")
+    for i in range(len(scan)):
+        h, grad = inst.value_and_gradient(scan.x[i])
+        assert scan.margin[i] == float(grad @ pendulum.system.f_vec(scan.x[i])) + alpha(h)
+
+
+def test_a_traceable_non_linear_alpha_outer_scans_as_lanes(pendulum, bicycle):
+    cubic = lambda r: r + 0.1 * r * r * r
+    for scenario in (pendulum, bicycle):
+        inst = scenario.make_cbf(ABC)
+        scan = _scan_both_ways(inst, scenario.system, scenario.window, (33, 33), scenario.state_from_axes, cubic)
+        assert scan.evaluation == "lanes"
+
+
+def test_a_where_between_constants_scales_a_dual_in_the_lanes(pendulum):
+    # the where gives a traced constant, which a Dual of psi multiplies
+    weighted = dataclasses.replace(
+        pendulum.output, psi=lambda y: (HALF_PI_SQ - y[0] * y[0]) * ad.where(y[0] > 0.0, 1.0, 1.5)
+    )
+    for kind in CBF_KINDS:
+        inst = dataclasses.replace(pendulum.make_cbf(kind), output=weighted)
+        assert _scan_both_ways(inst, pendulum.system, pendulum.window, (41, 41)).evaluation == "lanes"
+
+
 def _recording_lanes(patch):
     """Record the trace and the arrays of each call of ``Traced.lanes``, in call order."""
     calls, lanes = [], ad.Traced.lanes
@@ -608,9 +642,9 @@ def _recording_lanes(patch):
     return calls
 
 
-def _scan_calls(calls, instance, system):
-    """The arrays of the recorded calls of the scan trace of (``instance``, ``system``)."""
-    traced = analysis._scan_trace(instance, system)
+def _scan_calls(calls, instance, system, alpha):
+    """The arrays of the recorded calls of the scan trace of (``instance``, ``system``, ``alpha``)."""
+    traced = analysis._scan_trace(instance, system, alpha)
     return [arrays for called, arrays in calls if called is traced]
 
 
@@ -631,7 +665,7 @@ def test_clean_mixed_and_excluded_blocks_equal_the_per_state_evaluation(bicycle,
     assert scan.evaluation == "lanes"
     assert np.isnan(scan.h[scan.excluded]).all() and not np.isnan(scan.h[~scan.excluded]).any()
     # the excluded block runs no lanes, the mixed one a gathered copy, the clean one views of x
-    mixed, clean = _scan_calls(calls, inst, bicycle.system)
+    mixed, clean = _scan_calls(calls, inst, bicycle.system, bicycle.alpha_outer)
     assert [len(a) for a in mixed[:2]] == [4096 - 2080 - 1] * 2 and len(clean[0]) == 4225 - 4096
     assert not any(np.shares_memory(a, scan.x) for a in mixed)
     assert all(np.shares_memory(a, scan.x) for a in clean)
@@ -654,7 +688,7 @@ def test_a_scan_without_exclusions_hands_the_lanes_views_of_its_nodes(pendulum, 
     calls = _recording_lanes(monkeypatch)
     scan = grid_scan(inst, pendulum.system, pendulum.window, ROW_SPLITTING)
     monkeypatch.undo()
-    calls = _scan_calls(calls, inst, pendulum.system)
+    calls = _scan_calls(calls, inst, pendulum.system, inst.alpha)
     assert not scan.excluded.any() and len(calls) == 2
     assert all(np.shares_memory(a, scan.x) for arrays in calls for a in arrays)
     assert scan.x.T.flags.c_contiguous

@@ -153,6 +153,29 @@ def test_a_structural_zero_is_a_positive_float_zero_in_a_public_gradient(monkeyp
     assert "* 0.0" not in source and "extend(((x0 + x0), 0.0, ))" in source
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda z: z[0] * ad.where(z[1] > 0.0, 1.0, -1.0),
+        lambda z: ad.requ(ad.where(z[1] > 0.0, 1.0, -1.0)) + z[0],
+        lambda z: ad.where(z[1] > 0.0, 2.0, -1.0) - z[0] / ad.where(z[1] > 0.0, 2.0, -4.0),
+    ],
+    ids=["times", "plus", "minus-over"],
+)
+def test_a_dual_takes_a_traced_constant_as_a_constant(field):
+    # a where between two constants on a traced mask gives a traced value,
+    # with which a Dual's arithmetic is that of a float
+    def value_and_partials(x):
+        value, g = ad.value_and_grad(field, np.array(x, dtype=object))
+        return [value, *g]
+
+    traced = ad.Traced(value_and_partials, 2)
+    assert traced.reason is None
+    for state in ([1.5, 2.0], [1.5, -2.0], [-0.25, 0.0]):
+        value, g = ad.value_and_grad(field, np.array(state))
+        assert np.array(traced(*state)).tobytes() == np.array([value, *g]).tobytes()
+
+
 def test_constant_field_has_zero_gradient():
     value, g = ad.value_and_grad(lambda x: 7.5, np.array([1.0, 2.0, 3.0]))
     assert value == 7.5

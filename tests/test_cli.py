@@ -415,6 +415,17 @@ def test_initial_state_without_a_first_row_is_refused(tmp_path, capsys, command,
         ("pendulum", "sim.blow_up=-1", "sim.blow_up: must be positive"),
         ("bicycle", "filter.gamma=inf,1", "filter.gamma: expected finite numbers"),
         ("bicycle", "scan.v=nan", "scan.v: expected a finite number"),
+        ("pendulum", "sim.dt=0", "sim.dt: must be positive"),
+        ("pendulum", "sim.horizon=-1", "sim.horizon: must be positive"),
+        ("pendulum", "scan.window=0:1", "scan.window: expected two axes"),
+        ("pendulum", "scan.window=1:0", "scan.window: empty range '1:0'"),
+        ("pendulum", "scan.window=0-1,0:1", "scan.window: expected lo:hi ranges, got '0-1'"),
+        ("pendulum", "scan.resolution=1", "scan.resolution: expected one or two counts >= 2"),
+        ("pendulum", "scan.resolution=2,2,2", "scan.resolution: expected one or two counts >= 2"),
+        ("pendulum", "scan.resolution=2.5", "scan.resolution: expected comma-separated integers, got '2.5'"),
+        ("pendulum", "init.x0=1,a", "init.x0: expected comma-separated numbers, got '1,a'"),
+        ("bicycle", "filter.gamma=1", "filter.gamma: bicycle expects two weights"),
+        ("pendulum", "sim.dt", "--set expects key=value, got 'sim.dt'"),
     ],
 )
 def test_non_finite_and_non_positive_numbers_are_refused(tmp_path, capsys, plant, assignment, message):
@@ -425,6 +436,14 @@ def test_non_finite_and_non_positive_numbers_are_refused(tmp_path, capsys, plant
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"configuration error: {message}")
         assert not out.exists()
+
+
+def test_a_config_line_without_an_assignment_is_refused(tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg.write_text("scenario = pendulum\nsim.dt\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["configuration error: line 2: expected key = value, got 'sim.dt'"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "scan", "compare"])

@@ -433,7 +433,7 @@ def test_no_lanes_source_of_a_published_scan_repeats_a_line(plant, kind, pendulu
     # of its divisor, which render as one line; it is written once
     scenario = pendulum if plant == "pendulum" else bicycle
     rendered = _recording(monkeypatch)
-    _scan_trace(scenario.make_cbf(kind), scenario.system).lanes(*np.zeros((scenario.system.n, 1)))
+    _scan_trace(scenario.make_cbf(kind), scenario.system, scenario.alpha_outer).lanes(*np.zeros((scenario.system.n, 1)))
     [source] = rendered
     lines = source.splitlines()
     assert len(set(lines)) == len(lines)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
 from cbftk import kernels, sim
-from cbftk.cbf import ABC, CBF_KINDS, RECBF, abc, hocbf
+from cbftk.cbf import ABC, CBF_KINDS, HOCBF, RECBF, abc, hocbf
 from cbftk.core import ControlAffineSystem, LinearClassK, RelDeg2Output, ReQUActivation
 from cbftk.safety_filter import LinearGain, SafetyFilterSpec, safety_filter
 from cbftk.sim import SimulationError, compute_metrics, rk4_step, simulate
@@ -503,3 +503,63 @@ def test_an_untraceable_numpy_call_names_the_callers_line(bicycle):
     assert traj.evaluation.startswith("numpy: not traced")
     assert "test_sim.py:" in traj.evaluation
     assert "np.clip(lane_keeping_desired(x, p), -1.0, 1.0)" in traj.evaluation
+
+
+# -- the exits of a step on numpy -----------------------------------------------
+# Each run below leaves one step of the generated loop to numpy, and that
+# step ends the run; it must end as the same run with every step on numpy.
+
+
+def _every_step_on_numpy(run):
+    """``run()`` with each step of every generated loop left to numpy."""
+    with pytest.MonkeyPatch.context() as patch:
+        left = lambda self, args, steps, rows, carried, *_: (steps.start, "loop off", args[:carried])
+        patch.setattr(ad.Traced, "loop", left)
+        return run()
+
+
+def _assert_run_equals_numpy(run, exit_reason, rows):
+    traj, numpy = run(), _every_step_on_numpy(run)
+    assert numpy.evaluation.startswith("numpy: loop off at state [")
+    assert (traj.exit_reason, len(traj)) == (numpy.exit_reason, len(numpy)) == (exit_reason, rows)
+    for column in ("t", "x", "u", "h", "psi", "s"):
+        got, expected = getattr(traj, column), getattr(numpy, column)
+        assert (got is None) == (expected is None), column
+        if got is not None:
+            assert got.tobytes() == expected.tobytes(), column
+    return traj
+
+
+def test_an_initial_state_outside_the_extended_set_leaves_the_domain_with_no_row(pendulum):
+    output = dataclasses.replace(pendulum.output, in_extended_set=lambda x: x[0] > -1.0)
+    inst = dataclasses.replace(pendulum.make_cbf(ABC), output=output)
+    run = lambda: simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3)
+    traj = _assert_run_equals_numpy(run, "left_domain", 0)
+    assert traj.evaluation == f"numpy: domain guard fired at state {np.array(pendulum.x0)}"
+
+
+def test_an_infinite_desired_input_at_a_reached_state_ends_the_run_after_its_row(pendulum):
+    # infinite at step 5's state alone, which no RK4 stage of step 4 meets
+    inst = pendulum.make_cbf(HOCBF)
+    a, b = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3).x[5]
+    spec = dataclasses.replace(
+        pendulum.filter_spec(), desired=lambda x: [ad.where((x[0] == a) & (x[1] == b), math.inf, 0.0)]
+    )
+    run = lambda: simulate(pendulum.system, inst, spec, pendulum.x0, 0.01, 1e-3)
+    traj = _assert_run_equals_numpy(run, "non_finite", 6)
+    assert np.array_equal(traj.x[5], [a, b]) and traj.u[5, 0] == math.inf and np.isfinite(traj.u[:5]).all()
+    assert traj.evaluation.startswith("numpy: non-finite guard fired at state [")
+
+
+def test_a_sqrt_refused_at_a_stage_point_ends_the_run_after_the_row_of_its_step(pendulum):
+    # phi rises on every step: the sqrt of c - phi is refused between the
+    # states of steps 5 and 6, so at an RK4 stage of step 5 and at no state
+    inst = pendulum.make_cbf(HOCBF)
+    phi = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3).x[:, 0]
+    assert np.all(np.diff(phi) > 0.0)
+    c = 0.5 * (phi[5] + phi[6])
+    f = lambda x: [x[1], ad.sin(x[0]) + 0.0 * ad.sqrt(c - x[0])]
+    system = ControlAffineSystem(n=2, m=1, f=f, g=pendulum.system.g)
+    run = lambda: simulate(system, inst, pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3)
+    traj = _assert_run_equals_numpy(run, "non_finite", 6)
+    assert traj.evaluation.startswith("numpy: sqrt guard fired at state [")
