@@ -127,17 +127,17 @@ def grid_scan(
     The nodes outside the extended set are excluded (NaN in every value
     column); the lift and ``in_extended_set`` run as lanes of one trace
     (:func:`_node_array`).  The others run in blocks of
-    :data:`cbftk.autodiff.BLOCK_NODES` nodes as lanes of
-    :func:`_scan_outputs`, every column at one state (||L_g h|| and the
-    margin too), traced once and cached for the last (system, alpha); a
-    node the lanes flag (a guard that fired, an output not finite) runs on
-    :func:`_scan_outputs` at its floats, as does every node when the trace
-    failed (:func:`cbftk.core.by_lanes`).  A block that excludes no node
-    (every block, where no node is excluded) hands the lanes views of its
-    slice of the node components and writes its slice of each column; a
-    block that excludes some gathers the nodes it keeps and scatters their
-    values.  An error is the one the first failing node raises, with
-    ``index`` its row of ``x`` and its state named.
+    :data:`cbftk.autodiff.BLOCK_NODES` nodes, each holding just the arrays
+    it has yet to read, as lanes of :func:`_scan_outputs`, every column at
+    one state (||L_g h|| and the margin too), traced once and cached for the
+    last (system, alpha); a node the lanes flag (a guard that fired, an
+    output not finite) runs on :func:`_scan_outputs` at its floats, as does
+    every node when the trace failed (:func:`cbftk.core.by_lanes`).  A block
+    that excludes no node (every block, where no node is excluded) hands the
+    lanes views of its slice of the node components and writes its slice of
+    each column; a block that excludes some gathers the nodes it keeps and
+    scatters their values.  An error is the one the first failing node
+    raises, with ``index`` its row of ``x`` and its state named.
     """
     axes = _grid_axes(window, resolution)
     comps, excluded, reason = _node_array(axes, state_from_axes or list, instance.output, system.n)

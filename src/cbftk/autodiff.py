@@ -77,9 +77,10 @@ __all__ = [
     "maximum",
 ]
 
-# states per call of the lanes in the scans and checks: bounds the arrays
-# held at once (one of BLOCK_NODES floats per operation of the trace)
-BLOCK_NODES = 2048
+# states per call of the lanes in the scans and checks; a call holds an array
+# of BLOCK_NODES floats per variable still to be read (28, 1.9 MB, at the peak
+# of a bicycle abc scan block).  Twice as many made the pendulum scans slower.
+BLOCK_NODES = 8192
 
 
 class EvaluationError(ArithmeticError):
@@ -785,15 +786,15 @@ class Traced:
         root for the exponents 2 and 0.5, round otherwise than glibc's pow.
         A lane is bad too where a call would raise on an operation whose
         result a ``where`` may discard, by its check recorded where traced
-        (:class:`Sym`).  A string says why it did not run: the code was not
-        traced, or raised.
+        (:class:`Sym`).  Each array is deleted after its last read.  A string
+        says why it did not run: the code was not traced, or raised.
         """
         if self._lanes is None:
             if self._record is None:
                 return self.reason
             args, trace, outputs = self._record
             returned = (None, f"return (bad, {_tuple(['{}'] * len(outputs))})", outputs)
-            lines = _inlined([(None, "bad = False", ()), *trace.lines, returned], _LANES)
+            lines = _inlined([(None, "bad = False", ()), *trace.lines, returned], _LANES, free=True)
             self._lanes = _compiled(_function_source(args, lines), dict(trace.constants, np=np, **_NUMPY_MATH))
         try:
             with np.errstate(all="ignore"):
@@ -855,7 +856,7 @@ def _compiled(source, namespace):
     return namespace["generated"]
 
 
-def _inlined(records, table) -> list:
+def _inlined(records, table, free=False) -> list:
     """The lines of ``records`` in the form of ``table``, with each variable
     read once written into its reader, and without the variables nothing
     reads, unless their operation may raise on floats (:data:`_RAISING`).
@@ -868,7 +869,8 @@ def _inlined(records, table) -> list:
     past guards, which leave the arguments to the traced path anyway.  A
     variable read in a conditional expression keeps its line, so that both
     branches are evaluated first, as on the traced path, where ``math``
-    functions raise.
+    functions raise.  Where ``free``, a ``del`` follows each line but the
+    last for the variables it writes or reads that no later line reads.
     """
     live, kept_records = set(), []
     for name, template, operands in reversed(records):
@@ -879,15 +881,25 @@ def _inlined(records, table) -> list:
     kept_records.reverse()
     reads = collections.Counter(v for _, _, operands in kept_records for v in operands)
     kept = {v for _, template, operands in kept_records if template == _SELECT for v in operands}
-    pending, out, written = {}, [], set()
+    # each line with the variables it writes and reads, a pending one's too
+    pending, out, written, assigned = {}, [], set(), set()
     for name, template, operands in kept_records:
-        expression = template.format(*(f"({pending.pop(v)})" if v in pending else v for v in operands))
+        parts = [pending.pop(v, (v, {v} & assigned)) for v in operands]
+        expression = template.format(*(text for text, _ in parts))
+        names = {v for _, read in parts for v in read}
         if name is None:
             if expression not in written:
                 written.add(expression)
-                out.append(expression)
+                out.append((expression, names))
         elif reads[name] == 1 and name not in kept:
-            pending[name] = expression
+            pending[name] = (f"({expression})", names)
         else:
-            out.append(f"{name} = {expression}")
-    return out
+            assigned.add(name)
+            out.append((f"{name} = {expression}", names | {name}))
+    later, lines = set(), []
+    for line, names in reversed(out):
+        if free and lines and names - later:
+            lines.append(f"del {', '.join(sorted(names - later, key=lambda v: (len(v), v)))}")
+        later |= names
+        lines.append(line)
+    return lines[::-1]

@@ -103,9 +103,10 @@ def at_states(quantities, states, index=None) -> np.ndarray:
 
     ``quantities`` maps the components of one state, an object array, to k
     floats.  It is traced once and run over blocks of
-    :data:`cbftk.autodiff.BLOCK_NODES` states by :func:`by_lanes`; an error
-    names the row's entry of ``index`` (the row itself by default).  Where
-    no state runs and the trace failed, k is 0.
+    :data:`cbftk.autodiff.BLOCK_NODES` states by :func:`by_lanes`, each
+    holding just the arrays it has yet to read; an error names the row's
+    entry of ``index`` (the row itself by default).  Where no state runs and
+    the trace failed, k is 0.
     """
     traced = ad.Traced(lambda x: quantities(np.array(x, dtype=object)), states.shape[1])
     index = np.arange(len(states)) if index is None else index

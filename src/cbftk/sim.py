@@ -228,7 +228,8 @@ def simulate(
         if not instance.output.in_extended_set(xa):
             exit_reason = "left_domain"
             break
-        ua = safety_filter(spec, instance, system, xa)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or a NaN as silent as the loop's
+            ua = safety_filter(spec, instance, system, xa)
         u = ua.tolist()
         rows.extend((*x, *u, *_logged(instance, xa, want_s)))
         if not all(map(math.isfinite, u)):
@@ -242,7 +243,8 @@ def simulate(
         # stage 1 reuses the logged input; later stages re-evaluate the
         # controller, mirroring the scalar kernels exactly
         try:
-            x = tuple(_next_state(controlled_derivative, xa, _derivative(system, xa, ua), dt).tolist())
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = tuple(_next_state(controlled_derivative, xa, _derivative(system, xa, ua), dt).tolist())
         except DomainError:
             exit_reason = "left_domain"
             break

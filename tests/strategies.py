@@ -1,14 +1,24 @@
 """Hypothesis strategies for scenario parameters, shared by the test modules."""
 
+from unittest import mock
+
 from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
 from cbftk.systems import BicycleParams, PendulumParams
 
-# 2107 nodes: the first block ends 41 nodes into row 41
+# blocks of 2048 nodes, smaller than the library's, so that the grids small
+# enough for the per-state references still run in several blocks; at 2107
+# nodes the first block ends 41 nodes into row 41
+SPLIT_BLOCK = 2048
 ROW_SPLITTING = (43, 49)
-assert ad.BLOCK_NODES < ROW_SPLITTING[0] * ROW_SPLITTING[1]
-assert ad.BLOCK_NODES % ROW_SPLITTING[1]
+assert SPLIT_BLOCK < ROW_SPLITTING[0] * ROW_SPLITTING[1]
+assert SPLIT_BLOCK % ROW_SPLITTING[1]
+
+
+def split_blocks():
+    """A context in which the scans and checks run in blocks of :data:`SPLIT_BLOCK`."""
+    return mock.patch.object(ad, "BLOCK_NODES", SPLIT_BLOCK)
 
 gains = st.floats(0.2, 3.0)
 

@@ -18,7 +18,7 @@ from cbftk.analysis import SINGULAR_TOL, abc_equivalence_check, grid_scan, valid
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF
 from cbftk.core import ControlAffineSystem, DomainError, LinearClassK, ReQUActivation
 from cbftk.systems import HALF_PI_SQ, BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
-from strategies import ROW_SPLITTING, bicycle_params, pendulum_params
+from strategies import ROW_SPLITTING, bicycle_params, pendulum_params, split_blocks
 
 
 def scan_pendulum(scenario, kind, resolution=(101, 101)):
@@ -435,14 +435,15 @@ def _assert_scan_matches_per_node_oracle(scenario, kind, resolution):
     """grid_scan equals the scalar AD evaluation of each node on its own."""
     inst = scenario.make_cbf(kind)
     system = scenario.system
-    scan = grid_scan(
-        inst,
-        system,
-        scenario.window,
-        resolution,
-        state_from_axes=scenario.state_from_axes,
-        alpha_outer=scenario.alpha_outer,
-    )
+    with split_blocks():
+        scan = grid_scan(
+            inst,
+            system,
+            scenario.window,
+            resolution,
+            state_from_axes=scenario.state_from_axes,
+            alpha_outer=scenario.alpha_outer,
+        )
     assert len(scan) == resolution[0] * resolution[1]
     assert (scan.s is None) == (kind != ABC)
     columns = [scan.h, scan.psi, scan.lgh_norm, scan.margin] + ([scan.s] if kind == ABC else [])
@@ -465,8 +466,8 @@ def _assert_scan_matches_per_node_oracle(scenario, kind, resolution):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-# at most about three blocks; a block boundary falls inside a row unless the
-# row length divides the block size
+# at most about three blocks of SPLIT_BLOCK; a block boundary falls inside a
+# row unless the row length divides the block size
 resolutions = st.tuples(st.integers(2, 80), st.integers(2, 80))
 
 
@@ -511,11 +512,12 @@ def _scan_both_ways(*args, **kwargs):
 def _assert_scan_equals_per_state(scenario, kind, resolution):
     inst = scenario.make_cbf(kind)
     window, lift = scenario.window, scenario.state_from_axes
-    scan = _scan_both_ways(inst, scenario.system, window, resolution, lift, scenario.alpha_outer)
+    with split_blocks():
+        scan = _scan_both_ways(inst, scenario.system, window, resolution, lift, scenario.alpha_outer)
     assert scan.evaluation == "lanes"
 
 
-# small enough for the per-state reference; ROW_SPLITTING gives two blocks
+# small enough for the per-state reference; ROW_SPLITTING gives two blocks of SPLIT_BLOCK
 lane_resolutions = st.tuples(st.integers(2, 24), st.integers(2, 24))
 
 
@@ -535,6 +537,7 @@ def test_bicycle_scan_equals_dual_at_random_parameters(kind, params, resolution)
     _assert_scan_equals_per_state(bicycle_scenario(params=params), kind, resolution)
 
 
+@split_blocks()
 def test_a_guard_in_a_later_block_raises_the_dual_error(bicycle):
     # 65 x 65 nodes around the obstacle centre, node 2112: the second block's 65th
     output = dataclasses.replace(bicycle.output, in_extended_set=lambda x: True)
@@ -551,6 +554,7 @@ def test_a_guard_in_a_later_block_raises_the_dual_error(bicycle):
     assert str(lanes.value).endswith(f"at state {np.array([p.obstacle_xi, p.obstacle_eta, 0.0, p.v_desired])}")
 
 
+@split_blocks()
 def test_a_masked_division_by_zero_raises_as_on_the_per_state_evaluation(pendulum):
     # sin(phi) / phi is 0 / 0 at phi = 0, row 32 of 65, which the second block
     # holds: one state at a time the float division raises though the where
@@ -648,6 +652,7 @@ def _scan_calls(calls, instance, system, alpha):
     return [arrays for called, arrays in calls if called is traced]
 
 
+@split_blocks()
 def test_clean_mixed_and_excluded_blocks_equal_the_per_state_evaluation(bicycle, monkeypatch):
     # 65 x 65 nodes around the obstacle centre, node 2112, in blocks [0, 2048),
     # [2048, 4096) and [4096, 4225): the set drops rows 0-31 (nodes 0-2079),
@@ -683,6 +688,7 @@ def test_clean_mixed_and_excluded_blocks_equal_the_per_state_evaluation(bicycle,
     assert str(lanes.value).endswith(f"at state {centre}")
 
 
+@split_blocks()
 def test_a_scan_without_exclusions_hands_the_lanes_views_of_its_nodes(pendulum, monkeypatch):
     inst = pendulum.make_cbf(RECBF)
     calls = _recording_lanes(monkeypatch)

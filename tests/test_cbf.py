@@ -10,6 +10,7 @@ from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, HOCBF, RECBF, recbf, recbf_v
 from cbftk.core import ControlAffineSystem, DomainError, LinearClassK, ReQUActivation
 from cbftk.systems import PendulumParams, bicycle_scenario, pendulum_scenario
 from conftest import central_difference
+from strategies import SPLIT_BLOCK, split_blocks
 
 HALF_PI_SQ = math.pi**2 / 4.0
 
@@ -277,6 +278,7 @@ def _validity_oracle(instance, system, states, coupling_tol=1e-8):
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@split_blocks()
 def test_recbf_validity_condition_matches_per_state_oracle(plant):
     if plant == "pendulum":
         scenario = pendulum_scenario(params=PendulumParams(epsilon=4.0))
@@ -291,7 +293,7 @@ def test_recbf_validity_condition_matches_per_state_oracle(plant):
     axes = _grid_axes(scenario.window, (61, 61))
     nodes = _node_array(axes, scenario.state_from_axes, scenario.output, scenario.system.n)[0]
     states = np.vstack([nodes.T, extra])
-    assert ad.BLOCK_NODES < len(states) and ad.BLOCK_NODES % 61
+    assert ad.BLOCK_NODES == SPLIT_BLOCK < len(states) and SPLIT_BLOCK % 61
     inst = scenario.make_cbf(RECBF)
     report = recbf_validity_condition(inst, scenario.system, states)
     expected = _validity_oracle(inst, scenario.system, states)

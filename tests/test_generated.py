@@ -8,8 +8,10 @@ comparison is by ``tobytes()``, so NaN, infinities and the sign of a zero
 count.  A state the code leaves to the Dual path must get the reason.
 """
 
+import ast
 import dataclasses
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from cbftk import autodiff as ad
 from cbftk import sim
-from cbftk.analysis import _scan_trace, grid_scan
+from cbftk.analysis import _grid_axes, _node_array, _scan_trace, grid_scan
 from cbftk.cbf import ABC, BACKSTEPPING, CBF_KINDS, hocbf
 from cbftk.core import LinearClassK, RelDeg2Output, by_lanes
 from cbftk.systems import BicycleParams, PendulumParams, bicycle_scenario, pendulum_scenario
@@ -439,6 +441,70 @@ def test_no_lanes_source_of_a_published_scan_repeats_a_line(plant, kind, pendulu
     assert len(set(lines)) == len(lines)
 
 
+def _names(node, context) -> list:
+    """The names ``node`` loads or deletes (``context``), in order."""
+    return [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, context)]
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "bicycle"])
+@pytest.mark.parametrize("kind", CBF_KINDS)
+def test_the_lanes_of_a_published_scan_delete_each_array_after_its_last_read(
+    plant, kind, pendulum, bicycle, monkeypatch
+):
+    # a name read after its del would raise NameError in the lanes, which
+    # sends every node to the per-state path: the bytes stay, the speed goes
+    scenario = pendulum if plant == "pendulum" else bicycle
+    rendered = _recording(monkeypatch)
+    inst = scenario.make_cbf(kind)
+    _scan_trace(inst, scenario.system, scenario.alpha_outer).lanes(*np.zeros((scenario.system.n, 1)))
+    [function] = ast.parse(rendered[0]).body
+    *body, returned = function.body
+    assert isinstance(returned, ast.Return)
+    assigned, deleted, last = set(), set(), {}
+    for i, statement in enumerate(body):
+        if isinstance(statement, ast.Delete):
+            for name in _names(statement, ast.Del):
+                assert name in assigned and name not in deleted, name
+                # right after the line that last reads it (or writes it, where none does)
+                assert last[name] == i - 1, name
+                deleted.add(name)
+            continue
+        assert not deleted & set(_names(statement, ast.Load)), ast.unparse(statement)
+        [target] = statement.targets
+        assigned.add(target.id)
+        for name in {target.id, *_names(statement, ast.Load)}:
+            last[name] = i
+    assert deleted and deleted == assigned - set(_names(returned, ast.Load))
+    assert scenario.scan(kind).evaluation == "lanes"
+
+
+def test_an_array_nothing_reads_is_deleted_after_its_own_line(monkeypatch):
+    # a division is kept though unread, since it raises on floats
+    rendered = _recording(monkeypatch)
+    traced = ad.Traced(lambda x: [x[0] / x[1], x[0] + 1.0][1:], 2)
+    bad, (total,) = traced.lanes(np.array([1.0, 2.0]), np.array([4.0, 0.0]))
+    assert bad.tolist() == [False, True] and total.tolist() == [2.0, 3.0]
+    assert "    t0 = x0 / x1\n    del t0\n    return (bad, ((x0 + 1.0), ))\n" in rendered[0]
+
+
+def test_a_block_of_the_bicycle_abc_lanes_holds_at_most_32_arrays(bicycle):
+    # 28 arrays of a block; holding every array to the return peaks at 63
+    inst = bicycle.make_cbf(ABC)
+    traced = _scan_trace(inst, bicycle.system, bicycle.alpha_outer)
+    axes = _grid_axes(bicycle.window, bicycle.resolution)
+    nodes = _node_array(axes, bicycle.state_from_axes, bicycle.output, bicycle.system.n)[0]
+    block = nodes[:, : ad.BLOCK_NODES]
+    assert block.shape[1] == ad.BLOCK_NODES and traced.lanes(*block[:, :1]).__class__ is tuple
+    tracemalloc.start()
+    try:
+        found = traced.lanes(*block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found[1]) == 5
+    assert peak <= 32 * 8 * ad.BLOCK_NODES
+
+
 def test_each_form_of_a_trace_is_rendered_on_first_use(monkeypatch):
     # a clean scan of a new scenario renders only lanes (of its lift and of
     # its evaluation), the same scan again nothing, and a run only its loop
@@ -494,6 +560,7 @@ def generated(x0, x1):
     t20 = np.where((x0 == 1.0), (x0 / 0.0), (sqrt(t9)))
     t22 = np.asarray(float_pow(t20, 3.0), dtype=float)
     bad = bad | (np.isinf(t22) & np.isfinite(t20) & np.isfinite(3.0))
+    del t20
     return (bad, ((t9 * t15), t22, ((-1.5) * t15), (t15 < k0), ))
 """
 

@@ -538,9 +538,12 @@ def test_an_initial_state_outside_the_extended_set_leaves_the_domain_with_no_row
     assert traj.evaluation == f"numpy: domain guard fired at state {np.array(pendulum.x0)}"
 
 
-def test_an_infinite_desired_input_at_a_reached_state_ends_the_run_after_its_row(pendulum):
-    # infinite at step 5's state alone, which no RK4 stage of step 4 meets
-    inst = pendulum.make_cbf(HOCBF)
+@pytest.mark.parametrize("kind", [HOCBF, RECBF])
+def test_an_infinite_desired_input_at_a_reached_state_ends_the_run_after_its_row(pendulum, kind):
+    # infinite at step 5's state alone, which no RK4 stage of step 4 meets;
+    # for recbf L_g h is -0.0 there, so the filter makes 0.0 * inf, a NaN
+    # that the numpy step must make without a warning, as the loop does
+    inst = pendulum.make_cbf(kind)
     a, b = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3).x[5]
     spec = dataclasses.replace(
         pendulum.filter_spec(), desired=lambda x: [ad.where((x[0] == a) & (x[1] == b), math.inf, 0.0)]
@@ -548,6 +551,21 @@ def test_an_infinite_desired_input_at_a_reached_state_ends_the_run_after_its_row
     run = lambda: simulate(pendulum.system, inst, spec, pendulum.x0, 0.01, 1e-3)
     traj = _assert_run_equals_numpy(run, "non_finite", 6)
     assert np.array_equal(traj.x[5], [a, b]) and traj.u[5, 0] == math.inf and np.isfinite(traj.u[:5]).all()
+    assert traj.evaluation.startswith("numpy: non-finite guard fired at state [")
+
+
+@pytest.mark.parametrize("kind", [HOCBF, RECBF])
+def test_an_infinite_desired_input_at_a_stage_point_ends_the_run_after_the_row_of_its_step(pendulum, kind):
+    # phi rises on every step: the desired input is infinite past the middle
+    # of steps 5 and 6, so at an RK4 stage of step 5 and at no state before
+    inst = pendulum.make_cbf(kind)
+    phi = simulate(pendulum.system, inst, pendulum.filter_spec(), pendulum.x0, 0.01, 1e-3).x[:, 0]
+    assert np.all(np.diff(phi) > 0.0)
+    c = 0.5 * (phi[5] + phi[6])
+    spec = dataclasses.replace(pendulum.filter_spec(), desired=lambda x: [ad.where(x[0] > c, math.inf, 0.0)])
+    run = lambda: simulate(pendulum.system, inst, spec, pendulum.x0, 0.01, 1e-3)
+    traj = _assert_run_equals_numpy(run, "non_finite", 6)
+    assert np.isfinite(traj.u).all()
     assert traj.evaluation.startswith("numpy: non-finite guard fired at state [")
 
 
